@@ -206,9 +206,12 @@ def cmd_train(config_path, data, out, seed, epochs, batch_size):
 
 def _load_checkpoint(path):
     ckpt_path = Path(path)
-    if not ckpt_path.exists():
+    if not ckpt_path.is_file():
         raise DataError(f"checkpoint not found: {ckpt_path}")
-    return checkpoint_from_json(ckpt_path.read_text())
+    try:
+        return checkpoint_from_json(ckpt_path.read_text())
+    except (ConfigError, DataError) as exc:
+        raise DataError(f"checkpoint {ckpt_path}: {exc}") from exc
 
 
 @cli.command("score")
@@ -244,27 +247,23 @@ def cmd_score(config_path, checkpoint, data, out, scores_arg, lambda1, lambda2):
     ood = read_jsonl(ood_path)
     out_dir = _prepare_out(out)
 
-    rows = []
-    preds_rows = []
-    sample_id = 0
+    groups = []  # (is_ood, (N, k) score matrix, (N, L) probabilities)
     for is_ood, group in ((0, test), (1, ood)):
-        feats = [s.features for s in group]
-        logits_list, ev_list, pred_list = predict_batch(ckpt.params, feats)
-        for s, logits, ev, pred in zip(group, logits_list, ev_list, pred_list):
-            values = [
-                score_by_name(nm, ev, logits, cfg["lambda1"], cfg["lambda2"])
-                for nm in requested
-            ]
-            rows.append([sample_id, is_ood, *values])
-            if not is_ood:
-                preds_rows.append([sample_id, *pred.p, *s.y])
-            sample_id += 1
+        logits, ev, pred = predict_batch(ckpt.params, [s.features for s in group])
+        values = np.empty((len(group), len(requested)))
+        for j, nm in enumerate(requested):
+            values[:, j] = score_by_name(nm, ev, logits, cfg["lambda1"], cfg["lambda2"])
+        groups.append((is_ood, values, pred.p))
 
+    # cells are repr of Python floats (not np.float64): shortest round-trip text
     with open(out_dir / "scores.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_id", "is_ood", *requested])
-        for row in rows:
-            writer.writerow([row[0], row[1], *[repr(v) for v in row[2:]]])
+        sample_id = 0
+        for is_ood, values, _ in groups:
+            for row in values.tolist():
+                writer.writerow([sample_id, is_ood, *map(repr, row)])
+                sample_id += 1
 
     n_labels = ckpt.params.arch.label_count
     with open(out_dir / "preds.csv", "w", newline="") as fh:
@@ -273,27 +272,35 @@ def cmd_score(config_path, checkpoint, data, out, scores_arg, lambda1, lambda2):
         header += [f"p_{j}" for j in range(n_labels)]
         header += [f"y_{j}" for j in range(n_labels)]
         writer.writerow(header)
-        for row in preds_rows:
-            writer.writerow(
-                [row[0]]
-                + [repr(float(v)) for v in row[1 : 1 + n_labels]]
-                + [int(v) for v in row[1 + n_labels :]]
-            )
+        test_probs = groups[0][2]
+        for sample_id, (p, s) in enumerate(zip(test_probs.tolist(), test)):
+            writer.writerow([sample_id, *map(repr, p), *s.y.tolist()])
     _echo_config(out_dir, "score", cfg)
-    click.echo(f"scored {len(rows)} samples ({len(test)} IND, {len(ood)} OOD)")
+    click.echo(f"scored {len(test) + len(ood)} samples ({len(test)} IND, {len(ood)} OOD)")
+
+
+def _read_header(reader, what: str, path) -> list[str]:
+    try:
+        return next(reader)
+    except StopIteration:
+        raise DataError(f"{what} {path} is empty") from None
+
+
+def _check_width(row: list[str], header: list[str], path, lineno: int) -> None:
+    if len(row) != len(header):
+        raise DataError(
+            f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}"
+        )
 
 
 def _read_scores_csv(path):
     """Returns (is_ood array, {score name: value array})."""
     scores_path = Path(path)
-    if not scores_path.exists():
+    if not scores_path.is_file():
         raise DataError(f"scores CSV not found: {scores_path}")
     with open(scores_path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"scores CSV {path} is empty") from None
+        header = _read_header(reader, "scores CSV", path)
         if header[:2] != ["sample_id", "is_ood"]:
             raise DataError(
                 f"scores CSV {path} must start with sample_id,is_ood columns"
@@ -302,27 +309,36 @@ def _read_scores_csv(path):
         is_ood = []
         columns = {nm: [] for nm in names}
         for lineno, row in enumerate(reader, start=2):
+            _check_width(row, header, path, lineno)
             try:
                 is_ood.append(int(row[1]))
                 for nm, val in zip(names, row[2:]):
                     columns[nm].append(float(val))
-            except (IndexError, ValueError) as exc:
+            except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: malformed row: {exc}") from exc
     return np.array(is_ood), {nm: np.array(v) for nm, v in columns.items()}
 
 
 def _read_preds_csv(path):
     preds_path = Path(path)
-    if not preds_path.exists():
+    if not preds_path.is_file():
         raise DataError(f"predictions CSV not found: {preds_path}")
     with open(preds_path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = _read_header(reader, "predictions CSV", path)
         n_labels = sum(1 for h in header if h.startswith("p_"))
+        if header[:1] != ["sample_id"] or n_labels < 1 or len(header) != 1 + 2 * n_labels:
+            raise DataError(
+                f"predictions CSV {path} must have columns sample_id, p_0.., y_0.."
+            )
         probs, labels = [], []
-        for row in reader:
-            probs.append([float(v) for v in row[1 : 1 + n_labels]])
-            labels.append([int(v) for v in row[1 + n_labels :]])
+        for lineno, row in enumerate(reader, start=2):
+            _check_width(row, header, path, lineno)
+            try:
+                probs.append([float(v) for v in row[1 : 1 + n_labels]])
+                labels.append([int(v) for v in row[1 + n_labels :]])
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: malformed row: {exc}") from exc
     return np.array(probs), np.array(labels)
 
 
@@ -372,21 +388,45 @@ def _aggregate_metrics(paths, out_dir: Path) -> None:
     tables = []
     for p in paths:
         mp = Path(p)
-        if not mp.exists():
+        if not mp.is_file():
             raise DataError(f"metrics CSV not found: {mp}")
         with open(mp, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            rows = {row[0]: [float(v) for v in row[1:]] for row in reader}
-        tables.append((header[1:], rows))
-    metric_names = tables[0][0]
-    score_names = list(tables[0][1])
+            header = _read_header(reader, "metrics CSV", mp)
+            rows = {}
+            for lineno, row in enumerate(reader, start=2):
+                _check_width(row, header, mp, lineno)
+                try:
+                    rows[row[0]] = [float(v) for v in row[1:]]
+                except ValueError as exc:
+                    raise DataError(f"{mp}:{lineno}: malformed row: {exc}") from exc
+        tables.append((mp, header[1:], rows))
+    first, metric_names, first_rows = tables[0]
+    for mp, header, rows in tables[1:]:
+        if header != metric_names:
+            raise DataError(
+                f"metrics CSV {mp} has metric columns {header}, "
+                f"but {first} has {metric_names}"
+            )
+        missing = [nm for nm in first_rows if nm not in rows]
+        if missing:
+            raise DataError(
+                f"metrics CSV {mp} has no row for score(s) {', '.join(missing)} "
+                f"found in {first}"
+            )
+        extra = [nm for nm in rows if nm not in first_rows]
+        if extra:
+            raise DataError(
+                f"metrics CSV {first} has no row for score(s) {', '.join(extra)} "
+                f"found in {mp}"
+            )
+    score_names = list(first_rows)
     with open(out_dir / "aggregate.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["score", "metric", "mean", "median"])
         for nm in score_names:
             for j, metric in enumerate(metric_names):
-                values = [rows[nm][j] for _, rows in tables]
+                values = [rows[nm][j] for _, _, rows in tables]
                 writer.writerow(
                     [nm, metric, repr(float(np.mean(values))), repr(float(np.median(values)))]
                 )

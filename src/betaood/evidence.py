@@ -18,9 +18,20 @@ DEFAULT_PRIOR_WEIGHT = 2.0
 DEFAULT_BASE_RATE = 0.5
 
 
+def _check_pair(what: str, a: np.ndarray, b: np.ndarray) -> None:
+    """Both arrays (L,) or both (N, L) with equal shapes, L >= 1, all finite."""
+    if a.ndim not in (1, 2) or a.shape != b.shape or a.shape[-1] < 1:
+        raise ConfigError(
+            f"{what} must be (L,) or (N, L) arrays of equal shape with at "
+            f"least one label, got shapes {a.shape} and {b.shape}"
+        )
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ConfigError(f"{what} must be finite")
+
+
 @dataclass(frozen=True)
 class Logits:
-    """Raw two-head network outputs, one entry per label."""
+    """Raw two-head network outputs: one sample (L,) or a batch (N, L)."""
 
     f_pos: np.ndarray
     f_neg: np.ndarray
@@ -30,24 +41,16 @@ class Logits:
         f_neg = np.asarray(self.f_neg, dtype=float)
         object.__setattr__(self, "f_pos", f_pos)
         object.__setattr__(self, "f_neg", f_neg)
-        if f_pos.ndim != 1 or f_neg.ndim != 1 or f_pos.shape != f_neg.shape:
-            raise ConfigError(
-                f"logit heads must be 1-d and equal length, got shapes "
-                f"{f_pos.shape} and {f_neg.shape}"
-            )
-        if f_pos.size < 1:
-            raise ConfigError("logits need at least one label")
-        if not (np.all(np.isfinite(f_pos)) and np.all(np.isfinite(f_neg))):
-            raise ConfigError("logits must be finite")
+        _check_pair("logit heads", f_pos, f_neg)
 
     @property
     def label_count(self) -> int:
-        return self.f_pos.size
+        return self.f_pos.shape[-1]
 
 
 @dataclass(frozen=True)
 class EvidencePair:
-    """Per-label positive (alpha) and negative (beta) Beta evidence."""
+    """Positive (alpha) and negative (beta) Beta evidence, (L,) or (N, L)."""
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -57,19 +60,13 @@ class EvidencePair:
         beta = np.asarray(self.beta, dtype=float)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-        if alpha.ndim != 1 or alpha.shape != beta.shape or alpha.size < 1:
-            raise ConfigError(
-                f"evidence vectors must be 1-d, nonempty, and equal length, "
-                f"got shapes {alpha.shape} and {beta.shape}"
-            )
-        if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
-            raise ConfigError("evidence must be finite")
+        _check_pair("evidence", alpha, beta)
         if np.any(alpha <= 0.0) or np.any(beta <= 0.0):
             raise ConfigError("evidence must be strictly positive")
 
     @property
     def label_count(self) -> int:
-        return self.alpha.size
+        return self.alpha.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -85,7 +82,7 @@ class SubjectiveOpinion:
 
 @dataclass(frozen=True)
 class Prediction:
-    """Per-label predicted probability: the Beta mean alpha/(alpha+beta)."""
+    """Predicted label probability alpha/(alpha+beta), (L,) or (N, L)."""
 
     p: np.ndarray
 
@@ -121,10 +118,12 @@ def evidence_to_opinion(
     """
     aw = base_rate * prior_weight
     total = ev.alpha + ev.beta
-    if np.any(ev.alpha < aw) or np.any(ev.beta < aw):
-        bad = int(np.argmax((ev.alpha < aw) | (ev.beta < aw)))
+    below = (ev.alpha < aw) | (ev.beta < aw)
+    if np.any(below):
+        bad = np.unravel_index(np.argmax(below), below.shape)
+        sample = f"sample {bad[0]}, " if below.ndim == 2 else ""
         raise ConfigError(
-            f"opinion simplex violated at label {bad}: evidence "
+            f"opinion simplex violated at {sample}label {bad[-1]}: evidence "
             f"(alpha={ev.alpha[bad]:.6g}, beta={ev.beta[bad]:.6g}) is below "
             f"base_rate*prior_weight = {aw:.6g}; belief/disbelief would be negative"
         )

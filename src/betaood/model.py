@@ -235,24 +235,21 @@ def train(
     return Checkpoint(params=params, train_config=config, loss_trace=trace)
 
 
-def predict_batch(params: ModelParams, features_list) -> tuple[
-    list[Logits], list[EvidencePair], list[Prediction]
+def predict_batch(params: ModelParams, features) -> tuple[
+    Logits, EvidencePair, Prediction
 ]:
-    """Forward every sample and map through evidence; lists stay aligned."""
-    logits_list: list[Logits] = []
-    evidence_list: list[EvidencePair] = []
-    prediction_list: list[Prediction] = []
-    if len(features_list) == 0:
-        return logits_list, evidence_list, prediction_list
-    x = np.asarray(features_list, dtype=float)
+    """Forward an (N, D) batch and map it through evidence; each result is (N, L).
+
+    An empty batch gives zero-row objects.
+    """
+    if len(features) == 0:
+        x = np.empty((0, params.arch.input_dim))
+    else:
+        x = np.asarray(features, dtype=float)
     _, _, f_pos, f_neg = _forward_batch(params, x)
-    for i in range(x.shape[0]):
-        logits = Logits(f_pos=f_pos[i], f_neg=f_neg[i])
-        ev = logits_to_evidence(logits)
-        logits_list.append(logits)
-        evidence_list.append(ev)
-        prediction_list.append(evidence_to_prediction(ev))
-    return logits_list, evidence_list, prediction_list
+    logits = Logits(f_pos=f_pos, f_neg=f_neg)
+    ev = logits_to_evidence(logits)
+    return logits, ev, evidence_to_prediction(ev)
 
 
 def checkpoint_to_json(ckpt: Checkpoint) -> str:
@@ -289,31 +286,39 @@ def checkpoint_from_json(text: str) -> Checkpoint:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed checkpoint JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError("checkpoint JSON must be an object")
     version = doc.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise DataError(
             f"unsupported checkpoint format version {version!r} "
             f"(expected {CHECKPOINT_FORMAT_VERSION})"
         )
-    arch = ArchConfig(
-        input_dim=doc["arch"]["input_dim"],
-        hidden=tuple(doc["arch"]["hidden"]),
-        label_count=doc["arch"]["label_count"],
-    )
-    tc = TrainConfig(**doc["train_config"])
-    p = doc["params"]
-    params = ModelParams(
-        arch=arch,
-        hidden_weights=[np.asarray(w, dtype=float) for w in p["hidden_weights"]],
-        hidden_biases=[np.asarray(b, dtype=float) for b in p["hidden_biases"]],
-        w_pos=np.asarray(p["w_pos"], dtype=float),
-        b_pos=np.asarray(p["b_pos"], dtype=float),
-        w_neg=np.asarray(p["w_neg"], dtype=float),
-        b_neg=np.asarray(p["b_neg"], dtype=float),
-    )
+    try:
+        arch = ArchConfig(
+            input_dim=doc["arch"]["input_dim"],
+            hidden=tuple(doc["arch"]["hidden"]),
+            label_count=doc["arch"]["label_count"],
+        )
+        tc = TrainConfig(**doc["train_config"])
+        p = doc["params"]
+        params = ModelParams(
+            arch=arch,
+            hidden_weights=[np.asarray(w, dtype=float) for w in p["hidden_weights"]],
+            hidden_biases=[np.asarray(b, dtype=float) for b in p["hidden_biases"]],
+            w_pos=np.asarray(p["w_pos"], dtype=float),
+            b_pos=np.asarray(p["b_pos"], dtype=float),
+            w_neg=np.asarray(p["w_neg"], dtype=float),
+            b_neg=np.asarray(p["b_neg"], dtype=float),
+        )
+        loss_trace = list(doc["loss_trace"])
+    except KeyError as exc:
+        raise DataError(f"checkpoint is missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"malformed checkpoint field: {exc}") from exc
     return Checkpoint(
         params=params,
         train_config=tc,
-        loss_trace=list(doc["loss_trace"]),
+        loss_trace=loss_trace,
         format_version=version,
     )

@@ -6,7 +6,11 @@ import pytest
 
 import betaood.cli as cli_mod
 from betaood.cli import main
+from betaood.datagen import read_jsonl
 from betaood.errors import NumericError
+from betaood.evidence import Logits, evidence_to_prediction, logits_to_evidence
+from betaood.model import checkpoint_from_json, predict_batch
+from betaood.scores import score_by_name
 
 SMALL_GEN = {
     "feature_dim": 4,
@@ -172,6 +176,46 @@ class TestScore:
         ])
         assert code == 2
 
+    def test_cells_match_per_sample_scores(self, pipeline):
+        ckpt = checkpoint_from_json((pipeline / "checkpoint.json").read_text())
+        test = read_jsonl(pipeline / "synth.test.jsonl")
+        ood = read_jsonl(pipeline / "synth.ood.jsonl")
+        score_rows = _read_csv(pipeline / "scores.csv")
+        preds_rows = _read_csv(pipeline / "preds.csv")
+        names = score_rows[0][2:]
+        sample_id = 0
+        for is_ood, group in ((0, test), (1, ood)):
+            logits, _, _ = predict_batch(ckpt.params, [s.features for s in group])
+            for i, sample in enumerate(group):
+                row_logits = Logits(f_pos=logits.f_pos[i], f_neg=logits.f_neg[i])
+                ev = logits_to_evidence(row_logits)
+                want = [repr(score_by_name(nm, ev, row_logits)) for nm in names]
+                assert score_rows[1 + sample_id] == [str(sample_id), str(is_ood), *want]
+                if not is_ood:
+                    p = evidence_to_prediction(ev).p
+                    want = [*(repr(float(v)) for v in p), *(str(v) for v in sample.y)]
+                    assert preds_rows[1 + sample_id] == [str(sample_id), *want]
+                sample_id += 1
+        assert len(preds_rows) == 1 + len(test)
+
+    def test_malformed_checkpoint_is_data_error(self, pipeline, tmp_path, capsys):
+        doc = json.loads((pipeline / "checkpoint.json").read_text())
+        broken_docs = {
+            f"'{key}'": {k: v for k, v in doc.items() if k != key}
+            for key in ("arch", "train_config", "params")
+        }
+        broken_docs["malformed"] = {**doc, "train_config": {"epochs": "2"}}
+        for expected, broken_doc in broken_docs.items():
+            broken = tmp_path / "checkpoint.json"
+            broken.write_text(json.dumps(broken_doc))
+            code = main([
+                "score", "--checkpoint", str(broken),
+                "--data", str(pipeline / "synth"), "--out", str(tmp_path / "o"),
+            ])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert expected in err and str(broken) in err
+
     def test_rerun_byte_identical(self, pipeline, tmp_path):
         blobs = []
         for sub in ("a", "b"):
@@ -211,6 +255,17 @@ class TestEval:
         assert float(auroc_v) == 1.0
         assert float(aupr_v) == 1.0
         assert (out / "roc_u_s_pn.csv").exists()
+
+    def test_short_row_names_file_and_line(self, tmp_path, capsys):
+        src = tmp_path / "scores.csv"
+        _write_scores_csv(
+            src,
+            ["sample_id", "is_ood", "u_s_p", "u_s_n"],
+            [[0, 0, 0.1, 0.2], [1, 1, 0.9], [2, 1, 0.8, 0.7]],
+        )
+        assert main(["eval", "--scores-csv", str(src), "--out", str(tmp_path / "o")]) == 2
+        assert f"{src}:3:" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "metrics.csv").exists()
 
     def test_single_class_input_is_data_error(self, tmp_path):
         src = tmp_path / "scores.csv"
@@ -264,6 +319,48 @@ class TestEval:
         assert mean == pytest.approx(0.5)
         assert median == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("text", [
+        "",
+        "sample_id,y_0\r\n0,1\r\n",
+        "sample_id,p_0,y_0\r\n0,0.5\r\n",
+        "sample_id,p_0,y_0\r\n0,high,1\r\n",
+    ])
+    def test_malformed_preds_is_data_error(self, pipeline, tmp_path, capsys, text):
+        bad = tmp_path / "preds.csv"
+        bad.write_text(text)
+        code = main([
+            "eval", "--scores-csv", str(pipeline / "scores.csv"),
+            "--preds", str(bad), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "score,fpr95,auroc,aupr\r\nu_s_pn,0.5,0.9\r\n",
+        "score,fpr95,auroc,aupr\r\nu_s_pn,0.5,high,0.5\r\n",
+    ])
+    def test_malformed_aggregate_input_is_data_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "metrics.csv"
+        bad.write_text(text)
+        code = main(["eval", "--aggregate", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert str(bad) in capsys.readouterr().err
+
+    def test_aggregate_different_score_rows_is_data_error(self, tmp_path, capsys):
+        header = ["score", "fpr95", "auroc", "aupr"]
+        full, partial = tmp_path / "full.csv", tmp_path / "partial.csv"
+        _write_scores_csv(full, header, [["u_s_pn", 0.5, 0.9, 0.5], ["u_m_p", 0.6, 0.8, 0.4]])
+        _write_scores_csv(partial, header, [["u_s_pn", 0.5, 0.9, 0.5]])
+        for order in ((full, partial), (partial, full)):
+            code = main([
+                "eval", "--aggregate", ",".join(map(str, order)),
+                "--out", str(tmp_path / "o"),
+            ])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert str(partial) in err and "u_m_p" in err
+
 
 class TestSweepLambda:
     def test_default_grid_eleven_rows(self, pipeline, tmp_path):
@@ -310,6 +407,35 @@ class TestSweepLambda:
             "--lambda2", "0.0,1.5", "--out", str(tmp_path / "o"),
         ])
         assert code == 1
+
+
+class TestTracedPipeline:
+    """The benchmark's traced run, at these sizes: a wrapped name that is gone
+    or a layer metric that reads 0 fails here rather than in the benchmark."""
+
+    def test_layer_metrics_cover_every_layer(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import pipeline as bench
+        from tracer import Tracer, layer_metrics
+        from workloads import Workload
+
+        workload = Workload(name="tier1", gen=SMALL_GEN, train=SMALL_TRAIN)
+        cfg = workload.write_configs(3, tmp_path / "configs")
+        run = bench.Run(main, tmp_path / "run", floor=None, expected=None)
+        tracer = Tracer("tier1")
+        tracer.install()
+        try:
+            with tracer.span("pipeline"):
+                bench._pipeline(run, cfg)
+        finally:
+            tracer.uninstall()
+        assert run.failures == []
+        csv_bytes = sum((run.run_dir / f).stat().st_size for f in bench.CLI_CSVS)
+        metrics = layer_metrics(tracer, csv_bytes)
+        # one batched Logits, EvidencePair and Prediction per scored group,
+        # and one score call per name per group
+        assert metrics["evidence.objects"] == 6
+        assert metrics["scores.calls"] == 2 * len(cli_mod.SCORE_NAMES)
 
 
 class TestExitCodes:

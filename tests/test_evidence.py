@@ -69,6 +69,9 @@ class TestOpinion:
             evidence_to_opinion(
                 EvidencePair(alpha=[1.5], beta=[2.0]), prior_weight=2.0, base_rate=1.0
             )
+        batch = EvidencePair(alpha=[[2.0, 2.0], [2.0, 1.5]], beta=[[2.0, 2.0], [2.0, 2.0]])
+        with pytest.raises(ConfigError, match="sample 1, label 1"):
+            evidence_to_opinion(batch, prior_weight=2.0, base_rate=1.0)
 
     @given(finite_logits)
     @settings(max_examples=200)

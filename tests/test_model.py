@@ -88,12 +88,13 @@ class TestForward:
         rng = np.random.default_rng(7)
         params = init_params(ARCH, 3)
         feats = rng.normal(size=(10, 2))
-        logits_list, _, _ = predict_batch(params, feats)
+        logits, _, _ = predict_batch(params, feats)
+        assert logits.f_pos.shape == logits.f_neg.shape == (10, 2)
         # no batch statistics; only BLAS summation order can differ
         for i in range(10):
             single = forward(params, feats[i])
-            np.testing.assert_allclose(single.f_pos, logits_list[i].f_pos, rtol=0, atol=1e-13)
-            np.testing.assert_allclose(single.f_neg, logits_list[i].f_neg, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(single.f_pos, logits.f_pos[i], rtol=0, atol=1e-13)
+            np.testing.assert_allclose(single.f_neg, logits.f_neg[i], rtol=0, atol=1e-13)
 
     def test_dimension_mismatch_rejected(self):
         params = init_params(ARCH, 0)
@@ -230,18 +231,19 @@ class TestTrain:
 class TestPredictBatch:
     def test_empty_input(self):
         params = init_params(ARCH, 0)
-        logits, evs, preds = predict_batch(params, [])
-        assert logits == [] and evs == [] and preds == []
+        logits, ev, pred = predict_batch(params, [])
+        for array in (logits.f_pos, logits.f_neg, ev.alpha, ev.beta, pred.p):
+            assert array.shape == (0, ARCH.label_count)
 
     def test_alignment_and_consistency(self):
         rng = np.random.default_rng(29)
         params = init_params(ARCH, 31)
         feats = rng.normal(size=(5, 2))
-        logits, evs, preds = predict_batch(params, feats)
-        assert len(logits) == len(evs) == len(preds) == 5
-        for lg, ev, pred in zip(logits, evs, preds):
-            np.testing.assert_allclose(ev.alpha / (ev.alpha + ev.beta), pred.p)
-            assert np.all(ev.alpha > 1.0) and np.all(ev.beta > 1.0)
+        logits, ev, pred = predict_batch(params, feats)
+        for array in (logits.f_pos, ev.alpha, ev.beta, pred.p):
+            assert array.shape == (5, ARCH.label_count)
+        np.testing.assert_allclose(ev.alpha / (ev.alpha + ev.beta), pred.p)
+        assert np.all(ev.alpha > 1.0) and np.all(ev.beta > 1.0)
 
 
 class TestCheckpointSerialization:

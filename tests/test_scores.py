@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from betaood.errors import ConfigError
-from betaood.evidence import EvidencePair, Logits
+from betaood.evidence import EvidencePair, Logits, logits_to_evidence
 from betaood.scores import (
     SCORE_NAMES,
     ScoreConfig,
@@ -112,6 +112,21 @@ class TestScoreProperties:
                 name, ev_p, logits_p
             )
 
+    def test_permutation_invariance_batched(self):
+        rng = np.random.default_rng(54)
+        alpha = rng.uniform(1.1, 50.0, (40, 6))
+        beta = rng.uniform(1.1, 50.0, (40, 6))
+        f_pos = rng.normal(scale=5.0, size=(40, 6))
+        perm = rng.permutation(6)
+        ev = EvidencePair(alpha=alpha, beta=beta)
+        ev_p = EvidencePair(alpha=alpha[:, perm], beta=beta[:, perm])
+        logits = Logits(f_pos=f_pos, f_neg=beta)
+        logits_p = Logits(f_pos=f_pos[:, perm], f_neg=beta[:, perm])
+        for name in SCORE_NAMES:
+            np.testing.assert_array_equal(
+                score_by_name(name, ev, logits), score_by_name(name, ev_p, logits_p)
+            )
+
 
 class TestBaselines:
     def test_maxlogit(self):
@@ -149,6 +164,41 @@ class TestBaselines:
 
 
 class TestScoreBatch:
+    @pytest.mark.parametrize("n", [0, 1, 50])
+    def test_batched_equals_per_row(self, n):
+        rng = np.random.default_rng(61 + n)
+        f_pos = rng.normal(scale=4.0, size=(n, 5))
+        f_neg = rng.normal(scale=4.0, size=(n, 5))
+        logits = Logits(f_pos=f_pos, f_neg=f_neg)
+        ev = logits_to_evidence(logits)
+        for name in SCORE_NAMES:
+            batched = score_by_name(name, ev, logits, 0.3, 0.7)
+            assert isinstance(batched, np.ndarray) and batched.shape == (n,)
+            per_row = []
+            for i in range(n):
+                row_logits = Logits(f_pos=f_pos[i], f_neg=f_neg[i])
+                value = score_by_name(
+                    name, logits_to_evidence(row_logits), row_logits, 0.3, 0.7
+                )
+                assert type(value) is float
+                per_row.append(value)
+            np.testing.assert_array_equal(batched, np.array(per_row, dtype=float))
+
+    def test_batched_inputs_validated(self):
+        alpha = np.full((3, 2), 2.0)
+        nan_row = alpha.copy()
+        nan_row[1, 0] = np.nan
+        with pytest.raises(ConfigError, match="finite"):
+            EvidencePair(alpha=nan_row, beta=alpha)
+        with pytest.raises(ConfigError, match="finite"):
+            Logits(f_pos=alpha, f_neg=nan_row)
+        with pytest.raises(ConfigError, match="shape"):
+            EvidencePair(alpha=alpha, beta=alpha[:2])
+        with pytest.raises(ConfigError, match="shape"):
+            Logits(f_pos=alpha, f_neg=alpha[:, :1])
+        with pytest.raises(ConfigError, match="shape"):
+            EvidencePair(alpha=alpha[None], beta=alpha[None])
+
     def test_empty(self):
         assert score_batch([], [], ScoreConfig()).size == 0
 
