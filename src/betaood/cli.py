@@ -73,8 +73,41 @@ _SCORE_DEFAULTS = {
 }
 
 
+# What a config value must be, by the type of its default: (one, list of them).
+_EXPECTED = {
+    int: ("an integer", "integers"),
+    float: ("a finite number", "finite numbers"),
+    str: ("a string", "strings"),
+}
+
+
+def _has_type_of(value, default) -> bool:
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, type(default))
+
+
+def _check_types(doc: dict, defaults: dict, path) -> None:
+    """Each value must have its default's type; a list, its first element's."""
+    for key, value in doc.items():
+        default = defaults[key]
+        if isinstance(default, list):
+            ok = isinstance(value, list) and all(_has_type_of(v, default[0]) for v in value)
+            expected = f"a list of {_EXPECTED[type(default[0])][1]}"
+        else:
+            ok = _has_type_of(value, default)
+            expected = _EXPECTED[type(default)][0]
+        if not ok:
+            raise ConfigError(
+                f"config key {key!r} in {path} must be {expected}, got {value!r}"
+            )
+
+
 def _load_config(path, defaults: dict, overrides: dict) -> dict:
-    """Merge defaults < config file < explicit flags; reject unknown keys."""
+    """Merge defaults < config file < explicit flags; reject unknown keys and
+    values whose type differs from the default's."""
     merged = dict(defaults)
     if path is not None:
         try:
@@ -89,6 +122,7 @@ def _load_config(path, defaults: dict, overrides: dict) -> dict:
         unknown = sorted(set(doc) - set(defaults))
         if unknown:
             raise ConfigError(f"unknown config keys in {path}: {', '.join(unknown)}")
+        _check_types(doc, defaults, path)
         merged.update(doc)
     for key, value in overrides.items():
         if value is not None:
@@ -245,6 +279,13 @@ def cmd_score(config_path, checkpoint, data, out, scores_arg, lambda1, lambda2):
             raise DataError(f"dataset file not found: {p}")
     test = read_jsonl(test_path)
     ood = read_jsonl(ood_path)
+    input_dim = ckpt.params.arch.input_dim
+    for p, group in ((test_path, test), (ood_path, ood)):
+        if group and group[0].features.size != input_dim:
+            raise DataError(
+                f"{p} has {group[0].features.size} features per row, but "
+                f"checkpoint {checkpoint} expects {input_dim}"
+            )
     out_dir = _prepare_out(out)
 
     groups = []  # (is_ood, (N, k) score matrix, (N, L) probabilities)
@@ -319,6 +360,17 @@ def _read_scores_csv(path):
     return np.array(is_ood), {nm: np.array(v) for nm, v in columns.items()}
 
 
+def _check_finite(columns: dict, names, path) -> None:
+    """Reject the first non-finite score of the named columns by line and column."""
+    for nm in names:
+        bad = np.flatnonzero(~np.isfinite(columns[nm]))
+        if bad.size:
+            raise DataError(
+                f"{path}:{bad[0] + 2}: column {nm!r} holds a non-finite score "
+                f"({float(columns[nm][bad[0]])!r})"
+            )
+
+
 def _read_preds_csv(path):
     preds_path = Path(path)
     if not preds_path.is_file():
@@ -365,11 +417,18 @@ def cmd_eval(scores_csv, scores_arg, preds_csv, aggregate, out):
         raise ConfigError(
             f"score column(s) not in {scores_csv}: {', '.join(missing)}"
         )
+    # every column is checked before any output file is written
+    _check_finite(columns, requested, scores_csv)
+    try:
+        datasets = [
+            (nm, ScoredDataset(scores=columns[nm], is_ood=is_ood)) for nm in requested
+        ]
+    except DataError as exc:
+        raise DataError(f"{scores_csv}: {exc}") from exc
     with open(out_dir / "metrics.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["score", "fpr95", "auroc", "aupr"])
-        for nm in requested:
-            ds = ScoredDataset(scores=columns[nm], is_ood=is_ood)
+        for nm, ds in datasets:
             m = detection_metrics(ds)
             writer.writerow([nm, repr(m.fpr95), repr(m.auroc), repr(m.aupr)])
             write_roc_csv(roc_curve(ds), out_dir / f"roc_{nm}.csv")
@@ -447,6 +506,7 @@ def cmd_sweep_lambda(scores_csv, lambda2_arg, out):
             raise ConfigError(
                 f"sweep-lambda needs column {needed!r} in {scores_csv}"
             )
+    _check_finite(columns, ("u_s_p", "u_s_n"), scores_csv)
     if lambda2_arg:
         try:
             grid = [float(v) for v in lambda2_arg.split(",")]

@@ -242,8 +242,13 @@ def write_jsonl(samples, path) -> None:
 
 
 def read_jsonl(path) -> list[LabeledSample]:
-    """Parse a dataset file; malformed lines are reported with their number."""
+    """Parse a dataset file; malformed lines are reported with their number.
+
+    Every row must hold as many features and labels as the first row, and
+    every feature must be finite.
+    """
     out = []
+    linenos = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -254,12 +259,28 @@ def read_jsonl(path) -> list[LabeledSample]:
                 features = np.asarray(doc["features"], dtype=float)
                 labels = doc["labels"]
                 split = doc["split"]
+                y = (
+                    np.zeros(0, dtype=int)
+                    if labels is None
+                    else np.asarray(labels, dtype=int)
+                )
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed dataset line: {exc}") from exc
-            y = (
-                np.zeros(0, dtype=int)
-                if labels is None
-                else np.asarray(labels, dtype=int)
-            )
+            if features.ndim != 1 or y.ndim != 1:
+                raise DataError(
+                    f"{path}:{lineno}: features and labels must be lists of numbers"
+                )
+            if out and (features.size, y.size) != (out[0].features.size, out[0].y.size):
+                raise DataError(
+                    f"{path}:{lineno}: {features.size} features and {y.size} labels, "
+                    f"but line {linenos[0]} has {out[0].features.size} and "
+                    f"{out[0].y.size}"
+                )
             out.append(LabeledSample(features=features, y=y, split=split))
+            linenos.append(lineno)
+    if out:
+        finite = np.isfinite(np.array([s.features for s in out])).all(axis=1)
+        if not finite.all():
+            lineno = linenos[int(np.argmin(finite))]
+            raise DataError(f"{path}:{lineno}: features must be finite")
     return out

@@ -39,14 +39,30 @@ def _check_labels(ev: EvidencePair, y: np.ndarray) -> np.ndarray:
     return y.astype(float)
 
 
+def evidence_stack(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """alpha, beta and alpha + beta stacked on a new leading axis of size 3."""
+    return np.stack([alpha, beta, alpha + beta])
+
+
+def loss_terms(stack: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-label loss from an evidence_stack, with one digamma call on it."""
+    psi = _digamma_vec(stack)
+    return y * (psi[2] - psi[0]) + (1.0 - y) * (psi[2] - psi[1])
+
+
+def mean_loss_grad(stack: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """d/d(alpha), d/d(beta) of the label-mean loss, with one trigamma call."""
+    psi1 = _trigamma_vec(stack)
+    n = y.shape[-1]
+    d_alpha = (y * (psi1[2] - psi1[0]) + (1.0 - y) * psi1[2]) / n
+    d_beta = (y * psi1[2] + (1.0 - y) * (psi1[2] - psi1[1])) / n
+    return d_alpha, d_beta
+
+
 def beta_loss(ev: EvidencePair, y: np.ndarray) -> float:
     """Mean over labels of the expected BCE under the predicted Beta."""
     yf = _check_labels(ev, y)
-    psi_total = _digamma_vec(ev.alpha + ev.beta)
-    psi_alpha = _digamma_vec(ev.alpha)
-    psi_beta = _digamma_vec(ev.beta)
-    terms = yf * (psi_total - psi_alpha) + (1.0 - yf) * (psi_total - psi_beta)
-    return float(np.mean(terms))
+    return float(np.mean(loss_terms(evidence_stack(ev.alpha, ev.beta), yf)))
 
 
 def beta_loss_grad(ev: EvidencePair, y: np.ndarray, logits: Logits) -> LossGradient:
@@ -73,10 +89,4 @@ def beta_loss_grad(ev: EvidencePair, y: np.ndarray, logits: Logits) -> LossGradi
 def evidence_grad(ev: EvidencePair, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """d(beta_loss)/d(alpha) and d(beta_loss)/d(beta), with the 1/L factor."""
     yf = _check_labels(ev, y)
-    n = ev.label_count
-    psi1_total = _trigamma_vec(ev.alpha + ev.beta)
-    psi1_alpha = _trigamma_vec(ev.alpha)
-    psi1_beta = _trigamma_vec(ev.beta)
-    d_alpha = (yf * (psi1_total - psi1_alpha) + (1.0 - yf) * psi1_total) / n
-    d_beta = (yf * psi1_total + (1.0 - yf) * (psi1_total - psi1_beta)) / n
-    return d_alpha, d_beta
+    return mean_loss_grad(evidence_stack(ev.alpha, ev.beta), yf)

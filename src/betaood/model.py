@@ -24,7 +24,7 @@ from .evidence import (
     evidence_to_prediction,
     logits_to_evidence,
 )
-from .special import digamma_array, trigamma_array
+from .loss import evidence_stack, loss_terms, mean_loss_grad
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -100,21 +100,21 @@ def init_params(arch: ArchConfig, seed: int) -> ModelParams:
 
 
 def _forward_batch(params: ModelParams, x: np.ndarray):
-    """Forward pass on an (N, D) batch; returns pre-activations and logits."""
+    """Forward an (N, D) batch: hidden pre-activations, each layer's input, logits."""
     if x.ndim != 2 or x.shape[1] != params.arch.input_dim:
         raise ConfigError(
             f"feature batch must have shape (N, {params.arch.input_dim}), "
             f"got {x.shape}"
         )
     pre_acts = []
-    h = x
+    acts = [x]
     for w, b in zip(params.hidden_weights, params.hidden_biases):
-        z = h @ w.T + b
+        z = acts[-1] @ w.T + b
         pre_acts.append(z)
-        h = elu_array(z)
-    f_pos = h @ params.w_pos.T + params.b_pos
-    f_neg = h @ params.w_neg.T + params.b_neg
-    return pre_acts, h, f_pos, f_neg
+        acts.append(elu_array(z))
+    f_pos = acts[-1] @ params.w_pos.T + params.b_pos
+    f_neg = acts[-1] @ params.w_neg.T + params.b_neg
+    return pre_acts, acts, f_pos, f_neg
 
 
 def forward(params: ModelParams, features: np.ndarray) -> Logits:
@@ -126,40 +126,29 @@ def forward(params: ModelParams, features: np.ndarray) -> Logits:
     return Logits(f_pos=f_pos[0], f_neg=f_neg[0])
 
 
-def per_sample_losses(params: ModelParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bayes-risk Beta loss of each sample in an (N, D) batch, shape (N,)."""
-    _, _, f_pos, f_neg = _forward_batch(params, x)
-    alpha = elu_array(f_pos) + 2.0
-    beta = elu_array(f_neg) + 2.0
-    psi_total = digamma_array(alpha + beta)
-    terms = y * (psi_total - digamma_array(alpha)) + (1.0 - y) * (
-        psi_total - digamma_array(beta)
-    )
-    return terms.mean(axis=1)
+def per_sample_losses(stack: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bayes-risk loss of each sample from a (3, N, L) evidence_stack, shape (N,)."""
+    return loss_terms(stack, y).mean(axis=1)
 
 
 def batch_loss(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     """Mean Bayes-risk Beta loss over an (N, D) batch with (N, L) labels."""
-    return float(np.mean(per_sample_losses(params, x, y)))
+    return float(np.mean(_batch_gradients(params, x, y)[0]))
 
 
 def _batch_gradients(params: ModelParams, x: np.ndarray, y: np.ndarray):
-    """Gradients of the batch-mean loss for every parameter tensor."""
+    """Per-sample losses and the gradients of their mean, from one forward pass."""
     n = x.shape[0]
-    pre_acts, h, f_pos, f_neg = _forward_batch(params, x)
-    # vectorized form of evidence_grad, including the 1/L label average
-    alpha = elu_array(f_pos) + 2.0
-    beta = elu_array(f_neg) + 2.0
-    n_labels = params.arch.label_count
-    psi1_total = trigamma_array(alpha + beta)
-    d_alpha = (y * (psi1_total - trigamma_array(alpha)) + (1.0 - y) * psi1_total) / n_labels
-    d_beta = (y * psi1_total + (1.0 - y) * (psi1_total - trigamma_array(beta))) / n_labels
+    pre_acts, acts, f_pos, f_neg = _forward_batch(params, x)
+    stack = evidence_stack(elu_array(f_pos) + 2.0, elu_array(f_neg) + 2.0)
+    losses = per_sample_losses(stack, y)
+    d_alpha, d_beta = mean_loss_grad(stack, y)
     d_fpos = d_alpha * elu_grad_array(f_pos) / n
     d_fneg = d_beta * elu_grad_array(f_neg) / n
     grads = {
-        "w_pos": d_fpos.T @ h,
+        "w_pos": d_fpos.T @ acts[-1],
         "b_pos": d_fpos.sum(axis=0),
-        "w_neg": d_fneg.T @ h,
+        "w_neg": d_fneg.T @ acts[-1],
         "b_neg": d_fneg.sum(axis=0),
     }
     d_h = d_fpos @ params.w_pos + d_fneg @ params.w_neg
@@ -167,22 +156,19 @@ def _batch_gradients(params: ModelParams, x: np.ndarray, y: np.ndarray):
     grads_hb = []
     for layer in range(len(params.hidden_weights) - 1, -1, -1):
         d_z = d_h * elu_grad_array(pre_acts[layer])
-        below = (
-            x if layer == 0 else elu_array(pre_acts[layer - 1])
-        )
-        grads_hw.append(d_z.T @ below)
+        grads_hw.append(d_z.T @ acts[layer])
         grads_hb.append(d_z.sum(axis=0))
         d_h = d_z @ params.hidden_weights[layer]
     grads["hidden_weights"] = list(reversed(grads_hw))
     grads["hidden_biases"] = list(reversed(grads_hb))
-    return grads
+    return losses, grads
 
 
 def backward(params: ModelParams, features: np.ndarray, y: np.ndarray) -> dict:
     """Single-sample parameter gradient of the Beta loss."""
     features = np.asarray(features, dtype=float)
     y = np.asarray(y, dtype=float)
-    return _batch_gradients(params, features[None, :], y[None, :])
+    return _batch_gradients(params, features[None, :], y[None, :])[1]
 
 
 @dataclass
@@ -219,8 +205,8 @@ def train(
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             xb, yb = features[idx], labels[idx]
-            sample_losses.extend(per_sample_losses(params, xb, yb))
-            grads = _batch_gradients(params, xb, yb)
+            losses, grads = _batch_gradients(params, xb, yb)
+            sample_losses.extend(losses)
             lr_b = config.learning_rate_backbone
             lr_h = config.learning_rate_head
             for layer in range(len(params.hidden_weights)):

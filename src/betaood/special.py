@@ -94,14 +94,14 @@ def digamma_array(x):
     x = np.asarray(x, dtype=float)
     if np.any(~np.isfinite(x)) or np.any(x <= 0.0):
         raise ConfigError("digamma requires finite x > 0")
-    x = x.copy()
     acc = np.zeros_like(x)
     while True:
         small = x < _SHIFT_THRESHOLD
         if not small.any():
             break
-        acc[small] -= 1.0 / x[small]
-        x[small] += 1.0
+        # entries already past the threshold add 1/inf = 0
+        acc -= 1.0 / np.where(small, x, np.inf)
+        x = x + small
     inv = 1.0 / x
     inv2 = inv * inv
     result = np.log(x) - 0.5 * inv
@@ -119,14 +119,14 @@ def trigamma_array(x):
     x = np.asarray(x, dtype=float)
     if np.any(~np.isfinite(x)) or np.any(x <= 0.0):
         raise ConfigError("trigamma requires finite x > 0")
-    x = x.copy()
     acc = np.zeros_like(x)
     while True:
         small = x < _SHIFT_THRESHOLD
         if not small.any():
             break
-        acc[small] += 1.0 / (x[small] * x[small])
-        x[small] += 1.0
+        masked = np.where(small, x, np.inf)
+        acc += 1.0 / (masked * masked)
+        x = x + small
     inv = 1.0 / x
     inv2 = inv * inv
     result = inv + 0.5 * inv2

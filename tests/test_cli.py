@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -88,12 +89,62 @@ class TestGenData:
         assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("gen-data", "train_samples", "300"),
+    ("train", "epochs", "2"),
+    ("train", "epochs", 2.5),
+    ("train", "hidden", "abc"),
+    ("train", "learning_rate_head", float("nan")),
+    ("score", "lambda1", "0.5"),
+    ("score", "scores", "u_s_pn"),
+])
+def test_config_value_of_wrong_type_is_config_error(
+    pipeline, tmp_path, capsys, command, key, value
+):
+    cfg = _write_config(tmp_path, "cfg.json", {key: value})
+    data = str(pipeline / "synth")
+    argv = {
+        "gen-data": [],
+        "train": ["--data", data],
+        "score": ["--checkpoint", str(pipeline / "checkpoint.json"), "--data", data],
+    }[command]
+    code = main([command, "--config", cfg, *argv, "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert repr(key) in err and cfg in err and "Traceback" not in err
+
+
+def _copy_rows(src: Path, dst: Path, edit, linenos) -> None:
+    """Copy a dataset file, passing the parsed rows on the given lines through edit."""
+    lines = src.read_text().splitlines()
+    for lineno in linenos:
+        doc = json.loads(lines[lineno - 1])
+        edit(doc)
+        lines[lineno - 1] = json.dumps(doc)
+    dst.write_text("\n".join(lines) + "\n")
+
+
 class TestTrain:
     def test_missing_training_file_is_data_error(self, tmp_path):
         code = main([
             "train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["features"].__setitem__(0, float("nan")),
+        lambda doc: doc["features"].append(1.0),
+        lambda doc: doc["labels"].pop(),
+    ], ids=["nan_feature", "extra_feature", "short_labels"])
+    def test_bad_training_row_names_file_and_line(self, pipeline, tmp_path, capsys, edit):
+        bad = tmp_path / "synth.train.jsonl"
+        _copy_rows(pipeline / "synth.train.jsonl", bad, edit, [3])
+        code = main([
+            "train", "--data", str(tmp_path / "synth"), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert f"{bad}:3:" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "checkpoint.json").exists()
 
     def test_zero_epochs_is_config_error(self, pipeline, tmp_path):
         code = main([
@@ -168,6 +219,24 @@ class TestScore:
         ])
         assert code == 1
         assert "u_s_pn" in capsys.readouterr().err
+
+    def test_feature_size_differs_from_checkpoint_is_data_error(
+        self, pipeline, tmp_path, capsys
+    ):
+        for split in ("test", "ood"):
+            _copy_rows(
+                pipeline / f"synth.{split}.jsonl", tmp_path / f"synth.{split}.jsonl",
+                lambda doc: doc["features"].append(0.0),
+                range(2, 2 + SMALL_GEN[f"{split}_samples"]),
+            )
+        code = main([
+            "score", "--checkpoint", str(pipeline / "checkpoint.json"),
+            "--data", str(tmp_path / "synth"), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "synth.test.jsonl") in err and "expects 4" in err
+        assert not (tmp_path / "o" / "scores.csv").exists()
 
     def test_missing_checkpoint_is_data_error(self, pipeline, tmp_path):
         code = main([
@@ -266,6 +335,19 @@ class TestEval:
         assert main(["eval", "--scores-csv", str(src), "--out", str(tmp_path / "o")]) == 2
         assert f"{src}:3:" in capsys.readouterr().err
         assert not (tmp_path / "o" / "metrics.csv").exists()
+
+    def test_nonfinite_score_names_file_column_and_line(self, tmp_path, capsys):
+        src = tmp_path / "scores.csv"
+        _write_scores_csv(
+            src,
+            ["sample_id", "is_ood", "u_s_p", "u_s_n"],
+            [[0, 0, 0.1, 0.2], [1, 0, 0.2, "nan"], [2, 1, 0.8, 0.7], [3, 1, 0.9, 0.8]],
+        )
+        out = tmp_path / "o"
+        assert main(["eval", "--scores-csv", str(src), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{src}:3:" in err and "'u_s_n'" in err
+        assert list(out.iterdir()) == []
 
     def test_single_class_input_is_data_error(self, tmp_path):
         src = tmp_path / "scores.csv"
@@ -401,6 +483,18 @@ class TestSweepLambda:
             "sweep-lambda", "--scores-csv", str(src), "--out", str(tmp_path / "o"),
         ]) == 1
 
+    def test_nonfinite_component_names_file_column_and_line(self, tmp_path, capsys):
+        src = tmp_path / "scores.csv"
+        _write_scores_csv(
+            src,
+            ["sample_id", "is_ood", "u_s_p", "u_s_n"],
+            [[0, 0, 0.1, 0.2], [1, 1, "inf", 0.9]],
+        )
+        out = tmp_path / "o"
+        assert main(["sweep-lambda", "--scores-csv", str(src), "--out", str(out)]) == 2
+        assert f"{src}:3: column 'u_s_p'" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_bad_grid_value_rejected(self, pipeline, tmp_path):
         code = main([
             "sweep-lambda", "--scores-csv", str(pipeline / "scores.csv"),
@@ -436,6 +530,13 @@ class TestTracedPipeline:
         # and one score call per name per group
         assert metrics["evidence.objects"] == 6
         assert metrics["scores.calls"] == 2 * len(cli_mod.SCORE_NAMES)
+        # one forward pass, one digamma and one trigamma call per SGD batch
+        batches = math.ceil(
+            SMALL_GEN["train_samples"] / cli_mod._TRAIN_DEFAULTS["batch_size"]
+        ) * SMALL_TRAIN["epochs"]
+        assert metrics["model.forward_rows_per_train_row"] == 1.0
+        assert metrics["special.digamma_array.calls"] == batches
+        assert metrics["special.trigamma_array.calls"] == batches
 
 
 class TestExitCodes:

@@ -155,3 +155,18 @@ class TestJsonlRoundTrip:
         path.write_text('# header\n{"features": [1.0], "labels": [1], "split": "train"}\nnot json\n')
         with pytest.raises(DataError, match=":3"):
             read_jsonl(path)
+
+    @pytest.mark.parametrize("line", [
+        '{"features": [[1.0]], "labels": [1], "split": "train"}',
+        '{"features": [1.0], "labels": ["x"], "split": "train"}',
+        '{"features": [1.0, 2.0], "labels": [1], "split": "train"}',
+        '{"features": [NaN], "labels": [1], "split": "train"}',
+        '{"features": [-Infinity], "labels": [1], "split": "train"}',
+    ])
+    def test_bad_row_reports_line_number(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '# header\n{"features": [1.0], "labels": [1], "split": "train"}\n' + line + "\n"
+        )
+        with pytest.raises(DataError, match=f"{path}:3:"):
+            read_jsonl(path)

@@ -6,6 +6,7 @@ import pytest
 
 from betaood.errors import ConfigError, NumericError
 from betaood.special import (
+    _BERNOULLI_2K,
     adaptive_quadrature,
     beta_pdf,
     digamma,
@@ -127,6 +128,56 @@ def test_array_versions_match_scalar():
     np.testing.assert_allclose(
         trigamma_array(xs), [trigamma(float(x)) for x in xs], rtol=0, atol=1e-12
     )
+
+
+def _boolean_index_reference(x, digamma_kind: bool):
+    """The array functions' earlier form: the recurrence shift updates only the
+    still-small entries through boolean indexing.  Kept as the exactness
+    reference for the masked whole-array shift."""
+    x = np.array(x, dtype=float)
+    acc = np.zeros_like(x)
+    while True:
+        small = x < 6.0
+        if not small.any():
+            break
+        if digamma_kind:
+            acc[small] -= 1.0 / x[small]
+        else:
+            acc[small] += 1.0 / (x[small] * x[small])
+        x[small] += 1.0
+    inv = 1.0 / x
+    inv2 = inv * inv
+    if digamma_kind:
+        result = np.log(x) - 0.5 * inv
+        power = inv2.copy()
+        for k, b2k in enumerate(_BERNOULLI_2K, start=1):
+            result -= b2k / (2.0 * k) * power
+            power *= inv2
+    else:
+        result = inv + 0.5 * inv2
+        power = inv2 * inv
+        for b2k in _BERNOULLI_2K:
+            result += b2k * power
+            power *= inv2
+    return acc + result
+
+
+@pytest.mark.filterwarnings("error")
+def test_stacked_calls_bit_equal_per_slice_and_reference():
+    rng = np.random.default_rng(19)
+    # 1e200 sits beside small entries: its square must not overflow in the shift
+    grid = np.concatenate([
+        np.geomspace(1e-3, 1e3, 597), [6.0, np.nextafter(6.0, 0.0), 1e200],
+    ])
+    alpha = rng.permutation(grid).reshape(120, 5)
+    beta = rng.permutation(grid).reshape(120, 5)
+    stack = np.stack([alpha, beta, alpha + beta])
+    for fn, digamma_kind in ((digamma_array, True), (trigamma_array, False)):
+        whole = fn(stack)
+        assert np.array_equal(whole, _boolean_index_reference(stack, digamma_kind))
+        for i in range(3):
+            assert np.array_equal(whole[i], fn(stack[i]))
+            assert np.array_equal(whole[i], _boolean_index_reference(stack[i], digamma_kind))
 
 
 class TestBetaPdf:
