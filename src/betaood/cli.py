@@ -7,7 +7,6 @@ config error, 2 data error, 3 numeric failure.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import sys
@@ -17,6 +16,7 @@ import click
 import numpy as np
 
 from .datagen import (
+    Dataset,
     OodSpec,
     default_spec,
     generate_ind,
@@ -41,6 +41,7 @@ from .model import (
     train,
 )
 from .scores import SCORE_NAMES, score_by_name
+from .tables import read_table, write_table
 
 _GEN_DEFAULTS = {
     "name": "synth",
@@ -182,12 +183,10 @@ def cmd_gen_data(config_path, out, seed, name):
     ind = generate_ind(spec)
     ood = generate_ood(spec, ood_spec)
     base = cfg["name"]
-    for split in ("train", "val", "test"):
-        write_jsonl(
-            [s for s in ind if s.split == split],
-            out_dir / f"{base}.{split}.jsonl",
-        )
-    write_jsonl(ood, out_dir / f"{base}.ood.jsonl")
+    for split, ds in ind.items():
+        write_jsonl(ds, out_dir / f"{base}.{split}.jsonl")
+    unlabeled = np.zeros((len(ood), 0), dtype=int)
+    write_jsonl(Dataset(X=ood, Y=unlabeled, split="ood"), out_dir / f"{base}.ood.jsonl")
     _echo_config(out_dir, "gen_data", cfg)
     click.echo(f"wrote {base}.{{train,val,test,ood}}.jsonl to {out_dir}")
 
@@ -211,15 +210,15 @@ def cmd_train(config_path, data, out, seed, epochs, batch_size):
     if not train_path.exists():
         raise DataError(f"training file not found: {train_path}")
     out_dir = _prepare_out(out)
-    samples = read_jsonl(train_path)
-    if not samples:
+    ds = read_jsonl(train_path)
+    if not len(ds):
         raise DataError(f"training file {train_path} is empty")
-    features = np.array([s.features for s in samples])
-    labels = np.array([s.y for s in samples])
+    if not ds.Y.shape[1]:
+        raise DataError(f"training file {train_path} has no labels")
     arch = ArchConfig(
-        input_dim=features.shape[1],
+        input_dim=ds.X.shape[1],
         hidden=tuple(cfg["hidden"]),
-        label_count=labels.shape[1],
+        label_count=ds.Y.shape[1],
     )
     tc = TrainConfig(
         learning_rate_backbone=cfg["learning_rate_backbone"],
@@ -228,7 +227,7 @@ def cmd_train(config_path, data, out, seed, epochs, batch_size):
         batch_size=cfg["batch_size"],
         seed=cfg["seed"],
     )
-    ckpt = train(features, labels, arch, tc)
+    ckpt = train(ds.X, ds.Y, arch, tc)
     with open(out_dir / "checkpoint.json", "w") as fh:
         fh.write(checkpoint_to_json(ckpt))
         fh.write("\n")
@@ -281,83 +280,52 @@ def cmd_score(config_path, checkpoint, data, out, scores_arg, lambda1, lambda2):
     ood = read_jsonl(ood_path)
     input_dim = ckpt.params.arch.input_dim
     for p, group in ((test_path, test), (ood_path, ood)):
-        if group and group[0].features.size != input_dim:
+        if len(group) and group.X.shape[1] != input_dim:
             raise DataError(
-                f"{p} has {group[0].features.size} features per row, but "
+                f"{p} has {group.X.shape[1]} features per row, but "
                 f"checkpoint {checkpoint} expects {input_dim}"
             )
     out_dir = _prepare_out(out)
 
     groups = []  # (is_ood, (N, k) score matrix, (N, L) probabilities)
     for is_ood, group in ((0, test), (1, ood)):
-        logits, ev, pred = predict_batch(ckpt.params, [s.features for s in group])
+        logits, ev, pred = predict_batch(ckpt.params, group.X)
         values = np.empty((len(group), len(requested)))
         for j, nm in enumerate(requested):
             values[:, j] = score_by_name(nm, ev, logits, cfg["lambda1"], cfg["lambda2"])
-        groups.append((is_ood, values, pred.p))
+        groups.append((str(is_ood), values, pred.p))
 
     # cells are repr of Python floats (not np.float64): shortest round-trip text
-    with open(out_dir / "scores.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "is_ood", *requested])
-        sample_id = 0
-        for is_ood, values, _ in groups:
-            for row in values.tolist():
-                writer.writerow([sample_id, is_ood, *map(repr, row)])
-                sample_id += 1
-
+    rows = ((is_ood, row) for is_ood, values, _ in groups for row in values.tolist())
+    score_rows = ([str(i), is_ood, *map(repr, row)] for i, (is_ood, row) in enumerate(rows))
+    write_table(out_dir / "scores.csv", ["sample_id", "is_ood", *requested], score_rows)
+    pred_rows = (
+        [str(i), *map(repr, p), *map(str, y)]
+        for i, (p, y) in enumerate(zip(groups[0][2].tolist(), test.Y.tolist()))
+    )
     n_labels = ckpt.params.arch.label_count
-    with open(out_dir / "preds.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["sample_id"]
-        header += [f"p_{j}" for j in range(n_labels)]
-        header += [f"y_{j}" for j in range(n_labels)]
-        writer.writerow(header)
-        test_probs = groups[0][2]
-        for sample_id, (p, s) in enumerate(zip(test_probs.tolist(), test)):
-            writer.writerow([sample_id, *map(repr, p), *s.y.tolist()])
+    header = ["sample_id"]
+    header += [f"p_{j}" for j in range(n_labels)]
+    header += [f"y_{j}" for j in range(n_labels)]
+    write_table(out_dir / "preds.csv", header, pred_rows)
     _echo_config(out_dir, "score", cfg)
     click.echo(f"scored {len(test) + len(ood)} samples ({len(test)} IND, {len(ood)} OOD)")
 
 
-def _read_header(reader, what: str, path) -> list[str]:
-    try:
-        return next(reader)
-    except StopIteration:
-        raise DataError(f"{what} {path} is empty") from None
-
-
-def _check_width(row: list[str], header: list[str], path, lineno: int) -> None:
-    if len(row) != len(header):
-        raise DataError(
-            f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}"
-        )
-
-
 def _read_scores_csv(path):
     """Returns (is_ood array, {score name: value array})."""
-    scores_path = Path(path)
-    if not scores_path.is_file():
-        raise DataError(f"scores CSV not found: {scores_path}")
-    with open(scores_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = _read_header(reader, "scores CSV", path)
+
+    def schema(header):
         if header[:2] != ["sample_id", "is_ood"]:
             raise DataError(
                 f"scores CSV {path} must start with sample_id,is_ood columns"
             )
-        names = header[2:]
-        is_ood = []
-        columns = {nm: [] for nm in names}
-        for lineno, row in enumerate(reader, start=2):
-            _check_width(row, header, path, lineno)
-            try:
-                is_ood.append(int(row[1]))
-                for nm, val in zip(names, row[2:]):
-                    columns[nm].append(float(val))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: malformed row: {exc}") from exc
-    return np.array(is_ood), {nm: np.array(v) for nm, v in columns.items()}
+        if len(set(header[2:])) != len(header) - 2:
+            raise DataError(f"scores CSV {path} names a score column twice")
+        return [None, int] + [float] * (len(header) - 2)
+
+    header, columns = read_table(path, "scores CSV", schema)
+    return columns[1], dict(zip(header[2:], columns[2:]))
 
 
 def _check_finite(columns: dict, names, path) -> None:
@@ -372,26 +340,19 @@ def _check_finite(columns: dict, names, path) -> None:
 
 
 def _read_preds_csv(path):
-    preds_path = Path(path)
-    if not preds_path.is_file():
-        raise DataError(f"predictions CSV not found: {preds_path}")
-    with open(preds_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = _read_header(reader, "predictions CSV", path)
+    """Returns the (N, L) probabilities and the (N, L) labels."""
+
+    def schema(header):
         n_labels = sum(1 for h in header if h.startswith("p_"))
         if header[:1] != ["sample_id"] or n_labels < 1 or len(header) != 1 + 2 * n_labels:
             raise DataError(
                 f"predictions CSV {path} must have columns sample_id, p_0.., y_0.."
             )
-        probs, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            _check_width(row, header, path, lineno)
-            try:
-                probs.append([float(v) for v in row[1 : 1 + n_labels]])
-                labels.append([int(v) for v in row[1 + n_labels :]])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: malformed row: {exc}") from exc
-    return np.array(probs), np.array(labels)
+        return [None] + [float] * n_labels + [int] * n_labels
+
+    header, columns = read_table(path, "predictions CSV", schema)
+    n_labels = len(header) // 2
+    return np.column_stack(columns[1 : 1 + n_labels]), np.column_stack(columns[1 + n_labels :])
 
 
 @cli.command("eval")
@@ -425,21 +386,25 @@ def cmd_eval(scores_csv, scores_arg, preds_csv, aggregate, out):
         ]
     except DataError as exc:
         raise DataError(f"{scores_csv}: {exc}") from exc
-    with open(out_dir / "metrics.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["score", "fpr95", "auroc", "aupr"])
-        for nm, ds in datasets:
-            m = detection_metrics(ds)
-            writer.writerow([nm, repr(m.fpr95), repr(m.auroc), repr(m.aupr)])
-            write_roc_csv(roc_curve(ds), out_dir / f"roc_{nm}.csv")
     if preds_csv is not None:
         probs, labels = _read_preds_csv(preds_csv)
-        value = mean_average_precision(probs, labels)
-        with open(out_dir / "map.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "value"])
-            writer.writerow(["map", repr(value)])
+        try:
+            value = mean_average_precision(probs, labels)
+        except DataError as exc:
+            raise DataError(f"{preds_csv}: {exc}") from exc
+    rows = []
+    for nm, ds in datasets:
+        m = detection_metrics(ds)
+        rows.append([nm, repr(m.fpr95), repr(m.auroc), repr(m.aupr)])
+        write_roc_csv(roc_curve(ds), out_dir / f"roc_{nm}.csv")
+    write_table(out_dir / "metrics.csv", ["score", "fpr95", "auroc", "aupr"], rows)
+    if preds_csv is not None:
+        write_table(out_dir / "map.csv", ["metric", "value"], [["map", repr(value)]])
     click.echo(f"evaluated {len(requested)} score(s) into {out_dir}")
+
+
+def _metrics_schema(header):
+    return [str] + [float] * (len(header) - 1)
 
 
 def _aggregate_metrics(paths, out_dir: Path) -> None:
@@ -447,18 +412,9 @@ def _aggregate_metrics(paths, out_dir: Path) -> None:
     tables = []
     for p in paths:
         mp = Path(p)
-        if not mp.is_file():
-            raise DataError(f"metrics CSV not found: {mp}")
-        with open(mp, newline="") as fh:
-            reader = csv.reader(fh)
-            header = _read_header(reader, "metrics CSV", mp)
-            rows = {}
-            for lineno, row in enumerate(reader, start=2):
-                _check_width(row, header, mp, lineno)
-                try:
-                    rows[row[0]] = [float(v) for v in row[1:]]
-                except ValueError as exc:
-                    raise DataError(f"{mp}:{lineno}: malformed row: {exc}") from exc
+        header, (names, *metrics) = read_table(mp, "metrics CSV", _metrics_schema)
+        values = [column.tolist() for column in metrics]
+        rows = {nm: [column[i] for column in values] for i, nm in enumerate(names)}
         tables.append((mp, header[1:], rows))
     first, metric_names, first_rows = tables[0]
     for mp, header, rows in tables[1:]:
@@ -479,16 +435,14 @@ def _aggregate_metrics(paths, out_dir: Path) -> None:
                 f"metrics CSV {first} has no row for score(s) {', '.join(extra)} "
                 f"found in {mp}"
             )
-    score_names = list(first_rows)
-    with open(out_dir / "aggregate.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["score", "metric", "mean", "median"])
-        for nm in score_names:
-            for j, metric in enumerate(metric_names):
-                values = [rows[nm][j] for _, _, rows in tables]
-                writer.writerow(
-                    [nm, metric, repr(float(np.mean(values))), repr(float(np.median(values)))]
-                )
+    out_rows = []
+    for nm in first_rows:
+        for j, metric in enumerate(metric_names):
+            values = [rows[nm][j] for _, _, rows in tables]
+            out_rows.append(
+                [nm, metric, repr(float(np.mean(values))), repr(float(np.median(values)))]
+            )
+    write_table(out_dir / "aggregate.csv", ["score", "metric", "mean", "median"], out_rows)
     click.echo(f"aggregated {len(paths)} run(s) into {out_dir / 'aggregate.csv'}")
 
 
@@ -517,13 +471,22 @@ def cmd_sweep_lambda(scores_csv, lambda2_arg, out):
     for lam in grid:
         if not (0.0 <= lam <= 1.0):
             raise ConfigError(f"lambda2 values must be in [0, 1], got {lam}")
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda2", "fpr95", "auroc", "aupr"])
-        for lam in grid:
-            combined = lam * columns["u_s_p"] + (1.0 - lam) * columns["u_s_n"]
-            m = detection_metrics(ScoredDataset(scores=combined, is_ood=is_ood))
-            writer.writerow([repr(lam), repr(m.fpr95), repr(m.auroc), repr(m.aupr)])
+    # every grid point is checked before sweep.csv is written
+    try:
+        datasets = [
+            ScoredDataset(
+                scores=lam * columns["u_s_p"] + (1.0 - lam) * columns["u_s_n"],
+                is_ood=is_ood,
+            )
+            for lam in grid
+        ]
+    except DataError as exc:
+        raise DataError(f"{scores_csv}: {exc}") from exc
+    rows = []
+    for lam, ds in zip(grid, datasets):
+        m = detection_metrics(ds)
+        rows.append([repr(lam), repr(m.fpr95), repr(m.auroc), repr(m.aupr)])
+    write_table(out_dir / "sweep.csv", ["lambda2", "fpr95", "auroc", "aupr"], rows)
     click.echo(f"swept {len(grid)} lambda2 values into {out_dir / 'sweep.csv'}")
 
 

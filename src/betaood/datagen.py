@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tables
 from .errors import ConfigError, DataError
 
 _SPLITS = ("train", "val", "test")
@@ -84,10 +85,19 @@ class OodSpec:
 
 
 @dataclass(frozen=True)
-class LabeledSample:
-    features: np.ndarray
-    y: np.ndarray
-    split: str
+class Dataset:
+    """One dataset file: (N, D) features, (N, L) 0/1 labels and the rows' split.
+
+    Unlabeled (OOD) rows have L = 0 and are stored with labels null; split
+    is None for a file with no rows.
+    """
+
+    X: np.ndarray
+    Y: np.ndarray
+    split: str | None
+
+    def __len__(self) -> int:
+        return len(self.X)
 
 
 def default_spec(
@@ -130,56 +140,52 @@ def _split_rng(seed: int, tag: int, attempt: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, tag, attempt))))
 
 
-def _generate_split(spec: SyntheticSpec, split: str, tag: int) -> list[LabeledSample]:
-    n = spec.samples_per_split[split]
+def _subset_table(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each co-occurrence subset's probability (S,), label indicator row (S, L)
+    and summed cluster mean (S, D)."""
     weights = np.array([w for _, w in spec.co_occurrence], dtype=float)
-    weights /= weights.sum()
+    indicators = np.zeros((len(spec.co_occurrence), spec.label_count), dtype=int)
+    mean_sums = np.empty((len(spec.co_occurrence), spec.feature_dim))
+    for k, (subset, _) in enumerate(spec.co_occurrence):
+        indicators[k, list(subset)] = 1
+        mean_sums[k] = spec.label_cluster_means[list(subset)].sum(axis=0)
+    return weights / weights.sum(), indicators, mean_sums
+
+
+def _generate_split(spec: SyntheticSpec, split: str, tag: int) -> Dataset:
+    n = spec.samples_per_split[split]
+    weights, indicators, mean_sums = _subset_table(spec)
     for attempt in range(_PRESENCE_RETRIES):
         rng = _split_rng(spec.seed, tag, attempt)
         choices = rng.choice(len(spec.co_occurrence), size=n, p=weights)
-        samples = []
-        counts = np.zeros(spec.label_count, dtype=int)
-        for c in choices:
-            subset = spec.co_occurrence[c][0]
-            y = np.zeros(spec.label_count, dtype=int)
-            y[list(subset)] = 1
-            counts += y
-            mean = spec.label_cluster_means[list(subset)].sum(axis=0)
-            features = mean + spec.cluster_spread * rng.normal(size=spec.feature_dim)
-            samples.append(LabeledSample(features=features, y=y, split=split))
-        if np.all(counts > 0):
-            return samples
+        y = indicators[choices]
+        # each attempt has its own generator, so a rejected one need not draw noise
+        if np.all(y.sum(axis=0) > 0):
+            noise = rng.normal(size=(n, spec.feature_dim))
+            return Dataset(X=mean_sums[choices] + spec.cluster_spread * noise, Y=y, split=split)
     raise DataError(
         f"split {split!r} missing some label as positive after "
         f"{_PRESENCE_RETRIES} regeneration attempts; increase the sample count"
     )
 
 
-def generate_ind(spec: SyntheticSpec) -> list[LabeledSample]:
-    """All three IND splits, deterministically, with every label present in each."""
-    out = []
-    for tag, split in enumerate(_SPLITS):
-        out.extend(_generate_split(spec, split, tag))
-    return out
+def generate_ind(spec: SyntheticSpec) -> dict[str, Dataset]:
+    """The three IND splits by name, deterministically, with every label present in each."""
+    return {split: _generate_split(spec, split, tag) for tag, split in enumerate(_SPLITS)}
 
 
-def generate_ood(ind_spec: SyntheticSpec, ood_spec: OodSpec) -> list[np.ndarray]:
-    """Unlabeled OOD feature vectors at >= shift_distance * sigma from IND means."""
+def generate_ood(ind_spec: SyntheticSpec, ood_spec: OodSpec) -> np.ndarray:
+    """(N, D) unlabeled OOD features at >= shift_distance * sigma from IND means."""
     rng = _split_rng(ood_spec.seed, 0x00D)
     sigma = ind_spec.cluster_spread
+    shape = (ood_spec.samples, ind_spec.feature_dim)
     if ood_spec.mode == "shifted":
         direction = rng.normal(size=ind_spec.feature_dim)
         direction /= np.linalg.norm(direction)
         offset = ood_spec.shift_distance * sigma * direction
-        weights = np.array([w for _, w in ind_spec.co_occurrence], dtype=float)
-        weights /= weights.sum()
-        choices = rng.choice(len(ind_spec.co_occurrence), size=ood_spec.samples, p=weights)
-        out = []
-        for c in choices:
-            subset = ind_spec.co_occurrence[c][0]
-            mean = ind_spec.label_cluster_means[list(subset)].sum(axis=0)
-            out.append(mean + offset + sigma * rng.normal(size=ind_spec.feature_dim))
-        return out
+        weights, _, mean_sums = _subset_table(ind_spec)
+        choices = rng.choice(len(weights), size=ood_spec.samples, p=weights)
+        return mean_sums[choices] + offset + sigma * rng.normal(size=shape)
     # novel_cluster: fresh cluster means at an IND-typical radius but carrying
     # none of the known class signatures.  Directions are sampled in the
     # orthogonal complement of the class-mean span when one exists (otherwise
@@ -215,72 +221,112 @@ def generate_ood(ind_spec: SyntheticSpec, ood_spec: OodSpec) -> list[np.ndarray]
         if not accepted:
             radius *= 1.3  # guaranteed to terminate: distance grows with radius
     picks = rng.integers(0, n_clusters, size=ood_spec.samples)
-    return [
-        novel_means[k] + sigma * rng.normal(size=ind_spec.feature_dim)
-        for k in picks
-    ]
+    return np.array(novel_means)[picks] + sigma * rng.normal(size=shape)
 
 
 _HEADER = "# betaood dataset v1"
 
 
-def write_jsonl(samples, path) -> None:
-    """One JSON object per line; OOD entries carry labels: null."""
+def write_jsonl(data: Dataset, path) -> None:
+    """One JSON object per line, the bytes of json.dumps(row, separators=(",", ":")),
+    after a comment header; rows without labels carry labels: null."""
+    X = np.asarray(data.X, dtype=float)
+    if not np.isfinite(X).all():
+        raise DataError(f"cannot write {path}: features must be finite")
+    labeled = data.Y.shape[1] > 0
+    tail = ',"split":' + json.dumps(data.split) + "}\n"
+    chunk = tables.CHUNK_ROWS
     with open(path, "w") as fh:
         fh.write(_HEADER + "\n")
-        for s in samples:
-            if isinstance(s, LabeledSample):
-                doc = {
-                    "features": list(s.features),
-                    "labels": [int(v) for v in s.y],
-                    "split": s.split,
-                }
-            else:
-                doc = {"features": list(np.asarray(s, dtype=float)), "labels": None,
-                       "split": "ood"}
-            fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
+        for start in range(0, len(X), chunk):
+            rows = zip(X[start : start + chunk].tolist(), data.Y[start : start + chunk].tolist())
+            fh.write("".join([
+                '{"features":[' + ",".join(map(repr, x)) + '],"labels":'
+                + ("[" + ",".join(map(str, y)) + "]" if labeled else "null") + tail
+                for x, y in rows
+            ]))
 
 
-def read_jsonl(path) -> list[LabeledSample]:
+def read_jsonl(path) -> Dataset:
     """Parse a dataset file; malformed lines are reported with their number.
 
-    Every row must hold as many features and labels as the first row, and
-    every feature must be finite.
+    Every row must hold as many features and labels as the first row, every
+    feature must be finite and every label 0 or 1; the split is the first row's.
     """
-    out = []
-    linenos = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                doc = json.loads(line)
-                features = np.asarray(doc["features"], dtype=float)
-                labels = doc["labels"]
-                split = doc["split"]
-                y = (
-                    np.zeros(0, dtype=int)
-                    if labels is None
-                    else np.asarray(labels, dtype=int)
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed dataset line: {exc}") from exc
-            if features.ndim != 1 or y.ndim != 1:
-                raise DataError(
-                    f"{path}:{lineno}: features and labels must be lists of numbers"
-                )
-            if out and (features.size, y.size) != (out[0].features.size, out[0].y.size):
-                raise DataError(
-                    f"{path}:{lineno}: {features.size} features and {y.size} labels, "
-                    f"but line {linenos[0]} has {out[0].features.size} and "
-                    f"{out[0].y.size}"
-                )
-            out.append(LabeledSample(features=features, y=y, split=split))
-            linenos.append(lineno)
-    if out:
-        finite = np.isfinite(np.array([s.features for s in out])).all(axis=1)
-        if not finite.all():
-            lineno = linenos[int(np.argmin(finite))]
-            raise DataError(f"{path}:{lineno}: features must be finite")
-    return out
+    parts, docs, linenos = [], [], []
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    docs.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    docs.append(exc)  # reported in line order by _raise_first_bad_row
+                linenos.append(lineno)
+                if len(docs) == tables.CHUNK_ROWS:
+                    parts.append(_stack_rows(path, docs, linenos, parts))
+                    docs = []
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: cannot decode: {exc}") from exc
+    if docs:
+        parts.append(_stack_rows(path, docs, linenos, parts))
+    if not parts:
+        return Dataset(X=np.empty((0, 0)), Y=np.empty((0, 0), dtype=int), split=None)
+    X = np.concatenate([x for x, _, _ in parts])
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path}:{linenos[int(np.argmin(finite))]}: features must be finite")
+    return Dataset(X=X, Y=np.concatenate([y for _, y, _ in parts]), split=parts[0][2])
+
+
+def _stack_rows(path, docs: list, linenos: list[int], parts: list):
+    """(X, Y, first split) of consecutive parsed rows, converted at once and checked
+    against the first row; a row that breaks a rule is found by _raise_first_bad_row."""
+    try:
+        X = np.array([doc["features"] for doc in docs], dtype=float)
+        labels = [[] if doc["labels"] is None else doc["labels"] for doc in docs]
+        Y = np.array(labels, dtype=int)
+        splits = [doc["split"] for doc in docs]
+        X0, Y0, _ = parts[0] if parts else (X, Y, None)
+        valid = (
+            X.ndim == Y.ndim == 2
+            and (X.shape[1], Y.shape[1]) == (X0.shape[1], Y0.shape[1])
+            and np.array_equal(Y, np.array(labels, dtype=float))
+            and np.all((Y == 0) | (Y == 1))
+        )
+    except (KeyError, TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        _raise_first_bad_row(path, docs, linenos, parts)
+    return X, Y, splits[0]
+
+
+def _raise_first_bad_row(path, docs: list, linenos: list[int], parts: list) -> None:
+    """Raise for the first row of this chunk that breaks a rule; earlier chunks passed."""
+    first = (parts[0][0].shape[1], parts[0][1].shape[1]) if parts else None
+    for doc, lineno in zip(docs, linenos[len(linenos) - len(docs):]):
+        try:
+            if isinstance(doc, json.JSONDecodeError):
+                raise doc
+            features = np.asarray(doc["features"], dtype=float)
+            labels = doc["labels"]
+            doc["split"]  # required, though only the first row's is kept
+            y = np.asarray([] if labels is None else labels, dtype=int)
+            y_float = np.asarray([] if labels is None else labels, dtype=float)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"{path}:{lineno}: malformed dataset line: {exc}") from exc
+        if features.ndim != 1 or y.ndim != 1:
+            raise DataError(
+                f"{path}:{lineno}: features and labels must be lists of numbers"
+            )
+        if not (np.array_equal(y, y_float) and np.all((y == 0) | (y == 1))):
+            raise DataError(f"{path}:{lineno}: labels must be 0 or 1, got {labels!r}")
+        first = first or (features.size, y.size)
+        if (features.size, y.size) != first:
+            raise DataError(
+                f"{path}:{lineno}: {features.size} features and {y.size} labels, "
+                f"but line {linenos[0]} has {first[0]} and {first[1]}"
+            )
+    raise DataError(f"{path}: rows do not stack into one table")

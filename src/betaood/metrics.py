@@ -8,13 +8,13 @@ metric is deterministic and oracle-checkable.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .tables import write_table
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class DetectionMetrics:
 
 @dataclass(frozen=True)
 class RocCurve:
-    """Ordered (fpr, tpr) points from (0, 0) to (1, 1)."""
+    """Ordered (fpr, tpr) points, Python floats, from (0, 0) to (1, 1)."""
 
     points: list[tuple[float, float]]
 
@@ -77,16 +77,13 @@ def _sweep(ds: ScoredDataset, positive_is_ood: bool = True):
 def roc_curve(ds: ScoredDataset, positive_is_ood: bool = True) -> RocCurve:
     """Full grouped-sweep ROC point list, starting at (0, 0)."""
     tp, fp, n_pos, n_neg = _sweep(ds, positive_is_ood)
-    points = [(0.0, 0.0)]
-    points.extend((f / n_neg, t / n_pos) for f, t in zip(fp, tp))
-    return RocCurve(points=points)
+    points = zip((fp / n_neg).tolist(), (tp / n_pos).tolist())
+    return RocCurve(points=[(0.0, 0.0), *points])
 
 
 def auroc(ds: ScoredDataset, positive_is_ood: bool = True) -> float:
     """Trapezoidal area under the grouped-sweep ROC."""
-    pts = roc_curve(ds, positive_is_ood).points
-    fpr = np.array([p[0] for p in pts])
-    tpr = np.array([p[1] for p in pts])
+    fpr, tpr = np.array(roc_curve(ds, positive_is_ood).points).T
     return float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) * 0.5))
 
 
@@ -158,17 +155,4 @@ def mean_average_precision(prob_matrix: np.ndarray, label_matrix: np.ndarray) ->
 
 
 def write_roc_csv(curve: RocCurve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fpr", "tpr"])
-        for fpr, tpr in curve.points:
-            writer.writerow([repr(fpr), repr(tpr)])
-
-
-def write_metrics_csv(metrics: DetectionMetrics, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        writer.writerow(["auroc", repr(metrics.auroc)])
-        writer.writerow(["aupr", repr(metrics.aupr)])
-        writer.writerow(["fpr95", repr(metrics.fpr95)])
+    write_table(path, ["fpr", "tpr"], ([repr(f), repr(t)] for f, t in curve.points))

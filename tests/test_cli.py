@@ -10,6 +10,7 @@ from betaood.cli import main
 from betaood.datagen import read_jsonl
 from betaood.errors import NumericError
 from betaood.evidence import Logits, evidence_to_prediction, logits_to_evidence
+from betaood.metrics import ScoredDataset, roc_curve
 from betaood.model import checkpoint_from_json, predict_batch
 from betaood.scores import score_by_name
 
@@ -135,7 +136,9 @@ class TestTrain:
         lambda doc: doc["features"].__setitem__(0, float("nan")),
         lambda doc: doc["features"].append(1.0),
         lambda doc: doc["labels"].pop(),
-    ], ids=["nan_feature", "extra_feature", "short_labels"])
+        lambda doc: doc["labels"].__setitem__(0, 2),
+        lambda doc: doc["labels"].__setitem__(0, 0.7),
+    ], ids=["nan_feature", "extra_feature", "short_labels", "label_2", "label_0_7"])
     def test_bad_training_row_names_file_and_line(self, pipeline, tmp_path, capsys, edit):
         bad = tmp_path / "synth.train.jsonl"
         _copy_rows(pipeline / "synth.train.jsonl", bad, edit, [3])
@@ -145,6 +148,15 @@ class TestTrain:
         assert code == 2
         assert f"{bad}:3:" in capsys.readouterr().err
         assert not (tmp_path / "o" / "checkpoint.json").exists()
+
+    def test_unlabeled_training_file_is_data_error(self, pipeline, tmp_path, capsys):
+        unlabeled = tmp_path / "synth.train.jsonl"
+        unlabeled.write_bytes((pipeline / "synth.ood.jsonl").read_bytes())
+        code = main([
+            "train", "--data", str(tmp_path / "synth"), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert f"{unlabeled} has no labels" in capsys.readouterr().err
 
     def test_zero_epochs_is_config_error(self, pipeline, tmp_path):
         code = main([
@@ -254,15 +266,15 @@ class TestScore:
         names = score_rows[0][2:]
         sample_id = 0
         for is_ood, group in ((0, test), (1, ood)):
-            logits, _, _ = predict_batch(ckpt.params, [s.features for s in group])
-            for i, sample in enumerate(group):
+            logits, _, _ = predict_batch(ckpt.params, group.X)
+            for i in range(len(group)):
                 row_logits = Logits(f_pos=logits.f_pos[i], f_neg=logits.f_neg[i])
                 ev = logits_to_evidence(row_logits)
                 want = [repr(score_by_name(nm, ev, row_logits)) for nm in names]
                 assert score_rows[1 + sample_id] == [str(sample_id), str(is_ood), *want]
                 if not is_ood:
                     p = evidence_to_prediction(ev).p
-                    want = [*(repr(float(v)) for v in p), *(str(v) for v in sample.y)]
+                    want = [*(repr(float(v)) for v in p), *(str(v) for v in group.Y[i])]
                     assert preds_rows[1 + sample_id] == [str(sample_id), *want]
                 sample_id += 1
         assert len(preds_rows) == 1 + len(test)
@@ -372,6 +384,27 @@ class TestEval:
         assert map_rows[1][0] == "map"
         assert 0.0 <= float(map_rows[1][1]) <= 1.0
 
+    def test_roc_cells_parse_and_equal_curve_points(self, pipeline, tmp_path):
+        out = tmp_path / "o"
+        scores_csv = pipeline / "scores.csv"
+        assert main(["eval", "--scores-csv", str(scores_csv), "--out", str(out)]) == 0
+        is_ood, columns = cli_mod._read_scores_csv(scores_csv)
+        for nm in cli_mod.SCORE_NAMES:
+            rows = _read_csv(out / f"roc_{nm}.csv")
+            assert rows[0] == ["fpr", "tpr"]
+            cells = [(float(f), float(t)) for f, t in rows[1:]]
+            curve = roc_curve(ScoredDataset(scores=columns[nm], is_ood=is_ood))
+            assert cells == curve.points
+            assert all(type(v) is float for point in curve.points for v in point)
+
+    def test_duplicate_score_column_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "scores.csv"
+        _write_scores_csv(
+            src, ["sample_id", "is_ood", "u_s_p", "u_s_p"], [[0, 0, 0.1, 0.2], [1, 1, 0.9, 0.8]]
+        )
+        assert main(["eval", "--scores-csv", str(src), "--out", str(tmp_path / "o")]) == 2
+        assert str(src) in capsys.readouterr().err
+
     def test_missing_score_column_rejected(self, pipeline, tmp_path):
         code = main([
             "eval", "--scores-csv", str(pipeline / "scores.csv"),
@@ -406,6 +439,8 @@ class TestEval:
         "sample_id,y_0\r\n0,1\r\n",
         "sample_id,p_0,y_0\r\n0,0.5\r\n",
         "sample_id,p_0,y_0\r\n0,high,1\r\n",
+        "sample_id,p_0,y_0\r\n",
+        "sample_id,p_0,y_0\r\n0,0.5,0\r\n",
     ])
     def test_malformed_preds_is_data_error(self, pipeline, tmp_path, capsys, text):
         bad = tmp_path / "preds.csv"
@@ -416,6 +451,7 @@ class TestEval:
         ])
         assert code == 2
         assert str(bad) in capsys.readouterr().err
+        assert list((tmp_path / "o").iterdir()) == []
 
     @pytest.mark.parametrize("text", [
         "",
@@ -493,6 +529,19 @@ class TestSweepLambda:
         out = tmp_path / "o"
         assert main(["sweep-lambda", "--scores-csv", str(src), "--out", str(out)]) == 2
         assert f"{src}:3: column 'u_s_p'" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_single_class_input_names_file_and_writes_nothing(self, tmp_path, capsys):
+        src = tmp_path / "scores.csv"
+        _write_scores_csv(
+            src,
+            ["sample_id", "is_ood", "u_s_p", "u_s_n"],
+            [[0, 1, 0.1, 0.2], [1, 1, 0.9, 0.8]],
+        )
+        out = tmp_path / "o"
+        assert main(["sweep-lambda", "--scores-csv", str(src), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(src) in err and "both classes" in err
         assert list(out.iterdir()) == []
 
     def test_bad_grid_value_rejected(self, pipeline, tmp_path):
