@@ -24,20 +24,12 @@ from .metrics import (
 )
 from .scores import (
     SCORE_NAMES,
-    ScoreConfig,
     baseline_score,
     ood_score_max,
     ood_score_sum,
-    score_batch,
     score_by_name,
 )
-from .special import (
-    beta_pdf,
-    digamma,
-    elu,
-    quadrature_expected_bce,
-    trigamma,
-)
+from .special import beta_pdf, quadrature_expected_bce
 
 __version__ = "0.1.0"
 
@@ -66,15 +58,10 @@ __all__ = [
     "mean_average_precision",
     "roc_curve",
     "SCORE_NAMES",
-    "ScoreConfig",
     "baseline_score",
     "ood_score_max",
     "ood_score_sum",
-    "score_batch",
     "score_by_name",
     "beta_pdf",
-    "digamma",
-    "elu",
     "quadrature_expected_bce",
-    "trigamma",
 ]

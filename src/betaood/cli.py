@@ -40,7 +40,7 @@ from .model import (
     predict_batch,
     train,
 )
-from .scores import SCORE_NAMES, score_by_name
+from .scores import SCORE_NAMES, mix_scores, score_by_name
 from .tables import read_table, write_table
 
 _GEN_DEFAULTS = {
@@ -313,7 +313,7 @@ def cmd_score(config_path, checkpoint, data, out, scores_arg, lambda1, lambda2):
 
 
 def _read_scores_csv(path):
-    """Returns (is_ood array, {score name: value array})."""
+    """Returns (is_ood array, {score name: value array}); sample ids must be distinct."""
 
     def schema(header):
         if header[:2] != ["sample_id", "is_ood"]:
@@ -322,10 +322,22 @@ def _read_scores_csv(path):
             )
         if len(set(header[2:])) != len(header) - 2:
             raise DataError(f"scores CSV {path} names a score column twice")
-        return [None, int] + [float] * (len(header) - 2)
+        return [int, int] + [float] * (len(header) - 2)
 
     header, columns = read_table(path, "scores CSV", schema)
+    _check_unique(columns[0].tolist(), path, "sample_id")
     return columns[1], dict(zip(header[2:], columns[2:]))
+
+
+def _check_unique(values: list, path, what: str) -> None:
+    """Reject the first value that repeats an earlier row, by line (header is line 1)."""
+    seen = {}
+    for i, value in enumerate(values):
+        if value in seen:
+            raise DataError(
+                f"{path}:{i + 2}: {what} {value!r} repeats line {seen[value] + 2}"
+            )
+        seen[value] = i
 
 
 def _check_finite(columns: dict, names, path) -> None:
@@ -413,6 +425,7 @@ def _aggregate_metrics(paths, out_dir: Path) -> None:
     for p in paths:
         mp = Path(p)
         header, (names, *metrics) = read_table(mp, "metrics CSV", _metrics_schema)
+        _check_unique(names, mp, "score")
         values = [column.tolist() for column in metrics]
         rows = {nm: [column[i] for column in values] for i, nm in enumerate(names)}
         tables.append((mp, header[1:], rows))
@@ -475,7 +488,7 @@ def cmd_sweep_lambda(scores_csv, lambda2_arg, out):
     try:
         datasets = [
             ScoredDataset(
-                scores=lam * columns["u_s_p"] + (1.0 - lam) * columns["u_s_n"],
+                scores=mix_scores(lam, columns["u_s_p"], columns["u_s_n"]),
                 is_ood=is_ood,
             )
             for lam in grid

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 from .evidence import (
     EvidencePair,
     Logits,
@@ -117,23 +117,9 @@ def _forward_batch(params: ModelParams, x: np.ndarray):
     return pre_acts, acts, f_pos, f_neg
 
 
-def forward(params: ModelParams, features: np.ndarray) -> Logits:
-    """Logits for a single sample."""
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 1:
-        raise ConfigError(f"features must be 1-d, got shape {features.shape}")
-    _, _, f_pos, f_neg = _forward_batch(params, features[None, :])
-    return Logits(f_pos=f_pos[0], f_neg=f_neg[0])
-
-
 def per_sample_losses(stack: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Bayes-risk loss of each sample from a (3, N, L) evidence_stack, shape (N,)."""
     return loss_terms(stack, y).mean(axis=1)
-
-
-def batch_loss(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
-    """Mean Bayes-risk Beta loss over an (N, D) batch with (N, L) labels."""
-    return float(np.mean(_batch_gradients(params, x, y)[0]))
 
 
 def _batch_gradients(params: ModelParams, x: np.ndarray, y: np.ndarray):
@@ -141,6 +127,8 @@ def _batch_gradients(params: ModelParams, x: np.ndarray, y: np.ndarray):
     n = x.shape[0]
     pre_acts, acts, f_pos, f_neg = _forward_batch(params, x)
     stack = evidence_stack(elu_array(f_pos) + 2.0, elu_array(f_neg) + 2.0)
+    if not all(np.isfinite(a).all() for a in (f_pos, f_neg, stack[2])):
+        raise NumericError("non-finite logits or evidence")
     losses = per_sample_losses(stack, y)
     d_alpha, d_beta = mean_loss_grad(stack, y)
     d_fpos = d_alpha * elu_grad_array(f_pos) / n
@@ -164,13 +152,6 @@ def _batch_gradients(params: ModelParams, x: np.ndarray, y: np.ndarray):
     return losses, grads
 
 
-def backward(params: ModelParams, features: np.ndarray, y: np.ndarray) -> dict:
-    """Single-sample parameter gradient of the Beta loss."""
-    features = np.asarray(features, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return _batch_gradients(params, features[None, :], y[None, :])[1]
-
-
 @dataclass
 class Checkpoint:
     params: ModelParams
@@ -179,6 +160,8 @@ class Checkpoint:
     format_version: int = CHECKPOINT_FORMAT_VERSION
 
 
+# a diverging run overflows without warnings; train's own checks stop it
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     features: np.ndarray,
     labels: np.ndarray,
@@ -199,13 +182,18 @@ def train(
     rng = np.random.Generator(np.random.PCG64(config.seed + 1))
     n = features.shape[0]
     trace = []
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         sample_losses = []
-        for start in range(0, n, config.batch_size):
+        for batch, start in enumerate(range(0, n, config.batch_size), start=1):
             idx = order[start : start + config.batch_size]
             xb, yb = features[idx], labels[idx]
-            losses, grads = _batch_gradients(params, xb, yb)
+            try:
+                losses, grads = _batch_gradients(params, xb, yb)
+            except NumericError as exc:
+                raise NumericError(
+                    f"training diverged at epoch {epoch}, batch {batch}: {exc}"
+                ) from None
             sample_losses.extend(losses)
             lr_b = config.learning_rate_backbone
             lr_h = config.learning_rate_head
@@ -218,6 +206,13 @@ def train(
             params.b_neg -= lr_h * grads["b_neg"]
         # exact sum: the epoch mean is independent of batch partitioning
         trace.append(math.fsum(sample_losses) / n)
+    final = (*params.hidden_weights, *params.hidden_biases,
+             params.w_pos, params.b_pos, params.w_neg, params.b_neg)
+    if not all(np.isfinite(a).all() for a in final):
+        raise NumericError(
+            f"training diverged at epoch {epoch}, batch {batch}: a parameter is "
+            f"non-finite after the last update"
+        )
     return Checkpoint(params=params, train_config=config, loss_trace=trace)
 
 

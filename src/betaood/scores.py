@@ -8,14 +8,12 @@ so they are negated here; they read the positive head only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .evidence import EvidencePair, Logits
 
-EVIDENCE_MODES = ("positive", "negative", "combined")
 BASELINE_METHODS = ("maxlogit", "msp", "jointenergy")
 
 # Stable string identifiers used by the CLI and CSV outputs.
@@ -32,28 +30,14 @@ SCORE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class ScoreConfig:
-    """Scorer selection: aggregation, evidence mode, and mixing weights."""
-
-    aggregation: str = "sum"
-    evidence_mode: str = "combined"
-    lambda1: float = 0.5
-    lambda2: float = 0.5
-
-    def __post_init__(self):
-        if self.aggregation not in ("max", "sum"):
-            raise ConfigError(f"unknown aggregation {self.aggregation!r}")
-        if self.evidence_mode not in EVIDENCE_MODES:
-            raise ConfigError(f"unknown evidence mode {self.evidence_mode!r}")
-        for name, lam in (("lambda1", self.lambda1), ("lambda2", self.lambda2)):
-            if not (0.0 <= lam <= 1.0):
-                raise ConfigError(f"{name} must be in [0, 1], got {lam!r}")
-
-
 def _check_lambda(lam: float) -> None:
     if not (0.0 <= lam <= 1.0):
         raise ConfigError(f"lambda must be in [0, 1], got {lam!r}")
+
+
+def mix_scores(lam: float, pos, neg):
+    """The combined score: weight lam on the positive part, 1 - lam on the negative."""
+    return lam * pos + (1.0 - lam) * neg
 
 
 def _rows(x: np.ndarray) -> np.ndarray:
@@ -88,7 +72,7 @@ def ood_score_max(
     elif mode == "combined":
         pos = 1.0 / np.max(alpha, axis=1)
         neg = 1.0 - np.max(1.0 / beta, axis=1)
-        out = lambda1 * pos + (1.0 - lambda1) * neg
+        out = mix_scores(lambda1, pos, neg)
     else:
         raise ConfigError(f"unknown evidence mode {mode!r}")
     return _per_sample(out, ev.alpha)
@@ -113,7 +97,7 @@ def ood_score_sum(
     elif mode == "combined":
         pos = n / _fsum_rows(alpha)
         neg = 1.0 - _fsum_rows(1.0 / beta) / n
-        out = lambda2 * pos + (1.0 - lambda2) * neg
+        out = mix_scores(lambda2, pos, neg)
     else:
         raise ConfigError(f"unknown evidence mode {mode!r}")
     return _per_sample(out, ev.alpha)
@@ -164,27 +148,3 @@ def score_by_name(name: str, ev: EvidencePair, logits: Logits,
     raise ConfigError(
         f"unknown score {name!r}; valid names: {', '.join(SCORE_NAMES)}"
     )
-
-
-def score_batch(
-    evidence_list: list[EvidencePair],
-    logits_list: list[Logits],
-    config: ScoreConfig,
-) -> np.ndarray:
-    """Apply the configured scorer elementwise; output order matches input."""
-    if len(evidence_list) != len(logits_list):
-        raise ConfigError(
-            f"evidence list ({len(evidence_list)}) and logits list "
-            f"({len(logits_list)}) differ in length"
-        )
-    if config.aggregation == "max":
-        values = [
-            ood_score_max(ev, config.evidence_mode, config.lambda1)
-            for ev in evidence_list
-        ]
-    else:
-        values = [
-            ood_score_sum(ev, config.evidence_mode, config.lambda2)
-            for ev in evidence_list
-        ]
-    return np.asarray(values, dtype=float)

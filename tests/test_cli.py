@@ -7,7 +7,7 @@ import pytest
 
 import betaood.cli as cli_mod
 from betaood.cli import main
-from betaood.datagen import read_jsonl
+from betaood.datagen import Dataset, read_jsonl, write_jsonl
 from betaood.errors import NumericError
 from betaood.evidence import Logits, evidence_to_prediction, logits_to_evidence
 from betaood.metrics import ScoredDataset, roc_curve
@@ -164,6 +164,29 @@ class TestTrain:
             "--out", str(tmp_path / "o"),
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("rate, rows, scale, where", [
+        (1e300, 300, 1.0, "at epoch 1, batch 2: non-finite logits or evidence"),
+        # one update from 16 large rows overflows a weight; no batch follows
+        (1e308, 16, 300.0,
+         "at epoch 1, batch 1: a parameter is non-finite after the last update"),
+    ], ids=["mid_run", "last_update"])
+    def test_diverging_training_is_numeric_error(
+        self, pipeline, tmp_path, capsys, rate, rows, scale, where
+    ):
+        ds = read_jsonl(pipeline / "synth.train.jsonl")
+        write_jsonl(Dataset(X=ds.X[:rows] * scale, Y=ds.Y[:rows], split="train"),
+                    tmp_path / "synth.train.jsonl")
+        cfg = _write_config(tmp_path, "train.json", {
+            "learning_rate_backbone": rate, "learning_rate_head": rate,
+        })
+        code = main([
+            "train", "--config", cfg, "--data", str(tmp_path / "synth"), "--epochs", "1",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        assert f"numeric error: training diverged {where}" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "checkpoint.json").exists()
 
     def test_prints_per_epoch_loss_csv(self, pipeline, tmp_path, capsys):
         cfg = _write_config(tmp_path, "train.json", SMALL_TRAIN)
@@ -405,6 +428,19 @@ class TestEval:
         assert main(["eval", "--scores-csv", str(src), "--out", str(tmp_path / "o")]) == 2
         assert str(src) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ids, message", [
+        ([4, 5, 4], ":4: sample_id 4 repeats line 2"),
+        ([0, "x", 2], ":3: malformed row"),
+    ], ids=["repeated", "not_an_integer"])
+    def test_bad_sample_id_names_file_and_line(self, tmp_path, capsys, ids, message):
+        src = tmp_path / "scores.csv"
+        rows = [[i, k % 2, 0.1 * k] for k, i in enumerate(ids)]
+        _write_scores_csv(src, ["sample_id", "is_ood", "u_s_p"], rows)
+        out = tmp_path / "o"
+        assert main(["eval", "--scores-csv", str(src), "--out", str(out)]) == 2
+        assert f"{src}{message}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_missing_score_column_rejected(self, pipeline, tmp_path):
         code = main([
             "eval", "--scores-csv", str(pipeline / "scores.csv"),
@@ -478,6 +514,16 @@ class TestEval:
             assert code == 2
             err = capsys.readouterr().err
             assert str(partial) in err and "u_m_p" in err
+
+
+    def test_aggregate_repeated_score_row_is_data_error(self, tmp_path, capsys):
+        header = ["score", "fpr95", "auroc", "aupr"]
+        twice = tmp_path / "twice.csv"
+        _write_scores_csv(twice, header, [["u_s_pn", 0.5, 0.9, 0.5], ["u_s_pn", 0.5, 0.2, 0.5]])
+        out = tmp_path / "o"
+        assert main(["eval", "--aggregate", str(twice), "--out", str(out)]) == 2
+        assert f"{twice}:3: score 'u_s_pn' repeats line 2" in capsys.readouterr().err
+        assert not (out / "aggregate.csv").exists()
 
 
 class TestSweepLambda:

@@ -4,7 +4,7 @@ import pytest
 from betaood.errors import ConfigError
 from betaood.evidence import EvidencePair, Logits, logits_to_evidence
 from betaood.loss import beta_loss, beta_loss_grad
-from betaood.special import digamma, quadrature_expected_bce
+from betaood.special import quadrature_expected_bce
 
 
 def ev1(alpha, beta):

@@ -5,11 +5,9 @@ from betaood.errors import ConfigError, DataError
 from betaood.model import (
     ArchConfig,
     TrainConfig,
-    backward,
-    batch_loss,
+    _batch_gradients,
     checkpoint_from_json,
     checkpoint_to_json,
-    forward,
     init_params,
     predict_batch,
     train,
@@ -22,6 +20,17 @@ def _flatten(params):
     arrays = list(params.hidden_weights) + list(params.hidden_biases)
     arrays += [params.w_pos, params.b_pos, params.w_neg, params.b_neg]
     return np.concatenate([a.ravel() for a in arrays])
+
+
+def _grads(params, x, y):
+    """Parameter gradients of the loss of one sample, as a 1-row batch."""
+    return _batch_gradients(params, x[None, :], np.array([y], dtype=float))[1]
+
+
+def _forward(params, x):
+    """Logits of one sample, as a 1-row batch."""
+    logits, _, _ = predict_batch(params, x[None, :])
+    return logits.f_pos[0], logits.f_neg[0]
 
 
 def _tiny_dataset(rng, n=60, d=2, labels=2):
@@ -66,9 +75,9 @@ class TestForward:
             w[:] = 0.0
         params.w_pos[:] = 0.0
         params.w_neg[:] = 0.0
-        logits = forward(params, np.array([1.0, -2.0]))
-        np.testing.assert_array_equal(logits.f_pos, [0.0, 0.0])
-        np.testing.assert_array_equal(logits.f_neg, [0.0, 0.0])
+        f_pos, f_neg = _forward(params, np.array([1.0, -2.0]))
+        np.testing.assert_array_equal(f_pos, [0.0, 0.0])
+        np.testing.assert_array_equal(f_neg, [0.0, 0.0])
 
     def test_hand_computed_single_layer(self):
         arch = ArchConfig(input_dim=2, hidden=(2,), label_count=2)
@@ -79,10 +88,10 @@ class TestForward:
         params.b_pos[:] = np.array([0.5, -0.5])
         params.w_neg[:] = np.array([[2.0, 0.0], [0.0, 2.0]])
         params.b_neg[:] = 0.0
-        logits = forward(params, np.array([1.0, 2.0]))
+        f_pos, f_neg = _forward(params, np.array([1.0, 2.0]))
         # hidden = elu([1, 2]) = [1, 2]
-        np.testing.assert_allclose(logits.f_pos, [1.5, 1.5])
-        np.testing.assert_allclose(logits.f_neg, [2.0, 4.0])
+        np.testing.assert_allclose(f_pos, [1.5, 1.5])
+        np.testing.assert_allclose(f_neg, [2.0, 4.0])
 
     def test_batch_equals_per_sample(self):
         rng = np.random.default_rng(7)
@@ -92,14 +101,14 @@ class TestForward:
         assert logits.f_pos.shape == logits.f_neg.shape == (10, 2)
         # no batch statistics; only BLAS summation order can differ
         for i in range(10):
-            single = forward(params, feats[i])
-            np.testing.assert_allclose(single.f_pos, logits.f_pos[i], rtol=0, atol=1e-13)
-            np.testing.assert_allclose(single.f_neg, logits.f_neg[i], rtol=0, atol=1e-13)
+            f_pos, f_neg = _forward(params, feats[i])
+            np.testing.assert_allclose(f_pos, logits.f_pos[i], rtol=0, atol=1e-13)
+            np.testing.assert_allclose(f_neg, logits.f_neg[i], rtol=0, atol=1e-13)
 
     def test_dimension_mismatch_rejected(self):
         params = init_params(ARCH, 0)
         with pytest.raises(ConfigError):
-            forward(params, np.array([1.0, 2.0, 3.0]))
+            _forward(params, np.array([1.0, 2.0, 3.0]))
 
 
 class TestBackward:
@@ -115,7 +124,7 @@ class TestBackward:
             params = init_params(arch, int(rng.integers(0, 1000)))
             x = rng.normal(size=arch.input_dim)
             y = rng.integers(0, 2, arch.label_count)
-            grads = backward(params, x, y)
+            grads = _grads(params, x, y)
             flat_grads = np.concatenate(
                 [g.ravel() for g in grads["hidden_weights"]]
                 + [g.ravel() for g in grads["hidden_biases"]]
@@ -135,9 +144,9 @@ class TestBackward:
                 for j in range(flat.size):
                     orig = flat[j]
                     flat[j] = orig + h
-                    up = batch_loss(params, xb, yb)
+                    up = np.mean(_batch_gradients(params, xb, yb)[0])
                     flat[j] = orig - h
-                    dn = batch_loss(params, xb, yb)
+                    dn = np.mean(_batch_gradients(params, xb, yb)[0])
                     flat[j] = orig
                     fd.append((up - dn) / (2 * h))
             fd = np.array(fd)
@@ -154,8 +163,8 @@ class TestBackward:
         params.w_neg[:] = params.w_pos
         params.b_neg[:] = params.b_pos
         x = rng.normal(size=2)
-        g1 = backward(params, x, np.array([1]))
-        g0 = backward(params, x, np.array([0]))
+        g1 = _grads(params, x, np.array([1]))
+        g0 = _grads(params, x, np.array([0]))
         np.testing.assert_array_equal(g1["w_pos"], g0["w_neg"])
         np.testing.assert_array_equal(g1["w_neg"], g0["w_pos"])
 
@@ -174,7 +183,7 @@ class TestBackward:
 
         def grad_at(v):
             params.hidden_weights[0][0, 0] = v
-            return backward(params, x, y)["hidden_weights"][0][0, 0]
+            return _grads(params, x, y)["hidden_weights"][0][0, 0]
 
         lo, hi = -5.0, 5.0
         assert grad_at(lo) < 0 < grad_at(hi) or grad_at(lo) > 0 > grad_at(hi)

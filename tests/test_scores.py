@@ -7,11 +7,10 @@ from betaood.errors import ConfigError
 from betaood.evidence import EvidencePair, Logits, logits_to_evidence
 from betaood.scores import (
     SCORE_NAMES,
-    ScoreConfig,
     baseline_score,
+    mix_scores,
     ood_score_max,
     ood_score_sum,
-    score_batch,
     score_by_name,
 )
 
@@ -63,6 +62,17 @@ class TestLambdaDegeneracy:
     def test_lambda_zero_equals_negative(self):
         for fn in (ood_score_max, ood_score_sum):
             assert fn(WORKED_EV, "combined", 0.0) == fn(WORKED_EV, "negative")
+
+    def test_combined_is_mix_of_components_bit_equal(self):
+        # sweep-lambda mixes the u_s_p/u_s_n columns with the same helper
+        rng = np.random.default_rng(67)
+        ev = EvidencePair(alpha=rng.uniform(1.1, 20.0, (40, 4)),
+                          beta=rng.uniform(1.1, 20.0, (40, 4)))
+        for fn in (ood_score_max, ood_score_sum):
+            pos, neg = fn(ev, "positive"), fn(ev, "negative")
+            for lam in (0.0, 0.3, 0.5, 1.0):
+                combined = fn(ev, "combined", lam)
+                assert np.array_equal(combined, mix_scores(lam, pos, neg))
 
 
 class TestScoreProperties:
@@ -198,32 +208,3 @@ class TestScoreBatch:
             Logits(f_pos=alpha, f_neg=alpha[:, :1])
         with pytest.raises(ConfigError, match="shape"):
             EvidencePair(alpha=alpha[None], beta=alpha[None])
-
-    def test_empty(self):
-        assert score_batch([], [], ScoreConfig()).size == 0
-
-    def test_singleton_matches_scalar(self):
-        logits = Logits(f_pos=[1.0, -1.0], f_neg=[0.5, 0.5])
-        ev = WORKED_EV
-        cfg = ScoreConfig(aggregation="sum", evidence_mode="combined", lambda2=0.3)
-        out = score_batch([ev], [logits], cfg)
-        assert out[0] == ood_score_sum(ev, "combined", 0.3)
-
-    def test_sharding_determinism(self):
-        rng = np.random.default_rng(59)
-        evs = [
-            EvidencePair(alpha=rng.uniform(1.1, 20.0, 3), beta=rng.uniform(1.1, 20.0, 3))
-            for _ in range(1000)
-        ]
-        logits = [Logits(f_pos=rng.normal(size=3), f_neg=rng.normal(size=3)) for _ in range(1000)]
-        cfg = ScoreConfig()
-        whole = score_batch(evs, logits, cfg)
-        shards = [score_batch(evs[i::4], logits[i::4], cfg) for i in range(4)]
-        merged = np.empty_like(whole)
-        for i in range(4):
-            merged[i::4] = shards[i]
-        np.testing.assert_array_equal(whole, merged)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            score_batch([WORKED_EV], [], ScoreConfig())

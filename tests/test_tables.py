@@ -38,16 +38,21 @@ def _reference_scores(path):
         if header[:2] != ["sample_id", "is_ood"]:
             raise DataError(f"scores CSV {path} must start with sample_id,is_ood columns")
         names = header[2:]
-        is_ood = []
+        ids, is_ood = [], []
         columns = {nm: [] for nm in names}
         for lineno, row in enumerate(reader, start=2):
             _reference_width(row, header, path, lineno)
             try:
+                ids.append(int(row[0]))
                 is_ood.append(int(row[1]))
                 for nm, val in zip(names, row[2:]):
                     columns[nm].append(float(val))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: malformed row: {exc}") from exc
+    for lineno, sample_id in enumerate(ids, start=2):
+        first = ids.index(sample_id) + 2
+        if first != lineno:
+            raise DataError(f"{path}:{lineno}: sample_id {sample_id!r} repeats line {first}")
     return np.array(is_ood), {nm: np.array(v) for nm, v in columns.items()}
 
 
