@@ -288,11 +288,18 @@ def cmd_score(config_path, checkpoint, data, out, scores_arg, lambda1, lambda2):
     out_dir = _prepare_out(out)
 
     groups = []  # (is_ood, (N, k) score matrix, (N, L) probabilities)
-    for is_ood, group in ((0, test), (1, ood)):
-        logits, ev, pred = predict_batch(ckpt.params, group.X)
+    for is_ood, path, group in ((0, test_path, test), (1, ood_path, ood)):
         values = np.empty((len(group), len(requested)))
-        for j, nm in enumerate(requested):
-            values[:, j] = score_by_name(nm, ev, logits, cfg["lambda1"], cfg["lambda2"])
+        # finite logits near the float maximum can still overflow evidence or scores
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                logits, ev, pred = predict_batch(ckpt.params, group.X)
+                for j, nm in enumerate(requested):
+                    values[:, j] = score_by_name(
+                        nm, ev, logits, cfg["lambda1"], cfg["lambda2"]
+                    )
+        except (NumericError, FloatingPointError, OverflowError) as exc:
+            raise NumericError(f"checkpoint {checkpoint} on {path}: {exc}") from None
         groups.append((str(is_ood), values, pred.p))
 
     # cells are repr of Python floats (not np.float64): shortest round-trip text
@@ -406,9 +413,10 @@ def cmd_eval(scores_csv, scores_arg, preds_csv, aggregate, out):
             raise DataError(f"{preds_csv}: {exc}") from exc
     rows = []
     for nm, ds in datasets:
-        m = detection_metrics(ds)
+        curve = roc_curve(ds)
+        m = detection_metrics(curve)
         rows.append([nm, repr(m.fpr95), repr(m.auroc), repr(m.aupr)])
-        write_roc_csv(roc_curve(ds), out_dir / f"roc_{nm}.csv")
+        write_roc_csv(curve, out_dir / f"roc_{nm}.csv")
     write_table(out_dir / "metrics.csv", ["score", "fpr95", "auroc", "aupr"], rows)
     if preds_csv is not None:
         write_table(out_dir / "map.csv", ["metric", "value"], [["map", repr(value)]])
@@ -497,7 +505,7 @@ def cmd_sweep_lambda(scores_csv, lambda2_arg, out):
         raise DataError(f"{scores_csv}: {exc}") from exc
     rows = []
     for lam, ds in zip(grid, datasets):
-        m = detection_metrics(ds)
+        m = detection_metrics(roc_curve(ds))
         rows.append([repr(lam), repr(m.fpr95), repr(m.auroc), repr(m.aupr)])
     write_table(out_dir / "sweep.csv", ["lambda2", "fpr95", "auroc", "aupr"], rows)
     click.echo(f"swept {len(grid)} lambda2 values into {out_dir / 'sweep.csv'}")

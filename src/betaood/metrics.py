@@ -3,11 +3,13 @@
 The positive class is OOD (configurable).  Thresholds sweep the distinct
 score values in descending order, grouping ties into a single step, so
 AUROC is exactly the pairwise estimator with ties counted 0.5 and every
-metric is deterministic and oracle-checkable.
+metric is deterministic and oracle-checkable.  ``roc_curve`` sorts a score
+once; AUROC, AUPR, FPR@TPR and the ROC export all read that one sweep.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,19 +51,38 @@ class DetectionMetrics:
     fpr95: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RocCurve:
-    """Ordered (fpr, tpr) points, Python floats, from (0, 0) to (1, 1)."""
+    """The grouped descending-threshold sweep of one score.
 
-    points: list[tuple[float, float]]
-
-
-def _sweep(ds: ScoredDataset, positive_is_ood: bool = True):
-    """Cumulative TP/FP counts over the grouped descending-threshold sweep.
-
-    Returns (tp, fp, n_pos, n_neg) where tp[k], fp[k] are the counts after
-    admitting the k-th distinct score value.
+    ``tp[k]`` and ``fp[k]`` are the read-only int64 counts of positives and
+    negatives admitted once the k-th distinct score value is a threshold;
+    ``n_pos`` and ``n_neg`` are the class sizes.
     """
+
+    tp: np.ndarray
+    fp: np.ndarray
+    n_pos: int
+    n_neg: int
+
+    @property
+    def fpr(self) -> np.ndarray:
+        """False-positive rates from 0 to 1, with the leading 0."""
+        return np.concatenate([[0.0], self.fp / self.n_neg])
+
+    @property
+    def tpr(self) -> np.ndarray:
+        """True-positive rates from 0 to 1, with the leading 0."""
+        return np.concatenate([[0.0], self.tp / self.n_pos])
+
+    @property
+    def points(self) -> list[tuple[float, float]]:
+        """Ordered (fpr, tpr) points, Python floats, from (0, 0) to (1, 1)."""
+        return list(zip(self.fpr.tolist(), self.tpr.tolist()))
+
+
+def roc_curve(ds: ScoredDataset, positive_is_ood: bool = True) -> RocCurve:
+    """Sort the scores once and count TP/FP after each run of equal scores."""
     positive = ds.is_ood.astype(bool) if positive_is_ood else ~ds.is_ood.astype(bool)
     order = np.argsort(-ds.scores, kind="stable")
     sorted_scores = ds.scores[order]
@@ -71,29 +92,39 @@ def _sweep(ds: ScoredDataset, positive_is_ood: bool = True):
     boundaries = np.concatenate([distinct, [sorted_scores.size - 1]])
     tp = np.cumsum(sorted_pos)[boundaries]
     fp = (boundaries + 1) - tp
-    return tp, fp, int(positive.sum()), int((~positive).sum())
+    tp.flags.writeable = False
+    fp.flags.writeable = False
+    return RocCurve(tp=tp, fp=fp, n_pos=int(positive.sum()), n_neg=int((~positive).sum()))
 
 
-def roc_curve(ds: ScoredDataset, positive_is_ood: bool = True) -> RocCurve:
-    """Full grouped-sweep ROC point list, starting at (0, 0)."""
-    tp, fp, n_pos, n_neg = _sweep(ds, positive_is_ood)
-    points = zip((fp / n_neg).tolist(), (tp / n_pos).tolist())
-    return RocCurve(points=[(0.0, 0.0), *points])
+def detection_metrics(curve: RocCurve, target_tpr: float = 0.95) -> DetectionMetrics:
+    """AUROC, AUPR and the FPR at ``target_tpr`` of one sweep.
+
+    AUROC is the trapezoidal area under the ROC; AUPR the step sum
+    sum((R_k - R_{k-1}) * P_k); the FPR is read at the first (largest)
+    threshold whose TPR reaches the target, classifying positive when
+    score >= threshold.
+    """
+    if not (0.0 < target_tpr <= 1.0):
+        raise ConfigError(f"target_tpr must be in (0, 1], got {target_tpr!r}")
+    fpr, tpr = curve.fpr, curve.tpr
+    recall = tpr[1:]
+    precision = curve.tp / (curve.tp + curve.fp)
+    return DetectionMetrics(
+        auroc=float(np.sum(np.diff(fpr) * (recall + tpr[:-1]) * 0.5)),
+        aupr=float(np.sum((recall - tpr[:-1]) * precision)),
+        fpr95=float(fpr[1 + int(np.argmax(recall >= target_tpr))]),
+    )
 
 
+# One-metric views, one sweep each; the oracle tests and the benchmark's
+# tracer (perfbench/tracer.py) call them by name.
 def auroc(ds: ScoredDataset, positive_is_ood: bool = True) -> float:
-    """Trapezoidal area under the grouped-sweep ROC."""
-    fpr, tpr = np.array(roc_curve(ds, positive_is_ood).points).T
-    return float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) * 0.5))
+    return detection_metrics(roc_curve(ds, positive_is_ood)).auroc
 
 
 def aupr(ds: ScoredDataset, positive_is_ood: bool = True) -> float:
-    """Area under precision-recall via step interpolation sum((R_k - R_{k-1}) * P_k)."""
-    tp, fp, n_pos, _ = _sweep(ds, positive_is_ood)
-    recall = tp / n_pos
-    precision = tp / (tp + fp)
-    prev_recall = np.concatenate([[0.0], recall[:-1]])
-    return float(np.sum((recall - prev_recall) * precision))
+    return detection_metrics(roc_curve(ds, positive_is_ood)).aupr
 
 
 def fpr_at_tpr(
@@ -101,29 +132,7 @@ def fpr_at_tpr(
     target_tpr: float = 0.95,
     positive_is_ood: bool = True,
 ) -> float:
-    """FPR at the largest threshold whose TPR reaches target_tpr.
-
-    Classifies positive when score >= threshold; the sweep stops at the
-    first (largest) threshold with TPR >= target.
-    """
-    if not (0.0 < target_tpr <= 1.0):
-        raise ConfigError(f"target_tpr must be in (0, 1], got {target_tpr!r}")
-    tp, fp, n_pos, n_neg = _sweep(ds, positive_is_ood)
-    tpr = tp / n_pos
-    idx = int(np.argmax(tpr >= target_tpr))
-    return float(fp[idx] / n_neg)
-
-
-def detection_metrics(
-    ds: ScoredDataset,
-    target_tpr: float = 0.95,
-    positive_is_ood: bool = True,
-) -> DetectionMetrics:
-    return DetectionMetrics(
-        auroc=auroc(ds, positive_is_ood),
-        aupr=aupr(ds, positive_is_ood),
-        fpr95=fpr_at_tpr(ds, target_tpr, positive_is_ood),
-    )
+    return detection_metrics(roc_curve(ds, positive_is_ood), target_tpr).fpr95
 
 
 def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -154,5 +163,15 @@ def mean_average_precision(prob_matrix: np.ndarray, label_matrix: np.ndarray) ->
     return math.fsum(aps) / len(aps)
 
 
+@functools.lru_cache(maxsize=2)
+def _rate_cells(n: int) -> tuple[str, ...]:
+    """repr of k / n for k = 0..n: the same division as ``fp / n_neg``."""
+    return tuple(map(repr, (np.arange(n + 1) / n).tolist()))
+
+
 def write_roc_csv(curve: RocCurve, path) -> None:
-    write_table(path, ["fpr", "tpr"], ([repr(f), repr(t)] for f, t in curve.points))
+    """One row per ROC point; each cell is looked up by its count."""
+    fpr, tpr = _rate_cells(curve.n_neg), _rate_cells(curve.n_pos)
+    rows = [[fpr[0], tpr[0]]]
+    rows += [[fpr[f], tpr[t]] for f, t in zip(curve.fp.tolist(), curve.tp.tolist())]
+    write_table(path, ["fpr", "tpr"], rows)

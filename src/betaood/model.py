@@ -221,13 +221,19 @@ def predict_batch(params: ModelParams, features) -> tuple[
 ]:
     """Forward an (N, D) batch and map it through evidence; each result is (N, L).
 
-    An empty batch gives zero-row objects.
+    An empty batch gives zero-row objects; a row with non-finite logits
+    raises NumericError.
     """
     if len(features) == 0:
         x = np.empty((0, params.arch.input_dim))
     else:
         x = np.asarray(features, dtype=float)
-    _, _, f_pos, f_neg = _forward_batch(params, x)
+    # huge but finite weights overflow here; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, f_pos, f_neg = _forward_batch(params, x)
+    finite = np.isfinite(f_pos).all(axis=1) & np.isfinite(f_neg).all(axis=1)
+    if not finite.all():
+        raise NumericError(f"the logits of row {int(np.argmin(finite))} are not finite")
     logits = Logits(f_pos=f_pos, f_neg=f_neg)
     ev = logits_to_evidence(logits)
     return logits, ev, evidence_to_prediction(ev)
@@ -260,6 +266,31 @@ def checkpoint_to_json(ckpt: Checkpoint) -> str:
         "loss_trace": ckpt.loss_trace,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _check_params(params: ModelParams) -> None:
+    """Every parameter array has the shape its arch gives and finite entries."""
+    arch = params.arch
+    if not len(params.hidden_weights) == len(params.hidden_biases) == len(arch.hidden):
+        raise DataError(
+            f"arch has {len(arch.hidden)} hidden layers, but params hold "
+            f"{len(params.hidden_weights)} weight and {len(params.hidden_biases)} bias arrays"
+        )
+    fan_in = (arch.input_dim, *arch.hidden)
+    arrays = {}
+    for i, (w, b) in enumerate(zip(params.hidden_weights, params.hidden_biases)):
+        arrays[f"hidden_weights[{i}]"] = (w, (arch.hidden[i], fan_in[i]))
+        arrays[f"hidden_biases[{i}]"] = (b, (arch.hidden[i],))
+    head = (arch.label_count, fan_in[-1])
+    arrays["w_pos"] = (params.w_pos, head)
+    arrays["b_pos"] = (params.b_pos, head[:1])
+    arrays["w_neg"] = (params.w_neg, head)
+    arrays["b_neg"] = (params.b_neg, head[:1])
+    for key, (value, shape) in arrays.items():
+        if value.shape != shape:
+            raise DataError(f"parameter {key!r} has shape {value.shape}, expected {shape}")
+        if not np.isfinite(value).all():
+            raise DataError(f"parameter {key!r} holds a non-finite value")
 
 
 def checkpoint_from_json(text: str) -> Checkpoint:
@@ -297,6 +328,7 @@ def checkpoint_from_json(text: str) -> Checkpoint:
         raise DataError(f"checkpoint is missing key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint field: {exc}") from exc
+    _check_params(params)
     return Checkpoint(
         params=params,
         train_config=tc,

@@ -1,11 +1,13 @@
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
 
 import betaood.cli as cli_mod
+import betaood.metrics as metrics_mod
 from betaood.cli import main
 from betaood.datagen import Dataset, read_jsonl, write_jsonl
 from betaood.errors import NumericError
@@ -226,6 +228,11 @@ class TestTrain:
         assert blobs[0] != blobs[1]
 
 
+def _filled(nested, value):
+    """The nested list with every number replaced by value."""
+    return [_filled(v, value) for v in nested] if isinstance(nested, list) else value
+
+
 class TestScore:
     def test_single_score_three_columns(self, pipeline, tmp_path):
         out = tmp_path / "o"
@@ -309,6 +316,15 @@ class TestScore:
             for key in ("arch", "train_config", "params")
         }
         broken_docs["malformed"] = {**doc, "train_config": {"epochs": "2"}}
+        params = doc["params"]
+        for expected, edit in (
+            ("parameter 'b_pos' holds a non-finite value",
+             {"b_pos": _filled(params["b_pos"], math.nan)}),
+            ("parameter 'hidden_weights[0]' holds a non-finite value",
+             {"hidden_weights": _filled(params["hidden_weights"], math.inf)}),
+            ("parameter 'w_neg' has shape", {"w_neg": params["w_neg"][:-1]}),
+        ):
+            broken_docs[expected] = {**doc, "params": {**params, **edit}}
         for expected, broken_doc in broken_docs.items():
             broken = tmp_path / "checkpoint.json"
             broken.write_text(json.dumps(broken_doc))
@@ -319,6 +335,34 @@ class TestScore:
             assert code == 2
             err = capsys.readouterr().err
             assert expected in err and str(broken) in err
+
+    @pytest.mark.parametrize("keys, value, message", [
+        # finite weights whose products overflow into non-finite logits
+        (("hidden_weights", "w_pos"), 1e306, "are not finite"),
+        # finite logits whose evidence overflows
+        (("b_pos", "b_neg"), 1.7e308, "overflow"),
+    ], ids=["logits", "evidence"])
+    def test_overflow_is_numeric_error(
+        self, pipeline, tmp_path, capsys, keys, value, message
+    ):
+        # no numpy warning and no output files
+        doc = json.loads((pipeline / "checkpoint.json").read_text())
+        params = doc["params"]
+        for key in keys:
+            params[key] = _filled(params[key], value)
+        huge = tmp_path / "checkpoint.json"
+        huge.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "score", "--checkpoint", str(huge),
+                "--data", str(pipeline / "synth"), "--out", str(out),
+            ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"checkpoint {huge}" in err and message in err
+        assert not (out / "scores.csv").exists() and not (out / "preds.csv").exists()
 
     def test_rerun_byte_identical(self, pipeline, tmp_path):
         blobs = []
@@ -598,6 +642,70 @@ class TestSweepLambda:
         assert code == 1
 
 
+class _SortCountingNumpy:
+    """numpy as the metrics module sees it, counting every call that sorts."""
+
+    SORTS = ("argsort", "sort", "lexsort", "unique", "partition", "argpartition")
+
+    def __init__(self, np_module):
+        self._np = np_module
+        self.sorts = 0
+
+    def __getattr__(self, name):
+        attr = getattr(self._np, name)
+        if name not in self.SORTS:
+            return attr
+
+        def counted(*args, **kwargs):
+            self.sorts += 1
+            return attr(*args, **kwargs)
+        return counted
+
+
+@pytest.fixture
+def sort_counts(monkeypatch):
+    """Counts metrics.roc_curve calls and numpy sorts inside betaood.metrics."""
+    counting_np = _SortCountingNumpy(metrics_mod.np)
+    counts = {"roc_curve": 0, "numpy": counting_np}
+    original = metrics_mod.roc_curve
+
+    def roc_curve(*args, **kwargs):
+        counts["roc_curve"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(metrics_mod, "np", counting_np)
+    monkeypatch.setattr(metrics_mod, "roc_curve", roc_curve)
+    monkeypatch.setattr(cli_mod, "roc_curve", roc_curve)
+    return counts
+
+
+class TestOneSweepPerScore:
+    """Every detection metric and the ROC export of a score come from one sort."""
+
+    @pytest.mark.parametrize("names", [None, "u_s_pn", "msp,u_m_p,u_s_n"])
+    def test_eval_sorts_once_per_score(self, pipeline, tmp_path, sort_counts, names):
+        args = ["eval", "--scores-csv", str(pipeline / "scores.csv"), "--out", str(tmp_path)]
+        if names:
+            args += ["--scores", names]
+        assert main(args) == 0
+        expected = len(names.split(",")) if names else len(cli_mod.SCORE_NAMES)
+        assert sort_counts["roc_curve"] == expected
+        assert sort_counts["numpy"].sorts == expected
+
+    @pytest.mark.parametrize("grid", [None, "0.0,0.25,1.0"])
+    def test_sweep_lambda_sorts_once_per_grid_point(
+        self, pipeline, tmp_path, sort_counts, grid
+    ):
+        args = ["sweep-lambda", "--scores-csv", str(pipeline / "scores.csv"),
+                "--out", str(tmp_path)]
+        if grid:
+            args += ["--lambda2", grid]
+        assert main(args) == 0
+        expected = len(grid.split(",")) if grid else 11
+        assert sort_counts["roc_curve"] == expected
+        assert sort_counts["numpy"].sorts == expected
+
+
 class TestTracedPipeline:
     """The benchmark's traced run, at these sizes: a wrapped name that is gone
     or a layer metric that reads 0 fails here rather than in the benchmark."""
@@ -632,6 +740,8 @@ class TestTracedPipeline:
         assert metrics["model.forward_rows_per_train_row"] == 1.0
         assert metrics["special.digamma_array.calls"] == batches
         assert metrics["special.trigamma_array.calls"] == batches
+        # one grouped threshold sweep per evaluated score
+        assert metrics["metrics.sweeps_per_score"] == 1.0
 
 
 class TestExitCodes:

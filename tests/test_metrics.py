@@ -1,17 +1,24 @@
+import csv
+import io
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betaood.errors import ConfigError, DataError
 from betaood.metrics import (
+    DetectionMetrics,
     RocCurve,
     ScoredDataset,
     auroc,
     aupr,
+    detection_metrics,
     fpr_at_tpr,
     mean_average_precision,
     roc_curve,
+    write_roc_csv,
 )
 
 
@@ -242,3 +249,85 @@ class TestMeanAveragePrecision:
         labels = np.array([[1, 0], [1, 0], [0, 0]])
         with pytest.raises(DataError, match="column 1"):
             mean_average_precision(probs, labels)
+
+
+# -- the three-sweep formulas detection_metrics replaced, kept as a reference --
+
+
+def _reference_sweep(ds, positive_is_ood):
+    positive = ds.is_ood.astype(bool) if positive_is_ood else ~ds.is_ood.astype(bool)
+    order = np.argsort(-ds.scores, kind="stable")
+    sorted_scores = ds.scores[order]
+    sorted_pos = positive[order].astype(int)
+    distinct = np.nonzero(np.diff(sorted_scores))[0]
+    boundaries = np.concatenate([distinct, [sorted_scores.size - 1]])
+    tp = np.cumsum(sorted_pos)[boundaries]
+    fp = (boundaries + 1) - tp
+    return tp, fp, int(positive.sum()), int((~positive).sum())
+
+
+def _reference_points(ds, positive_is_ood):
+    tp, fp, n_pos, n_neg = _reference_sweep(ds, positive_is_ood)
+    return [(0.0, 0.0), *zip((fp / n_neg).tolist(), (tp / n_pos).tolist())]
+
+
+def _reference_metrics(ds, target_tpr, positive_is_ood):
+    fpr, tpr = np.array(_reference_points(ds, positive_is_ood)).T
+    area = float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) * 0.5))
+    tp, fp, n_pos, n_neg = _reference_sweep(ds, positive_is_ood)
+    recall = tp / n_pos
+    precision = tp / (tp + fp)
+    prev_recall = np.concatenate([[0.0], recall[:-1]])
+    pr_area = float(np.sum((recall - prev_recall) * precision))
+    tp, fp, n_pos, n_neg = _reference_sweep(ds, positive_is_ood)
+    idx = int(np.argmax(tp / n_pos >= target_tpr))
+    return DetectionMetrics(auroc=area, aupr=pr_area, fpr95=float(fp[idx] / n_neg))
+
+
+@st.composite
+def scored_datasets(draw):
+    """Both classes present, n_pos and n_neg free; scores from a handful of
+    values (heavy ties, down to a single distinct score) or from any floats."""
+    n = draw(st.integers(2, 60))
+    is_ood = draw(st.lists(st.booleans(), min_size=n, max_size=n)
+                  .filter(lambda v: 0 < sum(v) < len(v)))
+    if draw(st.booleans()):
+        values = draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4))
+        scores = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    else:
+        scores = draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+    return ScoredDataset(scores=scores, is_ood=np.array(is_ood, dtype=int))
+
+
+class TestOneSweepMatchesThreeSweeps:
+    @given(ds=scored_datasets(), positive_is_ood=st.booleans(),
+           target=st.sampled_from([0.2, 0.5, 0.95, 1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_metrics_bit_equal(self, ds, positive_is_ood, target):
+        got = detection_metrics(roc_curve(ds, positive_is_ood), target)
+        want = _reference_metrics(ds, target, positive_is_ood)
+        assert got == want
+        assert repr(got) == repr(want)
+        assert roc_curve(ds, positive_is_ood).points == _reference_points(ds, positive_is_ood)
+
+    @given(ds=scored_datasets(), positive_is_ood=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_roc_csv_bytes_equal_csv_writer(self, ds, positive_is_ood, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "roc_bit_equal.csv"
+        write_roc_csv(roc_curve(ds, positive_is_ood), path)
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerows(
+            [["fpr", "tpr"], *([repr(f), repr(t)] for f, t in _reference_points(ds, positive_is_ood))]
+        )
+        assert path.read_bytes() == buf.getvalue().encode()
+
+    def test_rates_and_points_derive_from_counts(self):
+        ds = ScoredDataset(scores=[0.9, 0.4, 0.4, 0.1, 0.1], is_ood=[1, 1, 0, 0, 1])
+        curve = roc_curve(ds)
+        assert curve.tp.tolist() == [1, 2, 3] and curve.fp.tolist() == [0, 1, 2]
+        assert (curve.n_pos, curve.n_neg) == (3, 2)
+        assert curve.fpr.tolist() == [0.0, 0.0, 0.5, 1.0]
+        assert curve.tpr.tolist() == [0.0, 1 / 3, 2 / 3, 1.0]
+        assert curve.points == list(zip(curve.fpr.tolist(), curve.tpr.tolist()))
+        with pytest.raises(ValueError):
+            curve.tp[0] = 0
