@@ -209,7 +209,6 @@ def cmd_train(config_path, data, out, seed, epochs, batch_size):
     train_path = Path(f"{data}.train.jsonl")
     if not train_path.exists():
         raise DataError(f"training file not found: {train_path}")
-    out_dir = _prepare_out(out)
     ds = read_jsonl(train_path)
     if not len(ds):
         raise DataError(f"training file {train_path} is empty")
@@ -228,6 +227,8 @@ def cmd_train(config_path, data, out, seed, epochs, batch_size):
         seed=cfg["seed"],
     )
     ckpt = train(ds.X, ds.Y, arch, tc)
+    # created only now, so that a run that fails leaves no directory behind
+    out_dir = _prepare_out(out)
     with open(out_dir / "checkpoint.json", "w") as fh:
         fh.write(checkpoint_to_json(ckpt))
         fh.write("\n")
@@ -285,7 +286,6 @@ def cmd_score(config_path, checkpoint, data, out, scores_arg, lambda1, lambda2):
                 f"{p} has {group.X.shape[1]} features per row, but "
                 f"checkpoint {checkpoint} expects {input_dim}"
             )
-    out_dir = _prepare_out(out)
 
     groups = []  # (is_ood, (N, k) score matrix, (N, L) probabilities)
     for is_ood, path, group in ((0, test_path, test), (1, ood_path, ood)):
@@ -302,6 +302,8 @@ def cmd_score(config_path, checkpoint, data, out, scores_arg, lambda1, lambda2):
             raise NumericError(f"checkpoint {checkpoint} on {path}: {exc}") from None
         groups.append((str(is_ood), values, pred.p))
 
+    # created only now, so that a run that fails leaves no directory behind
+    out_dir = _prepare_out(out)
     # cells are repr of Python floats (not np.float64): shortest round-trip text
     rows = ((is_ood, row) for is_ood, values, _ in groups for row in values.tolist())
     score_rows = ([str(i), is_ood, *map(repr, row)] for i, (is_ood, row) in enumerate(rows))

@@ -2,7 +2,9 @@
 
 For a multi-hot label vector y the loss averages, over labels,
 y*(psi(a+b) - psi(a)) + (1-y)*(psi(a+b) - psi(b)), which is the exact
-expectation of binary cross-entropy under Beta(a, b).
+expectation of binary cross-entropy under Beta(a, b).  Each label reads
+only a+b and its labelled evidence (a where y = 1, else b), so the kernels
+take those two stacked and nothing else.
 """
 
 from __future__ import annotations
@@ -39,30 +41,39 @@ def _check_labels(ev: EvidencePair, y: np.ndarray) -> np.ndarray:
     return y.astype(float)
 
 
-def evidence_stack(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """alpha, beta and alpha + beta stacked on a new leading axis of size 3."""
-    return np.stack([alpha, beta, alpha + beta])
+def evidence_stack(alpha: np.ndarray, beta: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """alpha + beta and the labelled evidence stacked on a new leading axis of size 2.
+
+    The labels y must be exactly 0 or 1.
+    """
+    return np.stack([alpha + beta, np.where(y == 1.0, alpha, beta)])
 
 
-def loss_terms(stack: np.ndarray, y: np.ndarray) -> np.ndarray:
+def loss_terms(stack: np.ndarray) -> np.ndarray:
     """Per-label loss from an evidence_stack, with one digamma call on it."""
     psi = _digamma_vec(stack)
-    return y * (psi[2] - psi[0]) + (1.0 - y) * (psi[2] - psi[1])
+    return psi[0] - psi[1]
 
 
 def mean_loss_grad(stack: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """d/d(alpha), d/d(beta) of the label-mean loss, with one trigamma call."""
+    """d/d(alpha), d/d(beta) of the label-mean loss, with one trigamma call.
+
+    The labelled evidence's own term goes to d/d(alpha) where y = 1 and to
+    d/d(beta) elsewhere; the other derivative is psi'(alpha + beta) alone.
+    """
     psi1 = _trigamma_vec(stack)
     n = y.shape[-1]
-    d_alpha = (y * (psi1[2] - psi1[0]) + (1.0 - y) * psi1[2]) / n
-    d_beta = (y * psi1[2] + (1.0 - y) * (psi1[2] - psi1[1])) / n
+    own = psi1[0] - psi1[1]
+    labelled = y == 1.0
+    d_alpha = np.where(labelled, own, psi1[0]) / n
+    d_beta = np.where(labelled, psi1[0], own) / n
     return d_alpha, d_beta
 
 
 def beta_loss(ev: EvidencePair, y: np.ndarray) -> float:
     """Mean over labels of the expected BCE under the predicted Beta."""
     yf = _check_labels(ev, y)
-    return float(np.mean(loss_terms(evidence_stack(ev.alpha, ev.beta), yf)))
+    return float(np.mean(loss_terms(evidence_stack(ev.alpha, ev.beta, yf))))
 
 
 def beta_loss_grad(ev: EvidencePair, y: np.ndarray, logits: Logits) -> LossGradient:
@@ -89,4 +100,4 @@ def beta_loss_grad(ev: EvidencePair, y: np.ndarray, logits: Logits) -> LossGradi
 def evidence_grad(ev: EvidencePair, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """d(beta_loss)/d(alpha) and d(beta_loss)/d(beta), with the 1/L factor."""
     yf = _check_labels(ev, y)
-    return mean_loss_grad(evidence_stack(ev.alpha, ev.beta), yf)
+    return mean_loss_grad(evidence_stack(ev.alpha, ev.beta, yf), yf)

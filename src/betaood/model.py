@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,11 @@ class ArchConfig:
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
 
+def _is_finite_number(value) -> bool:
+    """An int or float (not a bool) of finite magnitude."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate_backbone: float = 0.05
@@ -53,8 +59,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate_backbone < 0 or self.learning_rate_head < 0:
-            raise ConfigError("learning rates must be nonnegative")
+        for key in ("learning_rate_backbone", "learning_rate_head"):
+            rate = getattr(self, key)
+            if not _is_finite_number(rate) or rate < 0:
+                raise ConfigError(f"{key} must be a finite number >= 0, got {rate!r}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -117,19 +125,19 @@ def _forward_batch(params: ModelParams, x: np.ndarray):
     return pre_acts, acts, f_pos, f_neg
 
 
-def per_sample_losses(stack: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bayes-risk loss of each sample from a (3, N, L) evidence_stack, shape (N,)."""
-    return loss_terms(stack, y).mean(axis=1)
+def per_sample_losses(stack: np.ndarray) -> np.ndarray:
+    """Bayes-risk loss of each sample from a (2, N, L) evidence_stack, shape (N,)."""
+    return loss_terms(stack).mean(axis=1)
 
 
 def _batch_gradients(params: ModelParams, x: np.ndarray, y: np.ndarray):
     """Per-sample losses and the gradients of their mean, from one forward pass."""
     n = x.shape[0]
     pre_acts, acts, f_pos, f_neg = _forward_batch(params, x)
-    stack = evidence_stack(elu_array(f_pos) + 2.0, elu_array(f_neg) + 2.0)
-    if not all(np.isfinite(a).all() for a in (f_pos, f_neg, stack[2])):
+    stack = evidence_stack(elu_array(f_pos) + 2.0, elu_array(f_neg) + 2.0, y)
+    if not all(np.isfinite(a).all() for a in (f_pos, f_neg, stack[0])):
         raise NumericError("non-finite logits or evidence")
-    losses = per_sample_losses(stack, y)
+    losses = per_sample_losses(stack)
     d_alpha, d_beta = mean_loss_grad(stack, y)
     d_fpos = d_alpha * elu_grad_array(f_pos) / n
     d_fneg = d_beta * elu_grad_array(f_neg) / n
@@ -323,11 +331,13 @@ def checkpoint_from_json(text: str) -> Checkpoint:
             w_neg=np.asarray(p["w_neg"], dtype=float),
             b_neg=np.asarray(p["b_neg"], dtype=float),
         )
-        loss_trace = list(doc["loss_trace"])
+        loss_trace = doc["loss_trace"]
     except KeyError as exc:
         raise DataError(f"checkpoint is missing key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint field: {exc}") from exc
+    if not (isinstance(loss_trace, list) and all(map(_is_finite_number, loss_trace))):
+        raise DataError("checkpoint key 'loss_trace' must be a list of finite numbers")
     _check_params(params)
     return Checkpoint(
         params=params,

@@ -37,19 +37,43 @@ def _check_positive(x: float, name: str) -> None:
         raise ConfigError(f"{name} requires x > 0, got {x!r}")
 
 
+def _shift(x: np.ndarray, power: int) -> tuple[np.ndarray, np.ndarray]:
+    """Recurrence shift of every entry below the threshold to x >= 6.
+
+    Returns the shifted x and, per entry, the running sum of -1/x (power 1,
+    digamma) or +1/x**2 (power 2, trigamma) over the steps.  Only the
+    entries below the threshold are gathered into the loop; the rest keep
+    x and a zero sum, which is what the loop would have given them.
+    """
+    below = x < _SHIFT_THRESHOLD
+    if not below.any():
+        return x, np.zeros_like(x)
+    xs = x[below]
+    acc_s = np.zeros_like(xs)
+    while True:
+        small = xs < _SHIFT_THRESHOLD
+        if not small.any():
+            break
+        # entries already past the threshold add 1/inf = 0
+        masked = np.where(small, xs, np.inf)
+        if power == 1:
+            acc_s -= 1.0 / masked
+        else:
+            acc_s += 1.0 / (masked * masked)
+        xs = xs + small
+    x = x.copy()
+    x[below] = xs
+    acc = np.zeros_like(x)
+    acc[below] = acc_s
+    return x, acc
+
+
 def digamma_array(x):
     """Elementwise digamma psi(x) for x > 0, absolute error <= 1e-10 on [1e-3, 1e6]."""
     x = np.asarray(x, dtype=float)
     if np.any(~np.isfinite(x)) or np.any(x <= 0.0):
         raise ConfigError("digamma requires finite x > 0")
-    acc = np.zeros_like(x)
-    while True:
-        small = x < _SHIFT_THRESHOLD
-        if not small.any():
-            break
-        # entries already past the threshold add 1/inf = 0
-        acc -= 1.0 / np.where(small, x, np.inf)
-        x = x + small
+    x, acc = _shift(x, 1)
     inv = 1.0 / x
     inv2 = inv * inv
     result = np.log(x) - 0.5 * inv
@@ -65,14 +89,7 @@ def trigamma_array(x):
     x = np.asarray(x, dtype=float)
     if np.any(~np.isfinite(x)) or np.any(x <= 0.0):
         raise ConfigError("trigamma requires finite x > 0")
-    acc = np.zeros_like(x)
-    while True:
-        small = x < _SHIFT_THRESHOLD
-        if not small.any():
-            break
-        masked = np.where(small, x, np.inf)
-        acc += 1.0 / (masked * masked)
-        x = x + small
+    x, acc = _shift(x, 2)
     inv = 1.0 / x
     inv2 = inv * inv
     result = inv + 0.5 * inv2

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -188,7 +191,8 @@ class TestTrain:
         ])
         assert code == 3
         assert f"numeric error: training diverged {where}" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "checkpoint.json").exists()
+        # the output directory is created only when there is something to write
+        assert not (tmp_path / "o").exists()
 
     def test_prints_per_epoch_loss_csv(self, pipeline, tmp_path, capsys):
         cfg = _write_config(tmp_path, "train.json", SMALL_TRAIN)
@@ -336,6 +340,33 @@ class TestScore:
             err = capsys.readouterr().err
             assert expected in err and str(broken) in err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("train_config", "learning_rate_head", math.nan),
+        ("train_config", "learning_rate_backbone", -math.inf),
+        (None, "loss_trace", "xyz"),
+        (None, "loss_trace", [0.5, math.nan]),
+        (None, "loss_trace", [0.5, True]),
+    ], ids=["lr_nan", "lr_minus_inf", "trace_string", "trace_nan", "trace_bool"])
+    def test_bad_checkpoint_field_names_checkpoint_and_key(
+        self, pipeline, tmp_path, capsys, section, key, value
+    ):
+        doc = json.loads((pipeline / "checkpoint.json").read_text())
+        (doc[section] if section else doc)[key] = value
+        broken = tmp_path / "checkpoint.json"
+        broken.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "score", "--checkpoint", str(broken),
+                "--data", str(pipeline / "synth"), "--out", str(out),
+            ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint {broken}: " in err and key in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("keys, value, message", [
         # finite weights whose products overflow into non-finite logits
         (("hidden_weights", "w_pos"), 1e306, "are not finite"),
@@ -362,7 +393,8 @@ class TestScore:
         assert code == 3
         err = capsys.readouterr().err
         assert f"checkpoint {huge}" in err and message in err
-        assert not (out / "scores.csv").exists() and not (out / "preds.csv").exists()
+        # the output directory is created only when there is something to write
+        assert not out.exists()
 
     def test_rerun_byte_identical(self, pipeline, tmp_path):
         blobs = []
@@ -747,6 +779,40 @@ class TestTracedPipeline:
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("command", ["train", "score"])
+    def test_unwritable_out_is_config_error(self, pipeline, tmp_path, capsys, command):
+        blocker = tmp_path / "blocked"
+        blocker.write_text("not a directory")
+        data = str(pipeline / "synth")
+        argv = {
+            "train": ["--epochs", "1"],
+            "score": ["--checkpoint", str(pipeline / "checkpoint.json")],
+        }[command]
+        code = main([command, *argv, "--data", data, "--out", str(blocker / "o")])
+        assert code == 1
+        assert "cannot create output directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, code", [
+        (["--help"], 0),
+        (["score", "--checkpoint", "c.json", "--data", "d", "--out", "o",
+          "--scores", "u_s_q"], 1),
+    ], ids=["help", "unknown_score"])
+    def test_python_dash_m_exits_with_main_code(self, tmp_path, args, code):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+        )}
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "betaood", *args],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == code
+        assert "Traceback" not in done.stderr
+        if code == 0:
+            assert "Usage:" in done.stdout
+        else:
+            assert "unknown score name(s) u_s_q" in done.stderr
 
     def test_numeric_failure_maps_to_exit_3(self, pipeline, tmp_path, monkeypatch):
         def boom(ds):

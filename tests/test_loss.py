@@ -1,10 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from betaood.errors import ConfigError
-from betaood.evidence import EvidencePair, Logits, logits_to_evidence
-from betaood.loss import beta_loss, beta_loss_grad
-from betaood.special import quadrature_expected_bce
+from betaood.evidence import (
+    EvidencePair,
+    Logits,
+    elu_array,
+    elu_grad_array,
+    logits_to_evidence,
+)
+from betaood.loss import (
+    beta_loss,
+    beta_loss_grad,
+    evidence_stack,
+    loss_terms,
+    mean_loss_grad,
+)
+from betaood.model import ArchConfig, _batch_gradients, _forward_batch, init_params
+from betaood.special import digamma_array, quadrature_expected_bce, trigamma_array
 
 
 def ev1(alpha, beta):
@@ -121,3 +137,115 @@ class TestBetaLossGrad:
         logits = Logits(f_pos=[1.0], f_neg=[1.0])
         with pytest.raises(ConfigError):
             beta_loss_grad(ev1(5.0, 5.0), [1], logits)
+
+
+# -- the two-row (alpha + beta, labelled evidence) stack is the three-row one --
+
+def _three_row_loss_terms(alpha, beta, y):
+    """The loss from the earlier (alpha, beta, alpha + beta) stack."""
+    psi = digamma_array(np.stack([alpha, beta, alpha + beta]))
+    return y * (psi[2] - psi[0]) + (1.0 - y) * (psi[2] - psi[1])
+
+
+def _three_row_mean_loss_grad(alpha, beta, y):
+    """The gradient from the earlier (alpha, beta, alpha + beta) stack."""
+    psi1 = trigamma_array(np.stack([alpha, beta, alpha + beta]))
+    n = y.shape[-1]
+    d_alpha = (y * (psi1[2] - psi1[0]) + (1.0 - y) * psi1[2]) / n
+    d_beta = (y * psi1[2] + (1.0 - y) * (psi1[2] - psi1[1])) / n
+    return d_alpha, d_beta
+
+
+def _three_row_batch_gradients(params, x, y):
+    """model._batch_gradients as it was on the three-row stack."""
+    n = x.shape[0]
+    pre_acts, acts, f_pos, f_neg = _forward_batch(params, x)
+    alpha, beta = elu_array(f_pos) + 2.0, elu_array(f_neg) + 2.0
+    losses = _three_row_loss_terms(alpha, beta, y).mean(axis=1)
+    d_alpha, d_beta = _three_row_mean_loss_grad(alpha, beta, y)
+    d_fpos = d_alpha * elu_grad_array(f_pos) / n
+    d_fneg = d_beta * elu_grad_array(f_neg) / n
+    grads = {
+        "w_pos": d_fpos.T @ acts[-1],
+        "b_pos": d_fpos.sum(axis=0),
+        "w_neg": d_fneg.T @ acts[-1],
+        "b_neg": d_fneg.sum(axis=0),
+    }
+    d_h = d_fpos @ params.w_pos + d_fneg @ params.w_neg
+    grads_hw = []
+    grads_hb = []
+    for layer in range(len(params.hidden_weights) - 1, -1, -1):
+        d_z = d_h * elu_grad_array(pre_acts[layer])
+        grads_hw.append(d_z.T @ acts[layer])
+        grads_hb.append(d_z.sum(axis=0))
+        d_h = d_z @ params.hidden_weights[layer]
+    grads["hidden_weights"] = list(reversed(grads_hw))
+    grads["hidden_biases"] = list(reversed(grads_hb))
+    return losses, grads
+
+
+# evidence near 1 (the losing head), at the shift threshold, and up to 1e200
+_EVIDENCE = st.one_of(
+    st.floats(1.0, 1.0 + 1e-6, exclude_min=True),
+    st.floats(1.0, 10.0, exclude_min=True),
+    st.floats(1e-3, 1e200),
+    st.sampled_from([np.nextafter(6.0, 0.0), 6.0, 1e200]),
+)
+
+
+@st.composite
+def _labelled_evidence(draw):
+    """(alpha, beta, y) of shape (B, L); beta may equal alpha, and label rows
+    may be all 0 or all 1."""
+    b = draw(st.integers(1, 6))
+    l = draw(st.integers(1, 6))
+    alpha = draw(hnp.arrays(float, (b, l), elements=_EVIDENCE))
+    beta = alpha.copy() if draw(st.booleans()) else draw(
+        hnp.arrays(float, (b, l), elements=_EVIDENCE)
+    )
+    y = draw(hnp.arrays(float, (b, l), elements=st.sampled_from([0.0, 1.0])))
+    for row in range(b):
+        fill = draw(st.sampled_from([None, 0.0, 1.0]))
+        if fill is not None:
+            y[row] = fill
+    return alpha, beta, y
+
+
+class TestTwoRowStackMatchesThreeRow:
+    @given(case=_labelled_evidence())
+    @settings(max_examples=300, deadline=None)
+    def test_loss_and_gradient_bit_equal(self, case):
+        alpha, beta, y = case
+        stack = evidence_stack(alpha, beta, y)
+        assert stack.shape == (2, *alpha.shape)
+        assert np.array_equal(loss_terms(stack), _three_row_loss_terms(alpha, beta, y))
+        d_alpha, d_beta = mean_loss_grad(stack, y)
+        want_alpha, want_beta = _three_row_mean_loss_grad(alpha, beta, y)
+        assert np.array_equal(d_alpha, want_alpha)
+        assert np.array_equal(d_beta, want_beta)
+
+    @given(
+        hidden=st.sampled_from([(5,), (6, 3)]),
+        rows=st.integers(1, 9),
+        labels=st.integers(1, 5),
+        scale=st.sampled_from([0.1, 1.0, 30.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_batch_gradients_bit_equal(self, hidden, rows, labels, scale, seed):
+        rng = np.random.default_rng(seed)
+        arch = ArchConfig(input_dim=3, hidden=hidden, label_count=labels)
+        params = init_params(arch, seed)
+        x = scale * rng.normal(size=(rows, 3))
+        y = rng.integers(0, 2, size=(rows, labels)).astype(float)
+        y[0] = 1.0
+        y[-1] = 0.0
+        losses, grads = _batch_gradients(params, x, y)
+        want_losses, want = _three_row_batch_gradients(params, x, y)
+        assert np.array_equal(losses, want_losses)
+        for key in ("w_pos", "b_pos", "w_neg", "b_neg"):
+            assert np.array_equal(grads[key], want[key])
+        for key in ("hidden_weights", "hidden_biases"):
+            assert len(grads[key]) == len(hidden)
+            for got, expected in zip(grads[key], want[key]):
+                assert np.array_equal(got, expected)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import betaood.loss as loss_mod
 from betaood.errors import ConfigError, DataError
 from betaood.model import (
     ArchConfig,
@@ -235,6 +236,31 @@ class TestTrain:
     def test_zero_epochs_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1.0, "0.1"])
+    def test_bad_learning_rate_names_the_key(self, rate):
+        with pytest.raises(ConfigError, match="learning_rate_head"):
+            TrainConfig(learning_rate_head=rate)
+
+    def test_one_two_row_kernel_call_per_batch(self, monkeypatch):
+        # each SGD batch makes one digamma and one trigamma call on its
+        # (alpha + beta, labelled evidence) stack, shape (2, B, L)
+        shapes = {"digamma": [], "trigamma": []}
+        for name in shapes:
+            original = getattr(loss_mod, f"_{name}_vec")
+
+            def recording(x, original=original, seen=shapes[name]):
+                seen.append(np.shape(x))
+                return original(x)
+
+            monkeypatch.setattr(loss_mod, f"_{name}_vec", recording)
+        rng = np.random.default_rng(43)
+        x, y = _tiny_dataset(rng)
+        train(x, y, ARCH, TrainConfig(epochs=2, batch_size=16, seed=6))
+        batch_rows = [16, 16, 16, 12] * 2
+        expected = [(2, rows, ARCH.label_count) for rows in batch_rows]
+        assert shapes["digamma"] == expected
+        assert shapes["trigamma"] == expected
 
 
 class TestPredictBatch:

@@ -110,7 +110,7 @@ def test_finite_difference_cross_check():
 def _boolean_index_reference(x, digamma_kind: bool):
     """The array functions' earlier form: the recurrence shift updates only the
     still-small entries through boolean indexing.  Kept as the exactness
-    reference for the masked whole-array shift."""
+    reference for the gathered shift in `special._shift`."""
     x = np.array(x, dtype=float)
     acc = np.zeros_like(x)
     while True:
@@ -155,6 +155,23 @@ def test_stacked_calls_bit_equal_per_slice_and_reference():
         for i in range(3):
             assert np.array_equal(whole[i], fn(stack[i]))
             assert np.array_equal(whole[i], _boolean_index_reference(stack[i], digamma_kind))
+    # the shift gathers the entries below 6: none of them, all of them, a 0-d
+    # input and a non-contiguous one must give what the reference gives
+    cases = [
+        np.geomspace(6.0, 1e200, 60).reshape(12, 5),
+        np.geomspace(1e-3, np.nextafter(6.0, 0.0), 60).reshape(12, 5),
+        np.array(0.5),
+        np.array(6.0),
+        stack[:2].transpose(2, 1, 0),
+        alpha.T,
+    ]
+    for x in cases:
+        before = x.copy()
+        for fn, digamma_kind in ((digamma_array, True), (trigamma_array, False)):
+            got = fn(x)
+            assert np.shape(got) == x.shape
+            assert np.array_equal(got, _boolean_index_reference(x, digamma_kind))
+        assert np.array_equal(x, before)
 
 
 class TestBetaPdf:
