@@ -131,6 +131,21 @@ def _load_config(path, defaults: dict, overrides: dict) -> dict:
     return merged
 
 
+def _check_out(out: str) -> None:
+    """Reject an --out that could not be created before any work is done: its
+    nearest existing ancestor must be a writable directory.  Creates nothing."""
+    existing = Path(out).absolute()
+    while not os.path.exists(existing):
+        existing = existing.parent
+    if not existing.is_dir():
+        problem = "is not a directory"
+    elif not os.access(existing, os.W_OK | os.X_OK):
+        problem = "is not writable"
+    else:
+        return
+    raise ConfigError(f"cannot create output directory {out}: {existing} {problem}")
+
+
 def _prepare_out(out: str) -> Path:
     out_dir = Path(out)
     try:
@@ -206,8 +221,9 @@ def cmd_train(config_path, data, out, seed, epochs, batch_size):
         _TRAIN_DEFAULTS,
         {"seed": seed, "epochs": epochs, "batch_size": batch_size},
     )
+    _check_out(out)
     train_path = Path(f"{data}.train.jsonl")
-    if not train_path.exists():
+    if not train_path.is_file():
         raise DataError(f"training file not found: {train_path}")
     ds = read_jsonl(train_path)
     if not len(ds):
@@ -271,11 +287,12 @@ def cmd_score(config_path, checkpoint, data, out, scores_arg, lambda1, lambda2):
         raise ConfigError(
             f"unknown score name(s) {', '.join(bad)}; valid: {', '.join(SCORE_NAMES)}"
         )
+    _check_out(out)
     ckpt = _load_checkpoint(checkpoint)
     test_path = Path(f"{data}.test.jsonl")
     ood_path = Path(f"{data}.ood.jsonl")
     for p in (test_path, ood_path):
-        if not p.exists():
+        if not p.is_file():
             raise DataError(f"dataset file not found: {p}")
     test = read_jsonl(test_path)
     ood = read_jsonl(ood_path)

@@ -270,6 +270,8 @@ def read_jsonl(path) -> Dataset:
                     docs = []
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: cannot decode: {exc}") from exc
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc}") from exc
     if docs:
         parts.append(_stack_rows(path, docs, linenos, parts))
     if not parts:

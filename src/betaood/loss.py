@@ -4,7 +4,7 @@ For a multi-hot label vector y the loss averages, over labels,
 y*(psi(a+b) - psi(a)) + (1-y)*(psi(a+b) - psi(b)), which is the exact
 expectation of binary cross-entropy under Beta(a, b).  Each label reads
 only a+b and its labelled evidence (a where y = 1, else b), so the kernels
-take those two stacked and nothing else.
+take those two stacked and nothing else, shifted once for both.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ConfigError
 from .evidence import EvidencePair, Logits, elu_grad_array, logits_to_evidence
 from .special import digamma_array as _digamma_vec
+from .special import recurrence_shift
 from .special import trigamma_array as _trigamma_vec
 
 
@@ -46,34 +47,36 @@ def evidence_stack(alpha: np.ndarray, beta: np.ndarray, y: np.ndarray) -> np.nda
 
     The labels y must be exactly 0 or 1.
     """
-    return np.stack([alpha + beta, np.where(y == 1.0, alpha, beta)])
+    return np.array([alpha + beta, np.where(y == 1.0, alpha, beta)])
 
 
-def loss_terms(stack: np.ndarray) -> np.ndarray:
-    """Per-label loss from an evidence_stack, with one digamma call on it."""
-    psi = _digamma_vec(stack)
-    return psi[0] - psi[1]
+def loss_and_grad(
+    stack: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-label loss and d/d(alpha), d/d(beta) of the label-mean loss.
 
-
-def mean_loss_grad(stack: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """d/d(alpha), d/d(beta) of the label-mean loss, with one trigamma call.
-
-    The labelled evidence's own term goes to d/d(alpha) where y = 1 and to
-    d/d(beta) elsewhere; the other derivative is psi'(alpha + beta) alone.
+    The stack is shifted once; the digamma and trigamma calls evaluate their
+    series on the shifted stack, which every entry leaves at x >= 6, and the
+    shift's sums are added back.  The labelled evidence's own term goes to
+    d/d(alpha) where y = 1 and to d/d(beta) elsewhere; the other derivative
+    is psi'(alpha + beta) alone.
     """
-    psi1 = _trigamma_vec(stack)
+    shifted, psi_sum, psi1_sum = recurrence_shift(stack)
+    psi = psi_sum + _digamma_vec(shifted)
+    psi1 = psi1_sum + _trigamma_vec(shifted)
     n = y.shape[-1]
     own = psi1[0] - psi1[1]
     labelled = y == 1.0
     d_alpha = np.where(labelled, own, psi1[0]) / n
     d_beta = np.where(labelled, psi1[0], own) / n
-    return d_alpha, d_beta
+    return psi[0] - psi[1], d_alpha, d_beta
 
 
 def beta_loss(ev: EvidencePair, y: np.ndarray) -> float:
     """Mean over labels of the expected BCE under the predicted Beta."""
     yf = _check_labels(ev, y)
-    return float(np.mean(loss_terms(evidence_stack(ev.alpha, ev.beta, yf))))
+    terms, _, _ = loss_and_grad(evidence_stack(ev.alpha, ev.beta, yf), yf)
+    return float(np.mean(terms))
 
 
 def beta_loss_grad(ev: EvidencePair, y: np.ndarray, logits: Logits) -> LossGradient:
@@ -100,4 +103,5 @@ def beta_loss_grad(ev: EvidencePair, y: np.ndarray, logits: Logits) -> LossGradi
 def evidence_grad(ev: EvidencePair, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """d(beta_loss)/d(alpha) and d(beta_loss)/d(beta), with the 1/L factor."""
     yf = _check_labels(ev, y)
-    return mean_loss_grad(evidence_stack(ev.alpha, ev.beta, yf), yf)
+    _, d_alpha, d_beta = loss_and_grad(evidence_stack(ev.alpha, ev.beta, yf), yf)
+    return d_alpha, d_beta

@@ -25,7 +25,7 @@ from .evidence import (
     evidence_to_prediction,
     logits_to_evidence,
 )
-from .loss import evidence_stack, loss_terms, mean_loss_grad
+from .loss import evidence_stack, loss_and_grad
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -125,22 +125,30 @@ def _forward_batch(params: ModelParams, x: np.ndarray):
     return pre_acts, acts, f_pos, f_neg
 
 
-def per_sample_losses(stack: np.ndarray) -> np.ndarray:
-    """Bayes-risk loss of each sample from a (2, N, L) evidence_stack, shape (N,)."""
-    return loss_terms(stack).mean(axis=1)
+def per_sample_losses(terms: np.ndarray) -> np.ndarray:
+    """Bayes-risk loss of each sample from its (N, L) per-label terms, shape (N,)."""
+    return terms.mean(axis=1)
 
 
 def _batch_gradients(params: ModelParams, x: np.ndarray, y: np.ndarray):
-    """Per-sample losses and the gradients of their mean, from one forward pass."""
-    n = x.shape[0]
+    """Per-sample losses and the gradients of their mean, from one forward pass.
+
+    Both heads go through ELU and its derivative as one (N, 2L) block.  The
+    head products stay two: numpy sends an (N, H) @ (H, 1) product to BLAS
+    gemv, so a stacked product is not bit-equal to them for L = 1.
+    """
+    n, labels = x.shape[0], params.arch.label_count
     pre_acts, acts, f_pos, f_neg = _forward_batch(params, x)
-    stack = evidence_stack(elu_array(f_pos) + 2.0, elu_array(f_neg) + 2.0, y)
-    if not all(np.isfinite(a).all() for a in (f_pos, f_neg, stack[0])):
+    f = np.concatenate((f_pos, f_neg), axis=1)
+    evidence = elu_array(f) + 2.0
+    stack = evidence_stack(evidence[:, :labels], evidence[:, labels:], y)
+    if not (np.isfinite(f).all() and np.isfinite(stack[0]).all()):
         raise NumericError("non-finite logits or evidence")
-    losses = per_sample_losses(stack)
-    d_alpha, d_beta = mean_loss_grad(stack, y)
-    d_fpos = d_alpha * elu_grad_array(f_pos) / n
-    d_fneg = d_beta * elu_grad_array(f_neg) / n
+    terms, d_alpha, d_beta = loss_and_grad(stack, y)
+    losses = per_sample_losses(terms)
+    slope = elu_grad_array(f)
+    d_fpos = d_alpha * slope[:, :labels] / n
+    d_fneg = d_beta * slope[:, labels:] / n
     grads = {
         "w_pos": d_fpos.T @ acts[-1],
         "b_pos": d_fpos.sum(axis=0),
@@ -154,7 +162,8 @@ def _batch_gradients(params: ModelParams, x: np.ndarray, y: np.ndarray):
         d_z = d_h * elu_grad_array(pre_acts[layer])
         grads_hw.append(d_z.T @ acts[layer])
         grads_hb.append(d_z.sum(axis=0))
-        d_h = d_z @ params.hidden_weights[layer]
+        if layer:  # no gradient w.r.t. the input features
+            d_h = d_z @ params.hidden_weights[layer]
     grads["hidden_weights"] = list(reversed(grads_hw))
     grads["hidden_biases"] = list(reversed(grads_hb))
     return losses, grads
@@ -202,7 +211,7 @@ def train(
                 raise NumericError(
                     f"training diverged at epoch {epoch}, batch {batch}: {exc}"
                 ) from None
-            sample_losses.extend(losses)
+            sample_losses.extend(losses.tolist())
             lr_b = config.learning_rate_backbone
             lr_h = config.learning_rate_head
             for layer in range(len(params.hidden_weights)):

@@ -37,43 +37,66 @@ def _check_positive(x: float, name: str) -> None:
         raise ConfigError(f"{name} requires x > 0, got {x!r}")
 
 
-def _shift(x: np.ndarray, power: int) -> tuple[np.ndarray, np.ndarray]:
+def recurrence_shift(x) -> tuple[np.ndarray, np.ndarray | float, np.ndarray | float]:
     """Recurrence shift of every entry below the threshold to x >= 6.
 
-    Returns the shifted x and, per entry, the running sum of -1/x (power 1,
-    digamma) or +1/x**2 (power 2, trigamma) over the steps.  Only the
-    entries below the threshold are gathered into the loop; the rest keep
-    x and a zero sum, which is what the loop would have given them.
+    Returns the shifted x and, per entry, the running sums of -1/x (digamma)
+    and of +1/x**2 (trigamma) over the steps; with no entry below the
+    threshold, x itself and scalar zero sums.  The entries below the
+    threshold are gathered once into a ladder whose row r holds each one
+    after r steps of +1.  Rows already past the threshold are masked to inf,
+    so they add 1/inf = 0, and the sums accumulate row by row: every entry
+    sees the operations of a step-by-step loop in the loop's order.
     """
+    x = np.asarray(x, dtype=float)
+    lowest = np.minimum.reduce(x, axis=None) if x.size else np.inf
+    if lowest >= _SHIFT_THRESHOLD:
+        return x, 0.0, 0.0
+    if not lowest > 0.0:
+        raise ConfigError("the recurrence shift requires finite x > 0")
+    # fl(x + 1) is monotone, so the smallest entry takes the most steps
+    lowest = float(lowest)
+    steps = 0
+    while lowest < _SHIFT_THRESHOLD:
+        lowest += 1.0
+        steps += 1
     below = x < _SHIFT_THRESHOLD
-    if not below.any():
-        return x, np.zeros_like(x)
     xs = x[below]
-    acc_s = np.zeros_like(xs)
-    while True:
-        small = xs < _SHIFT_THRESHOLD
-        if not small.any():
-            break
-        # entries already past the threshold add 1/inf = 0
-        masked = np.where(small, xs, np.inf)
-        if power == 1:
-            acc_s -= 1.0 / masked
-        else:
-            acc_s += 1.0 / (masked * masked)
-        xs = xs + small
-    x = x.copy()
-    x[below] = xs
-    acc = np.zeros_like(x)
-    acc[below] = acc_s
-    return x, acc
+    ladder = np.empty((steps + 1, xs.size))
+    ladder[0] = xs
+    ladder[1:] = 1.0
+    np.add.accumulate(ladder, axis=0, out=ladder)
+    past = ladder >= _SHIFT_THRESHOLD
+    masked = np.where(past[:steps], np.inf, ladder[:steps])
+    # 0 - a - b is 0 + (-a) + (-b) bit for bit, so one accumulate serves both
+    sums = np.empty((2, steps, xs.size))
+    np.divide(-1.0, masked, out=sums[0])
+    # below about 1e-154, x * x underflows: psi' is inf there, not an error
+    with np.errstate(over="ignore", divide="ignore"):
+        np.divide(1.0, masked * masked, out=sums[1])
+    np.add.accumulate(sums, axis=1, out=sums)
+    shifted = x.copy()
+    shifted[below] = np.minimum.reduce(ladder, axis=0, where=past, initial=np.inf)
+    psi_sum = np.zeros(x.shape)
+    psi_sum[below] = sums[0, -1]
+    psi1_sum = np.zeros(x.shape)
+    psi1_sum[below] = sums[1, -1]
+    return shifted, psi_sum, psi1_sum
+
+
+def _check_domain(x: np.ndarray, name: str) -> None:
+    # NaN fails both comparisons; an empty x has nothing to check
+    if x.size and not (
+        np.minimum.reduce(x, axis=None) > 0.0 and np.maximum.reduce(x, axis=None) < np.inf
+    ):
+        raise ConfigError(f"{name} requires finite x > 0")
 
 
 def digamma_array(x):
     """Elementwise digamma psi(x) for x > 0, absolute error <= 1e-10 on [1e-3, 1e6]."""
     x = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(x)) or np.any(x <= 0.0):
-        raise ConfigError("digamma requires finite x > 0")
-    x, acc = _shift(x, 1)
+    _check_domain(x, "digamma")
+    x, acc, _ = recurrence_shift(x)
     inv = 1.0 / x
     inv2 = inv * inv
     result = np.log(x) - 0.5 * inv
@@ -87,9 +110,8 @@ def digamma_array(x):
 def trigamma_array(x):
     """Elementwise trigamma psi'(x) for x > 0, absolute error <= 1e-8 on [1e-3, 1e6]."""
     x = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(x)) or np.any(x <= 0.0):
-        raise ConfigError("trigamma requires finite x > 0")
-    x, acc = _shift(x, 2)
+    _check_domain(x, "trigamma")
+    x, _, acc = recurrence_shift(x)
     inv = 1.0 / x
     inv2 = inv * inv
     result = inv + 0.5 * inv2

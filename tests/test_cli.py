@@ -137,6 +137,16 @@ class TestTrain:
         ])
         assert code == 2
 
+    def test_directory_at_training_path_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "synth.train.jsonl").mkdir()
+        code = main([
+            "train", "--data", str(tmp_path / "synth"), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "synth.train.jsonl") in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("edit", [
         lambda doc: doc["features"].__setitem__(0, float("nan")),
         lambda doc: doc["features"].append(1.0),
@@ -283,6 +293,18 @@ class TestScore:
         err = capsys.readouterr().err
         assert str(tmp_path / "synth.test.jsonl") in err and "expects 4" in err
         assert not (tmp_path / "o" / "scores.csv").exists()
+
+    def test_directory_at_test_path_is_data_error(self, pipeline, tmp_path, capsys):
+        (tmp_path / "synth.test.jsonl").mkdir()
+        (tmp_path / "synth.ood.jsonl").write_bytes((pipeline / "synth.ood.jsonl").read_bytes())
+        code = main([
+            "score", "--checkpoint", str(pipeline / "checkpoint.json"),
+            "--data", str(tmp_path / "synth"), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "synth.test.jsonl") in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_checkpoint_is_data_error(self, pipeline, tmp_path):
         code = main([
@@ -781,7 +803,15 @@ class TestExitCodes:
         assert main(["frobnicate"]) == 1
 
     @pytest.mark.parametrize("command", ["train", "score"])
-    def test_unwritable_out_is_config_error(self, pipeline, tmp_path, capsys, command):
+    def test_unwritable_out_is_config_error(
+        self, pipeline, tmp_path, capsys, monkeypatch, command
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError(f"{command} ran before rejecting --out")
+
+        # the check comes before the work, not after it
+        work = {"train": "train", "score": "predict_batch"}[command]
+        monkeypatch.setattr(cli_mod, work, must_not_run)
         blocker = tmp_path / "blocked"
         blocker.write_text("not a directory")
         data = str(pipeline / "synth")

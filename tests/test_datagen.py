@@ -269,6 +269,12 @@ class TestJsonlRoundTrip:
         with pytest.raises(DataError, match=f"{path}: cannot decode"):
             read_jsonl(path)
 
+    def test_directory_names_file(self, tmp_path):
+        path = tmp_path / "dir.jsonl"
+        path.mkdir()
+        with pytest.raises(DataError, match=f"{path}: cannot read"):
+            read_jsonl(path)
+
     def test_document_split_over_lines_is_malformed(self, tmp_path):
         # parsed in bulk these lines would read as three documents
         row = '{"features": [1.0], "labels": [1], "split": "train"}'

@@ -16,10 +16,9 @@ from betaood.loss import (
     beta_loss,
     beta_loss_grad,
     evidence_stack,
-    loss_terms,
-    mean_loss_grad,
+    loss_and_grad,
 )
-from betaood.model import ArchConfig, _batch_gradients, _forward_batch, init_params
+from betaood.model import ArchConfig, _batch_gradients, init_params
 from betaood.special import digamma_array, quadrature_expected_bce, trigamma_array
 
 
@@ -157,9 +156,16 @@ def _three_row_mean_loss_grad(alpha, beta, y):
 
 
 def _three_row_batch_gradients(params, x, y):
-    """model._batch_gradients as it was on the three-row stack."""
+    """model._batch_gradients as it was on the three-row stack, with its own
+    forward pass and each head through its own ELU and ELU derivative."""
     n = x.shape[0]
-    pre_acts, acts, f_pos, f_neg = _forward_batch(params, x)
+    pre_acts = []
+    acts = [x]
+    for w, b in zip(params.hidden_weights, params.hidden_biases):
+        pre_acts.append(acts[-1] @ w.T + b)
+        acts.append(elu_array(pre_acts[-1]))
+    f_pos = acts[-1] @ params.w_pos.T + params.b_pos
+    f_neg = acts[-1] @ params.w_neg.T + params.b_neg
     alpha, beta = elu_array(f_pos) + 2.0, elu_array(f_neg) + 2.0
     losses = _three_row_loss_terms(alpha, beta, y).mean(axis=1)
     d_alpha, d_beta = _three_row_mean_loss_grad(alpha, beta, y)
@@ -218,8 +224,8 @@ class TestTwoRowStackMatchesThreeRow:
         alpha, beta, y = case
         stack = evidence_stack(alpha, beta, y)
         assert stack.shape == (2, *alpha.shape)
-        assert np.array_equal(loss_terms(stack), _three_row_loss_terms(alpha, beta, y))
-        d_alpha, d_beta = mean_loss_grad(stack, y)
+        terms, d_alpha, d_beta = loss_and_grad(stack, y)
+        assert np.array_equal(terms, _three_row_loss_terms(alpha, beta, y))
         want_alpha, want_beta = _three_row_mean_loss_grad(alpha, beta, y)
         assert np.array_equal(d_alpha, want_alpha)
         assert np.array_equal(d_beta, want_beta)
@@ -240,12 +246,34 @@ class TestTwoRowStackMatchesThreeRow:
         y = rng.integers(0, 2, size=(rows, labels)).astype(float)
         y[0] = 1.0
         y[-1] = 0.0
-        losses, grads = _batch_gradients(params, x, y)
-        want_losses, want = _three_row_batch_gradients(params, x, y)
-        assert np.array_equal(losses, want_losses)
-        for key in ("w_pos", "b_pos", "w_neg", "b_neg"):
-            assert np.array_equal(grads[key], want[key])
-        for key in ("hidden_weights", "hidden_biases"):
-            assert len(grads[key]) == len(hidden)
-            for got, expected in zip(grads[key], want[key]):
-                assert np.array_equal(got, expected)
+        _assert_matches_reference(params, x, y)
+
+
+def _assert_matches_reference(params, x, y):
+    losses, grads = _batch_gradients(params, x, y)
+    want_losses, want = _three_row_batch_gradients(params, x, y)
+    assert np.array_equal(losses, want_losses)
+    for key in ("w_pos", "b_pos", "w_neg", "b_neg"):
+        assert np.array_equal(grads[key], want[key])
+    for key in ("hidden_weights", "hidden_biases"):
+        assert len(grads[key]) == len(params.hidden_weights)
+        for got, expected in zip(grads[key], want[key]):
+            assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("rows, features, hidden, labels", [
+    (64, 8, (32,), 5),  # default and scaled
+    (16, 8, (32,), 5),  # their last batch of an epoch
+    (64, 64, (128,), 32),  # wide
+    (1, 64, (128,), 32),  # a one-row last batch
+    (64, 8, (32,), 1),  # one label: each head's product is a matrix-vector one
+    (9, 3, (6, 3), 1),
+], ids=["default", "default_last", "wide", "wide_one_row", "one_label", "tiny_one_label"])
+def test_head_block_bit_equal_to_separate_heads(rows, features, hidden, labels):
+    """The (N, 2L) ELU block and the two-row stack give what separate heads
+    through their own ELU and ELU derivative give, at the workloads' shapes."""
+    rng = np.random.default_rng(rows + labels)
+    params = init_params(ArchConfig(features, hidden, labels), seed=rows)
+    x = 3.0 * rng.normal(size=(rows, features))
+    y = rng.integers(0, 2, size=(rows, labels)).astype(float)
+    _assert_matches_reference(params, x, y)

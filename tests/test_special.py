@@ -3,6 +3,9 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from betaood.errors import ConfigError, NumericError
 from betaood.evidence import elu_array, elu_grad_array
@@ -12,6 +15,7 @@ from betaood.special import (
     beta_pdf,
     digamma_array,
     quadrature_expected_bce,
+    recurrence_shift,
     trigamma_array,
 )
 
@@ -110,7 +114,7 @@ def test_finite_difference_cross_check():
 def _boolean_index_reference(x, digamma_kind: bool):
     """The array functions' earlier form: the recurrence shift updates only the
     still-small entries through boolean indexing.  Kept as the exactness
-    reference for the gathered shift in `special._shift`."""
+    reference for the gathered shift in `special.recurrence_shift`."""
     x = np.array(x, dtype=float)
     acc = np.zeros_like(x)
     while True:
@@ -164,6 +168,7 @@ def test_stacked_calls_bit_equal_per_slice_and_reference():
         np.array(6.0),
         stack[:2].transpose(2, 1, 0),
         alpha.T,
+        np.empty((0, 5)),
     ]
     for x in cases:
         before = x.copy()
@@ -172,6 +177,74 @@ def test_stacked_calls_bit_equal_per_slice_and_reference():
             assert np.shape(got) == x.shape
             assert np.array_equal(got, _boolean_index_reference(x, digamma_kind))
         assert np.array_equal(x, before)
+
+
+@pytest.mark.filterwarnings("error")
+def test_tiny_arguments_give_the_loop_values_without_warnings():
+    # the shift sums 1/x**2 for trigamma on every call: its overflow below
+    # about 1e-154 must not reach digamma, and trigamma's value there is inf
+    x = np.array([1e-200, 1e-160, 1e-3, 2.0])
+    assert np.array_equal(digamma_array(x), _boolean_index_reference(x, True))
+    psi1 = trigamma_array(x)
+    assert psi1[0] == psi1[1] == np.inf
+    assert np.array_equal(psi1[2:], _boolean_index_reference(x[2:], False))
+
+
+def _masked_loop_shift(x):
+    """The recurrence shift as a step-by-step loop: every entry still below 6
+    adds -1/x and +1/x**2 to its sums and steps up by 1; the others add
+    1/inf = 0 and stay."""
+    x = np.array(x, dtype=float)
+    psi_sum = np.zeros_like(x)
+    psi1_sum = np.zeros_like(x)
+    while True:
+        small = x < 6.0
+        if not small.any():
+            break
+        masked = np.where(small, x, np.inf)
+        psi_sum = psi_sum - 1.0 / masked
+        psi1_sum = psi1_sum + 1.0 / (masked * masked)
+        x = x + small
+    return x, psi_sum, psi1_sum
+
+
+# entries at and just below the threshold, at the domain's low end, and 1e200
+# beside small ones: its square must not overflow in the shift
+_SHIFT_ELEMENTS = st.one_of(
+    st.sampled_from([6.0, np.nextafter(6.0, 0.0), 1e-3, 1e200]),
+    st.floats(1e-3, 7.0),
+    st.floats(1e-3, 1e200),
+)
+
+
+@pytest.mark.filterwarnings("error")
+@given(
+    x=hnp.arrays(
+        float,
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+        elements=_SHIFT_ELEMENTS,
+    ),
+    transpose=st.booleans(),
+)
+@example(x=np.geomspace(1e-3, np.nextafter(6.0, 0.0), 12).reshape(3, 4), transpose=False)
+@example(x=np.geomspace(6.0, 1e200, 12).reshape(4, 3), transpose=False)
+@example(x=np.array([1e-3, 1e200, 6.0, np.nextafter(6.0, 0.0)]), transpose=False)
+@example(x=np.array(0.5), transpose=False)
+@example(x=np.array(6.0), transpose=False)
+@example(x=np.empty((0, 3)), transpose=False)
+@example(x=np.geomspace(1e-3, 1e3, 12).reshape(2, 3, 2), transpose=True)
+@settings(max_examples=300, deadline=None)
+def test_recurrence_shift_bit_equal_to_masked_loop(x, transpose):
+    if transpose:
+        x = x.T
+    before = x.copy()
+    shifted, psi_sum, psi1_sum = recurrence_shift(x)
+    want_x, want_psi, want_psi1 = _masked_loop_shift(x)
+    assert np.shape(shifted) == x.shape
+    assert np.array_equal(shifted, want_x)
+    assert np.array_equal(np.broadcast_to(psi_sum, x.shape), want_psi)
+    assert np.array_equal(np.broadcast_to(psi1_sum, x.shape), want_psi1)
+    assert np.array_equal(x, before)
 
 
 class TestBetaPdf:
