@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -35,6 +36,7 @@ from .metrics import (
 from .model import (
     ArchConfig,
     TrainConfig,
+    check_fields,
     checkpoint_from_json,
     checkpoint_to_json,
     predict_batch,
@@ -58,14 +60,7 @@ _GEN_DEFAULTS = {
     "ood_samples": 500,
 }
 
-_TRAIN_DEFAULTS = {
-    "hidden": [32],
-    "learning_rate_backbone": 0.05,
-    "learning_rate_head": 10.0,
-    "epochs": 20,
-    "batch_size": 64,
-    "seed": 0,
-}
+_TRAIN_DEFAULTS = {"hidden": [32], **asdict(TrainConfig())}
 
 _SCORE_DEFAULTS = {
     "scores": list(SCORE_NAMES),
@@ -74,41 +69,9 @@ _SCORE_DEFAULTS = {
 }
 
 
-# What a config value must be, by the type of its default: (one, list of them).
-_EXPECTED = {
-    int: ("an integer", "integers"),
-    float: ("a finite number", "finite numbers"),
-    str: ("a string", "strings"),
-}
-
-
-def _has_type_of(value, default) -> bool:
-    if isinstance(value, bool):
-        return False
-    if isinstance(default, float):
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    return isinstance(value, type(default))
-
-
-def _check_types(doc: dict, defaults: dict, path) -> None:
-    """Each value must have its default's type; a list, its first element's."""
-    for key, value in doc.items():
-        default = defaults[key]
-        if isinstance(default, list):
-            ok = isinstance(value, list) and all(_has_type_of(v, default[0]) for v in value)
-            expected = f"a list of {_EXPECTED[type(default[0])][1]}"
-        else:
-            ok = _has_type_of(value, default)
-            expected = _EXPECTED[type(default)][0]
-        if not ok:
-            raise ConfigError(
-                f"config key {key!r} in {path} must be {expected}, got {value!r}"
-            )
-
-
 def _load_config(path, defaults: dict, overrides: dict) -> dict:
-    """Merge defaults < config file < explicit flags; reject unknown keys and
-    values whose type differs from the default's."""
+    """Merge defaults < config file < explicit flags; the file's keys and values
+    and the flags' values go through the one key/type rule (check_fields)."""
     merged = dict(defaults)
     if path is not None:
         try:
@@ -116,18 +79,13 @@ def _load_config(path, defaults: dict, overrides: dict) -> dict:
                 doc = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # undecodable bytes or invalid JSON
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config {path} must be a JSON object")
-        unknown = sorted(set(doc) - set(defaults))
-        if unknown:
-            raise ConfigError(f"unknown config keys in {path}: {', '.join(unknown)}")
-        _check_types(doc, defaults, path)
+        check_fields(doc, defaults, f"config {path}")
         merged.update(doc)
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
+    flags = {key: value for key, value in overrides.items() if value is not None}
+    check_fields(flags, defaults, "command line")
+    merged.update(flags)
     return merged
 
 
@@ -147,13 +105,12 @@ def _check_out(out: str) -> None:
 
 
 def _prepare_out(out: str) -> Path:
+    """Create --out, which _check_out accepted before the command's work."""
     out_dir = Path(out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-    if not os.access(out_dir, os.W_OK):
-        raise ConfigError(f"output directory {out} is not writable")
     return out_dir
 
 
@@ -176,7 +133,7 @@ def cli():
 def cmd_gen_data(config_path, out, seed, name):
     """Generate the four JSONL dataset files (train/val/test/ood)."""
     cfg = _load_config(config_path, _GEN_DEFAULTS, {"seed": seed, "name": name})
-    out_dir = _prepare_out(out)
+    _check_out(out)
     spec = default_spec(
         feature_dim=cfg["feature_dim"],
         label_count=cfg["label_count"],
@@ -197,6 +154,7 @@ def cmd_gen_data(config_path, out, seed, name):
     )
     ind = generate_ind(spec)
     ood = generate_ood(spec, ood_spec)
+    out_dir = _prepare_out(out)
     base = cfg["name"]
     for split, ds in ind.items():
         write_jsonl(ds, out_dir / f"{base}.{split}.jsonl")
@@ -235,13 +193,7 @@ def cmd_train(config_path, data, out, seed, epochs, batch_size):
         hidden=tuple(cfg["hidden"]),
         label_count=ds.Y.shape[1],
     )
-    tc = TrainConfig(
-        learning_rate_backbone=cfg["learning_rate_backbone"],
-        learning_rate_head=cfg["learning_rate_head"],
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        seed=cfg["seed"],
-    )
+    tc = TrainConfig(**{k: v for k, v in cfg.items() if k != "hidden"})
     ckpt = train(ds.X, ds.Y, arch, tc)
     # created only now, so that a run that fails leaves no directory behind
     out_dir = _prepare_out(out)
@@ -260,7 +212,7 @@ def _load_checkpoint(path):
         raise DataError(f"checkpoint not found: {ckpt_path}")
     try:
         return checkpoint_from_json(ckpt_path.read_text())
-    except (ConfigError, DataError) as exc:
+    except (OSError, ValueError, ConfigError, DataError) as exc:
         raise DataError(f"checkpoint {ckpt_path}: {exc}") from exc
 
 
@@ -282,11 +234,7 @@ def cmd_score(config_path, checkpoint, data, out, scores_arg, lambda1, lambda2):
     }
     cfg = _load_config(config_path, _SCORE_DEFAULTS, overrides)
     requested = cfg["scores"]
-    bad = [s for s in requested if s not in SCORE_NAMES]
-    if bad:
-        raise ConfigError(
-            f"unknown score name(s) {', '.join(bad)}; valid: {', '.join(SCORE_NAMES)}"
-        )
+    _check_score_names(requested, SCORE_NAMES, "valid")
     _check_out(out)
     ckpt = _load_checkpoint(checkpoint)
     test_path = Path(f"{data}.test.jsonl")
@@ -298,7 +246,9 @@ def cmd_score(config_path, checkpoint, data, out, scores_arg, lambda1, lambda2):
     ood = read_jsonl(ood_path)
     input_dim = ckpt.params.arch.input_dim
     for p, group in ((test_path, test), (ood_path, ood)):
-        if len(group) and group.X.shape[1] != input_dim:
+        if not len(group):
+            raise DataError(f"dataset file {p} has no rows")
+        if group.X.shape[1] != input_dim:
             raise DataError(
                 f"{p} has {group.X.shape[1]} features per row, but "
                 f"checkpoint {checkpoint} expects {input_dim}"
@@ -329,13 +279,30 @@ def cmd_score(config_path, checkpoint, data, out, scores_arg, lambda1, lambda2):
         [str(i), *map(repr, p), *map(str, y)]
         for i, (p, y) in enumerate(zip(groups[0][2].tolist(), test.Y.tolist()))
     )
-    n_labels = ckpt.params.arch.label_count
-    header = ["sample_id"]
-    header += [f"p_{j}" for j in range(n_labels)]
-    header += [f"y_{j}" for j in range(n_labels)]
-    write_table(out_dir / "preds.csv", header, pred_rows)
+    write_table(out_dir / "preds.csv", _preds_header(ckpt.params.arch.label_count), pred_rows)
     _echo_config(out_dir, "score", cfg)
     click.echo(f"scored {len(test) + len(ood)} samples ({len(test)} IND, {len(ood)} OOD)")
+
+
+def _check_score_names(names: list, known, listing: str) -> None:
+    """Each requested score name is one of ``known`` and is listed once."""
+    unknown = [nm for nm in names if nm not in known]
+    if unknown:
+        raise ConfigError(
+            f"unknown score name(s) {', '.join(unknown)}; {listing}: {', '.join(known)}"
+        )
+    twice = [nm for i, nm in enumerate(names) if nm in names[:i]]
+    if twice:
+        raise ConfigError(f"score name {twice[0]!r} is listed twice")
+
+
+def _preds_header(n_labels: int) -> list[str]:
+    """The columns of a predictions CSV, as score writes them and eval reads them."""
+    return ["sample_id", *(f"p_{j}" for j in range(n_labels)),
+            *(f"y_{j}" for j in range(n_labels))]
+
+
+_METRICS_HEADER = ["score", "fpr95", "auroc", "aupr"]
 
 
 def _read_scores_csv(path):
@@ -346,8 +313,8 @@ def _read_scores_csv(path):
             raise DataError(
                 f"scores CSV {path} must start with sample_id,is_ood columns"
             )
-        if len(set(header[2:])) != len(header) - 2:
-            raise DataError(f"scores CSV {path} names a score column twice")
+        if len(set(header)) != len(header):
+            raise DataError(f"scores CSV {path} names a column twice")
         return [int, int] + [float] * (len(header) - 2)
 
     header, columns = read_table(path, "scores CSV", schema)
@@ -366,23 +333,39 @@ def _check_unique(values: list, path, what: str) -> None:
         seen[value] = i
 
 
-def _check_finite(columns: dict, names, path) -> None:
-    """Reject the first non-finite score of the named columns by line and column."""
-    for nm in names:
-        bad = np.flatnonzero(~np.isfinite(columns[nm]))
-        if bad.size:
-            raise DataError(
-                f"{path}:{bad[0] + 2}: column {nm!r} holds a non-finite score "
-                f"({float(columns[nm][bad[0]])!r})"
-            )
+# What a CSV cell may hold: (test over a column's values, what the cell must be).
+_FINITE = (np.isfinite, "a finite number")
+_BINARY = (lambda v: (v == 0) | (v == 1), "0 or 1")
+_UNIT = (lambda v: (v >= 0) & (v <= 1), "a number in [0, 1]")
+
+
+def _check_cells(path, cells: dict) -> None:
+    """Reject the first cell, by line and then by column, that breaks its rule;
+    ``cells`` maps each checked column's name to its values and its rule."""
+    first = None
+    for nm, (values, (test, wanted)) in cells.items():
+        ok = test(values)
+        if not ok.all() and (first is None or np.argmin(ok) < first[0]):
+            first = (int(np.argmin(ok)), nm, wanted)
+    if first is not None:
+        i, nm, wanted = first
+        raise DataError(
+            f"{path}:{i + 2}: column {nm!r} holds {cells[nm][0][i].item()!r}, not {wanted}"
+        )
+
+
+def _check_score_cells(path, is_ood, columns: dict, names) -> None:
+    """The scores CSV's cell rules: is_ood is 0 or 1, and each named score finite."""
+    scores = {nm: (columns[nm], _FINITE) for nm in names}
+    _check_cells(path, {"is_ood": (is_ood, _BINARY), **scores})
 
 
 def _read_preds_csv(path):
     """Returns the (N, L) probabilities and the (N, L) labels."""
 
     def schema(header):
-        n_labels = sum(1 for h in header if h.startswith("p_"))
-        if header[:1] != ["sample_id"] or n_labels < 1 or len(header) != 1 + 2 * n_labels:
+        n_labels = (len(header) - 1) // 2
+        if n_labels < 1 or header != _preds_header(n_labels):
             raise DataError(
                 f"predictions CSV {path} must have columns sample_id, p_0.., y_0.."
             )
@@ -403,21 +386,17 @@ def _read_preds_csv(path):
 @click.option("--out", required=True, type=click.Path())
 def cmd_eval(scores_csv, scores_arg, preds_csv, aggregate, out):
     """Detection metrics per score plus ROC export; or aggregate over runs."""
-    out_dir = _prepare_out(out)
+    _check_out(out)
     if aggregate is not None:
-        _aggregate_metrics(aggregate.split(","), out_dir)
+        _aggregate_metrics(aggregate.split(","), out)
         return
     if scores_csv is None:
         raise ConfigError("either --scores-csv or --aggregate is required")
     is_ood, columns = _read_scores_csv(scores_csv)
     requested = scores_arg.split(",") if scores_arg else list(columns)
-    missing = [s for s in requested if s not in columns]
-    if missing:
-        raise ConfigError(
-            f"score column(s) not in {scores_csv}: {', '.join(missing)}"
-        )
-    # every column is checked before any output file is written
-    _check_finite(columns, requested, scores_csv)
+    _check_score_names(requested, list(columns), f"columns of {scores_csv}")
+    # every cell is checked before any output file is written
+    _check_score_cells(scores_csv, is_ood, columns, requested)
     try:
         datasets = [
             (nm, ScoredDataset(scores=columns[nm], is_ood=is_ood)) for nm in requested
@@ -426,17 +405,21 @@ def cmd_eval(scores_csv, scores_arg, preds_csv, aggregate, out):
         raise DataError(f"{scores_csv}: {exc}") from exc
     if preds_csv is not None:
         probs, labels = _read_preds_csv(preds_csv)
+        rules = [_UNIT] * probs.shape[1] + [_BINARY] * labels.shape[1]
+        values = [*probs.T, *labels.T]
+        _check_cells(preds_csv, dict(zip(_preds_header(probs.shape[1])[1:], zip(values, rules))))
         try:
             value = mean_average_precision(probs, labels)
         except DataError as exc:
             raise DataError(f"{preds_csv}: {exc}") from exc
+    out_dir = _prepare_out(out)
     rows = []
     for nm, ds in datasets:
         curve = roc_curve(ds)
         m = detection_metrics(curve)
         rows.append([nm, repr(m.fpr95), repr(m.auroc), repr(m.aupr)])
         write_roc_csv(curve, out_dir / f"roc_{nm}.csv")
-    write_table(out_dir / "metrics.csv", ["score", "fpr95", "auroc", "aupr"], rows)
+    write_table(out_dir / "metrics.csv", _METRICS_HEADER, rows)
     if preds_csv is not None:
         write_table(out_dir / "map.csv", ["metric", "value"], [["map", repr(value)]])
     click.echo(f"evaluated {len(requested)} score(s) into {out_dir}")
@@ -446,42 +429,33 @@ def _metrics_schema(header):
     return [str] + [float] * (len(header) - 1)
 
 
-def _aggregate_metrics(paths, out_dir: Path) -> None:
+def _aggregate_metrics(paths, out: str) -> None:
     """Mean and median of every (score, metric) cell across run metrics files."""
     tables = []
     for p in paths:
         mp = Path(p)
         header, (names, *metrics) = read_table(mp, "metrics CSV", _metrics_schema)
+        if header != _METRICS_HEADER:
+            raise DataError(f"metrics CSV {mp} must have columns {','.join(_METRICS_HEADER)}")
         _check_unique(names, mp, "score")
+        _check_cells(mp, {nm: (v, _UNIT) for nm, v in zip(_METRICS_HEADER[1:], metrics)})
         values = [column.tolist() for column in metrics]
-        rows = {nm: [column[i] for column in values] for i, nm in enumerate(names)}
-        tables.append((mp, header[1:], rows))
-    first, metric_names, first_rows = tables[0]
-    for mp, header, rows in tables[1:]:
-        if header != metric_names:
+        tables.append((mp, {nm: [column[i] for column in values] for i, nm in enumerate(names)}))
+    first, first_rows = tables[0]
+    for mp, rows in tables[1:]:
+        if rows.keys() != first_rows.keys():
+            only_one = sorted(rows.keys() ^ first_rows.keys())
             raise DataError(
-                f"metrics CSV {mp} has metric columns {header}, "
-                f"but {first} has {metric_names}"
-            )
-        missing = [nm for nm in first_rows if nm not in rows]
-        if missing:
-            raise DataError(
-                f"metrics CSV {mp} has no row for score(s) {', '.join(missing)} "
-                f"found in {first}"
-            )
-        extra = [nm for nm in rows if nm not in first_rows]
-        if extra:
-            raise DataError(
-                f"metrics CSV {first} has no row for score(s) {', '.join(extra)} "
-                f"found in {mp}"
+                f"metrics CSVs {first} and {mp} differ in rows for score(s) {', '.join(only_one)}"
             )
     out_rows = []
     for nm in first_rows:
-        for j, metric in enumerate(metric_names):
-            values = [rows[nm][j] for _, _, rows in tables]
+        for j, metric in enumerate(_METRICS_HEADER[1:]):
+            values = [rows[nm][j] for _, rows in tables]
             out_rows.append(
                 [nm, metric, repr(float(np.mean(values))), repr(float(np.median(values)))]
             )
+    out_dir = _prepare_out(out)
     write_table(out_dir / "aggregate.csv", ["score", "metric", "mean", "median"], out_rows)
     click.echo(f"aggregated {len(paths)} run(s) into {out_dir / 'aggregate.csv'}")
 
@@ -493,14 +467,14 @@ def _aggregate_metrics(paths, out_dir: Path) -> None:
 @click.option("--out", required=True, type=click.Path())
 def cmd_sweep_lambda(scores_csv, lambda2_arg, out):
     """Metrics of the combined sum score over a lambda2 grid; writes sweep.csv."""
-    out_dir = _prepare_out(out)
+    _check_out(out)
     is_ood, columns = _read_scores_csv(scores_csv)
     for needed in ("u_s_p", "u_s_n"):
         if needed not in columns:
             raise ConfigError(
                 f"sweep-lambda needs column {needed!r} in {scores_csv}"
             )
-    _check_finite(columns, ("u_s_p", "u_s_n"), scores_csv)
+    _check_score_cells(scores_csv, is_ood, columns, ("u_s_p", "u_s_n"))
     if lambda2_arg:
         try:
             grid = [float(v) for v in lambda2_arg.split(",")]
@@ -526,6 +500,7 @@ def cmd_sweep_lambda(scores_csv, lambda2_arg, out):
     for lam, ds in zip(grid, datasets):
         m = detection_metrics(roc_curve(ds))
         rows.append([repr(lam), repr(m.fpr95), repr(m.auroc), repr(m.aupr)])
+    out_dir = _prepare_out(out)
     write_table(out_dir / "sweep.csv", ["lambda2", "fpr95", "auroc", "aupr"], rows)
     click.echo(f"swept {len(grid)} lambda2 values into {out_dir / 'sweep.csv'}")
 

@@ -283,52 +283,52 @@ def read_jsonl(path) -> Dataset:
     return Dataset(X=X, Y=np.concatenate([y for _, y, _ in parts]), split=parts[0][2])
 
 
+def _broken_rule(X: np.ndarray, Y: np.ndarray, labels, ndim: int, first) -> str | None:
+    """The first rule that one row (ndim 1) or a chunk of rows (ndim 2) breaks,
+    or None: features and labels are lists of numbers, labels are 0 or 1 and
+    equal their float reading (0.7 is not 0), and a row has as many features
+    and labels as ``first``, the file's first row as (features, labels, line)."""
+    if not X.ndim == Y.ndim == ndim:
+        return "features and labels must be lists of numbers"
+    if not (np.array_equal(Y, np.array(labels, dtype=float)) and np.all((Y == 0) | (Y == 1))):
+        return f"labels must be 0 or 1, got {labels!r}"
+    if first and (X.shape[-1], Y.shape[-1]) != first[:2]:
+        return (f"{X.shape[-1]} features and {Y.shape[-1]} labels, "
+                f"but line {first[2]} has {first[0]} and {first[1]}")
+    return None
+
+
 def _stack_rows(path, docs: list, linenos: list[int], parts: list):
-    """(X, Y, first split) of consecutive parsed rows, converted at once and checked
-    against the first row; a row that breaks a rule is found by _raise_first_bad_row."""
+    """(X, Y, first split) of consecutive parsed rows, converted and checked at
+    once; a chunk that breaks a rule goes to _raise_first_bad_row."""
+    first = (parts[0][0].shape[1], parts[0][1].shape[1], linenos[0]) if parts else None
     try:
         X = np.array([doc["features"] for doc in docs], dtype=float)
         labels = [[] if doc["labels"] is None else doc["labels"] for doc in docs]
         Y = np.array(labels, dtype=int)
         splits = [doc["split"] for doc in docs]
-        X0, Y0, _ = parts[0] if parts else (X, Y, None)
-        valid = (
-            X.ndim == Y.ndim == 2
-            and (X.shape[1], Y.shape[1]) == (X0.shape[1], Y0.shape[1])
-            and np.array_equal(Y, np.array(labels, dtype=float))
-            and np.all((Y == 0) | (Y == 1))
-        )
+        valid = _broken_rule(X, Y, labels, 2, first) is None
     except (KeyError, TypeError, ValueError, OverflowError):
         valid = False
     if not valid:
-        _raise_first_bad_row(path, docs, linenos, parts)
+        _raise_first_bad_row(path, docs, linenos, first)
     return X, Y, splits[0]
 
 
-def _raise_first_bad_row(path, docs: list, linenos: list[int], parts: list) -> None:
+def _raise_first_bad_row(path, docs: list, linenos: list[int], first) -> None:
     """Raise for the first row of this chunk that breaks a rule; earlier chunks passed."""
-    first = (parts[0][0].shape[1], parts[0][1].shape[1]) if parts else None
     for doc, lineno in zip(docs, linenos[len(linenos) - len(docs):]):
         try:
             if isinstance(doc, json.JSONDecodeError):
                 raise doc
             features = np.asarray(doc["features"], dtype=float)
-            labels = doc["labels"]
+            labels = [] if doc["labels"] is None else doc["labels"]
             doc["split"]  # required, though only the first row's is kept
-            y = np.asarray([] if labels is None else labels, dtype=int)
-            y_float = np.asarray([] if labels is None else labels, dtype=float)
+            y = np.asarray(labels, dtype=int)
+            problem = _broken_rule(features, y, labels, 1, first)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{path}:{lineno}: malformed dataset line: {exc}") from exc
-        if features.ndim != 1 or y.ndim != 1:
-            raise DataError(
-                f"{path}:{lineno}: features and labels must be lists of numbers"
-            )
-        if not (np.array_equal(y, y_float) and np.all((y == 0) | (y == 1))):
-            raise DataError(f"{path}:{lineno}: labels must be 0 or 1, got {labels!r}")
-        first = first or (features.size, y.size)
-        if (features.size, y.size) != first:
-            raise DataError(
-                f"{path}:{lineno}: {features.size} features and {y.size} labels, "
-                f"but line {linenos[0]} has {first[0]} and {first[1]}"
-            )
+        if problem:
+            raise DataError(f"{path}:{lineno}: {problem}")
+        first = first or (features.size, y.size, lineno)
     raise DataError(f"{path}: rows do not stack into one table")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -45,9 +45,44 @@ class ArchConfig:
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
 
-def _is_finite_number(value) -> bool:
-    """An int or float (not a bool) of finite magnitude."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+# What a value must be, by the type of the example it is checked against.
+_KINDS = {int: "an integer >= {lowest}", float: "a finite number", str: "a string",
+          dict: "a JSON object"}
+
+
+def _fits(value, example, lowest: int) -> bool:
+    if isinstance(example, list):
+        return isinstance(value, list) and all(_fits(v, example[0], lowest) for v in value)
+    if isinstance(value, bool):
+        return False
+    if isinstance(example, float):
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(example, int):
+        return isinstance(value, int) and value >= lowest
+    return isinstance(value, type(example))
+
+
+def check_fields(doc, examples: dict, where: str) -> None:
+    """The one key/type rule of config files, command-line flags, checkpoints and
+    TrainConfig: ``doc`` is an object whose keys are all ``examples``' keys.
+
+    Each value has the type of its key's example.  A bool is neither an int
+    nor a float; an int is a count >= 1, or for ``seed`` >= 0; a float is a
+    finite number, an int included; a list holds values of the type of its
+    example's first element.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"malformed {where}: must be a JSON object")
+    unknown = sorted(set(doc) - set(examples))
+    if unknown:
+        raise ConfigError(f"malformed {where}: unknown key(s) {', '.join(unknown)}")
+    for key, value in doc.items():
+        example, lowest = examples[key], 0 if key == "seed" else 1
+        if not _fits(value, example, lowest):
+            many = isinstance(example, list)
+            kind = _KINDS[type(example[0] if many else example)].format(lowest=lowest)
+            expected = f"a list, each item {kind}" if many else kind
+            raise ConfigError(f"malformed {where}: {key!r} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -59,14 +94,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(asdict(self), _TRAIN_FIELDS, "train config")
         for key in ("learning_rate_backbone", "learning_rate_head"):
-            rate = getattr(self, key)
-            if not _is_finite_number(rate) or rate < 0:
-                raise ConfigError(f"{key} must be a finite number >= 0, got {rate!r}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)!r}")
+
+
+_TRAIN_FIELDS = {f.name: f.default for f in fields(TrainConfig)}
+# A checkpoint's keys, and the arch's, with an example value of each type
+# (check_fields); params are checked for shape and finiteness by _check_params.
+_CHECKPOINT_FIELDS = {"format_version": CHECKPOINT_FORMAT_VERSION, "arch": {},
+                      "train_config": {}, "params": {}, "loss_trace": [0.0]}
+_ARCH_FIELDS = {"input_dim": 1, "hidden": [1], "label_count": 1}
 
 
 @dataclass
@@ -260,18 +299,8 @@ def checkpoint_to_json(ckpt: Checkpoint) -> str:
     """Canonical JSON serialization; floats use shortest round-trip repr."""
     doc = {
         "format_version": ckpt.format_version,
-        "arch": {
-            "input_dim": ckpt.params.arch.input_dim,
-            "hidden": list(ckpt.params.arch.hidden),
-            "label_count": ckpt.params.arch.label_count,
-        },
-        "train_config": {
-            "learning_rate_backbone": ckpt.train_config.learning_rate_backbone,
-            "learning_rate_head": ckpt.train_config.learning_rate_head,
-            "epochs": ckpt.train_config.epochs,
-            "batch_size": ckpt.train_config.batch_size,
-            "seed": ckpt.train_config.seed,
-        },
+        "arch": asdict(ckpt.params.arch),
+        "train_config": asdict(ckpt.train_config),
         "params": {
             "hidden_weights": [w.tolist() for w in ckpt.params.hidden_weights],
             "hidden_biases": [b.tolist() for b in ckpt.params.hidden_biases],
@@ -315,8 +344,7 @@ def checkpoint_from_json(text: str) -> Checkpoint:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed checkpoint JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError("checkpoint JSON must be an object")
+    check_fields(doc, _CHECKPOINT_FIELDS, "checkpoint")
     version = doc.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise DataError(
@@ -324,11 +352,9 @@ def checkpoint_from_json(text: str) -> Checkpoint:
             f"(expected {CHECKPOINT_FORMAT_VERSION})"
         )
     try:
-        arch = ArchConfig(
-            input_dim=doc["arch"]["input_dim"],
-            hidden=tuple(doc["arch"]["hidden"]),
-            label_count=doc["arch"]["label_count"],
-        )
+        check_fields(doc["arch"], _ARCH_FIELDS, "arch")
+        check_fields(doc["train_config"], _TRAIN_FIELDS, "train_config")
+        arch = ArchConfig(**doc["arch"])
         tc = TrainConfig(**doc["train_config"])
         p = doc["params"]
         params = ModelParams(
@@ -345,8 +371,6 @@ def checkpoint_from_json(text: str) -> Checkpoint:
         raise DataError(f"checkpoint is missing key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint field: {exc}") from exc
-    if not (isinstance(loss_trace, list) and all(map(_is_finite_number, loss_trace))):
-        raise DataError("checkpoint key 'loss_trace' must be a list of finite numbers")
     _check_params(params)
     return Checkpoint(
         params=params,

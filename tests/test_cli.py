@@ -120,6 +120,64 @@ def test_config_value_of_wrong_type_is_config_error(
     assert repr(key) in err and cfg in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, flags, doc, key", [
+    ("gen-data", ["--seed", "-1"], None, "seed"),
+    ("train", ["--seed", "-1"], None, "seed"),
+    ("train", [], {"seed": -1}, "seed"),
+    ("gen-data", [], {"feature_dim": -1}, "feature_dim"),
+    ("gen-data", [], {"feature_dim": 0}, "feature_dim"),
+], ids=["gen_seed_flag", "train_seed_flag", "train_seed_key", "dim_minus_1", "dim_0"])
+def test_negative_seed_or_nonpositive_size_is_config_error(
+    pipeline, tmp_path, capsys, command, flags, doc, key
+):
+    # no traceback, and no numpy warning: pytest turns warnings into errors
+    if doc is not None:
+        flags = [*flags, "--config", _write_config(tmp_path, "cfg.json", doc)]
+    data = ["--data", str(pipeline / "synth")] if command == "train" else []
+    out = tmp_path / "o"
+    assert main([command, *flags, *data, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert repr(key) in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("how", ["score_flag", "score_config", "eval_flag"])
+def test_score_name_listed_twice_is_config_error(pipeline, tmp_path, capsys, how):
+    argv = {
+        "score_flag": ["score", "--scores", "u_s_pn,u_m_p,u_s_pn"],
+        "score_config": ["score", "--config", _write_config(
+            tmp_path, "cfg.json", {"scores": ["u_s_pn", "u_m_p", "u_s_pn"]}
+        )],
+        "eval_flag": ["eval", "--scores-csv", str(pipeline / "scores.csv"),
+                      "--scores", "u_s_pn,u_m_p,u_s_pn"],
+    }[how]
+    if argv[0] == "score":
+        argv += ["--checkpoint", str(pipeline / "checkpoint.json"),
+                 "--data", str(pipeline / "synth")]
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert "score name 'u_s_pn' is listed twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "eval", "eval_aggregate", "sweep-lambda"])
+def test_failed_run_creates_no_out(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing.csv")
+    argv = {
+        # every attempt misses a label in a two-row split
+        "gen-data": ["gen-data", "--config", _write_config(
+            tmp_path, "gen.json", {"train_samples": 2}
+        )],
+        "eval": ["eval", "--scores-csv", missing],
+        "eval_aggregate": ["eval", "--aggregate", missing],
+        "sweep-lambda": ["sweep-lambda", "--scores-csv", missing],
+    }[command]
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _copy_rows(src: Path, dst: Path, edit, linenos) -> None:
     """Copy a dataset file, passing the parsed rows on the given lines through edit."""
     lines = src.read_text().splitlines()
@@ -389,6 +447,37 @@ class TestScore:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("train_config", "epochs", 2.5),
+        ("train_config", "seed", "x"),
+        ("train_config", "batch_size", True),
+        ("arch", "hidden", [8.0]),
+    ], ids=["epochs_float", "seed_string", "batch_size_bool", "hidden_float"])
+    def test_checkpoint_value_of_wrong_type_names_checkpoint_and_key(
+        self, pipeline, tmp_path, capsys, section, key, value
+    ):
+        self.test_bad_checkpoint_field_names_checkpoint_and_key(
+            pipeline, tmp_path, capsys, section, key, value
+        )
+
+    @pytest.mark.parametrize("split", ["test", "ood"])
+    def test_dataset_file_without_rows_is_data_error(self, pipeline, tmp_path, capsys, split):
+        for name in ("test", "ood"):
+            text = (pipeline / f"synth.{name}.jsonl").read_text()
+            (tmp_path / f"synth.{name}.jsonl").write_text(
+                text.splitlines(keepends=True)[0] if name == split else text
+            )
+        out = tmp_path / "o"
+        code = main([
+            "score", "--checkpoint", str(pipeline / "checkpoint.json"),
+            "--data", str(tmp_path / "synth"), "--out", str(out),
+        ])
+        assert code == 2
+        assert f"dataset file {tmp_path / f'synth.{split}.jsonl'} has no rows" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("keys, value, message", [
         # finite weights whose products overflow into non-finite logits
         (("hidden_weights", "w_pos"), 1e306, "are not finite"),
@@ -480,7 +569,34 @@ class TestEval:
         assert main(["eval", "--scores-csv", str(src), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"{src}:3:" in err and "'u_s_n'" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, name, text, where", [
+        ("eval", "scores.csv", "sample_id,is_ood,u_s_p,u_s_n\r\n0,0,0.1,0.2\r\n"
+         "1,2,0.5,0.6\r\n2,1,0.9,0.8\r\n", ":3: column 'is_ood' holds 2, not 0 or 1"),
+        ("sweep-lambda", "scores.csv", "sample_id,is_ood,u_s_p,u_s_n\r\n0,0,0.1,0.2\r\n"
+         "1,2,0.5,0.6\r\n2,1,0.9,0.8\r\n", ":3: column 'is_ood' holds 2, not 0 or 1"),
+        ("preds", "preds.csv", "sample_id,p_0,y_0\r\n0,0.2,1\r\n1,0.5,2\r\n",
+         ":3: column 'y_0' holds 2, not 0 or 1"),
+        ("preds", "preds.csv", "sample_id,p_0,y_0\r\n0,0.2,1\r\n1,nan,0\r\n",
+         ":3: column 'p_0' holds nan, not a number in [0, 1]"),
+        ("preds", "preds.csv", "sample_id,p_0,y_0\r\n0,0.2,1\r\n1,7.5,0\r\n",
+         ":3: column 'p_0' holds 7.5, not a number in [0, 1]"),
+    ], ids=["is_ood_2_eval", "is_ood_2_sweep", "y_2", "p_nan", "p_7_5"])
+    def test_bad_cell_names_file_line_and_column(
+        self, pipeline, tmp_path, capsys, command, name, text, where
+    ):
+        bad = tmp_path / name
+        bad.write_text(text)
+        argv = {
+            "eval": ["eval", "--scores-csv", str(bad)],
+            "sweep-lambda": ["sweep-lambda", "--scores-csv", str(bad)],
+            "preds": ["eval", "--scores-csv", str(pipeline / "scores.csv"), "--preds", str(bad)],
+        }[command]
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"{bad}{where}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_single_class_input_is_data_error(self, tmp_path):
         src = tmp_path / "scores.csv"
@@ -537,7 +653,7 @@ class TestEval:
         out = tmp_path / "o"
         assert main(["eval", "--scores-csv", str(src), "--out", str(out)]) == 2
         assert f"{src}{message}" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_missing_score_column_rejected(self, pipeline, tmp_path):
         code = main([
@@ -585,12 +701,15 @@ class TestEval:
         ])
         assert code == 2
         assert str(bad) in capsys.readouterr().err
-        assert list((tmp_path / "o").iterdir()) == []
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("text", [
         "",
         "score,fpr95,auroc,aupr\r\nu_s_pn,0.5,0.9\r\n",
         "score,fpr95,auroc,aupr\r\nu_s_pn,0.5,high,0.5\r\n",
+        "score,fpr95,auroc,aupr\r\nu_s_pn,0.5,nan,0.5\r\n",
+        "score,fpr95,auroc,aupr\r\nu_s_pn,0.5,1.5,0.5\r\n",
+        "score,fpr95,auroc,aupr,auroc\r\nu_s_pn,0.5,0.9,0.5,0.9\r\n",
     ])
     def test_malformed_aggregate_input_is_data_error(self, tmp_path, capsys, text):
         bad = tmp_path / "metrics.csv"
@@ -673,7 +792,7 @@ class TestSweepLambda:
         out = tmp_path / "o"
         assert main(["sweep-lambda", "--scores-csv", str(src), "--out", str(out)]) == 2
         assert f"{src}:3: column 'u_s_p'" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_single_class_input_names_file_and_writes_nothing(self, tmp_path, capsys):
         src = tmp_path / "scores.csv"
@@ -686,7 +805,7 @@ class TestSweepLambda:
         assert main(["sweep-lambda", "--scores-csv", str(src), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert str(src) in err and "both classes" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_bad_grid_value_rejected(self, pipeline, tmp_path):
         code = main([
