@@ -361,7 +361,7 @@ def _check_score_cells(path, is_ood, columns: dict, names) -> None:
 
 
 def _read_preds_csv(path):
-    """Returns the (N, L) probabilities and the (N, L) labels."""
+    """Returns the (N, L) probabilities and the (N, L) labels; sample ids must be distinct."""
 
     def schema(header):
         n_labels = (len(header) - 1) // 2
@@ -369,9 +369,10 @@ def _read_preds_csv(path):
             raise DataError(
                 f"predictions CSV {path} must have columns sample_id, p_0.., y_0.."
             )
-        return [None] + [float] * n_labels + [int] * n_labels
+        return [int] + [float] * n_labels + [int] * n_labels
 
     header, columns = read_table(path, "predictions CSV", schema)
+    _check_unique(columns[0].tolist(), path, "sample_id")
     n_labels = len(header) // 2
     return np.column_stack(columns[1 : 1 + n_labels]), np.column_stack(columns[1 + n_labels :])
 

@@ -225,6 +225,8 @@ def generate_ood(ind_spec: SyntheticSpec, ood_spec: OodSpec) -> np.ndarray:
 
 
 _HEADER = "# betaood dataset v1"
+# numpy dtype kinds of a number array: bool, signed and unsigned int, float
+_NUMBER = "biuf"
 
 
 def write_jsonl(data: Dataset, path) -> None:
@@ -283,15 +285,21 @@ def read_jsonl(path) -> Dataset:
     return Dataset(X=X, Y=np.concatenate([y for _, y, _ in parts]), split=parts[0][2])
 
 
-def _broken_rule(X: np.ndarray, Y: np.ndarray, labels, ndim: int, first) -> str | None:
+def _broken_rule(X: np.ndarray, Y: np.ndarray, labels, splits: list, ndim: int,
+                 first) -> str | None:
     """The first rule that one row (ndim 1) or a chunk of rows (ndim 2) breaks,
-    or None: features and labels are lists of numbers, labels are 0 or 1 and
-    equal their float reading (0.7 is not 0), and a row has as many features
-    and labels as ``first``, the file's first row as (features, labels, line)."""
-    if not X.ndim == Y.ndim == ndim:
+    or None.  X and Y are the features and labels as numpy reads them with no
+    dtype given, so a string makes them strings: features and labels are
+    lists of numbers, not of numeric strings; labels are 0 or 1 (0.7 is not
+    0); each split is a string; and a row has as many features and labels as
+    ``first``, the file's first row as (features, labels, line)."""
+    if not (X.ndim == Y.ndim == ndim and X.dtype.kind in _NUMBER and Y.dtype.kind in _NUMBER):
         return "features and labels must be lists of numbers"
-    if not (np.array_equal(Y, np.array(labels, dtype=float)) and np.all((Y == 0) | (Y == 1))):
+    if not np.all((Y == 0) | (Y == 1)):
         return f"labels must be 0 or 1, got {labels!r}"
+    wrong = [split for split in splits if not isinstance(split, str)]
+    if wrong:
+        return f"split must be a string, got {wrong[0]!r}"
     if first and (X.shape[-1], Y.shape[-1]) != first[:2]:
         return (f"{X.shape[-1]} features and {Y.shape[-1]} labels, "
                 f"but line {first[2]} has {first[0]} and {first[1]}")
@@ -303,16 +311,16 @@ def _stack_rows(path, docs: list, linenos: list[int], parts: list):
     once; a chunk that breaks a rule goes to _raise_first_bad_row."""
     first = (parts[0][0].shape[1], parts[0][1].shape[1], linenos[0]) if parts else None
     try:
-        X = np.array([doc["features"] for doc in docs], dtype=float)
+        X = np.array([doc["features"] for doc in docs])
         labels = [[] if doc["labels"] is None else doc["labels"] for doc in docs]
-        Y = np.array(labels, dtype=int)
+        Y = np.array(labels)
         splits = [doc["split"] for doc in docs]
-        valid = _broken_rule(X, Y, labels, 2, first) is None
+        valid = _broken_rule(X, Y, labels, splits, 2, first) is None
     except (KeyError, TypeError, ValueError, OverflowError):
         valid = False
     if not valid:
         _raise_first_bad_row(path, docs, linenos, first)
-    return X, Y, splits[0]
+    return X.astype(float, copy=False), Y.astype(int, copy=False), splits[0]
 
 
 def _raise_first_bad_row(path, docs: list, linenos: list[int], first) -> None:
@@ -321,11 +329,11 @@ def _raise_first_bad_row(path, docs: list, linenos: list[int], first) -> None:
         try:
             if isinstance(doc, json.JSONDecodeError):
                 raise doc
-            features = np.asarray(doc["features"], dtype=float)
+            features = np.asarray(doc["features"])
             labels = [] if doc["labels"] is None else doc["labels"]
-            doc["split"]  # required, though only the first row's is kept
-            y = np.asarray(labels, dtype=int)
-            problem = _broken_rule(features, y, labels, 1, first)
+            split = doc["split"]
+            y = np.asarray(labels)
+            problem = _broken_rule(features, y, labels, [split], 1, first)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{path}:{lineno}: malformed dataset line: {exc}") from exc
         if problem:

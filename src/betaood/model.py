@@ -121,29 +121,38 @@ class ModelParams:
     b_neg: np.ndarray
 
 
+def param_shapes(arch: ArchConfig) -> dict:
+    """Each checkpoint ``params`` key and its shape, in the order init_params draws:
+    a hidden (backbone) key holds one shape per layer.  Weights are (fan_out,
+    fan_in) and biases (fan_out,)."""
+    fan_in = (arch.input_dim, *arch.hidden)
+    head = (arch.label_count, fan_in[-1])
+    return {"hidden_weights": list(zip(arch.hidden, fan_in)),
+            "hidden_biases": [(h,) for h in arch.hidden],
+            "w_pos": head, "b_pos": head[:1], "w_neg": head, "b_neg": head[:1]}
+
+
+def _per_layer(fn, value, shape):
+    """fn of a key's value: of each layer's for a hidden key, of the one for a head key."""
+    return [fn(v) for v in value] if isinstance(shape, list) else fn(value)
+
+
+def _arrays(shapes: dict, values: dict) -> list:
+    """Each array of ``values``, which holds the keys of ``shapes`` as ModelParams
+    and gradients do, in the table's order; a hidden key's layer by layer."""
+    return [v for key, shape in shapes.items()
+            for v in (values[key] if isinstance(shape, list) else [values[key]])]
+
+
 def init_params(arch: ArchConfig, seed: int) -> ModelParams:
     """Scaled-uniform init: W ~ U(-s, s) with s = sqrt(1/fan_in); biases zero."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    hidden_weights = []
-    hidden_biases = []
-    fan_in = arch.input_dim
-    for width in arch.hidden:
-        s = np.sqrt(1.0 / fan_in)
-        hidden_weights.append(rng.uniform(-s, s, size=(width, fan_in)))
-        hidden_biases.append(np.zeros(width))
-        fan_in = width
-    s = np.sqrt(1.0 / fan_in)
-    w_pos = rng.uniform(-s, s, size=(arch.label_count, fan_in))
-    w_neg = rng.uniform(-s, s, size=(arch.label_count, fan_in))
-    return ModelParams(
-        arch=arch,
-        hidden_weights=hidden_weights,
-        hidden_biases=hidden_biases,
-        w_pos=w_pos,
-        b_pos=np.zeros(arch.label_count),
-        w_neg=w_neg,
-        b_neg=np.zeros(arch.label_count),
-    )
+
+    def draw(shape):
+        s = np.sqrt(1.0 / shape[-1])
+        return rng.uniform(-s, s, size=shape) if len(shape) == 2 else np.zeros(shape)
+
+    return ModelParams(arch, **{k: _per_layer(draw, s, s) for k, s in param_shapes(arch).items()})
 
 
 def _forward_batch(params: ModelParams, x: np.ndarray):
@@ -218,12 +227,8 @@ class Checkpoint:
 
 # a diverging run overflows without warnings; train's own checks stop it
 @np.errstate(over="ignore", invalid="ignore")
-def train(
-    features: np.ndarray,
-    labels: np.ndarray,
-    arch: ArchConfig,
-    config: TrainConfig,
-) -> Checkpoint:
+def train(features: np.ndarray, labels: np.ndarray, arch: ArchConfig,
+          config: TrainConfig) -> Checkpoint:
     """Plain SGD with seeded shuffling and distinct backbone/head rates."""
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -235,6 +240,11 @@ def train(
             f"got {labels.shape}"
         )
     params = init_params(arch, config.seed)
+    shapes = param_shapes(arch)
+    rates = {key: [config.learning_rate_backbone] * len(shape) if isinstance(shape, list)
+             else config.learning_rate_head for key, shape in shapes.items()}
+    # each array with its rate; the step updates the arrays in place
+    steps = list(zip(_arrays(shapes, vars(params)), _arrays(shapes, rates)))
     rng = np.random.Generator(np.random.PCG64(config.seed + 1))
     n = features.shape[0]
     trace = []
@@ -251,20 +261,11 @@ def train(
                     f"training diverged at epoch {epoch}, batch {batch}: {exc}"
                 ) from None
             sample_losses.extend(losses.tolist())
-            lr_b = config.learning_rate_backbone
-            lr_h = config.learning_rate_head
-            for layer in range(len(params.hidden_weights)):
-                params.hidden_weights[layer] -= lr_b * grads["hidden_weights"][layer]
-                params.hidden_biases[layer] -= lr_b * grads["hidden_biases"][layer]
-            params.w_pos -= lr_h * grads["w_pos"]
-            params.b_pos -= lr_h * grads["b_pos"]
-            params.w_neg -= lr_h * grads["w_neg"]
-            params.b_neg -= lr_h * grads["b_neg"]
+            for (a, rate), g in zip(steps, _arrays(shapes, grads)):
+                a -= rate * g
         # exact sum: the epoch mean is independent of batch partitioning
         trace.append(math.fsum(sample_losses) / n)
-    final = (*params.hidden_weights, *params.hidden_biases,
-             params.w_pos, params.b_pos, params.w_neg, params.b_neg)
-    if not all(np.isfinite(a).all() for a in final):
+    if not all(np.isfinite(a).all() for a, _ in steps):
         raise NumericError(
             f"training diverged at epoch {epoch}, batch {batch}: a parameter is "
             f"non-finite after the last update"
@@ -301,42 +302,34 @@ def checkpoint_to_json(ckpt: Checkpoint) -> str:
         "format_version": ckpt.format_version,
         "arch": asdict(ckpt.params.arch),
         "train_config": asdict(ckpt.train_config),
-        "params": {
-            "hidden_weights": [w.tolist() for w in ckpt.params.hidden_weights],
-            "hidden_biases": [b.tolist() for b in ckpt.params.hidden_biases],
-            "w_pos": ckpt.params.w_pos.tolist(),
-            "b_pos": ckpt.params.b_pos.tolist(),
-            "w_neg": ckpt.params.w_neg.tolist(),
-            "b_neg": ckpt.params.b_neg.tolist(),
-        },
+        "params": {key: getattr(ckpt.params, key) for key in param_shapes(ckpt.params.arch)},
         "loss_trace": ckpt.loss_trace,
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    # each array is written as its tolist()
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
 
 
 def _check_params(params: ModelParams) -> None:
     """Every parameter array has the shape its arch gives and finite entries."""
-    arch = params.arch
-    if not len(params.hidden_weights) == len(params.hidden_biases) == len(arch.hidden):
-        raise DataError(
-            f"arch has {len(arch.hidden)} hidden layers, but params hold "
-            f"{len(params.hidden_weights)} weight and {len(params.hidden_biases)} bias arrays"
-        )
-    fan_in = (arch.input_dim, *arch.hidden)
-    arrays = {}
-    for i, (w, b) in enumerate(zip(params.hidden_weights, params.hidden_biases)):
-        arrays[f"hidden_weights[{i}]"] = (w, (arch.hidden[i], fan_in[i]))
-        arrays[f"hidden_biases[{i}]"] = (b, (arch.hidden[i],))
-    head = (arch.label_count, fan_in[-1])
-    arrays["w_pos"] = (params.w_pos, head)
-    arrays["b_pos"] = (params.b_pos, head[:1])
-    arrays["w_neg"] = (params.w_neg, head)
-    arrays["b_neg"] = (params.b_neg, head[:1])
-    for key, (value, shape) in arrays.items():
+    shapes, values = param_shapes(params.arch), vars(params)
+    for key, shape in shapes.items():  # else the zip below pairs arrays with wrong shapes
+        if isinstance(shape, list) and len(values[key]) != len(shape):
+            raise DataError(f"arch has {len(shape)} hidden layers, but params hold "
+                            f"{len(values[key])} {key} arrays")
+    names = {key: [f"{key}[{i}]" for i in range(len(shape))] if isinstance(shape, list)
+             else key for key, shape in shapes.items()}
+    for name, value, shape in zip(*(_arrays(shapes, m) for m in (names, values, shapes))):
         if value.shape != shape:
-            raise DataError(f"parameter {key!r} has shape {value.shape}, expected {shape}")
+            raise DataError(f"parameter {name!r} has shape {value.shape}, expected {shape}")
         if not np.isfinite(value).all():
-            raise DataError(f"parameter {key!r} holds a non-finite value")
+            raise DataError(f"parameter {name!r} holds a non-finite value")
+
+
+def _check_keys(doc: dict, keys, where: str) -> None:
+    """A checkpoint section holds every one of ``keys`` and no other key."""
+    for problem, names in (("missing", set(keys) - set(doc)), ("unknown", set(doc) - set(keys))):
+        if names:
+            raise ConfigError(f"malformed {where}: {problem} key(s) {', '.join(sorted(names))}")
 
 
 def checkpoint_from_json(text: str) -> Checkpoint:
@@ -352,29 +345,21 @@ def checkpoint_from_json(text: str) -> Checkpoint:
             f"(expected {CHECKPOINT_FORMAT_VERSION})"
         )
     try:
-        check_fields(doc["arch"], _ARCH_FIELDS, "arch")
-        check_fields(doc["train_config"], _TRAIN_FIELDS, "train_config")
+        for where, fields_ in (("arch", _ARCH_FIELDS), ("train_config", _TRAIN_FIELDS)):
+            check_fields(doc[where], fields_, where)
+            _check_keys(doc[where], fields_, where)
         arch = ArchConfig(**doc["arch"])
         tc = TrainConfig(**doc["train_config"])
-        p = doc["params"]
-        params = ModelParams(
-            arch=arch,
-            hidden_weights=[np.asarray(w, dtype=float) for w in p["hidden_weights"]],
-            hidden_biases=[np.asarray(b, dtype=float) for b in p["hidden_biases"]],
-            w_pos=np.asarray(p["w_pos"], dtype=float),
-            b_pos=np.asarray(p["b_pos"], dtype=float),
-            w_neg=np.asarray(p["w_neg"], dtype=float),
-            b_neg=np.asarray(p["b_neg"], dtype=float),
-        )
+        shapes = param_shapes(arch)
+        _check_keys(doc["params"], shapes, "params")
+        params = ModelParams(arch, **{
+            key: _per_layer(lambda v: np.asarray(v, dtype=float), doc["params"][key], shape)
+            for key, shape in shapes.items()
+        })
         loss_trace = doc["loss_trace"]
     except KeyError as exc:
         raise DataError(f"checkpoint is missing key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint field: {exc}") from exc
     _check_params(params)
-    return Checkpoint(
-        params=params,
-        train_config=tc,
-        loss_trace=loss_trace,
-        format_version=version,
-    )
+    return Checkpoint(params, tc, loss_trace, version)

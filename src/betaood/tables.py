@@ -25,9 +25,9 @@ CHUNK_ROWS = 256
 def read_table(path, what: str, schema) -> tuple[list[str], list]:
     """Read a CSV table with a header row; ``what`` names it in messages.
 
-    ``schema(header)`` gives each column's type, None (not parsed), str, int
-    or float, and raises DataError on a bad header.  Returns the header and
-    per column None, a list of str, or an int64 / float64 array.
+    ``schema(header)`` gives each column's type, str, int or float, and raises
+    DataError on a bad header.  Returns the header and per column a list of
+    str or an int64 / float64 array.
     """
     if not Path(path).is_file():
         raise DataError(f"{what} not found: {Path(path)}")
@@ -81,7 +81,7 @@ def _read_rows(path, what: str, schema) -> tuple[list[str], list]:
         try:
             header = next(reader)
             types = schema(header)
-            values = [None if kind is None else [] for kind in types]
+            values = [[] for _ in types]
             for lineno, row in enumerate(reader, start=2):
                 if len(row) != len(header):
                     raise DataError(
@@ -89,15 +89,14 @@ def _read_rows(path, what: str, schema) -> tuple[list[str], list]:
                     )
                 try:
                     for column, kind, cell in zip(values, types, row):
-                        if kind is not None:
-                            column.append(kind(cell))
+                        column.append(kind(cell))
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: malformed row: {exc}") from exc
         except StopIteration:
             raise DataError(f"{what} {path} is empty") from None
         except csv.Error as exc:
             raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
-    return header, [v if t in (None, str) else np.array(v) for v, t in zip(values, types)]
+    return header, [v if t is str else np.array(v) for v, t in zip(values, types)]
 
 
 def write_table(path, header: list[str], rows) -> None:

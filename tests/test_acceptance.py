@@ -30,7 +30,7 @@ from betaood.evidence import (
 )
 from betaood.loss import beta_loss
 from betaood.metrics import ScoredDataset, aupr, auroc, fpr_at_tpr
-from betaood.model import ArchConfig, _batch_gradients, init_params
+from betaood.model import ArchConfig, _arrays, _batch_gradients, init_params, param_shapes
 from betaood.scores import ood_score_max, ood_score_sum
 from betaood.special import digamma_array, quadrature_expected_bce, trigamma_array
 
@@ -69,16 +69,9 @@ def test_network_gradients_match_finite_differences():
         y = rng.integers(0, 2, arch.label_count)
         xb, yb = x[None, :], np.array([y], dtype=float)
         grads = _batch_gradients(params, xb, yb)[1]
-        flat_grads = np.concatenate(
-            [g.ravel() for g in grads["hidden_weights"]]
-            + [g.ravel() for g in grads["hidden_biases"]]
-            + [grads["w_pos"].ravel(), grads["b_pos"].ravel(),
-               grads["w_neg"].ravel(), grads["b_neg"].ravel()]
-        )
-        tensors = (
-            list(params.hidden_weights) + list(params.hidden_biases)
-            + [params.w_pos, params.b_pos, params.w_neg, params.b_neg]
-        )
+        shapes = param_shapes(arch)
+        flat_grads = np.concatenate([g.ravel() for g in _arrays(shapes, grads)])
+        tensors = _arrays(shapes, vars(params))
         fd = []
         for t in tensors:
             flat = t.ravel()

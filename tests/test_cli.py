@@ -211,7 +211,11 @@ class TestTrain:
         lambda doc: doc["labels"].pop(),
         lambda doc: doc["labels"].__setitem__(0, 2),
         lambda doc: doc["labels"].__setitem__(0, 0.7),
-    ], ids=["nan_feature", "extra_feature", "short_labels", "label_2", "label_0_7"])
+        lambda doc: doc["features"].__setitem__(0, "2"),
+        lambda doc: doc["labels"].__setitem__(0, "1"),
+        lambda doc: doc.__setitem__("split", 3),
+    ], ids=["nan_feature", "extra_feature", "short_labels", "label_2", "label_0_7",
+            "feature_numeric_string", "label_numeric_string", "split_not_a_string"])
     def test_bad_training_row_names_file_and_line(self, pipeline, tmp_path, capsys, edit):
         bad = tmp_path / "synth.train.jsonl"
         _copy_rows(pipeline / "synth.train.jsonl", bad, edit, [3])
@@ -460,6 +464,31 @@ class TestScore:
             pipeline, tmp_path, capsys, section, key, value
         )
 
+    @pytest.mark.parametrize("section, edit, message", [
+        ("train_config", lambda d: [d.pop("epochs"), d.pop("seed")],
+         "malformed train_config: missing key(s) epochs, seed"),
+        ("arch", lambda d: d.pop("label_count"), "malformed arch: missing key(s) label_count"),
+        ("params", lambda d: d.__setitem__("w_mid", d["w_pos"]),
+         "malformed params: unknown key(s) w_mid"),
+        ("params", lambda d: d.pop("b_neg"), "malformed params: missing key(s) b_neg"),
+    ], ids=["train_config_missing", "arch_missing", "params_unknown", "params_missing"])
+    def test_checkpoint_section_keys_are_exact(
+        self, pipeline, tmp_path, capsys, section, edit, message
+    ):
+        doc = json.loads((pipeline / "checkpoint.json").read_text())
+        edit(doc[section])
+        broken = tmp_path / "checkpoint.json"
+        broken.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code = main([
+            "score", "--checkpoint", str(broken),
+            "--data", str(pipeline / "synth"), "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint {broken}: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("split", ["test", "ood"])
     def test_dataset_file_without_rows_is_data_error(self, pipeline, tmp_path, capsys, split):
         for name in ("test", "ood"):
@@ -653,6 +682,25 @@ class TestEval:
         out = tmp_path / "o"
         assert main(["eval", "--scores-csv", str(src), "--out", str(out)]) == 2
         assert f"{src}{message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ids, message", [
+        (["x", "x"], ":2: malformed row"),
+        ([4, 5, 4], ":4: sample_id 4 repeats line 2"),
+    ], ids=["not_an_integer", "repeated"])
+    def test_bad_preds_sample_id_names_file_and_line(
+        self, pipeline, tmp_path, capsys, ids, message
+    ):
+        bad = tmp_path / "preds.csv"
+        rows = [[i, 0.5, k % 2] for k, i in enumerate(ids)]
+        _write_scores_csv(bad, ["sample_id", "p_0", "y_0"], rows)
+        out = tmp_path / "o"
+        code = main([
+            "eval", "--scores-csv", str(pipeline / "scores.csv"),
+            "--preds", str(bad), "--out", str(out),
+        ])
+        assert code == 2
+        assert f"{bad}{message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_score_column_rejected(self, pipeline, tmp_path):

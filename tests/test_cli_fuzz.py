@@ -60,8 +60,8 @@ BAD_JSON = {
 # ... of a checkpoint parameter, whose finite values are all valid
 BAD_PARAM = ["x", NAN, INF, -INF, None]
 # ... of a dataset row's feature and label
-BAD_FEATURE = [NAN, INF, -INF, "x", None, [1.0], {}]
-BAD_LABEL = [2, -1, 0.5, NAN, INF, 1e308, "x", None, [1]]
+BAD_FEATURE = [NAN, INF, -INF, "x", "2", None, [1.0], {}]
+BAD_LABEL = [2, -1, 0.5, NAN, INF, 1e308, "x", "1", None, [1]]
 # ... of a CSV cell, by the column's rule (_cell_rule)
 BAD_CELL = {
     "sample_id": ["x", "1.5", "nan", "1e308", ""],
@@ -75,11 +75,11 @@ BAD_CELL = {
 
 def _cell_rule(name: str, column: str) -> str | None:
     """The BAD_CELL key of a column of CSV file ``name``; None for a column
-    that may hold any text (a metrics CSV's score names, a preds CSV's ids)."""
+    that may hold any text (a metrics CSV's score names)."""
     if name == "metrics.csv":
         return None if column == "score" else "metric"
     if name == "preds.csv":
-        return None if column == "sample_id" else column[0]
+        return column if column == "sample_id" else column[0]
     return column if column in ("sample_id", "is_ood") else "score"
 
 
@@ -106,8 +106,19 @@ def artifacts(tmp_path_factory):
 def _mutate_json(text: str, mutation: str, data) -> str:
     doc = json.loads(text)
     key = data.draw(st.sampled_from(sorted(doc)), label="key")
-    if mutation == "drop":  # the key is gone and an unknown one takes its place
-        doc[f"{key}_x"] = doc.pop(key)
+    if mutation == "drop":
+        # a checkpoint section (arch, train_config, params) holds exactly its keys
+        section = isinstance(doc[key], dict)
+        how = data.draw(st.sampled_from(["rename", "pop", "add"] if section else ["rename"]),
+                        label="how")
+        if how == "rename":  # the key is gone and an unknown one takes its place
+            doc[f"{key}_x"] = doc.pop(key)
+        else:
+            inner = data.draw(st.sampled_from(sorted(doc[key])), label="inner key")
+            if how == "pop":
+                del doc[key][inner]
+            else:
+                doc[key][f"{inner}_x"] = doc[key][inner]
         return json.dumps(doc)
     if mutation == "duplicate":  # json keeps the last of two values
         bad = data.draw(st.sampled_from(BAD_JSON[type(doc[key])]), label="bad")
@@ -130,11 +141,13 @@ def _mutate_json(text: str, mutation: str, data) -> str:
 
 def _mutate_row(line: str, mutation: str, data) -> str:
     doc = json.loads(line)
-    key = data.draw(st.sampled_from(["features", "labels"]), label="field")
+    key = data.draw(st.sampled_from(["features", "labels", "split"]), label="field")
     if mutation == "drop":
         doc[f"{key}_x"] = doc.pop(key)
-    elif mutation == "duplicate":
-        return line[:-1] + f',"{key}":"x"}}'
+    elif mutation == "duplicate":  # json keeps the last of two values
+        return line[:-1] + f',"{key}":{3 if key == "split" else json.dumps("x")}}}'
+    elif key == "split":
+        doc[key] = data.draw(st.sampled_from(BAD_JSON[str]), label="bad")
     elif data.draw(st.booleans(), label="whole field"):
         doc[key] = "x"
     else:

@@ -403,17 +403,22 @@ def _reference_read_jsonl(path) -> Dataset:
                 continue
             try:
                 doc = json.loads(line)
-                features = np.asarray(doc["features"], dtype=float)
+                # read without a dtype, so that numeric strings stay strings
+                features = np.asarray(doc["features"])
                 labels = doc["labels"]
                 split = doc["split"]
-                y = np.zeros(0, dtype=int) if labels is None else np.asarray(labels, dtype=int)
-                y_float = y if labels is None else np.asarray(labels, dtype=float)
+                y = np.zeros(0) if labels is None else np.asarray(labels)
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed dataset line: {exc}") from exc
-            if features.ndim != 1 or y.ndim != 1:
+            if not (features.ndim == y.ndim == 1
+                    and all(np.issubdtype(a.dtype, np.number) or a.dtype == bool
+                            for a in (features, y))):
                 raise DataError(f"{path}:{lineno}: features and labels must be lists of numbers")
-            if not (np.array_equal(y, y_float) and np.all((y == 0) | (y == 1))):
+            if not all(v in (0, 1) for v in y.tolist()):
                 raise DataError(f"{path}:{lineno}: labels must be 0 or 1, got {labels!r}")
+            if not isinstance(split, str):
+                raise DataError(f"{path}:{lineno}: split must be a string, got {split!r}")
+            features, y = features.astype(float), y.astype(int)
             if linenos:
                 if (features.size, y.size) != (features_rows[0].size, label_rows[0].size):
                     raise DataError(

@@ -18,7 +18,7 @@ from betaood.loss import (
     evidence_stack,
     loss_and_grad,
 )
-from betaood.model import ArchConfig, _batch_gradients, init_params
+from betaood.model import ArchConfig, _arrays, _batch_gradients, init_params, param_shapes
 from betaood.special import digamma_array, quadrature_expected_bce, trigamma_array
 
 
@@ -253,12 +253,12 @@ def _assert_matches_reference(params, x, y):
     losses, grads = _batch_gradients(params, x, y)
     want_losses, want = _three_row_batch_gradients(params, x, y)
     assert np.array_equal(losses, want_losses)
-    for key in ("w_pos", "b_pos", "w_neg", "b_neg"):
-        assert np.array_equal(grads[key], want[key])
-    for key in ("hidden_weights", "hidden_biases"):
-        assert len(grads[key]) == len(params.hidden_weights)
-        for got, expected in zip(grads[key], want[key]):
-            assert np.array_equal(got, expected)
+    shapes = param_shapes(params.arch)
+    got, expected = _arrays(shapes, grads), _arrays(shapes, want)
+    # one gradient array per parameter array, layer by layer
+    assert len(got) == len(expected) == len(_arrays(shapes, vars(params)))
+    for g, e in zip(got, expected):
+        assert np.array_equal(g, e)
 
 
 @pytest.mark.parametrize("rows, features, hidden, labels", [

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,15 @@ import betaood.loss as loss_mod
 from betaood.errors import ConfigError, DataError
 from betaood.model import (
     ArchConfig,
+    Checkpoint,
+    ModelParams,
     TrainConfig,
+    _arrays,
     _batch_gradients,
     checkpoint_from_json,
     checkpoint_to_json,
     init_params,
+    param_shapes,
     predict_batch,
     train,
 )
@@ -18,8 +24,7 @@ ARCH = ArchConfig(input_dim=2, hidden=(4,), label_count=2)
 
 
 def _flatten(params):
-    arrays = list(params.hidden_weights) + list(params.hidden_biases)
-    arrays += [params.w_pos, params.b_pos, params.w_neg, params.b_neg]
+    arrays = _arrays(param_shapes(params.arch), vars(params))
     return np.concatenate([a.ravel() for a in arrays])
 
 
@@ -67,6 +72,76 @@ class TestInitParams:
     def test_zero_width_rejected(self):
         with pytest.raises(ConfigError):
             ArchConfig(input_dim=2, hidden=(0,), label_count=2)
+
+
+def _reference_init(arch, seed):
+    """init_params' draw loop from before the layout table."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    hidden_weights = []
+    hidden_biases = []
+    fan_in = arch.input_dim
+    for width in arch.hidden:
+        s = np.sqrt(1.0 / fan_in)
+        hidden_weights.append(rng.uniform(-s, s, size=(width, fan_in)))
+        hidden_biases.append(np.zeros(width))
+        fan_in = width
+    s = np.sqrt(1.0 / fan_in)
+    w_pos = rng.uniform(-s, s, size=(arch.label_count, fan_in))
+    w_neg = rng.uniform(-s, s, size=(arch.label_count, fan_in))
+    return ModelParams(
+        arch=arch,
+        hidden_weights=hidden_weights,
+        hidden_biases=hidden_biases,
+        w_pos=w_pos,
+        b_pos=np.zeros(arch.label_count),
+        w_neg=w_neg,
+        b_neg=np.zeros(arch.label_count),
+    )
+
+
+# the JSON of the hand-built checkpoint below, written out in full
+HAND_JSON = (
+    '{"arch":{"hidden":[3],"input_dim":2,"label_count":1},"format_version":1,'
+    '"loss_trace":[0.75,0.5],"params":{"b_neg":[-0.5],"b_pos":[0.5],'
+    '"hidden_biases":[[0.1,0.0,-0.2]],"hidden_weights":[[[0.5,-1.0],[2.0,0.25],'
+    '[0.0,1.5]]],"w_neg":[[-1.0,0.0,1.0]],"w_pos":[[1.0,2.0,3.0]]},'
+    '"train_config":{"batch_size":64,"epochs":2,"learning_rate_backbone":0.05,'
+    '"learning_rate_head":10.0,"seed":3}}'
+)
+
+
+class TestLayout:
+    """The parameter layout, pinned without the layout table."""
+
+    @pytest.mark.parametrize("seed", [0, 31])
+    @pytest.mark.parametrize("hidden", [(), (4,), (5, 3)])
+    def test_init_equals_reference_draw_loop(self, seed, hidden):
+        arch = ArchConfig(input_dim=3, hidden=hidden, label_count=2)
+        got, want = init_params(arch, seed), _reference_init(arch, seed)
+        for f in fields(ModelParams):
+            if f.name == "arch":
+                continue
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(b, list):
+                assert len(a) == len(b) == len(hidden), f.name
+            else:
+                a, b = [a], [b]
+            for x, y in zip(a, b):
+                assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+
+    def test_checkpoint_json_of_hand_built_params(self):
+        params = ModelParams(
+            arch=ArchConfig(input_dim=2, hidden=(3,), label_count=1),
+            hidden_weights=[np.array([[0.5, -1.0], [2.0, 0.25], [0.0, 1.5]])],
+            hidden_biases=[np.array([0.1, 0.0, -0.2])],
+            w_pos=np.array([[1.0, 2.0, 3.0]]),
+            b_pos=np.array([0.5]),
+            w_neg=np.array([[-1.0, 0.0, 1.0]]),
+            b_neg=np.array([-0.5]),
+        )
+        ckpt = Checkpoint(params, TrainConfig(epochs=2, seed=3), loss_trace=[0.75, 0.5])
+        assert checkpoint_to_json(ckpt) == HAND_JSON
+        assert checkpoint_to_json(checkpoint_from_json(HAND_JSON)) == HAND_JSON
 
 
 class TestForward:
@@ -126,17 +201,9 @@ class TestBackward:
             x = rng.normal(size=arch.input_dim)
             y = rng.integers(0, 2, arch.label_count)
             grads = _grads(params, x, y)
-            flat_grads = np.concatenate(
-                [g.ravel() for g in grads["hidden_weights"]]
-                + [g.ravel() for g in grads["hidden_biases"]]
-                + [grads["w_pos"].ravel(), grads["b_pos"].ravel(),
-                   grads["w_neg"].ravel(), grads["b_neg"].ravel()]
-            )
-            tensors = (
-                list(params.hidden_weights)
-                + list(params.hidden_biases)
-                + [params.w_pos, params.b_pos, params.w_neg, params.b_neg]
-            )
+            shapes = param_shapes(arch)
+            flat_grads = np.concatenate([g.ravel() for g in _arrays(shapes, grads)])
+            tensors = _arrays(shapes, vars(params))
             xb = x[None, :]
             yb = np.array([y], dtype=float)
             fd = []

@@ -68,14 +68,19 @@ def _reference_preds(path):
             raise DataError(
                 f"predictions CSV {path} must have columns sample_id, p_0.., y_0.."
             )
-        probs, labels = [], []
+        ids, probs, labels = [], [], []
         for lineno, row in enumerate(reader, start=2):
             _reference_width(row, header, path, lineno)
             try:
+                ids.append(int(row[0]))
                 probs.append([float(v) for v in row[1 : 1 + n_labels]])
                 labels.append([int(v) for v in row[1 + n_labels :]])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: malformed row: {exc}") from exc
+    for lineno, sample_id in enumerate(ids, start=2):
+        first = ids.index(sample_id) + 2
+        if first != lineno:
+            raise DataError(f"{path}:{lineno}: sample_id {sample_id!r} repeats line {first}")
     return np.array(probs), np.array(labels)
 
 
