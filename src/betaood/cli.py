@@ -254,8 +254,8 @@ def cmd_score(config_path, checkpoint, data, out, scores_arg, lambda1, lambda2):
                 f"checkpoint {checkpoint} expects {input_dim}"
             )
 
-    groups = []  # (is_ood, (N, k) score matrix, (N, L) probabilities)
-    for is_ood, path, group in ((0, test_path, test), (1, ood_path, ood)):
+    groups = []  # per group its (N, k) score matrix and (N, L) probabilities
+    for path, group in ((test_path, test), (ood_path, ood)):
         values = np.empty((len(group), len(requested)))
         # finite logits near the float maximum can still overflow evidence or scores
         try:
@@ -267,19 +267,15 @@ def cmd_score(config_path, checkpoint, data, out, scores_arg, lambda1, lambda2):
                     )
         except (NumericError, FloatingPointError, OverflowError) as exc:
             raise NumericError(f"checkpoint {checkpoint} on {path}: {exc}") from None
-        groups.append((str(is_ood), values, pred.p))
+        groups.append((values, pred.p))
 
     # created only now, so that a run that fails leaves no directory behind
     out_dir = _prepare_out(out)
-    # cells are repr of Python floats (not np.float64): shortest round-trip text
-    rows = ((is_ood, row) for is_ood, values, _ in groups for row in values.tolist())
-    score_rows = ([str(i), is_ood, *map(repr, row)] for i, (is_ood, row) in enumerate(rows))
-    write_table(out_dir / "scores.csv", ["sample_id", "is_ood", *requested], score_rows)
-    pred_rows = (
-        [str(i), *map(repr, p), *map(str, y)]
-        for i, (p, y) in enumerate(zip(groups[0][2].tolist(), test.Y.tolist()))
-    )
-    write_table(out_dir / "preds.csv", _preds_header(ckpt.params.arch.label_count), pred_rows)
+    is_ood = np.repeat([0, 1], [len(test), len(ood)])
+    score_columns = [np.arange(is_ood.size), is_ood, *np.concatenate([v for v, _ in groups]).T]
+    write_table(out_dir / "scores.csv", ["sample_id", "is_ood", *requested], score_columns)
+    pred_columns = [np.arange(len(test)), *groups[0][1].T, *test.Y.T]
+    write_table(out_dir / "preds.csv", _preds_header(ckpt.params.arch.label_count), pred_columns)
     _echo_config(out_dir, "score", cfg)
     click.echo(f"scored {len(test) + len(ood)} samples ({len(test)} IND, {len(ood)} OOD)")
 
@@ -318,19 +314,20 @@ def _read_scores_csv(path):
         return [int, int] + [float] * (len(header) - 2)
 
     header, columns = read_table(path, "scores CSV", schema)
-    _check_unique(columns[0].tolist(), path, "sample_id")
+    _check_unique(columns[0], path, "sample_id")
     return columns[1], dict(zip(header[2:], columns[2:]))
 
 
-def _check_unique(values: list, path, what: str) -> None:
+def _check_unique(values: np.ndarray, path, what: str) -> None:
     """Reject the first value that repeats an earlier row, by line (header is line 1)."""
-    seen = {}
-    for i, value in enumerate(values):
-        if value in seen:
-            raise DataError(
-                f"{path}:{i + 2}: {what} {value!r} repeats line {seen[value] + 2}"
-            )
-        seen[value] = i
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    # a run of equal values keeps file order: each row after its first repeats it
+    repeats = np.nonzero(ranked[1:] == ranked[:-1])[0] + 1
+    if repeats.size:
+        k = repeats[np.argmin(order[repeats])]
+        i, first = order[k], order[np.searchsorted(ranked, ranked[k])]
+        raise DataError(f"{path}:{i + 2}: {what} {values.tolist()[i]!r} repeats line {first + 2}")
 
 
 # What a CSV cell may hold: (test over a column's values, what the cell must be).
@@ -372,7 +369,7 @@ def _read_preds_csv(path):
         return [int] + [float] * n_labels + [int] * n_labels
 
     header, columns = read_table(path, "predictions CSV", schema)
-    _check_unique(columns[0].tolist(), path, "sample_id")
+    _check_unique(columns[0], path, "sample_id")
     n_labels = len(header) // 2
     return np.column_stack(columns[1 : 1 + n_labels]), np.column_stack(columns[1 + n_labels :])
 
@@ -418,11 +415,11 @@ def cmd_eval(scores_csv, scores_arg, preds_csv, aggregate, out):
     for nm, ds in datasets:
         curve = roc_curve(ds)
         m = detection_metrics(curve)
-        rows.append([nm, repr(m.fpr95), repr(m.auroc), repr(m.aupr)])
+        rows.append((m.fpr95, m.auroc, m.aupr))
         write_roc_csv(curve, out_dir / f"roc_{nm}.csv")
-    write_table(out_dir / "metrics.csv", _METRICS_HEADER, rows)
+    write_table(out_dir / "metrics.csv", _METRICS_HEADER, [requested, *np.array(rows).T])
     if preds_csv is not None:
-        write_table(out_dir / "map.csv", ["metric", "value"], [["map", repr(value)]])
+        write_table(out_dir / "map.csv", ["metric", "value"], [["map"], np.array([value])])
     click.echo(f"evaluated {len(requested)} score(s) into {out_dir}")
 
 
@@ -438,7 +435,7 @@ def _aggregate_metrics(paths, out: str) -> None:
         header, (names, *metrics) = read_table(mp, "metrics CSV", _metrics_schema)
         if header != _METRICS_HEADER:
             raise DataError(f"metrics CSV {mp} must have columns {','.join(_METRICS_HEADER)}")
-        _check_unique(names, mp, "score")
+        _check_unique(np.array(names, dtype=object), mp, "score")
         _check_cells(mp, {nm: (v, _UNIT) for nm, v in zip(_METRICS_HEADER[1:], metrics)})
         values = [column.tolist() for column in metrics]
         tables.append((mp, {nm: [column[i] for column in values] for i, nm in enumerate(names)}))
@@ -449,15 +446,12 @@ def _aggregate_metrics(paths, out: str) -> None:
             raise DataError(
                 f"metrics CSVs {first} and {mp} differ in rows for score(s) {', '.join(only_one)}"
             )
-    out_rows = []
-    for nm in first_rows:
-        for j, metric in enumerate(_METRICS_HEADER[1:]):
-            values = [rows[nm][j] for _, rows in tables]
-            out_rows.append(
-                [nm, metric, repr(float(np.mean(values))), repr(float(np.median(values)))]
-            )
+    kinds = _METRICS_HEADER[1:]
+    cells = [[rows[nm][j] for _, rows in tables] for nm in first_rows for j in range(len(kinds))]
+    columns = [[nm for nm in first_rows for _ in kinds], kinds * len(first_rows),
+               np.array([np.mean(v) for v in cells]), np.array([np.median(v) for v in cells])]
     out_dir = _prepare_out(out)
-    write_table(out_dir / "aggregate.csv", ["score", "metric", "mean", "median"], out_rows)
+    write_table(out_dir / "aggregate.csv", ["score", "metric", "mean", "median"], columns)
     click.echo(f"aggregated {len(paths)} run(s) into {out_dir / 'aggregate.csv'}")
 
 
@@ -500,9 +494,9 @@ def cmd_sweep_lambda(scores_csv, lambda2_arg, out):
     rows = []
     for lam, ds in zip(grid, datasets):
         m = detection_metrics(roc_curve(ds))
-        rows.append([repr(lam), repr(m.fpr95), repr(m.auroc), repr(m.aupr)])
+        rows.append((lam, m.fpr95, m.auroc, m.aupr))
     out_dir = _prepare_out(out)
-    write_table(out_dir / "sweep.csv", ["lambda2", "fpr95", "auroc", "aupr"], rows)
+    write_table(out_dir / "sweep.csv", ["lambda2", "fpr95", "auroc", "aupr"], np.array(rows).T)
     click.echo(f"swept {len(grid)} lambda2 values into {out_dir / 'sweep.csv'}")
 
 

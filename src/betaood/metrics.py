@@ -84,7 +84,8 @@ class RocCurve:
 def roc_curve(ds: ScoredDataset, positive_is_ood: bool = True) -> RocCurve:
     """Sort the scores once and count TP/FP after each run of equal scores."""
     positive = ds.is_ood.astype(bool) if positive_is_ood else ~ds.is_ood.astype(bool)
-    order = np.argsort(-ds.scores, kind="stable")
+    # any order within a run of equal scores gives the same counts at its end
+    order = np.argsort(-ds.scores)
     sorted_scores = ds.scores[order]
     sorted_pos = positive[order].astype(int)
     # indices where a run of equal scores ends
@@ -136,7 +137,8 @@ def fpr_at_tpr(
 
 
 def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
-    """AP of one label column: mean precision at each positive in the descending ranking."""
+    """AP of one label column: mean precision at each positive in the descending
+    ranking, tied scores in row order (their order changes AP, so the sort is stable)."""
     order = np.argsort(-scores, kind="stable")
     hits = labels[order].astype(int)
     ranks = np.arange(1, hits.size + 1)
@@ -164,14 +166,12 @@ def mean_average_precision(prob_matrix: np.ndarray, label_matrix: np.ndarray) ->
 
 
 @functools.lru_cache(maxsize=2)
-def _rate_cells(n: int) -> tuple[str, ...]:
-    """repr of k / n for k = 0..n: the same division as ``fp / n_neg``."""
-    return tuple(map(repr, (np.arange(n + 1) / n).tolist()))
+def _rate_cells(n: int) -> np.ndarray:
+    """repr of k / n for k = 0..n, an object array: the same division as ``fp / n_neg``."""
+    return np.array([repr(r) for r in (np.arange(n + 1) / n).tolist()], dtype=object)
 
 
 def write_roc_csv(curve: RocCurve, path) -> None:
-    """One row per ROC point; each cell is looked up by its count."""
-    fpr, tpr = _rate_cells(curve.n_neg), _rate_cells(curve.n_pos)
-    rows = [[fpr[0], tpr[0]]]
-    rows += [[fpr[f], tpr[t]] for f, t in zip(curve.fp.tolist(), curve.tp.tolist())]
-    write_table(path, ["fpr", "tpr"], rows)
+    """One row per ROC point, from (0, 0); each cell is gathered by its count."""
+    fp, tp = (np.concatenate([[0], counts]) for counts in (curve.fp, curve.tp))
+    write_table(path, ["fpr", "tpr"], [_rate_cells(curve.n_neg)[fp], _rate_cells(curve.n_pos)[tp]])

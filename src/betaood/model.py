@@ -309,6 +309,19 @@ def checkpoint_to_json(ckpt: Checkpoint) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
 
 
+def _param_arrays(value, key: str, shape):
+    """A checkpoint ``params`` value as float arrays, a list of them for a hidden
+    key; a value that is not an array of numbers is reported by its name."""
+    if isinstance(shape, list):
+        if not isinstance(value, list):
+            raise DataError(f"parameter {key!r} must be a list of per-layer arrays")
+        return [_param_arrays(v, f"{key}[{i}]", ()) for i, v in enumerate(value)]
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"parameter {key!r} is not an array of numbers: {exc}") from None
+
+
 def _check_params(params: ModelParams) -> None:
     """Every parameter array has the shape its arch gives and finite entries."""
     shapes, values = param_shapes(params.arch), vars(params)
@@ -353,8 +366,7 @@ def checkpoint_from_json(text: str) -> Checkpoint:
         shapes = param_shapes(arch)
         _check_keys(doc["params"], shapes, "params")
         params = ModelParams(arch, **{
-            key: _per_layer(lambda v: np.asarray(v, dtype=float), doc["params"][key], shape)
-            for key, shape in shapes.items()
+            key: _param_arrays(doc["params"][key], key, shape) for key, shape in shapes.items()
         })
         loss_trace = doc["loss_trace"]
     except KeyError as exc:

@@ -1,24 +1,24 @@
 """The pipeline's one CSV reader and writer, with the csv module's excel-dialect behaviour.
 
-Plain tables go through ``np.loadtxt`` and one string join; anything else,
-and every error, through ``csv.reader``/``csv.writer``, so that a message
-names the file, the line and the cause.
+Plain tables are parsed in one typed ``np.loadtxt`` pass and written with one
+string join per chunk of rows; anything else, and every error, goes through
+``csv.reader``/``csv.writer``, so that a message names the file, the line and the cause.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
-from itertools import islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
 
-_DTYPES = {int: np.int64, float: np.float64}
-# rows converted at a time by write_table and by datagen's JSONL reader and
-# writer: bounds the Python objects held in memory
+_DTYPES = {int: np.int64, float: np.float64, str: object}
+# rows turned into text (or parsed) at a time by write_table and by datagen's
+# JSONL writer and reader: bounds the Python objects held in memory
 CHUNK_ROWS = 256
 
 
@@ -49,29 +49,23 @@ def read_table(path, what: str, schema) -> tuple[list[str], list]:
 
 
 def _read_plain(body: list[str], types: list) -> list | None:
-    """Every column in bulk, or None if a row needs _read_rows.
+    """Every column from one typed ``np.loadtxt`` call, or None if a row needs _read_rows.
 
-    ``np.loadtxt`` accepts a subset of what int() and float() accept, with
-    the same values; a numpy that parses a non-integer int cell as a float
-    says so with a DeprecationWarning, which also sends the table to _read_rows.
+    One dtype field per column makes loadtxt reject a row of another width; it
+    accepts a subset of what int() and float() accept, with the same values, and
+    keeps str cells as they are.  A numpy that parses a non-integer int cell as a
+    float says so with a DeprecationWarning, which also sends the table to _read_rows.
     """
-    if not body or any(line.count(",") != len(types) - 1 for line in body):
+    if not body:
         return None
-    columns = [[line.split(",")[j] for line in body] if t is str else None
-               for j, t in enumerate(types)]
-    for kind, dtype in _DTYPES.items():
-        index = [j for j, t in enumerate(types) if t is kind]
-        if index:
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", DeprecationWarning)
-                    block = np.loadtxt(body, delimiter=",", usecols=index, dtype=dtype,
-                                       comments=None, ndmin=2)
-            except (ValueError, DeprecationWarning):
-                return None
-            for n, j in enumerate(index):
-                columns[j] = block[:, n]
-    return columns
+    dtype = np.dtype([("", _DTYPES[t]) for t in types])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            block = np.loadtxt(body, delimiter=",", dtype=dtype, comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning):
+        return None
+    return [block[nm].tolist() if t is str else block[nm] for nm, t in zip(dtype.names, types)]
 
 
 def _read_rows(path, what: str, schema) -> tuple[list[str], list]:
@@ -99,22 +93,34 @@ def _read_rows(path, what: str, schema) -> tuple[list[str], list]:
     return header, [v if t is str else np.array(v) for v, t in zip(values, types)]
 
 
-def write_table(path, header: list[str], rows) -> None:
-    """Write a header and an iterable of rows of str cells with the bytes of csv.writer."""
-    rows = iter(rows)
+def write_table(path, header: list[str], columns) -> None:
+    """Write a header and equal-length columns with the bytes of csv.writer.
+
+    A float array's cells are the repr of each Python float, another number
+    array's the str of each value; a list or object array holds str cells.
+    """
+    chunks = ([_cells(column[start : start + CHUNK_ROWS]) for column in columns]
+              for start in range(0, len(columns[0]), CHUNK_ROWS))
     with open(path, "w", newline="") as fh:
-        chunk = [header, *islice(rows, CHUNK_ROWS)]
-        while chunk:
-            text = "".join([",".join(row) + "\r\n" for row in chunk])
+        for chunk in chain([[[name] for name in header]], chunks):
+            width, rows = len(chunk), len(chunk[0])
+            # each cell followed by "," or, at the end of its row, by "\r\n"
+            parts = [","] * (2 * width * rows)
+            for j, cells in enumerate(chunk):
+                parts[2 * j :: 2 * width] = cells
+            parts[2 * width - 1 :: 2 * width] = ["\r\n"] * rows
+            text = "".join(parts)
             # a cell holding ",", '"' or a line break, or a row of one empty cell, is quoted
-            plain = (
-                '"' not in text
-                and text.count(",") == sum(map(len, chunk)) - len(chunk)
-                and text.count("\n") == len(chunk) == text.count("\r")
-                and [""] not in chunk
-            )
-            if plain:
-                fh.write(text)
+            if ('"' in text or text.count(",") != (width - 1) * rows
+                    or not text.count("\n") == rows == text.count("\r")
+                    or width == 1 and "" in chunk[0]):
+                csv.writer(fh).writerows(zip(*chunk))
             else:
-                csv.writer(fh).writerows(chunk)
-            chunk = list(islice(rows, CHUNK_ROWS))
+                fh.write(text)
+
+
+def _cells(part) -> list[str]:
+    """The str cells of a slice of a column."""
+    if isinstance(part, np.ndarray) and part.dtype.kind != "O":
+        return list(map(repr if part.dtype.kind == "f" else str, part.tolist()))
+    return part.tolist() if isinstance(part, np.ndarray) else part

@@ -464,6 +464,31 @@ class TestScore:
             pipeline, tmp_path, capsys, section, key, value
         )
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("hidden_weights", 3, "parameter 'hidden_weights' must be a list of per-layer arrays"),
+        ("w_pos", "x", "parameter 'w_pos' is not an array of numbers: could not convert"),
+        ("b_neg", [[0.5, 0.5], [0.5]],
+         "parameter 'b_neg' is not an array of numbers: setting an array element"),
+        ("hidden_biases", [["x"]], "parameter 'hidden_biases[0]' is not an array of numbers"),
+        ("b_pos", [10**400], "parameter 'b_pos' is not an array of numbers: int too large"),
+    ], ids=["hidden_not_list", "head_string", "head_ragged", "layer_string", "huge_int"])
+    def test_checkpoint_param_of_wrong_type_names_its_key(
+        self, pipeline, tmp_path, capsys, key, value, message
+    ):
+        doc = json.loads((pipeline / "checkpoint.json").read_text())
+        doc["params"][key] = value
+        broken = tmp_path / "checkpoint.json"
+        broken.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code = main([
+            "score", "--checkpoint", str(broken),
+            "--data", str(pipeline / "synth"), "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint {broken}: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("section, edit, message", [
         ("train_config", lambda d: [d.pop("epochs"), d.pop("seed")],
          "malformed train_config: missing key(s) epochs, seed"),

@@ -14,6 +14,7 @@ from betaood.metrics import (
     ScoredDataset,
     auroc,
     aupr,
+    average_precision,
     detection_metrics,
     fpr_at_tpr,
     mean_average_precision,
@@ -331,3 +332,52 @@ class TestOneSweepMatchesThreeSweeps:
         assert curve.points == list(zip(curve.fpr.tolist(), curve.tpr.tolist()))
         with pytest.raises(ValueError):
             curve.tp[0] = 0
+
+
+@st.composite
+def tied_datasets(draw):
+    """Scores from a few small integers and both zeros, so that nearly every
+    score is tied; up to 300 rows, where an unstable sort reorders ties."""
+    n = draw(st.integers(2, 300))
+    is_ood = draw(st.lists(st.booleans(), min_size=n, max_size=n)
+                  .filter(lambda v: 0 < sum(v) < len(v)))
+    value = st.integers(-3, 3).map(float) | st.sampled_from([0.0, -0.0])
+    scores = draw(st.lists(value, min_size=n, max_size=n))
+    return ScoredDataset(scores=scores, is_ood=np.array(is_ood, dtype=int))
+
+
+class TestTieOrder:
+    """roc_curve reads TP/FP at the end of each run of equal scores, so the
+    order within a tie cannot change them; average precision ranks every row,
+    so it keeps the row order of ties."""
+
+    @given(ds=tied_datasets(), positive_is_ood=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_roc_counts_equal_stable_sort(self, ds, positive_is_ood):
+        curve = roc_curve(ds, positive_is_ood)
+        tp, fp, n_pos, n_neg = _reference_sweep(ds, positive_is_ood)
+        assert np.array_equal(curve.tp, tp) and np.array_equal(curve.fp, fp)
+        assert (curve.n_pos, curve.n_neg) == (n_pos, n_neg)
+
+    def test_roc_counts_equal_stable_sort_large(self):
+        rng = np.random.default_rng(7)
+        scores = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], size=5000)
+        ds = ScoredDataset(scores=scores, is_ood=rng.integers(0, 2, size=5000))
+        for positive_is_ood in (True, False):
+            curve = roc_curve(ds, positive_is_ood)
+            tp, fp, _, _ = _reference_sweep(ds, positive_is_ood)
+            assert np.array_equal(curve.tp, tp) and np.array_equal(curve.fp, fp)
+
+    def test_average_precision_ranks_ties_in_row_order(self):
+        assert average_precision(np.array([0.5, 0.5]), np.array([1, 0])) == 1.0
+        assert average_precision(np.array([0.5, 0.5]), np.array([0, 1])) == 0.5
+
+    def test_average_precision_equals_stable_ranking(self):
+        rng = np.random.default_rng(11)
+        scores = rng.choice([0.25, 0.5, 0.75], size=300)
+        labels = rng.integers(0, 2, size=300)
+        # Python's sort is stable: ties stay in row order
+        hits = labels[sorted(range(300), key=lambda i: -scores[i])]
+        ranks = np.flatnonzero(hits) + 1
+        want = float(np.mean(np.arange(1, ranks.size + 1) / ranks))
+        assert average_precision(scores, labels) == want

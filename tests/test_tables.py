@@ -1,4 +1,5 @@
 import csv
+import math
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -177,9 +178,10 @@ class TestReadTableMatchesCsvReader:
         loadtxt = np.loadtxt
 
         def lenient_loadtxt(body, dtype=float, **kwargs):
-            if dtype is np.int64:
+            as_float = np.dtype([(nm, float) for nm in dtype.names])
+            if as_float != dtype:
                 warnings.warn("Parsing an integer via a float is deprecated", DeprecationWarning)
-                return loadtxt(body, dtype=float, **kwargs).astype(np.int64)
+                return loadtxt(body, dtype=as_float, **kwargs).astype(dtype)
             return loadtxt(body, dtype=dtype, **kwargs)
 
         path = tmp_path / "scores.csv"
@@ -198,26 +200,88 @@ class TestReadTableMatchesCsvReader:
         with pytest.raises(DataError, match=f"{path}:3:"):
             _read_scores_csv(path)
 
+    @pytest.mark.parametrize("body, message", [
+        (b"0,0,0.5\r\n1,1\r\n", ":3: expected 3 columns, got 2"),
+        (b"0,0,0.5\r\n1,1,0.5,0.7\r\n", ":3: expected 3 columns, got 4"),
+        (b"0,1.0,0.5\r\n", ":2: malformed row: invalid literal for int()"),
+        (b"0,0,0.5\r\n1,1,0.\x005\r\n", ":3: malformed row: could not convert"),
+    ], ids=["ragged_row", "extra_column", "int_cell_as_float", "nul_byte"])
+    def test_one_pass_hands_bad_table_to_line_reader(self, tmp_path, body, message):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b"sample_id,is_ood,u_s_p\r\n" + body)
+        with mock.patch.object(tables, "_read_rows", wraps=tables._read_rows) as line_reader:
+            with pytest.raises(DataError) as got:
+                _read_scores_csv(path)
+        assert line_reader.call_count == 1
+        assert str(got.value).startswith(f"{path}{message}")
+
+    def test_header_only_table_goes_to_line_reader(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b"sample_id,is_ood,u_s_p\r\n")
+        with mock.patch.object(tables, "_read_rows", wraps=tables._read_rows) as line_reader:
+            is_ood, columns = _read_scores_csv(path)
+        assert line_reader.call_count == 1
+        assert is_ood.shape == (0,) and columns["u_s_p"].shape == (0,)
+
+    def test_plain_table_is_one_loadtxt_call(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_bytes(b"sample_id,p_0,p_1,y_0,y_1\r\n0,0.25,0.5,1,0\r\n1,1.0,0.0,0,1\r\n")
+        with mock.patch("numpy.loadtxt", wraps=np.loadtxt) as loadtxt, \
+                mock.patch.object(tables, "_read_rows") as line_reader:
+            probs, labels = _read_preds_csv(path)
+        assert loadtxt.call_count == 1 and line_reader.call_count == 0
+        assert probs.tolist() == [[0.25, 0.5], [1.0, 0.0]]
+        assert labels.tolist() == [[1, 0], [0, 1]]
+        assert labels.dtype == np.int64
+
+
+@st.composite
+def rectangular_tables(draw):
+    """A header and columns of str cells, as lists or object arrays, all one
+    width: zero rows and one-column tables with an empty cell included."""
+    width = draw(st.integers(1, 3))
+    header = draw(st.lists(st.sampled_from(["a", "b,c", 'q"', ""]),
+                           min_size=width, max_size=width))
+    cell = st.sampled_from(["0.5", "-1e-05", "nan", "", "x,y", 'say "hi"', "a\nb", "c\r"])
+    n_rows = draw(st.integers(0, 5))
+    columns = [draw(st.lists(cell, min_size=n_rows, max_size=n_rows)) for _ in range(width)]
+    if draw(st.booleans()):
+        columns = [np.array(column, dtype=object) for column in columns]
+    return header, columns
+
+
+def _csv_writer_bytes(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
 
 class TestWriteTableMatchesCsvWriter:
     @settings(max_examples=300, deadline=None)
-    @given(
-        header=st.lists(st.sampled_from(["a", "b,c", 'q"', ""]), min_size=1, max_size=3),
-        rows=st.lists(
-            st.lists(
-                st.sampled_from(["0.5", "-1e-05", "nan", "", "x,y", 'say "hi"', "a\nb", "c\r"]),
-                max_size=3,
-            ),
-            max_size=5,
-        ),
-        chunk=st.sampled_from([1, 2, 256]),
-    )
-    def test_bytes_equal(self, tmp_path_factory, header, rows, chunk):
+    @given(table=rectangular_tables(), chunk=st.sampled_from([1, 2, 256]))
+    def test_bytes_equal(self, tmp_path_factory, table, chunk):
+        header, columns = table
         d = tmp_path_factory.mktemp("w")
         with mock.patch.object(tables, "CHUNK_ROWS", chunk):
-            write_table(d / "got.csv", header, iter(rows))
-        with open(d / "want.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
+            write_table(d / "got.csv", header, columns)
+        rows = [[column[i] for column in columns] for i in range(len(columns[0]))]
+        assert (d / "got.csv").read_bytes() == _csv_writer_bytes(d / "want.csv", header, rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(st.tuples(st.floats(allow_nan=False) | st.sampled_from([math.nan, -0.0]),
+                                  st.integers(-(2**63), 2**63 - 1),
+                                  st.sampled_from(["u_s_p", "", "x,y"])), max_size=6),
+        chunk=st.sampled_from([1, 2, 256]),
+    )
+    def test_number_columns_are_repr_and_str(self, tmp_path_factory, values, chunk):
+        floats, ints, names = (list(column) for column in zip(*values)) if values else ([], [], [])
+        d = tmp_path_factory.mktemp("n")
+        with mock.patch.object(tables, "CHUNK_ROWS", chunk):
+            write_table(d / "got.csv", ["f", "i", "s"],
+                        [np.array(floats, dtype=float), np.array(ints, dtype=np.int64), names])
+        want = _csv_writer_bytes(d / "want.csv", ["f", "i", "s"],
+                                 [[repr(f), str(i), nm] for f, i, nm in values])
+        assert (d / "got.csv").read_bytes() == want
