@@ -253,6 +253,9 @@ def cmd_score(config_path, checkpoint, data, out, scores_arg, lambda1, lambda2):
                 f"{p} has {group.X.shape[1]} features per row, but "
                 f"checkpoint {checkpoint} expects {input_dim}"
             )
+    if test.Y.shape[1] != ckpt.params.arch.label_count:  # preds.csv has y_j under each p_j
+        raise DataError(f"{test_path} has {test.Y.shape[1]} labels per row, but checkpoint "
+                        f"{checkpoint} expects {ckpt.params.arch.label_count}")
 
     groups = []  # per group its (N, k) score matrix and (N, L) probabilities
     for path, group in ((test_path, test), (ood_path, ood)):

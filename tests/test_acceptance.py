@@ -245,10 +245,12 @@ def test_sum_vs_max_aggregation_trend(five_seed_runs):
 
 
 def test_pipeline_determinism(five_seed_runs, tmp_path):
-    """Repeating a seed reproduces checkpoint, score, and metric files byte-for-byte."""
+    """Repeating a seed reproduces dataset, checkpoint, score, and metric files byte-for-byte."""
     _, dirs, _ = five_seed_runs
     redo = _run_pipeline(tmp_path, 0)
-    for name in ("checkpoint.json", "scores.csv", "preds.csv", "metrics.csv",
+    datasets = [f"synth.{split}.jsonl{suffix}"
+                for split in ("train", "val", "test", "ood") for suffix in ("", ".npy")]
+    for name in (*datasets, "checkpoint.json", "scores.csv", "preds.csv", "metrics.csv",
                  "map.csv", "roc_u_s_pn.csv"):
         assert (redo / name).read_bytes() == (dirs[0] / name).read_bytes(), name
 

@@ -7,9 +7,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import betaood.cli as cli_mod
+import betaood.datagen as datagen_mod
 import betaood.metrics as metrics_mod
 from betaood.cli import main
 from betaood.datagen import Dataset, read_jsonl, write_jsonl
@@ -75,10 +77,8 @@ class TestGenData:
         assert main(["gen-data", "--config", cfg, "--seed", "7", "--out", str(out_a)]) == 0
         assert main(["gen-data", "--config", cfg, "--seed", "7", "--out", str(out_b)]) == 0
         for split in ("train", "val", "test", "ood"):
-            assert (
-                (out_a / f"synth.{split}.jsonl").read_bytes()
-                == (out_b / f"synth.{split}.jsonl").read_bytes()
-            )
+            for name in (f"synth.{split}.jsonl", f"synth.{split}.jsonl.npy"):
+                assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
     def test_output_path_collides_with_file(self, tmp_path):
         blocker = tmp_path / "blocked"
@@ -356,6 +356,27 @@ class TestScore:
         assert str(tmp_path / "synth.test.jsonl") in err and "expects 4" in err
         assert not (tmp_path / "o" / "scores.csv").exists()
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.__setitem__("labels", None),
+        lambda doc: doc["labels"].pop(),
+    ], ids=["null_labels", "one_label_too_few"])
+    def test_label_count_differs_from_checkpoint_is_data_error(
+        self, pipeline, tmp_path, capsys, edit
+    ):
+        # preds.csv would otherwise have rows shorter than its header
+        _copy_rows(pipeline / "synth.test.jsonl", tmp_path / "synth.test.jsonl", edit,
+                   range(2, 2 + SMALL_GEN["test_samples"]))
+        (tmp_path / "synth.ood.jsonl").write_bytes((pipeline / "synth.ood.jsonl").read_bytes())
+        out = tmp_path / "o"
+        code = main([
+            "score", "--checkpoint", str(pipeline / "checkpoint.json"),
+            "--data", str(tmp_path / "synth"), "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "synth.test.jsonl") in err and "expects 3" in err
+        assert not out.exists()
+
     def test_directory_at_test_path_is_data_error(self, pipeline, tmp_path, capsys):
         (tmp_path / "synth.test.jsonl").mkdir()
         (tmp_path / "synth.ood.jsonl").write_bytes((pipeline / "synth.ood.jsonl").read_bytes())
@@ -573,6 +594,109 @@ class TestScore:
                 ((out / "scores.csv").read_bytes(), (out / "preds.csv").read_bytes())
             )
         assert blobs[0] == blobs[1]
+
+
+def _load_sidecar(path: Path) -> list:
+    with open(path, "rb") as fh:
+        return [np.load(fh, allow_pickle=False) for _ in range(4)]
+
+
+def _save_sidecar(path: Path, arrays) -> None:
+    with open(path, "wb") as fh:
+        for a in arrays:
+            np.save(fh, a, allow_pickle=False)
+
+
+def _changed_feature(sidecar: Path, jsonl: Path) -> None:
+    key, X, Y, split = _load_sidecar(sidecar)
+    X[0, 0] += 1.0
+    _save_sidecar(sidecar, [key, X, Y, split])
+
+
+def _key_of_other_bytes(sidecar: Path, jsonl: Path) -> None:
+    # the sidecar that write_jsonl saves for different features
+    ds = read_jsonl(jsonl)
+    other = sidecar.with_name("other.jsonl")
+    write_jsonl(Dataset(X=ds.X * 2.0, Y=ds.Y, split=ds.split), other)
+    sidecar.write_bytes(other.with_name("other.jsonl.npy").read_bytes())
+
+
+def _directory(sidecar: Path, jsonl: Path) -> None:
+    sidecar.unlink()
+    sidecar.mkdir()
+
+
+_DAMAGES = {
+    "truncated": lambda sidecar, jsonl: sidecar.write_bytes(sidecar.read_bytes()[:-100]),
+    "empty": lambda sidecar, jsonl: sidecar.write_bytes(b""),
+    "random_bytes": lambda sidecar, jsonl: sidecar.write_bytes(
+        np.random.default_rng(0).bytes(sidecar.stat().st_size)),
+    "directory": _directory,
+    "key_of_other_bytes": _key_of_other_bytes,
+    "changed_feature": _changed_feature,
+}
+
+
+class TestSidecar:
+    """A dataset file's ``.npy`` sidecar is a cache: train and score give the
+    parse's outputs and errors whatever state it is in."""
+
+    SPLITS = ("train", "test", "ood")
+
+    @pytest.fixture
+    def data(self, pipeline, tmp_path):
+        for split in self.SPLITS:
+            for suffix in ("", ".npy"):
+                name = f"synth.{split}.jsonl{suffix}"
+                (tmp_path / name).write_bytes((pipeline / name).read_bytes())
+        return tmp_path
+
+    def _run(self, pipeline, data, capsys, out):
+        """Exit codes, stdout and stderr of train and score, and the files they wrote."""
+        train_cfg = _write_config(data, "train.json", SMALL_TRAIN)
+        codes = [main(["train", "--config", train_cfg, "--data", str(data / "synth"),
+                       "--seed", "3", "--out", str(data / out)])]
+        codes.append(main(["score", "--checkpoint", str(pipeline / "checkpoint.json"),
+                           "--data", str(data / "synth"), "--out", str(data / out)]))
+        text = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted((data / out).glob("*"))}
+        return codes, text.out.replace(str(data / out), "OUT"), text.err, files
+
+    def _parsed(self, pipeline, data, capsys):
+        for split in self.SPLITS:
+            sidecar = data / f"synth.{split}.jsonl.npy"
+            if sidecar.is_dir():
+                sidecar.rmdir()
+            sidecar.unlink(missing_ok=True)
+        return self._run(pipeline, data, capsys, "parsed")
+
+    @pytest.mark.parametrize("damage", list(_DAMAGES))
+    def test_damaged_sidecar_gives_the_parse_outputs(self, pipeline, data, capsys, damage):
+        for split in self.SPLITS:
+            _DAMAGES[damage](data / f"synth.{split}.jsonl.npy", data / f"synth.{split}.jsonl")
+        got = self._run(pipeline, data, capsys, "damaged")
+        assert got[0] == [0, 0]
+        assert got == self._parsed(pipeline, data, capsys)
+
+    def test_intact_sidecar_gives_the_parse_outputs(self, pipeline, data, capsys, monkeypatch):
+        with monkeypatch.context() as patch:  # the sidecars stand in for every parse
+            patch.setattr(datagen_mod, "_stack_rows", None)
+            got = self._run(pipeline, data, capsys, "cached")
+        assert got[0] == [0, 0]
+        assert got == self._parsed(pipeline, data, capsys)
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_changed_byte_under_intact_sidecar_gives_the_parse_error(
+        self, pipeline, data, capsys, split
+    ):
+        path = data / f"synth.{split}.jsonl"
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b'"labels":[0', b'"labels":[2', 1).replace(
+            b'"labels":[1', b'"labels":[2', 1)
+        path.write_bytes(b"\n".join(lines))
+        got = self._run(pipeline, data, capsys, "changed")
+        assert 2 in got[0] and f"{path}:3: labels must be 0 or 1" in got[2]
+        assert got == self._parsed(pipeline, data, capsys)
 
 
 def _write_scores_csv(path, header, rows):

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from betaood.datagen import (
@@ -16,7 +16,7 @@ from betaood.datagen import (
     read_jsonl,
     write_jsonl,
 )
-from betaood import tables
+from betaood import datagen, tables
 from betaood.datagen import _split_rng
 from betaood.errors import ConfigError, DataError
 
@@ -219,10 +219,21 @@ def _labeled(n, d=4, l=3, seed=31, split="train"):
     return Dataset(X=rng.normal(size=(n, d)), Y=rng.integers(0, 2, (n, l)), split=split)
 
 
+def _sidecar(path):
+    return path.with_name(path.name + ".npy")
+
+
+def _write_parsed(data, path) -> None:
+    """write_jsonl without the sidecar, so that read_jsonl takes the parse path."""
+    write_jsonl(data, path)
+    _sidecar(path).unlink(missing_ok=True)
+
+
 class TestJsonlRoundTrip:
     def test_empty_dataset_writes_header_comment(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         write_jsonl(_labeled(0), path)
+        assert not _sidecar(path).exists()  # read_jsonl parses it
         text = path.read_text()
         assert text.startswith("#")
         assert len(read_jsonl(path)) == 0
@@ -230,7 +241,7 @@ class TestJsonlRoundTrip:
     def test_round_trip_equality(self, tmp_path):
         data = _labeled(1000)  # several write and read chunks
         path = tmp_path / "ds.jsonl"
-        write_jsonl(data, path)
+        _write_parsed(data, path)
         restored = read_jsonl(path)
         assert len(restored) == 1000
         np.testing.assert_array_equal(data.X, restored.X)
@@ -251,7 +262,7 @@ class TestJsonlRoundTrip:
 
     def test_ood_entries_have_null_labels(self, tmp_path):
         path = tmp_path / "ood.jsonl"
-        write_jsonl(Dataset(X=np.array([[1.0, 2.0]]), Y=np.zeros((1, 0), int), split="ood"), path)
+        _write_parsed(Dataset(X=np.array([[1.0, 2.0]]), Y=np.zeros((1, 0), int), split="ood"), path)
         assert '"labels":null' in path.read_text()
         restored = read_jsonl(path)
         assert restored.Y.shape == (1, 0)
@@ -342,7 +353,7 @@ class TestJsonlCodecMatchesReference:
     def test_writer_bytes_equal_json_dumps(self, tmp_path_factory, data, chunk):
         path = tmp_path_factory.mktemp("w") / "ds.jsonl"
         with mock.patch.object(tables, "CHUNK_ROWS", chunk):
-            write_jsonl(data, path)
+            _write_parsed(data, path)
         assert path.read_text() == _reference_jsonl(data)
         if len(data):
             restored = read_jsonl(path)
@@ -391,6 +402,89 @@ class TestJsonlCodecMatchesReference:
         assert got.X.tobytes() == want.X.tobytes() and got.X.shape == want.X.shape
         assert np.array_equal(got.Y, want.Y) and got.Y.dtype == want.Y.dtype
         assert got.split == want.split
+
+
+@st.composite
+def writer_inputs(draw):
+    """datasets() with labels as int, bool or float (0.7 and 1.0) and a split
+    that may be None or end in a NUL; some cross CHUNK_ROWS at 257 rows."""
+    data = draw(datasets())
+    X, Y = data.X, data.Y
+    if len(data) and draw(st.booleans()):
+        rows = np.arange(257) % len(data)
+        X, Y = X[rows], Y[rows]
+    kind = draw(st.sampled_from(["int", "bool", "float", "float_0_7"]))
+    if kind == "bool":
+        Y = Y.astype(bool)
+    elif kind == "float":
+        Y = Y.astype(float)
+    elif kind == "float_0_7":
+        Y = np.where(Y == 1, 1.0, 0.7)
+    split = draw(st.sampled_from([data.split, data.split, None, "x\x00"]))
+    return Dataset(X=X, Y=Y, split=split)
+
+
+def _read_outcome(path):
+    """What read_jsonl gives: the arrays' bytes, shapes, dtypes and split, or its error."""
+    try:
+        got = read_jsonl(path)
+    except DataError as exc:
+        return str(exc)
+    return (got.X.tobytes(), got.X.shape, got.X.dtype, got.Y.tolist(), got.Y.shape,
+            got.Y.dtype, got.split)
+
+
+class TestSidecarMatchesParse:
+    @settings(max_examples=300, deadline=None)
+    @given(data=writer_inputs())
+    @example(data=Dataset(X=np.array([[-0.0, 5e-324, 1.7976931348623157e308]]),
+                          Y=np.array([[1, 0]]), split="train"))
+    @example(data=Dataset(X=np.zeros((2, 0)), Y=np.zeros((2, 0), int), split="ood"))
+    @example(data=_labeled(257))
+    def test_cached_read_equals_parse(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("s") / "ds.jsonl"
+        write_jsonl(data, path)
+        cached = _sidecar(path).exists()
+        # a sidecar is written exactly for data that the parse returns unchanged
+        assert cached == bool(len(data) and data.Y.dtype.kind == "i"
+                              and data.split in ("train", "val", "test", "ood", 'é"x'))
+        if cached:  # and it stands in for the parse
+            with mock.patch.object(datagen, "_stack_rows", side_effect=AssertionError):
+                got = _read_outcome(path)
+            assert got[0] == data.X.tobytes() and got[6] == data.split
+        else:
+            got = _read_outcome(path)
+        _sidecar(path).unlink(missing_ok=True)
+        assert got == _read_outcome(path)
+
+    def test_unfit_data_removes_old_sidecar(self, tmp_path):
+        path = tmp_path / "ds.jsonl"
+        write_jsonl(_labeled(3), path)
+        assert _sidecar(path).exists()
+        write_jsonl(Dataset(X=np.ones((3, 4)), Y=np.ones((3, 3), bool), split="train"), path)
+        assert not _sidecar(path).exists()
+
+    def test_writer_ignores_directory_at_sidecar_path(self, tmp_path):
+        path = tmp_path / "ds.jsonl"
+        _sidecar(path).mkdir()
+        write_jsonl(_labeled(3), path)
+        assert _sidecar(path).is_dir()
+        np.testing.assert_array_equal(read_jsonl(path).X, _labeled(3).X)
+
+    def test_damaged_sidecar_reads_as_parse(self, tmp_path):
+        """Every truncation and every flipped byte of a sidecar: numpy's header
+        parser raises more than ValueError for some (tokenize's TokenError)."""
+        data = _labeled(3)
+        write_jsonl(data, tmp_path / "ds.jsonl")
+        text, raw = (tmp_path / "ds.jsonl").read_bytes(), (tmp_path / "ds.jsonl.npy").read_bytes()
+        damaged = [raw[:n] for n in range(len(raw))]
+        damaged += [raw[:i] + bytes([raw[i] ^ 0x80]) + raw[i + 1:] for i in range(len(raw))]
+        for k, sidecar in enumerate(damaged):
+            path = tmp_path / f"d{k}.jsonl"  # new files: rewriting one is slow on some filesystems
+            path.write_bytes(text)
+            _sidecar(path).write_bytes(sidecar)
+            got = read_jsonl(path)
+            assert got.X.tobytes() == data.X.tobytes() and np.array_equal(got.Y, data.Y), k
 
 
 def _reference_read_jsonl(path) -> Dataset:
