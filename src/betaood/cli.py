@@ -7,9 +7,13 @@ config error, 2 data error, 3 numeric failure.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -62,11 +66,7 @@ _GEN_DEFAULTS = {
 
 _TRAIN_DEFAULTS = {"hidden": [32], **asdict(TrainConfig())}
 
-_SCORE_DEFAULTS = {
-    "scores": list(SCORE_NAMES),
-    "lambda1": 0.5,
-    "lambda2": 0.5,
-}
+_SCORE_DEFAULTS = {"scores": list(SCORE_NAMES), "lambda1": 0.5, "lambda2": 0.5}
 
 
 def _load_config(path, defaults: dict, overrides: dict) -> dict:
@@ -89,35 +89,85 @@ def _load_config(path, defaults: dict, overrides: dict) -> dict:
     return merged
 
 
-def _check_out(out: str) -> None:
+def _check_out(out: str) -> list[str]:
     """Reject an --out that could not be created before any work is done: its
-    nearest existing ancestor must be a writable directory.  Creates nothing."""
-    existing = Path(out).absolute()
+    nearest existing ancestor must be a writable directory.  Creates nothing;
+    returns the directories from --out up that do not exist yet, topmost first."""
+    existing, missing = str(Path(out).absolute()), []
     while not os.path.exists(existing):
-        existing = existing.parent
-    if not existing.is_dir():
+        missing.insert(0, existing)
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
         problem = "is not a directory"
     elif not os.access(existing, os.W_OK | os.X_OK):
         problem = "is not writable"
     else:
-        return
+        return missing
     raise ConfigError(f"cannot create output directory {out}: {existing} {problem}")
 
 
-def _prepare_out(out: str) -> Path:
-    """Create --out, which _check_out accepted before the command's work."""
-    out_dir = Path(out)
+def _write_out(out: str, files: dict) -> Path:
+    """Write a command's files: ``files`` maps each name to a callable that writes
+    one path, in a stage directory inside --out.  After the last write every file
+    there (a dataset's sidecar too) moves into --out.  On any error the stage and
+    the directories this call made are removed; an OSError exits 1, naming the file."""
+    out_dir, made, stage, name = Path(out), [], None, None
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+        for path in _check_out(out):
+            with contextlib.suppress(FileExistsError):  # a path through ".."
+                os.mkdir(path)
+                made.append(path)
+        stage = tempfile.mkdtemp(prefix=".stage-", dir=out)
+        for name, write in files.items():
+            write(os.path.join(stage, name))
+        names = os.listdir(stage)
+        for name in names:  # before any move: a move cannot be taken back
+            if os.path.isdir(out_dir / name):
+                raise ConfigError(f"cannot write {out_dir / name}: a directory is in the way")
+        for name in names:
+            os.replace(os.path.join(stage, name), out_dir / name)
+        os.rmdir(stage)
+    except BaseException as exc:
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
+        for path in reversed(made):
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        if not isinstance(exc, OSError):
+            raise
+        raise ConfigError(f"cannot write {out_dir / (name or '')}: {exc.strerror or exc}") from exc
     return out_dir
 
 
-def _echo_config(out_dir: Path, command: str, cfg: dict) -> None:
-    with open(out_dir / f"{command}_config.json", "w") as fh:
-        json.dump(cfg, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _table(header: list[str], columns):
+    """A _write_out writer of a CSV table (tables.write_table)."""
+    return lambda path: write_table(path, header, columns)
+
+
+def _config_json(cfg: dict):
+    """A _write_out writer of the effective config, echoed into each command's --out."""
+    return lambda path: Path(path).write_text(json.dumps(cfg, sort_keys=True, indent=2) + "\n")
+
+
+def _check_name(value: str, affix: str, what: str, error) -> None:
+    """The rule of a string that becomes part of a file name in --out: it is not
+    empty, "." or "..", holds no "/" or NUL, and with ``affix``, the rest of the
+    longest file name it forms, takes at most 255 bytes."""
+    room = 255 - len(affix)
+    try:
+        fits = len(os.fsencode(value)) <= room
+    except UnicodeEncodeError:  # a lone surrogate names no file
+        fits = False
+    if not fits or value in ("", ".", "..") or "/" in value or "\0" in value:
+        raise error(f"{what} {value!r} must be a file name part: not empty, '.' or '..', "
+                    f"no '/' or NUL, at most {room} bytes")
+
+
+def _split_flag(value: str | None, flag: str) -> list[str] | None:
+    """A comma-separated flag's items; None if it was not given, an error if empty."""
+    if value == "":
+        raise ConfigError(f"{flag} is empty: give a comma-separated list, or leave it out")
+    return None if value is None else value.split(",")
 
 
 @click.group()
@@ -133,6 +183,8 @@ def cli():
 def cmd_gen_data(config_path, out, seed, name):
     """Generate the four JSONL dataset files (train/val/test/ood)."""
     cfg = _load_config(config_path, _GEN_DEFAULTS, {"seed": seed, "name": name})
+    where = "command line" if name is not None else f"config {config_path}"
+    _check_name(cfg["name"], ".train.jsonl.npy", f"malformed {where}: 'name'", ConfigError)
     _check_out(out)
     spec = default_spec(
         feature_dim=cfg["feature_dim"],
@@ -154,13 +206,13 @@ def cmd_gen_data(config_path, out, seed, name):
     )
     ind = generate_ind(spec)
     ood = generate_ood(spec, ood_spec)
-    out_dir = _prepare_out(out)
     base = cfg["name"]
-    for split, ds in ind.items():
-        write_jsonl(ds, out_dir / f"{base}.{split}.jsonl")
-    unlabeled = np.zeros((len(ood), 0), dtype=int)
-    write_jsonl(Dataset(X=ood, Y=unlabeled, split="ood"), out_dir / f"{base}.ood.jsonl")
-    _echo_config(out_dir, "gen_data", cfg)
+    unlabeled = Dataset(X=ood, Y=np.zeros((len(ood), 0), dtype=int), split="ood")
+    splits = [*ind.items(), ("ood", unlabeled)]
+    out_dir = _write_out(out, {
+        **{f"{base}.{split}.jsonl": functools.partial(write_jsonl, ds) for split, ds in splits},
+        "gen_data_config.json": _config_json(cfg),
+    })
     click.echo(f"wrote {base}.{{train,val,test,ood}}.jsonl to {out_dir}")
 
 
@@ -174,11 +226,8 @@ def cmd_gen_data(config_path, out, seed, name):
 @click.option("--batch-size", type=int, default=None)
 def cmd_train(config_path, data, out, seed, epochs, batch_size):
     """Train the two-head network; writes checkpoint.json, prints loss CSV."""
-    cfg = _load_config(
-        config_path,
-        _TRAIN_DEFAULTS,
-        {"seed": seed, "epochs": epochs, "batch_size": batch_size},
-    )
+    overrides = {"seed": seed, "epochs": epochs, "batch_size": batch_size}
+    cfg = _load_config(config_path, _TRAIN_DEFAULTS, overrides)
     _check_out(out)
     train_path = Path(f"{data}.train.jsonl")
     if not train_path.is_file():
@@ -188,19 +237,14 @@ def cmd_train(config_path, data, out, seed, epochs, batch_size):
         raise DataError(f"training file {train_path} is empty")
     if not ds.Y.shape[1]:
         raise DataError(f"training file {train_path} has no labels")
-    arch = ArchConfig(
-        input_dim=ds.X.shape[1],
-        hidden=tuple(cfg["hidden"]),
-        label_count=ds.Y.shape[1],
-    )
+    arch = ArchConfig(input_dim=ds.X.shape[1], hidden=tuple(cfg["hidden"]),
+                      label_count=ds.Y.shape[1])
     tc = TrainConfig(**{k: v for k, v in cfg.items() if k != "hidden"})
     ckpt = train(ds.X, ds.Y, arch, tc)
-    # created only now, so that a run that fails leaves no directory behind
-    out_dir = _prepare_out(out)
-    with open(out_dir / "checkpoint.json", "w") as fh:
-        fh.write(checkpoint_to_json(ckpt))
-        fh.write("\n")
-    _echo_config(out_dir, "train", cfg)
+    _write_out(out, {
+        "checkpoint.json": lambda path: Path(path).write_text(checkpoint_to_json(ckpt) + "\n"),
+        "train_config.json": _config_json(cfg),
+    })
     click.echo("epoch,mean_loss")
     for i, loss_value in enumerate(ckpt.loss_trace, start=1):
         click.echo(f"{i},{loss_value!r}")
@@ -227,11 +271,8 @@ def _load_checkpoint(path):
 @click.option("--lambda2", type=float, default=None)
 def cmd_score(config_path, checkpoint, data, out, scores_arg, lambda1, lambda2):
     """Score test (IND) and OOD samples; writes scores.csv and preds.csv."""
-    overrides = {
-        "scores": scores_arg.split(",") if scores_arg else None,
-        "lambda1": lambda1,
-        "lambda2": lambda2,
-    }
+    overrides = {"scores": _split_flag(scores_arg, "--scores"), "lambda1": lambda1,
+                 "lambda2": lambda2}
     cfg = _load_config(config_path, _SCORE_DEFAULTS, overrides)
     requested = cfg["scores"]
     _check_score_names(requested, SCORE_NAMES, "valid")
@@ -272,14 +313,14 @@ def cmd_score(config_path, checkpoint, data, out, scores_arg, lambda1, lambda2):
             raise NumericError(f"checkpoint {checkpoint} on {path}: {exc}") from None
         groups.append((values, pred.p))
 
-    # created only now, so that a run that fails leaves no directory behind
-    out_dir = _prepare_out(out)
     is_ood = np.repeat([0, 1], [len(test), len(ood)])
     score_columns = [np.arange(is_ood.size), is_ood, *np.concatenate([v for v, _ in groups]).T]
-    write_table(out_dir / "scores.csv", ["sample_id", "is_ood", *requested], score_columns)
     pred_columns = [np.arange(len(test)), *groups[0][1].T, *test.Y.T]
-    write_table(out_dir / "preds.csv", _preds_header(ckpt.params.arch.label_count), pred_columns)
-    _echo_config(out_dir, "score", cfg)
+    _write_out(out, {
+        "scores.csv": _table(["sample_id", "is_ood", *requested], score_columns),
+        "preds.csv": _table(_preds_header(ckpt.params.arch.label_count), pred_columns),
+        "score_config.json": _config_json(cfg),
+    })
     click.echo(f"scored {len(test) + len(ood)} samples ({len(test)} IND, {len(ood)} OOD)")
 
 
@@ -309,9 +350,7 @@ def _read_scores_csv(path):
 
     def schema(header):
         if header[:2] != ["sample_id", "is_ood"]:
-            raise DataError(
-                f"scores CSV {path} must start with sample_id,is_ood columns"
-            )
+            raise DataError(f"scores CSV {path} must start with sample_id,is_ood columns")
         if len(set(header)) != len(header):
             raise DataError(f"scores CSV {path} names a column twice")
         return [int, int] + [float] * (len(header) - 2)
@@ -366,9 +405,7 @@ def _read_preds_csv(path):
     def schema(header):
         n_labels = (len(header) - 1) // 2
         if n_labels < 1 or header != _preds_header(n_labels):
-            raise DataError(
-                f"predictions CSV {path} must have columns sample_id, p_0.., y_0.."
-            )
+            raise DataError(f"predictions CSV {path} must have columns sample_id, p_0.., y_0..")
         return [int] + [float] * n_labels + [int] * n_labels
 
     header, columns = read_table(path, "predictions CSV", schema)
@@ -388,22 +425,28 @@ def _read_preds_csv(path):
 def cmd_eval(scores_csv, scores_arg, preds_csv, aggregate, out):
     """Detection metrics per score plus ROC export; or aggregate over runs."""
     _check_out(out)
+    requested = _split_flag(scores_arg, "--scores")
     if aggregate is not None:
-        _aggregate_metrics(aggregate.split(","), out)
+        _aggregate_metrics(_split_flag(aggregate, "--aggregate"), out)
         return
     if scores_csv is None:
         raise ConfigError("either --scores-csv or --aggregate is required")
     is_ood, columns = _read_scores_csv(scores_csv)
-    requested = scores_arg.split(",") if scores_arg else list(columns)
+    requested = requested or list(columns)
     _check_score_names(requested, list(columns), f"columns of {scores_csv}")
-    # every cell is checked before any output file is written
+    for nm in requested:
+        _check_name(nm, "roc_.csv", f"scores CSV {scores_csv}: column", DataError)
     _check_score_cells(scores_csv, is_ood, columns, requested)
+    files, rows = {}, []
     try:
-        datasets = [
-            (nm, ScoredDataset(scores=columns[nm], is_ood=is_ood)) for nm in requested
-        ]
+        for nm in requested:
+            curve = roc_curve(ScoredDataset(scores=columns[nm], is_ood=is_ood))
+            m = detection_metrics(curve)
+            rows.append((m.fpr95, m.auroc, m.aupr))
+            files[f"roc_{nm}.csv"] = functools.partial(write_roc_csv, curve)
     except DataError as exc:
         raise DataError(f"{scores_csv}: {exc}") from exc
+    files["metrics.csv"] = _table(_METRICS_HEADER, [requested, *np.array(rows).T])
     if preds_csv is not None:
         probs, labels = _read_preds_csv(preds_csv)
         rules = [_UNIT] * probs.shape[1] + [_BINARY] * labels.shape[1]
@@ -413,29 +456,17 @@ def cmd_eval(scores_csv, scores_arg, preds_csv, aggregate, out):
             value = mean_average_precision(probs, labels)
         except DataError as exc:
             raise DataError(f"{preds_csv}: {exc}") from exc
-    out_dir = _prepare_out(out)
-    rows = []
-    for nm, ds in datasets:
-        curve = roc_curve(ds)
-        m = detection_metrics(curve)
-        rows.append((m.fpr95, m.auroc, m.aupr))
-        write_roc_csv(curve, out_dir / f"roc_{nm}.csv")
-    write_table(out_dir / "metrics.csv", _METRICS_HEADER, [requested, *np.array(rows).T])
-    if preds_csv is not None:
-        write_table(out_dir / "map.csv", ["metric", "value"], [["map"], np.array([value])])
+        files["map.csv"] = _table(["metric", "value"], [["map"], np.array([value])])
+    out_dir = _write_out(out, files)
     click.echo(f"evaluated {len(requested)} score(s) into {out_dir}")
-
-
-def _metrics_schema(header):
-    return [str] + [float] * (len(header) - 1)
 
 
 def _aggregate_metrics(paths, out: str) -> None:
     """Mean and median of every (score, metric) cell across run metrics files."""
     tables = []
-    for p in paths:
-        mp = Path(p)
-        header, (names, *metrics) = read_table(mp, "metrics CSV", _metrics_schema)
+    for mp in map(Path, paths):
+        header, (names, *metrics) = read_table(
+            mp, "metrics CSV", lambda header: [str] + [float] * (len(header) - 1))
         if header != _METRICS_HEADER:
             raise DataError(f"metrics CSV {mp} must have columns {','.join(_METRICS_HEADER)}")
         _check_unique(np.array(names, dtype=object), mp, "score")
@@ -453,8 +484,9 @@ def _aggregate_metrics(paths, out: str) -> None:
     cells = [[rows[nm][j] for _, rows in tables] for nm in first_rows for j in range(len(kinds))]
     columns = [[nm for nm in first_rows for _ in kinds], kinds * len(first_rows),
                np.array([np.mean(v) for v in cells]), np.array([np.median(v) for v in cells])]
-    out_dir = _prepare_out(out)
-    write_table(out_dir / "aggregate.csv", ["score", "metric", "mean", "median"], columns)
+    out_dir = _write_out(out, {
+        "aggregate.csv": _table(["score", "metric", "mean", "median"], columns),
+    })
     click.echo(f"aggregated {len(paths)} run(s) into {out_dir / 'aggregate.csv'}")
 
 
@@ -466,40 +498,30 @@ def _aggregate_metrics(paths, out: str) -> None:
 def cmd_sweep_lambda(scores_csv, lambda2_arg, out):
     """Metrics of the combined sum score over a lambda2 grid; writes sweep.csv."""
     _check_out(out)
+    grid = _split_flag(lambda2_arg, "--lambda2")
     is_ood, columns = _read_scores_csv(scores_csv)
     for needed in ("u_s_p", "u_s_n"):
         if needed not in columns:
-            raise ConfigError(
-                f"sweep-lambda needs column {needed!r} in {scores_csv}"
-            )
+            raise ConfigError(f"sweep-lambda needs column {needed!r} in {scores_csv}")
     _check_score_cells(scores_csv, is_ood, columns, ("u_s_p", "u_s_n"))
-    if lambda2_arg:
-        try:
-            grid = [float(v) for v in lambda2_arg.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"bad --lambda2 grid: {exc}") from exc
-    else:
-        grid = [k / 10.0 for k in range(11)]
+    try:
+        grid = [k / 10.0 for k in range(11)] if grid is None else [float(v) for v in grid]
+    except ValueError as exc:
+        raise ConfigError(f"bad --lambda2 grid: {exc}") from exc
     for lam in grid:
         if not (0.0 <= lam <= 1.0):
             raise ConfigError(f"lambda2 values must be in [0, 1], got {lam}")
-    # every grid point is checked before sweep.csv is written
+    rows = []
     try:
-        datasets = [
-            ScoredDataset(
-                scores=mix_scores(lam, columns["u_s_p"], columns["u_s_n"]),
-                is_ood=is_ood,
-            )
-            for lam in grid
-        ]
+        for lam in grid:
+            mixed = mix_scores(lam, columns["u_s_p"], columns["u_s_n"])
+            m = detection_metrics(roc_curve(ScoredDataset(scores=mixed, is_ood=is_ood)))
+            rows.append((lam, m.fpr95, m.auroc, m.aupr))
     except DataError as exc:
         raise DataError(f"{scores_csv}: {exc}") from exc
-    rows = []
-    for lam, ds in zip(grid, datasets):
-        m = detection_metrics(roc_curve(ds))
-        rows.append((lam, m.fpr95, m.auroc, m.aupr))
-    out_dir = _prepare_out(out)
-    write_table(out_dir / "sweep.csv", ["lambda2", "fpr95", "auroc", "aupr"], np.array(rows).T)
+    out_dir = _write_out(out, {
+        "sweep.csv": _table(["lambda2", "fpr95", "auroc", "aupr"], np.array(rows).T),
+    })
     click.echo(f"swept {len(grid)} lambda2 values into {out_dir / 'sweep.csv'}")
 
 

@@ -238,10 +238,14 @@ _NUMBER = "biuf"
 
 def write_jsonl(data: Dataset, path) -> None:
     """One JSON object per line, the bytes of json.dumps(row, separators=(",", ":")),
-    after a comment header; rows without labels carry labels: null."""
+    after a comment header; rows without labels carry labels: null.  Rejects
+    what read_jsonl would: non-finite features, and labels other than 0 or 1 or
+    stored as bools (written as True/False, which is not JSON)."""
     X = np.asarray(data.X, dtype=float)
     if not np.isfinite(X).all():
         raise DataError(f"cannot write {path}: features must be finite")
+    if data.Y.dtype.kind == "b" or _broken_rule(X, data.Y, None, [], 2, None):
+        raise DataError(f"cannot write {path}: labels must be the numbers 0 or 1, not bools")
     labeled = data.Y.shape[1] > 0
     tail = ',"split":' + json.dumps(data.split) + "}\n"
     chunk = tables.CHUNK_ROWS
@@ -310,9 +314,13 @@ def read_jsonl(path) -> Dataset:
     feature must be finite and every label 0 or 1; the split is the first row's.
     A matching sidecar stands in for the parse.
     """
-    if (cached := _load_sidecar(path)) is not None:
-        return cached
-    parts, docs, linenos = [], [], []
+    cached = _load_sidecar(path)
+    return cached if cached is not None else _parse_jsonl(path)
+
+
+def _parse_jsonl(path) -> Dataset:
+    """Each row in file order, checked against the row rules; raises for the first bad line."""
+    rows, first = [], None  # first: the first row's (features, labels, line)
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -320,31 +328,37 @@ def read_jsonl(path) -> Dataset:
                 if not line or line.startswith("#"):
                     continue
                 try:
-                    docs.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    docs.append(exc)  # reported in line order by _raise_first_bad_row
-                linenos.append(lineno)
-                if len(docs) == tables.CHUNK_ROWS:
-                    parts.append(_stack_rows(path, docs, linenos, parts))
-                    docs = []
+                    doc = json.loads(line)
+                    x, labels, split = doc["features"], doc["labels"], doc["split"]
+                    y = [] if labels is None else labels
+                    fx, fy = np.asarray(x), np.asarray(y)
+                    problem = _broken_rule(fx, fy, labels, [split], 1, first)
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                    raise DataError(f"{path}:{lineno}: malformed dataset line: {exc}") from exc
+                # a list of numbers, so the test is safe; numpy reads true as 1
+                if problem is None and (bool in map(type, x) or bool in map(type, y)):
+                    problem = "features and labels must be numbers, not true or false"
+                if problem:
+                    raise DataError(f"{path}:{lineno}: {problem}")
+                first = first or (fx.size, fy.size, lineno)
+                rows.append((fx, fy, lineno, split))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: cannot decode: {exc}") from exc
     except OSError as exc:
         raise DataError(f"{path}: cannot read: {exc}") from exc
-    if docs:
-        parts.append(_stack_rows(path, docs, linenos, parts))
-    if not parts:
+    if not rows:
         return Dataset(X=np.empty((0, 0)), Y=np.empty((0, 0), dtype=int), split=None)
-    X = np.concatenate([x for x, _, _ in parts])
+    features, labels, linenos, splits = zip(*rows)
+    X = np.array(features, dtype=float)
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
         raise DataError(f"{path}:{linenos[int(np.argmin(finite))]}: features must be finite")
-    return Dataset(X=X, Y=np.concatenate([y for _, y, _ in parts]), split=parts[0][2])
+    return Dataset(X=X, Y=np.array(labels, dtype=int), split=splits[0])
 
 
 def _broken_rule(X: np.ndarray, Y: np.ndarray, labels, splits: list, ndim: int,
                  first) -> str | None:
-    """The first rule that one row (ndim 1) or a chunk of rows (ndim 2) breaks,
+    """The first rule that one row (ndim 1) or a table of rows (ndim 2) breaks,
     or None.  X and Y are the features and labels as numpy reads them with no
     dtype given, so a string makes them strings: features and labels are
     lists of numbers, not of numeric strings; labels are 0 or 1 (0.7 is not
@@ -361,39 +375,3 @@ def _broken_rule(X: np.ndarray, Y: np.ndarray, labels, splits: list, ndim: int,
         return (f"{X.shape[-1]} features and {Y.shape[-1]} labels, "
                 f"but line {first[2]} has {first[0]} and {first[1]}")
     return None
-
-
-def _stack_rows(path, docs: list, linenos: list[int], parts: list):
-    """(X, Y, first split) of consecutive parsed rows, converted and checked at
-    once; a chunk that breaks a rule goes to _raise_first_bad_row."""
-    first = (parts[0][0].shape[1], parts[0][1].shape[1], linenos[0]) if parts else None
-    try:
-        X = np.array([doc["features"] for doc in docs])
-        labels = [[] if doc["labels"] is None else doc["labels"] for doc in docs]
-        Y = np.array(labels)
-        splits = [doc["split"] for doc in docs]
-        valid = _broken_rule(X, Y, labels, splits, 2, first) is None
-    except (KeyError, TypeError, ValueError, OverflowError):
-        valid = False
-    if not valid:
-        _raise_first_bad_row(path, docs, linenos, first)
-    return X.astype(float, copy=False), Y.astype(int, copy=False), splits[0]
-
-
-def _raise_first_bad_row(path, docs: list, linenos: list[int], first) -> None:
-    """Raise for the first row of this chunk that breaks a rule; earlier chunks passed."""
-    for doc, lineno in zip(docs, linenos[len(linenos) - len(docs):]):
-        try:
-            if isinstance(doc, json.JSONDecodeError):
-                raise doc
-            features = np.asarray(doc["features"])
-            labels = [] if doc["labels"] is None else doc["labels"]
-            split = doc["split"]
-            y = np.asarray(labels)
-            problem = _broken_rule(features, y, labels, [split], 1, first)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"{path}:{lineno}: malformed dataset line: {exc}") from exc
-        if problem:
-            raise DataError(f"{path}:{lineno}: {problem}")
-        first = first or (features.size, y.size, lineno)
-    raise DataError(f"{path}: rows do not stack into one table")

@@ -17,8 +17,8 @@ import numpy as np
 from .errors import DataError
 
 _DTYPES = {int: np.int64, float: np.float64, str: object}
-# rows turned into text (or parsed) at a time by write_table and by datagen's
-# JSONL writer and reader: bounds the Python objects held in memory
+# rows turned into text at a time by write_table and by datagen's JSONL
+# writer: bounds the Python objects held in memory
 CHUNK_ROWS = 256
 
 

@@ -15,7 +15,7 @@ import betaood.datagen as datagen_mod
 import betaood.metrics as metrics_mod
 from betaood.cli import main
 from betaood.datagen import Dataset, read_jsonl, write_jsonl
-from betaood.errors import NumericError
+from betaood.errors import DataError, NumericError
 from betaood.evidence import Logits, evidence_to_prediction, logits_to_evidence
 from betaood.metrics import ScoredDataset, roc_curve
 from betaood.model import checkpoint_from_json, predict_batch
@@ -680,7 +680,7 @@ class TestSidecar:
 
     def test_intact_sidecar_gives_the_parse_outputs(self, pipeline, data, capsys, monkeypatch):
         with monkeypatch.context() as patch:  # the sidecars stand in for every parse
-            patch.setattr(datagen_mod, "_stack_rows", None)
+            patch.setattr(datagen_mod, "_parse_jsonl", None)
             got = self._run(pipeline, data, capsys, "cached")
         assert got[0] == [0, 0]
         assert got == self._parsed(pipeline, data, capsys)
@@ -1170,3 +1170,175 @@ class TestExitCodes:
             "--out", str(tmp_path / "o"),
         ])
         assert code == 3
+
+
+def _tree(root: Path) -> set[str]:
+    """Every path under root, relative to it."""
+    return {str(p.relative_to(root)) for p in root.rglob("*")}
+
+
+class TestOutputLayer:
+    """Every command writes through one staged writer: names from input text stay
+    inside --out, and a failed write leaves no traceback and nothing behind."""
+
+    def _run(self, argv, tmp_path, capsys, out):
+        """Exit code and stderr of a command, after checking that it wrote nothing
+        outside ``out`` and printed no traceback."""
+        top = out.relative_to(tmp_path).parts[0]
+
+        def outside():
+            return {p for p in _tree(tmp_path) if p != top and not p.startswith(f"{top}/")}
+
+        before = outside()
+        code = main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert outside() == before
+        return code, err
+
+    @pytest.mark.parametrize("name", [
+        "../x", "{tmp}/elsewhere/y", "nodir/y", "a\0b", "n" * 300, "", ".", "..",
+    ], ids=["parent", "absolute", "subdir", "nul", "300_chars", "empty", "dot", "dotdot"])
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_gen_data_name_that_is_no_file_name_is_config_error(
+        self, tmp_path, capsys, name, how
+    ):
+        name = name.format(tmp=tmp_path)
+        cfg = _write_config(tmp_path, "gen.json", {**SMALL_GEN, "name": name})
+        argv = ["gen-data", "--config", cfg]
+        if how == "flag":
+            argv = ["gen-data", "--name", name]
+        out = tmp_path / "o"
+        code, err = self._run(argv, tmp_path, capsys, out)
+        assert code == 1
+        assert "'name'" in err and "must be a file name part" in err and repr(name) in err
+        assert ("command line" if how == "flag" else cfg) in err
+        assert not out.exists()
+
+    def test_longest_gen_data_name_fits(self, tmp_path, capsys):
+        name = "n" * (255 - len(".train.jsonl.npy"))
+        out = tmp_path / "o"
+        code, _ = self._run(["gen-data", "--config", _write_config(
+            tmp_path, "gen.json", SMALL_GEN), "--name", name], tmp_path, capsys, out)
+        assert code == 0
+        assert (out / f"{name}.train.jsonl.npy").is_file()
+        code, err = self._run(["gen-data", "--name", name + "n"], tmp_path, capsys, out)
+        assert code == 1 and "at most 239 bytes" in err
+
+    @pytest.mark.parametrize("column", ["sub/evil", "../ok", "a\0b", "s" * 300, ".."])
+    def test_eval_score_column_that_is_no_file_name_is_data_error(
+        self, tmp_path, capsys, column
+    ):
+        src = tmp_path / "scores.csv"
+        rows = [[0, 0, 0.1, 0.1], [1, 1, 0.9, 0.9]]
+        _write_scores_csv(src, ["sample_id", "is_ood", "ok", column], rows)
+        out = tmp_path / "o"
+        code, err = self._run(["eval", "--scores-csv", str(src)], tmp_path, capsys, out)
+        assert code == 2
+        assert f"scores CSV {src}: column {column!r} must be a file name part" in err
+        assert not out.exists()
+        # a column that is not evaluated names no file
+        code, _ = self._run(["eval", "--scores-csv", str(src), "--scores", "ok"],
+                            tmp_path, capsys, out)
+        assert code == 0 and _tree(out) == {"roc_ok.csv", "metrics.csv"}
+
+    def test_directory_at_an_output_file_leaves_no_file_written(
+        self, pipeline, tmp_path, capsys
+    ):
+        out = tmp_path / "o"
+        (out / "metrics.csv").mkdir(parents=True)
+        (out / "keep.txt").write_text("kept")
+        code, err = self._run(["eval", "--scores-csv", str(pipeline / "scores.csv")],
+                              tmp_path, capsys, out)
+        assert code == 1
+        assert f"cannot write {out / 'metrics.csv'}" in err
+        assert _tree(out) == {"metrics.csv", "keep.txt"}
+        assert (out / "keep.txt").read_text() == "kept"
+
+    @pytest.mark.parametrize("error, code", [
+        (OSError(28, "No space left on device"), 1),
+        (DataError("synthetic data error"), 2),
+    ], ids=["os_error", "data_error"])
+    def test_failing_write_removes_the_directories_it_made(
+        self, pipeline, tmp_path, capsys, monkeypatch, error, code
+    ):
+        def write_then_fail(curve, path):
+            Path(path).write_text("partial")
+            raise error
+
+        monkeypatch.setattr(cli_mod, "write_roc_csv", write_then_fail)
+        out = tmp_path / "a" / "b" / "c"
+        got, err = self._run(["eval", "--scores-csv", str(pipeline / "scores.csv"),
+                              "--scores", "u_s_p"], tmp_path, capsys, out)
+        assert got == code
+        if code == 1:
+            assert f"cannot write {out / 'roc_u_s_p.csv'}: No space left on device" in err
+        assert not (tmp_path / "a").exists()
+
+    def test_failing_write_keeps_an_existing_out_as_it_was(
+        self, pipeline, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "o"
+        code, _ = self._run(["gen-data", "--config", _write_config(
+            tmp_path, "gen.json", SMALL_GEN)], tmp_path, capsys, out)
+        assert code == 0
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        real = cli_mod.write_jsonl
+        calls = []
+
+        def fail_on_third(data, path):  # two datasets and their sidecars are written
+            calls.append(path)
+            if len(calls) == 3:
+                raise OSError(28, "No space left on device")
+            real(data, path)
+
+        monkeypatch.setattr(cli_mod, "write_jsonl", fail_on_third)
+        code, err = self._run(["gen-data", "--seed", "4"], tmp_path, capsys, out)
+        assert code == 1 and f"cannot write {out / 'synth.test.jsonl'}" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == files
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "score", "eval", "sweep-lambda",
+                                         "eval_aggregate"])
+    def test_success_leaves_only_the_command_files(self, pipeline, tmp_path, capsys, command):
+        data = str(pipeline / "synth")
+        argv, files = {
+            "gen-data": (["gen-data", "--config", _write_config(tmp_path, "g.json", SMALL_GEN)],
+                         {f"synth.{s}.jsonl{x}" for s in ("train", "val", "test", "ood")
+                          for x in ("", ".npy")} | {"gen_data_config.json"}),
+            "train": (["train", "--data", data, "--epochs", "1"],
+                      {"checkpoint.json", "train_config.json"}),
+            "score": (["score", "--checkpoint", str(pipeline / "checkpoint.json"), "--data",
+                       data, "--scores", "u_s_p"], {"scores.csv", "preds.csv",
+                                                    "score_config.json"}),
+            "eval": (["eval", "--scores-csv", str(pipeline / "scores.csv"), "--scores",
+                      "u_s_p,u_s_n", "--preds", str(pipeline / "preds.csv")],
+                     {"roc_u_s_p.csv", "roc_u_s_n.csv", "metrics.csv", "map.csv"}),
+            "sweep-lambda": (["sweep-lambda", "--scores-csv", str(pipeline / "scores.csv")],
+                             {"sweep.csv"}),
+            "eval_aggregate": (["eval", "--aggregate", _metrics_csv(tmp_path)],
+                               {"aggregate.csv"}),
+        }[command]
+        out = tmp_path / "o"
+        code, _ = self._run(argv, tmp_path, capsys, out)
+        assert code == 0
+        assert _tree(out) == files
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--scores", ["score", "--checkpoint", "{p}/checkpoint.json", "--data", "{p}/synth",
+                      "--scores", ""]),
+        ("--scores", ["eval", "--scores-csv", "{p}/scores.csv", "--scores", ""]),
+        ("--aggregate", ["eval", "--aggregate", ""]),
+        ("--lambda2", ["sweep-lambda", "--scores-csv", "{p}/scores.csv", "--lambda2", ""]),
+    ], ids=["score_scores", "eval_scores", "eval_aggregate", "sweep_lambda2"])
+    def test_empty_list_flag_is_config_error(self, pipeline, tmp_path, capsys, flag, argv):
+        out = tmp_path / "o"
+        code, err = self._run([a.format(p=pipeline) for a in argv], tmp_path, capsys, out)
+        assert code == 1
+        assert f"config error: {flag} is empty" in err
+        assert not out.exists()
+
+
+def _metrics_csv(tmp_path: Path) -> str:
+    path = tmp_path / "metrics.csv"
+    _write_scores_csv(path, ["score", "fpr95", "auroc", "aupr"], [["u_s_p", 0.5, 0.5, 0.5]])
+    return str(path)

@@ -46,7 +46,11 @@ TARGETS = [
     ("preds.csv", "csv", ["eval", "--scores-csv", "{d}/scores.csv", "--preds", "{f}"]),
     ("metrics.csv", "csv", ["eval", "--aggregate", "{f}"]),
 ]
-MUTATIONS = ["truncate", "empty", "bad_utf8", "directory", "drop", "duplicate", "value"]
+# "file_name" gives the gen-data config's name, or a CSV header cell, a value
+# that names no file in --out; "bool" puts a JSON boolean into a dataset row.
+# Each is a "value" mutation where it does not apply.
+MUTATIONS = ["truncate", "empty", "bad_utf8", "directory", "drop", "duplicate", "value",
+             "file_name", "bool"]
 
 NAN, INF = float("nan"), float("inf")
 # Values that break the rule of a JSON value, by the type of the valid one.
@@ -62,6 +66,8 @@ BAD_PARAM = ["x", NAN, INF, -INF, None]
 # ... of a dataset row's feature and label
 BAD_FEATURE = [NAN, INF, -INF, "x", "2", None, [1.0], {}]
 BAD_LABEL = [2, -1, 0.5, NAN, INF, 1e308, "x", "1", None, [1]]
+# ... of a string that becomes part of a file name, or a CSV header cell
+BAD_NAME = ["/", "a/b", "..", ".", "a\0b", "", "n" * 300]
 # ... of a CSV cell, by the column's rule (_cell_rule)
 BAD_CELL = {
     "sample_id": ["x", "1.5", "nan", "1e308", ""],
@@ -105,6 +111,9 @@ def artifacts(tmp_path_factory):
 
 def _mutate_json(text: str, mutation: str, data) -> str:
     doc = json.loads(text)
+    if mutation == "file_name" and "name" in doc:
+        doc["name"] = data.draw(st.sampled_from(BAD_NAME), label="bad name")
+        return json.dumps(doc)
     key = data.draw(st.sampled_from(sorted(doc)), label="key")
     if mutation == "drop":
         # a checkpoint section (arch, train_config, params) holds exactly its keys
@@ -141,6 +150,11 @@ def _mutate_json(text: str, mutation: str, data) -> str:
 
 def _mutate_row(line: str, mutation: str, data) -> str:
     doc = json.loads(line)
+    if mutation == "bool":  # numpy would read true as 1
+        key = data.draw(st.sampled_from(["features", "labels"]), label="field")
+        doc[key][data.draw(st.integers(0, len(doc[key]) - 1), label="index")] = (
+            data.draw(st.booleans(), label="bool"))
+        return json.dumps(doc)
     key = data.draw(st.sampled_from(["features", "labels", "split"]), label="field")
     if mutation == "drop":
         doc[f"{key}_x"] = doc.pop(key)
@@ -160,7 +174,10 @@ def _mutate_row(line: str, mutation: str, data) -> str:
 
 def _mutate_csv(name: str, lines: list[str], mutation: str, data) -> list[str]:
     rows = [line.split(",") for line in lines]
-    if mutation == "value":
+    if mutation == "file_name":
+        j = data.draw(st.integers(0, len(rows[0]) - 1), label="column")
+        rows[0][j] = data.draw(st.sampled_from(BAD_NAME), label="bad name")
+    elif mutation in ("value", "bool"):
         rules = {j: _cell_rule(name, column) for j, column in enumerate(rows[0])}
         j = data.draw(st.sampled_from([j for j, rule in rules.items() if rule]), label="column")
         i = data.draw(st.integers(1, len(rows) - 1), label="row")

@@ -366,6 +366,16 @@ class TestJsonlCodecMatchesReference:
         with pytest.raises(DataError, match="finite"):
             write_jsonl(data, tmp_path / "ds.jsonl")
 
+    @pytest.mark.parametrize("labels", [
+        np.array([[True, False]]), np.array([[1.0, 0.7]]), np.array([[2, 0]]),
+    ], ids=["bool", "float_0_7", "int_2"])
+    def test_writer_rejects_labels_its_reader_rejects(self, tmp_path, labels):
+        path = tmp_path / "ds.jsonl"
+        data = Dataset(X=np.ones((1, 3)), Y=labels, split="train")
+        with pytest.raises(DataError, match="labels must be the numbers 0 or 1"):
+            write_jsonl(data, path)
+        assert not path.exists()
+
     @settings(max_examples=300, deadline=None)
     @given(rows=st.lists(
         st.fixed_dictionaries({
@@ -378,10 +388,9 @@ class TestJsonlCodecMatchesReference:
             "split": st.sampled_from(["train", "test", 3]),
         }, optional={"extra": st.just([{"a": 1}])}) | st.sampled_from(["[]", "{", "x"]),
         min_size=1, max_size=5,
-    ), breaks=st.lists(st.booleans(), min_size=5, max_size=5), chunk=st.sampled_from([1, 2, 256]))
-    def test_reader_matches_line_by_line_reference(self, tmp_path_factory, rows, breaks, chunk):
-        """read_jsonl returns the per-line reader's arrays, or raises its error,
-        whichever rows share a converted chunk."""
+    ), breaks=st.lists(st.booleans(), min_size=5, max_size=5))
+    def test_reader_matches_line_by_line_reference(self, tmp_path_factory, rows, breaks):
+        """read_jsonl returns the per-line reader's arrays, or raises its error."""
         lines = [r if isinstance(r, str) else json.dumps(r) for r in rows]
         # some documents split over two lines
         lines = [
@@ -393,12 +402,11 @@ class TestJsonlCodecMatchesReference:
         try:
             want = _reference_read_jsonl(path)
         except DataError as exc:
-            with mock.patch.object(tables, "CHUNK_ROWS", chunk), pytest.raises(DataError) as got:
+            with pytest.raises(DataError) as got:
                 read_jsonl(path)
             assert str(got.value) == str(exc)
             return
-        with mock.patch.object(tables, "CHUNK_ROWS", chunk):
-            got = read_jsonl(path)
+        got = read_jsonl(path)
         assert got.X.tobytes() == want.X.tobytes() and got.X.shape == want.X.shape
         assert np.array_equal(got.Y, want.Y) and got.Y.dtype == want.Y.dtype
         assert got.split == want.split
@@ -443,13 +451,19 @@ class TestSidecarMatchesParse:
     @example(data=_labeled(257))
     def test_cached_read_equals_parse(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("s") / "ds.jsonl"
+        if data.Y.dtype == bool or not np.all((data.Y == 0) | (data.Y == 1)):
+            # labels the reader would reject: the writer writes neither file
+            with pytest.raises(DataError, match=f"cannot write {path}: labels"):
+                write_jsonl(data, path)
+            assert not path.exists() and not _sidecar(path).exists()
+            return
         write_jsonl(data, path)
         cached = _sidecar(path).exists()
         # a sidecar is written exactly for data that the parse returns unchanged
         assert cached == bool(len(data) and data.Y.dtype.kind == "i"
                               and data.split in ("train", "val", "test", "ood", 'é"x'))
         if cached:  # and it stands in for the parse
-            with mock.patch.object(datagen, "_stack_rows", side_effect=AssertionError):
+            with mock.patch.object(datagen, "_parse_jsonl", side_effect=AssertionError):
                 got = _read_outcome(path)
             assert got[0] == data.X.tobytes() and got[6] == data.split
         else:
@@ -461,7 +475,7 @@ class TestSidecarMatchesParse:
         path = tmp_path / "ds.jsonl"
         write_jsonl(_labeled(3), path)
         assert _sidecar(path).exists()
-        write_jsonl(Dataset(X=np.ones((3, 4)), Y=np.ones((3, 3), bool), split="train"), path)
+        write_jsonl(Dataset(X=np.ones((3, 4)), Y=np.ones((3, 3)), split="train"), path)
         assert not _sidecar(path).exists()
 
     def test_writer_ignores_directory_at_sidecar_path(self, tmp_path):
@@ -488,7 +502,7 @@ class TestSidecarMatchesParse:
 
 
 def _reference_read_jsonl(path) -> Dataset:
-    """The per-line reader that read_jsonl replaced, with its label rule."""
+    """The per-line reader that read_jsonl replaced, with its label and bool rules."""
     features_rows, label_rows, linenos = [], [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -522,6 +536,9 @@ def _reference_read_jsonl(path) -> Dataset:
                     )
             else:
                 first_split = split
+            if any(type(v) is bool for v in [*doc["features"], *(labels or [])]):
+                raise DataError(f"{path}:{lineno}: features and labels must be numbers, "
+                                "not true or false")
             features_rows.append(features)
             label_rows.append(y)
             linenos.append(lineno)
