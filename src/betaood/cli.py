@@ -235,8 +235,9 @@ def cmd_train(config_path, data, out, seed, epochs, batch_size):
     ds = read_jsonl(train_path)
     if not len(ds):
         raise DataError(f"training file {train_path} is empty")
-    if not ds.Y.shape[1]:
-        raise DataError(f"training file {train_path} has no labels")
+    for what, values in (("labels", ds.Y), ("features", ds.X)):
+        if not values.shape[1]:
+            raise DataError(f"training file {train_path} has no {what}")
     arch = ArchConfig(input_dim=ds.X.shape[1], hidden=tuple(cfg["hidden"]),
                       label_count=ds.Y.shape[1])
     tc = TrainConfig(**{k: v for k, v in cfg.items() if k != "hidden"})
@@ -274,6 +275,11 @@ def cmd_score(config_path, checkpoint, data, out, scores_arg, lambda1, lambda2):
     overrides = {"scores": _split_flag(scores_arg, "--scores"), "lambda1": lambda1,
                  "lambda2": lambda2}
     cfg = _load_config(config_path, _SCORE_DEFAULTS, overrides)
+    for key in ("lambda1", "lambda2"):
+        if not 0.0 <= cfg[key] <= 1.0:
+            where, name = (("command line", f"--{key}") if overrides[key] is not None
+                           else (f"config {config_path}", repr(key)))
+            raise ConfigError(f"malformed {where}: {name} must be in [0, 1], got {cfg[key]!r}")
     requested = cfg["scores"]
     _check_score_names(requested, SCORE_NAMES, "valid")
     _check_out(out)
@@ -427,6 +433,10 @@ def cmd_eval(scores_csv, scores_arg, preds_csv, aggregate, out):
     _check_out(out)
     requested = _split_flag(scores_arg, "--scores")
     if aggregate is not None:
+        for flag, value in {"--scores-csv": scores_csv, "--scores": scores_arg,
+                            "--preds": preds_csv}.items():
+            if value is not None:
+                raise ConfigError(f"--aggregate takes no {flag}: it reads only metrics CSVs")
         _aggregate_metrics(_split_flag(aggregate, "--aggregate"), out)
         return
     if scores_csv is None:

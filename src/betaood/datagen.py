@@ -239,13 +239,16 @@ _NUMBER = "biuf"
 def write_jsonl(data: Dataset, path) -> None:
     """One JSON object per line, the bytes of json.dumps(row, separators=(",", ":")),
     after a comment header; rows without labels carry labels: null.  Rejects
-    what read_jsonl would: non-finite features, and labels other than 0 or 1 or
-    stored as bools (written as True/False, which is not JSON)."""
+    what read_jsonl would: non-finite features, labels other than 0 or 1 or
+    stored as bools (written as True/False, which is not JSON), and rows whose
+    split is not a string."""
     X = np.asarray(data.X, dtype=float)
     if not np.isfinite(X).all():
         raise DataError(f"cannot write {path}: features must be finite")
     if data.Y.dtype.kind == "b" or _broken_rule(X, data.Y, None, [], 2, None):
         raise DataError(f"cannot write {path}: labels must be the numbers 0 or 1, not bools")
+    if len(X) and (problem := _broken_rule(X, data.Y, None, [data.split], 2, None)):
+        raise DataError(f"cannot write {path}: {problem}")
     labeled = data.Y.shape[1] > 0
     tail = ',"split":' + json.dumps(data.split) + "}\n"
     chunk = tables.CHUNK_ROWS

@@ -43,10 +43,6 @@ class Logits:
         object.__setattr__(self, "f_neg", f_neg)
         _check_pair("logit heads", f_pos, f_neg)
 
-    @property
-    def label_count(self) -> int:
-        return self.f_pos.shape[-1]
-
 
 @dataclass(frozen=True)
 class EvidencePair:
@@ -63,10 +59,6 @@ class EvidencePair:
         _check_pair("evidence", alpha, beta)
         if np.any(alpha <= 0.0) or np.any(beta <= 0.0):
             raise ConfigError("evidence must be strictly positive")
-
-    @property
-    def label_count(self) -> int:
-        return self.alpha.shape[-1]
 
 
 @dataclass(frozen=True)

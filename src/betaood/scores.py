@@ -14,20 +14,37 @@ import numpy as np
 from .errors import ConfigError
 from .evidence import EvidencePair, Logits
 
-BASELINE_METHODS = ("maxlogit", "msp", "jointenergy")
+
+def _fsum_rows(x: np.ndarray) -> np.ndarray:
+    """Exact sum of each row; fsum makes it invariant to label order."""
+    return np.array([math.fsum(row) for row in x.tolist()], dtype=float)
+
+
+# The score family.  Each kernel maps (N, L) rows to (N,) scores.
+# Per aggregation (m: max, s: sum): the positive part on alpha and the negative
+# part on beta; the combined mode mixes the two.
+_EVIDENCE = {
+    "m": (lambda a: 1.0 / np.max(a, axis=1),
+          lambda b: 1.0 - np.max(1.0 / b, axis=1)),
+    "s": (lambda a: a.shape[1] / _fsum_rows(a),
+          lambda b: 1.0 - _fsum_rows(1.0 / b) / b.shape[1]),
+}
+# Per baseline: its score on the positive logits f, negated into larger-is-OOD.
+_BASELINES = {
+    "maxlogit": lambda f: -np.max(f, axis=1),
+    # stable sigmoid via softplus: sigma(f) = exp(f - softplus(f))
+    "msp": lambda f: -np.max(np.exp(f - np.logaddexp(0.0, f)), axis=1),
+    # softplus(f) = log(1 + exp(f)), overflow-safe
+    "jointenergy": lambda f: -_fsum_rows(np.logaddexp(0.0, f)),
+}
+# The short form of each evidence mode in a score name u_<m|s>_<p|n|pn>.
+_MODES = {"p": "positive", "n": "negative", "pn": "combined"}
+
+BASELINE_METHODS = tuple(_BASELINES)
 
 # Stable string identifiers used by the CLI and CSV outputs.
-SCORE_NAMES = (
-    "u_m_p",
-    "u_m_n",
-    "u_m_pn",
-    "u_s_p",
-    "u_s_n",
-    "u_s_pn",
-    "maxlogit",
-    "msp",
-    "jointenergy",
-)
+SCORE_NAMES = (*(f"u_{agg}_{short}" for agg in _EVIDENCE for short in _MODES),
+               *BASELINE_METHODS)
 
 
 def _check_lambda(lam: float) -> None:
@@ -44,14 +61,21 @@ def _rows(x: np.ndarray) -> np.ndarray:
     return x if x.ndim == 2 else x[None, :]
 
 
-def _fsum_rows(x: np.ndarray) -> np.ndarray:
-    """Exact sum of each row; fsum makes it invariant to label order."""
-    return np.array([math.fsum(row) for row in x.tolist()], dtype=float)
-
-
 def _per_sample(values: np.ndarray, like: np.ndarray):
     """A Python float for one (L,) sample, the (N,) array for an (N, L) batch."""
     return float(values[0]) if like.ndim == 1 else values
+
+
+def _evidence_score(agg: str, ev: EvidencePair, mode: str, lam: float):
+    """The ``agg`` family's score in ``mode``, with weight lam on the positive part."""
+    _check_lambda(lam)
+    if mode not in _MODES.values():
+        raise ConfigError(f"unknown evidence mode {mode!r}")
+    pos, neg = _EVIDENCE[agg]
+    alpha, beta = _rows(ev.alpha), _rows(ev.beta)
+    if mode == "combined":
+        return _per_sample(mix_scores(lam, pos(alpha), neg(beta)), ev.alpha)
+    return _per_sample(pos(alpha) if mode == "positive" else neg(beta), ev.alpha)
 
 
 def ood_score_max(
@@ -63,19 +87,7 @@ def ood_score_max(
     two with weight lambda1 on the positive part.  Reduces over the label
     axis: a float for (L,) evidence, an (N,) array for (N, L).
     """
-    _check_lambda(lambda1)
-    alpha, beta = _rows(ev.alpha), _rows(ev.beta)
-    if mode == "positive":
-        out = 1.0 / np.max(alpha, axis=1)
-    elif mode == "negative":
-        out = 1.0 - np.max(1.0 / beta, axis=1)
-    elif mode == "combined":
-        pos = 1.0 / np.max(alpha, axis=1)
-        neg = 1.0 - np.max(1.0 / beta, axis=1)
-        out = mix_scores(lambda1, pos, neg)
-    else:
-        raise ConfigError(f"unknown evidence mode {mode!r}")
-    return _per_sample(out, ev.alpha)
+    return _evidence_score("m", ev, mode, lambda1)
 
 
 def ood_score_sum(
@@ -87,20 +99,7 @@ def ood_score_sum(
     two with weight lambda2 on the positive part.  Reduces over the label
     axis: a float for (L,) evidence, an (N,) array for (N, L).
     """
-    _check_lambda(lambda2)
-    alpha, beta = _rows(ev.alpha), _rows(ev.beta)
-    n = ev.label_count
-    if mode == "positive":
-        out = n / _fsum_rows(alpha)
-    elif mode == "negative":
-        out = 1.0 - _fsum_rows(1.0 / beta) / n
-    elif mode == "combined":
-        pos = n / _fsum_rows(alpha)
-        neg = 1.0 - _fsum_rows(1.0 / beta) / n
-        out = mix_scores(lambda2, pos, neg)
-    else:
-        raise ConfigError(f"unknown evidence mode {mode!r}")
-    return _per_sample(out, ev.alpha)
+    return _evidence_score("s", ev, mode, lambda2)
 
 
 def baseline_score(logits: Logits, method: str) -> float | np.ndarray:
@@ -108,43 +107,23 @@ def baseline_score(logits: Logits, method: str) -> float | np.ndarray:
 
     A float for (L,) logits, an (N,) array for (N, L).
     """
-    f = _rows(logits.f_pos)
-    if method == "maxlogit":
-        out = -np.max(f, axis=1)
-    elif method == "msp":
-        # stable sigmoid via softplus: sigma(f) = exp(f - softplus(f))
-        sigmoid = np.exp(f - np.logaddexp(0.0, f))
-        out = -np.max(sigmoid, axis=1)
-    elif method == "jointenergy":
-        # softplus(f) = log(1 + exp(f)), overflow-safe
-        out = -_fsum_rows(np.logaddexp(0.0, f))
-    else:
+    if method not in _BASELINES:
         raise ConfigError(
             f"unknown baseline method {method!r}; valid: {', '.join(BASELINE_METHODS)}"
         )
-    return _per_sample(out, logits.f_pos)
+    return _per_sample(_BASELINES[method](_rows(logits.f_pos)), logits.f_pos)
 
 
 def score_by_name(name: str, ev: EvidencePair, logits: Logits,
                   lambda1: float = 0.5, lambda2: float = 0.5) -> float | np.ndarray:
-    """Dispatch on a stable score identifier.
+    """Dispatch on a stable score identifier: a baseline's method, or
+    u_<m|s>_<p|n|pn> for the max (lambda1) or sum (lambda2) family in one mode.
 
     A float for one (L,) sample, an (N,) array for an (N, L) batch.
     """
-    if name == "u_m_p":
-        return ood_score_max(ev, "positive", lambda1)
-    if name == "u_m_n":
-        return ood_score_max(ev, "negative", lambda1)
-    if name == "u_m_pn":
-        return ood_score_max(ev, "combined", lambda1)
-    if name == "u_s_p":
-        return ood_score_sum(ev, "positive", lambda2)
-    if name == "u_s_n":
-        return ood_score_sum(ev, "negative", lambda2)
-    if name == "u_s_pn":
-        return ood_score_sum(ev, "combined", lambda2)
-    if name in BASELINE_METHODS:
+    if name not in SCORE_NAMES:
+        raise ConfigError(f"unknown score {name!r}; valid names: {', '.join(SCORE_NAMES)}")
+    if name in _BASELINES:
         return baseline_score(logits, name)
-    raise ConfigError(
-        f"unknown score {name!r}; valid names: {', '.join(SCORE_NAMES)}"
-    )
+    _, agg, short = name.split("_")
+    return _evidence_score(agg, ev, _MODES[short], lambda1 if agg == "m" else lambda2)

@@ -235,6 +235,16 @@ class TestTrain:
         assert code == 2
         assert f"{unlabeled} has no labels" in capsys.readouterr().err
 
+    def test_featureless_training_file_is_data_error(self, tmp_path, capsys):
+        featureless = tmp_path / "synth.train.jsonl"
+        featureless.write_text('{"features":[],"labels":[1,0],"split":"train"}\n' * 3)
+        out = tmp_path / "o"
+        code = main(["train", "--data", str(tmp_path / "synth"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"data error: training file {featureless} has no features" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_zero_epochs_is_config_error(self, pipeline, tmp_path):
         code = main([
             "train", "--data", str(pipeline / "synth"), "--epochs", "0",
@@ -320,6 +330,32 @@ class TestScore:
         rows = _read_csv(out / "scores.csv")
         assert rows[0] == ["sample_id", "is_ood", "u_s_pn"]
         assert all(len(r) == 3 for r in rows)
+
+    @pytest.mark.parametrize("key", ["lambda1", "lambda2"])
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_lambda_outside_unit_interval_is_config_error(
+        self, pipeline, tmp_path, capsys, monkeypatch, key, how
+    ):
+        # rejected at config load, before the checkpoint is read, even when
+        # no requested score reads that lambda
+        def not_reached(path):
+            raise AssertionError("the checkpoint was read")
+
+        monkeypatch.setattr(cli_mod, "_load_checkpoint", not_reached)
+        if how == "flag":
+            args = [f"--{key}", "5"]
+            message = f"malformed command line: --{key} must be in [0, 1], got 5.0"
+        else:
+            cfg = _write_config(tmp_path, "cfg.json", {key: 3})
+            args = ["--config", cfg]
+            message = f"malformed config {cfg}: '{key}' must be in [0, 1], got 3"
+        out = tmp_path / "o"
+        code = main(["score", "--checkpoint", str(pipeline / "checkpoint.json"), "--data",
+                     str(pipeline / "synth"), "--scores", "u_s_p", *args, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"config error: {message}\n"
+        assert not out.exists()
 
     def test_all_scores_eleven_columns_and_row_count(self, pipeline):
         rows = _read_csv(pipeline / "scores.csv")
@@ -861,6 +897,20 @@ class TestEval:
 
     def test_requires_scores_csv_or_aggregate(self, tmp_path):
         assert main(["eval", "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("flag, value", [("--scores-csv", "{t}/missing.csv"),
+                                             ("--scores", "u_s_p"),
+                                             ("--preds", "{t}/missing.csv")],
+                             ids=["scores_csv", "scores", "preds"])
+    def test_aggregate_rejects_the_flags_it_ignores(self, tmp_path, capsys, flag, value):
+        # rejected before any file is read: the named files do not exist
+        out = tmp_path / "o"
+        code = main(["eval", "--aggregate", _metrics_csv(tmp_path), flag,
+                     value.format(t=tmp_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"config error: --aggregate takes no {flag}" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_aggregate_mean_and_median(self, tmp_path):
         paths = []

@@ -376,6 +376,21 @@ class TestJsonlCodecMatchesReference:
             write_jsonl(data, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("split", [None, 3], ids=["none", "int"])
+    def test_writer_rejects_split_its_reader_rejects(self, tmp_path, split):
+        path = tmp_path / "ds.jsonl"
+        data = Dataset(X=np.ones((2, 3)), Y=np.ones((2, 1), int), split=split)
+        with pytest.raises(DataError) as info:
+            write_jsonl(data, path)
+        assert str(info.value) == f"cannot write {path}: split must be a string, got {split!r}"
+        assert not path.exists() and not _sidecar(path).exists()
+
+    def test_writer_keeps_empty_dataset_without_split(self, tmp_path):
+        # no row carries the split, and the reader gives split None for no rows
+        path = tmp_path / "ds.jsonl"
+        write_jsonl(Dataset(X=np.empty((0, 3)), Y=np.empty((0, 1), int), split=None), path)
+        assert read_jsonl(path).split is None
+
     @settings(max_examples=300, deadline=None)
     @given(rows=st.lists(
         st.fixed_dictionaries({
@@ -454,6 +469,13 @@ class TestSidecarMatchesParse:
         if data.Y.dtype == bool or not np.all((data.Y == 0) | (data.Y == 1)):
             # labels the reader would reject: the writer writes neither file
             with pytest.raises(DataError, match=f"cannot write {path}: labels"):
+                write_jsonl(data, path)
+            assert not path.exists() and not _sidecar(path).exists()
+            return
+        if len(data) and data.split is None:
+            # rows with "split": null, which the reader rejects
+            with pytest.raises(DataError, match=f"cannot write {path}: split must be a "
+                                                f"string, got None$"):
                 write_jsonl(data, path)
             assert not path.exists() and not _sidecar(path).exists()
             return

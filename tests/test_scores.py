@@ -6,6 +6,7 @@ import pytest
 from betaood.errors import ConfigError
 from betaood.evidence import EvidencePair, Logits, logits_to_evidence
 from betaood.scores import (
+    BASELINE_METHODS,
     SCORE_NAMES,
     baseline_score,
     mix_scores,
@@ -15,6 +16,27 @@ from betaood.scores import (
 )
 
 WORKED_EV = EvidencePair(alpha=[4.0, 2.0, 10.0], beta=[1.0, 2.0, 4.0])
+
+
+class TestScoreNames:
+    def test_score_names_order_pinned(self):
+        # the column order of scores.csv and the row order of metrics.csv
+        assert SCORE_NAMES == ("u_m_p", "u_m_n", "u_m_pn", "u_s_p", "u_s_n", "u_s_pn",
+                               "maxlogit", "msp", "jointenergy")
+        assert BASELINE_METHODS == ("maxlogit", "msp", "jointenergy")
+
+    @pytest.mark.parametrize("fn", [ood_score_max, ood_score_sum])
+    @pytest.mark.parametrize("mode", ["p", "n", "pn", "max", "sum"])
+    def test_short_or_aggregation_mode_rejected(self, fn, mode):
+        # a mode is spelled out; its short form appears only inside a score name
+        with pytest.raises(ConfigError, match=f"unknown evidence mode '{mode}'"):
+            fn(WORKED_EV, mode)
+
+    @pytest.mark.parametrize("name", ["u_m_x", "u_x_p", "u_m_p_n", "u_m", "positive", "odin"])
+    def test_unknown_name_rejected(self, name):
+        logits = Logits(f_pos=[0.0], f_neg=[0.0])
+        with pytest.raises(ConfigError, match=f"unknown score '{name}'; valid names: u_m_p, "):
+            score_by_name(name, logits_to_evidence(logits), logits)
 
 
 class TestMaxScore:
