@@ -139,9 +139,9 @@ def _write_out(out: str, files: dict) -> Path:
     return out_dir
 
 
-def _table(header: list[str], columns):
+def _table(header: list[str], columns, cache: bool = False):
     """A _write_out writer of a CSV table (tables.write_table)."""
-    return lambda path: write_table(path, header, columns)
+    return lambda path: write_table(path, header, columns, cache)
 
 
 def _config_json(cfg: dict):
@@ -170,14 +170,23 @@ def _split_flag(value: str | None, flag: str) -> list[str] | None:
     return None if value is None else value.split(",")
 
 
+class _Path(click.Path):
+    """A path option: a NUL byte in it is a usage error naming the option."""
+
+    def convert(self, value, param, ctx):
+        if "\0" in os.fsdecode(value):
+            self.fail("a path holds no NUL byte", param, ctx)
+        return super().convert(value, param, ctx)
+
+
 @click.group()
 def cli():
     """Beta-evidential multi-label OOD detection pipeline."""
 
 
 @cli.command("gen-data")
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--out", required=True, type=click.Path())
+@click.option("--config", "config_path", type=_Path(), default=None)
+@click.option("--out", required=True, type=_Path())
 @click.option("--seed", type=int, default=None)
 @click.option("--name", type=str, default=None)
 def cmd_gen_data(config_path, out, seed, name):
@@ -217,10 +226,10 @@ def cmd_gen_data(config_path, out, seed, name):
 
 
 @cli.command("train")
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@click.option("--config", "config_path", type=_Path(), default=None)
 @click.option("--data", required=True, type=str,
               help="Dataset prefix, e.g. outdir/synth")
-@click.option("--out", required=True, type=click.Path())
+@click.option("--out", required=True, type=_Path())
 @click.option("--seed", type=int, default=None)
 @click.option("--epochs", type=int, default=None)
 @click.option("--batch-size", type=int, default=None)
@@ -262,10 +271,10 @@ def _load_checkpoint(path):
 
 
 @cli.command("score")
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--checkpoint", required=True, type=click.Path())
+@click.option("--config", "config_path", type=_Path(), default=None)
+@click.option("--checkpoint", required=True, type=_Path())
 @click.option("--data", required=True, type=str)
-@click.option("--out", required=True, type=click.Path())
+@click.option("--out", required=True, type=_Path())
 @click.option("--scores", "scores_arg", type=str, default=None,
               help="Comma-separated score names")
 @click.option("--lambda1", type=float, default=None)
@@ -323,8 +332,8 @@ def cmd_score(config_path, checkpoint, data, out, scores_arg, lambda1, lambda2):
     score_columns = [np.arange(is_ood.size), is_ood, *np.concatenate([v for v, _ in groups]).T]
     pred_columns = [np.arange(len(test)), *groups[0][1].T, *test.Y.T]
     _write_out(out, {
-        "scores.csv": _table(["sample_id", "is_ood", *requested], score_columns),
-        "preds.csv": _table(_preds_header(ckpt.params.arch.label_count), pred_columns),
+        "scores.csv": _table(["sample_id", "is_ood", *requested], score_columns, True),
+        "preds.csv": _table(_preds_header(ckpt.params.arch.label_count), pred_columns, True),
         "score_config.json": _config_json(cfg),
     })
     click.echo(f"scored {len(test) + len(ood)} samples ({len(test)} IND, {len(ood)} OOD)")
@@ -421,13 +430,13 @@ def _read_preds_csv(path):
 
 
 @cli.command("eval")
-@click.option("--scores-csv", "scores_csv", type=click.Path(), default=None)
+@click.option("--scores-csv", "scores_csv", type=_Path(), default=None)
 @click.option("--scores", "scores_arg", type=str, default=None,
               help="Comma-separated score names (default: all columns)")
-@click.option("--preds", "preds_csv", type=click.Path(), default=None)
+@click.option("--preds", "preds_csv", type=_Path(), default=None)
 @click.option("--aggregate", type=str, default=None,
               help="Comma-separated metrics.csv paths to aggregate (mean+median)")
-@click.option("--out", required=True, type=click.Path())
+@click.option("--out", required=True, type=_Path())
 def cmd_eval(scores_csv, scores_arg, preds_csv, aggregate, out):
     """Detection metrics per score plus ROC export; or aggregate over runs."""
     _check_out(out)
@@ -501,10 +510,10 @@ def _aggregate_metrics(paths, out: str) -> None:
 
 
 @cli.command("sweep-lambda")
-@click.option("--scores-csv", "scores_csv", required=True, type=click.Path())
+@click.option("--scores-csv", "scores_csv", required=True, type=_Path())
 @click.option("--lambda2", "lambda2_arg", type=str, default=None,
               help="Comma-separated grid (default 0.0,0.1,...,1.0)")
-@click.option("--out", required=True, type=click.Path())
+@click.option("--out", required=True, type=_Path())
 def cmd_sweep_lambda(scores_csv, lambda2_arg, out):
     """Metrics of the combined sum score over a lambda2 grid; writes sweep.csv."""
     _check_out(out)

@@ -7,17 +7,13 @@ around fresh cluster means that carry none of the known class signatures
 ("novel_cluster").  All generation is a pure function of (spec, seed);
 files are JSONL with a leading comment header.
 
-``write_jsonl`` also saves ``<file>.npy``, the parsed arrays keyed by the file's
-length, CRC-32 and Adler-32 (zlib: hashlib loads OpenSSL); ``read_jsonl`` returns
-them while the bytes match.  The cache is never required and safe to delete.
+``write_jsonl`` also saves the parsed arrays to ``<file>.npy`` (``tables.save_cache``);
+``read_jsonl`` returns them while the file's bytes match and they pass the row rules.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,7 +250,7 @@ def write_jsonl(data: Dataset, path) -> None:
     chunk = tables.CHUNK_ROWS
     with open(path, "wb") as fh:  # ASCII: json.dumps escapes every other character
         fh.write(block := (_HEADER + "\n").encode())
-        key = _digest([block])
+        key = tables.digest([block])
         for start in range(0, len(X), chunk):
             rows = zip(X[start : start + chunk].tolist(), data.Y[start : start + chunk].tolist())
             fh.write(block := "".join([
@@ -262,52 +258,12 @@ def write_jsonl(data: Dataset, path) -> None:
                 + ("[" + ",".join(map(str, y)) + "]" if labeled else "null") + tail
                 for x, y in rows
             ]).encode())
-            key = _digest([block], key)
-    _save_sidecar(path, key, X, data.Y, data.split)
-
-
-def _digest(blocks, key: tuple = (0, 0, 1)) -> tuple:  # (length, CRC-32, Adler-32)
-    for block in blocks:
-        key = key[0] + len(block), zlib.crc32(block, key[1]), zlib.adler32(block, key[2])
-    return key
-
-
-def _arrays_crc(arrays, crc: int = 0) -> int:
-    for a in arrays:  # shape and bytes; a non-C-contiguous array raises ValueError
-        crc = zlib.crc32(a, zlib.crc32(repr(a.shape).encode(), crc))
-    return crc
-
-
-def _save_sidecar(path, key: tuple, X: np.ndarray, Y: np.ndarray, split) -> None:
-    """Save key, X, Y and split to ``<path>.npy`` if parsing path gives them: rows,
-    int 0/1 labels, a str split that numpy keeps (no trailing NUL); else remove it."""
-    with contextlib.suppress(OSError):
-        if not (len(X) and len(Y) == len(X) and Y.dtype.kind in "iu"
-                and _broken_rule(X, Y, None, [split], 2, None) is None
-                and np.array(split).item() == split):
-            return os.remove(f"{os.fspath(path)}.npy")
-        arrays = (np.ascontiguousarray(X), np.ascontiguousarray(Y, np.int64), np.array(split))
-        with open(f"{os.fspath(path)}.npy", "wb") as fh:
-            for a in (np.array([*key, _arrays_crc(arrays)], dtype=np.int64), *arrays):
-                np.save(fh, a, allow_pickle=False)
-
-
-def _load_sidecar(path) -> Dataset | None:
-    """The sidecar's arrays if they pass the row rules and its key matches them and
-    path's bytes, read in 64 KiB blocks (1 MiB blocks raised the benchmark's peak
-    RSS on its scaled workload by up to 4 MiB); else None, and path is parsed."""
-    try:
-        with open(f"{os.fspath(path)}.npy", "rb") as fh, open(path, "rb") as data:
-            key, X, Y, split = (np.lib.format.read_array(fh) for _ in range(4))  # no pickles
-            if (X.dtype == np.float64 and Y.dtype == np.int64 and split.dtype.kind == "U"
-                    and _broken_rule(X, Y, None, [split.item()], 2, None) is None
-                    and len(Y) == len(X) > 0 and np.isfinite(X).all()
-                    and key.tolist() == [*_digest(iter(lambda: data.read(1 << 16), b"")),
-                                         _arrays_crc((X, Y, split))]):
-                return Dataset(X=X, Y=Y, split=split.item())
-    except Exception:  # numpy's header parser raises more than ValueError (TokenError)
-        pass
-    return None
+            key = tables.digest([block], key)
+    # cached if the parse gives the arrays back: rows, int labels, a split numpy keeps
+    fit = (len(X) and len(data.Y) == len(X) and data.Y.dtype.kind in "iu"
+           and np.array(data.split).item() == data.split)  # not one ending in NUL
+    arrays = [X, data.Y.astype(np.int64), np.array(data.split)]
+    tables.save_cache(path, key, arrays if fit else None)
 
 
 def read_jsonl(path) -> Dataset:
@@ -315,10 +271,16 @@ def read_jsonl(path) -> Dataset:
 
     Every row must hold as many features and labels as the first row, every
     feature must be finite and every label 0 or 1; the split is the first row's.
-    A matching sidecar stands in for the parse.
+    A matching cache, if its arrays pass the row rules, stands in for the parse.
     """
-    cached = _load_sidecar(path)
-    return cached if cached is not None else _parse_jsonl(path)
+    cached = tables.load_cache(path)
+    if cached and len(cached) == 3:
+        X, Y, split = cached
+        if (X.dtype == np.float64 and Y.dtype == np.int64 and split.dtype.kind == "U"
+                and split.ndim == 0 and _broken_rule(X, Y, None, [split.item()], 2, None) is None
+                and len(Y) == len(X) > 0 and np.isfinite(X).all()):
+            return Dataset(X=X, Y=Y, split=split.item())
+    return _parse_jsonl(path)
 
 
 def _parse_jsonl(path) -> Dataset:

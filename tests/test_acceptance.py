@@ -250,8 +250,8 @@ def test_pipeline_determinism(five_seed_runs, tmp_path):
     redo = _run_pipeline(tmp_path, 0)
     datasets = [f"synth.{split}.jsonl{suffix}"
                 for split in ("train", "val", "test", "ood") for suffix in ("", ".npy")]
-    for name in (*datasets, "checkpoint.json", "scores.csv", "preds.csv", "metrics.csv",
-                 "map.csv", "roc_u_s_pn.csv"):
+    for name in (*datasets, "checkpoint.json", "scores.csv", "preds.csv", "scores.csv.npy",
+                 "preds.csv.npy", "metrics.csv", "map.csv", "roc_u_s_pn.csv"):
         assert (redo / name).read_bytes() == (dirs[0] / name).read_bytes(), name
 
 

@@ -13,6 +13,7 @@ import pytest
 import betaood.cli as cli_mod
 import betaood.datagen as datagen_mod
 import betaood.metrics as metrics_mod
+import betaood.tables as tables_mod
 from betaood.cli import main
 from betaood.datagen import Dataset, read_jsonl, write_jsonl
 from betaood.errors import DataError, NumericError
@@ -20,6 +21,7 @@ from betaood.evidence import Logits, evidence_to_prediction, logits_to_evidence
 from betaood.metrics import ScoredDataset, roc_curve
 from betaood.model import checkpoint_from_json, predict_batch
 from betaood.scores import score_by_name
+from betaood.tables import write_table
 
 SMALL_GEN = {
     "feature_dim": 4,
@@ -633,8 +635,12 @@ class TestScore:
 
 
 def _load_sidecar(path: Path) -> list:
+    """Every array of a cache file, in order."""
     with open(path, "rb") as fh:
-        return [np.load(fh, allow_pickle=False) for _ in range(4)]
+        size, arrays = path.stat().st_size, []
+        while fh.tell() < size:
+            arrays.append(np.load(fh, allow_pickle=False))
+        return arrays
 
 
 def _save_sidecar(path: Path, arrays) -> None:
@@ -643,29 +649,35 @@ def _save_sidecar(path: Path, arrays) -> None:
             np.save(fh, a, allow_pickle=False)
 
 
-def _changed_feature(sidecar: Path, jsonl: Path) -> None:
-    key, X, Y, split = _load_sidecar(sidecar)
-    X[0, 0] += 1.0
-    _save_sidecar(sidecar, [key, X, Y, split])
+def _changed_feature(sidecar: Path, path: Path) -> None:
+    # the first float: a dataset's first feature, a table's first score or probability
+    arrays = _load_sidecar(sidecar)
+    next(a for a in arrays if a.dtype == np.float64).flat[0] += 1.0
+    _save_sidecar(sidecar, arrays)
 
 
-def _key_of_other_bytes(sidecar: Path, jsonl: Path) -> None:
-    # the sidecar that write_jsonl saves for different features
-    ds = read_jsonl(jsonl)
-    other = sidecar.with_name("other.jsonl")
-    write_jsonl(Dataset(X=ds.X * 2.0, Y=ds.Y, split=ds.split), other)
-    sidecar.write_bytes(other.with_name("other.jsonl.npy").read_bytes())
+def _key_of_other_bytes(sidecar: Path, path: Path) -> None:
+    # the cache that the file's own writer saves for other values
+    other = sidecar.with_name(f"other{path.suffix}")
+    if path.suffix == ".jsonl":
+        ds = read_jsonl(path)
+        write_jsonl(Dataset(X=ds.X * 2.0, Y=ds.Y, split=ds.split), other)
+    else:
+        _, header, *blocks = _load_sidecar(sidecar)
+        columns = [c * 2.0 if c.dtype == np.float64 else c for block in blocks for c in block]
+        write_table(other, header.tolist(), columns, cache=True)
+    sidecar.write_bytes(Path(f"{other}.npy").read_bytes())
 
 
-def _directory(sidecar: Path, jsonl: Path) -> None:
+def _directory(sidecar: Path, path: Path) -> None:
     sidecar.unlink()
     sidecar.mkdir()
 
 
 _DAMAGES = {
-    "truncated": lambda sidecar, jsonl: sidecar.write_bytes(sidecar.read_bytes()[:-100]),
-    "empty": lambda sidecar, jsonl: sidecar.write_bytes(b""),
-    "random_bytes": lambda sidecar, jsonl: sidecar.write_bytes(
+    "truncated": lambda sidecar, path: sidecar.write_bytes(sidecar.read_bytes()[:-100]),
+    "empty": lambda sidecar, path: sidecar.write_bytes(b""),
+    "random_bytes": lambda sidecar, path: sidecar.write_bytes(
         np.random.default_rng(0).bytes(sidecar.stat().st_size)),
     "directory": _directory,
     "key_of_other_bytes": _key_of_other_bytes,
@@ -674,41 +686,51 @@ _DAMAGES = {
 
 
 class TestSidecar:
-    """A dataset file's ``.npy`` sidecar is a cache: train and score give the
-    parse's outputs and errors whatever state it is in."""
+    """A ``.npy`` cache beside a dataset file or a score table is a cache: the
+    commands that read the file (train and score, or eval and sweep-lambda) give
+    the parse's outputs and errors whatever state it is in."""
 
-    SPLITS = ("train", "test", "ood")
+    # per kind of cached file: the files, and the commands that read them
+    KINDS = {
+        "dataset": ([f"synth.{split}.jsonl" for split in ("train", "test", "ood")], [
+            ["train", "--config", "{d}/train.json", "--data", "{d}/synth", "--seed", "3"],
+            ["score", "--checkpoint", "{p}/checkpoint.json", "--data", "{d}/synth"],
+        ]),
+        "table": (["scores.csv", "preds.csv"], [
+            ["eval", "--scores-csv", "{d}/scores.csv", "--preds", "{d}/preds.csv"],
+            ["sweep-lambda", "--scores-csv", "{d}/scores.csv"],
+        ]),
+    }
 
     @pytest.fixture
     def data(self, pipeline, tmp_path):
-        for split in self.SPLITS:
-            for suffix in ("", ".npy"):
-                name = f"synth.{split}.jsonl{suffix}"
-                (tmp_path / name).write_bytes((pipeline / name).read_bytes())
+        for names, _ in self.KINDS.values():
+            for name in names:
+                for suffix in ("", ".npy"):
+                    (tmp_path / f"{name}{suffix}").write_bytes(
+                        (pipeline / f"{name}{suffix}").read_bytes())
+        _write_config(tmp_path, "train.json", SMALL_TRAIN)
         return tmp_path
 
-    def _run(self, pipeline, data, capsys, out):
-        """Exit codes, stdout and stderr of train and score, and the files they wrote."""
-        train_cfg = _write_config(data, "train.json", SMALL_TRAIN)
-        codes = [main(["train", "--config", train_cfg, "--data", str(data / "synth"),
-                       "--seed", "3", "--out", str(data / out)])]
-        codes.append(main(["score", "--checkpoint", str(pipeline / "checkpoint.json"),
-                           "--data", str(data / "synth"), "--out", str(data / out)]))
+    def _run(self, pipeline, data, capsys, out, kind="dataset"):
+        """Exit codes, stdout and stderr of the kind's commands, and the files they wrote."""
+        codes = [main([*(a.format(d=data, p=pipeline) for a in argv), "--out", str(data / out)])
+                 for argv in self.KINDS[kind][1]]
         text = capsys.readouterr()
         files = {p.name: p.read_bytes() for p in sorted((data / out).glob("*"))}
         return codes, text.out.replace(str(data / out), "OUT"), text.err, files
 
-    def _parsed(self, pipeline, data, capsys):
-        for split in self.SPLITS:
-            sidecar = data / f"synth.{split}.jsonl.npy"
+    def _parsed(self, pipeline, data, capsys, kind="dataset"):
+        for name in self.KINDS[kind][0]:
+            sidecar = data / f"{name}.npy"
             if sidecar.is_dir():
                 sidecar.rmdir()
             sidecar.unlink(missing_ok=True)
-        return self._run(pipeline, data, capsys, "parsed")
+        return self._run(pipeline, data, capsys, "parsed", kind)
 
     @pytest.mark.parametrize("damage", list(_DAMAGES))
     def test_damaged_sidecar_gives_the_parse_outputs(self, pipeline, data, capsys, damage):
-        for split in self.SPLITS:
+        for split in ("train", "test", "ood"):
             _DAMAGES[damage](data / f"synth.{split}.jsonl.npy", data / f"synth.{split}.jsonl")
         got = self._run(pipeline, data, capsys, "damaged")
         assert got[0] == [0, 0]
@@ -733,6 +755,38 @@ class TestSidecar:
         got = self._run(pipeline, data, capsys, "changed")
         assert 2 in got[0] and f"{path}:3: labels must be 0 or 1" in got[2]
         assert got == self._parsed(pipeline, data, capsys)
+
+    @pytest.mark.parametrize("damage", list(_DAMAGES))
+    def test_damaged_table_cache_gives_the_parse_outputs(self, pipeline, data, capsys, damage):
+        for name in self.KINDS["table"][0]:
+            _DAMAGES[damage](data / f"{name}.npy", data / name)
+        got = self._run(pipeline, data, capsys, "damaged", "table")
+        assert got[0] == [0, 0]
+        assert got == self._parsed(pipeline, data, capsys, "table")
+
+    def test_intact_table_cache_gives_the_parse_outputs(
+        self, pipeline, data, capsys, monkeypatch
+    ):
+        with monkeypatch.context() as patch:  # the caches stand in for every table parse
+            patch.setattr(tables_mod, "_read_plain", None)
+            patch.setattr(tables_mod, "_read_rows", None)
+            got = self._run(pipeline, data, capsys, "cached", "table")
+        assert got[0] == [0, 0]
+        assert got == self._parsed(pipeline, data, capsys, "table")
+
+    @pytest.mark.parametrize("name, column", [("scores.csv", 1), ("preds.csv", -1)])
+    def test_changed_cell_under_intact_table_cache_gives_the_parse_error(
+        self, pipeline, data, capsys, name, column
+    ):
+        path = data / name  # line 3's is_ood or last label becomes 2
+        lines = path.read_bytes().split(b"\r\n")
+        cells = lines[2].split(b",")
+        cells[column] = b"2"
+        lines[2] = b",".join(cells)
+        path.write_bytes(b"\r\n".join(lines))
+        got = self._run(pipeline, data, capsys, "changed", "table")
+        assert 2 in got[0] and f"{path}:3: column" in got[2] and "not 0 or 1" in got[2]
+        assert got == self._parsed(pipeline, data, capsys, "table")
 
 
 def _write_scores_csv(path, header, rows):
@@ -1210,6 +1264,25 @@ class TestExitCodes:
         else:
             assert "unknown score name(s) u_s_q" in done.stderr
 
+    @pytest.mark.parametrize("flag, argv", [
+        ("--out", ["gen-data", "--out", "a\0b"]),
+        ("--config", ["gen-data", "--config", "c\0", "--out", "{o}"]),
+        ("--config", ["train", "--config", "c\0", "--data", "d", "--out", "{o}"]),
+        ("--out", ["train", "--data", "d", "--out", "o\0"]),
+        ("--checkpoint", ["score", "--checkpoint", "k\0", "--data", "d", "--out", "{o}"]),
+        ("--scores-csv", ["eval", "--scores-csv", "x\0y", "--out", "{o}"]),
+        ("--preds", ["eval", "--scores-csv", "s.csv", "--preds", "p\0", "--out", "{o}"]),
+        ("--scores-csv", ["sweep-lambda", "--scores-csv", "x\0", "--out", "{o}"]),
+    ], ids=["gen_data_out", "gen_data_config", "train_config", "train_out", "score_checkpoint",
+            "eval_scores_csv", "eval_preds", "sweep_scores_csv"])
+    def test_nul_in_path_option_is_usage_error(self, tmp_path, capsys, flag, argv):
+        out = tmp_path / "o"
+        code = main([a.format(o=out) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert err.startswith(f"usage error: Invalid value for '{flag}'") and "NUL" in err
+        assert not out.exists()
+
     def test_numeric_failure_maps_to_exit_3(self, pipeline, tmp_path, monkeypatch):
         def boom(ds):
             raise NumericError("synthetic numeric failure")
@@ -1358,8 +1431,8 @@ class TestOutputLayer:
             "train": (["train", "--data", data, "--epochs", "1"],
                       {"checkpoint.json", "train_config.json"}),
             "score": (["score", "--checkpoint", str(pipeline / "checkpoint.json"), "--data",
-                       data, "--scores", "u_s_p"], {"scores.csv", "preds.csv",
-                                                    "score_config.json"}),
+                       data, "--scores", "u_s_p"], {"scores.csv", "preds.csv", "scores.csv.npy",
+                                                    "preds.csv.npy", "score_config.json"}),
             "eval": (["eval", "--scores-csv", str(pipeline / "scores.csv"), "--scores",
                       "u_s_p,u_s_n", "--preds", str(pipeline / "preds.csv")],
                      {"roc_u_s_p.csv", "roc_u_s_n.csv", "metrics.csv", "map.csv"}),

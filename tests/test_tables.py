@@ -285,3 +285,61 @@ class TestWriteTableMatchesCsvWriter:
         want = _csv_writer_bytes(d / "want.csv", ["f", "i", "s"],
                                  [[repr(f), str(i), nm] for f, i, nm in values])
         assert (d / "got.csv").read_bytes() == want
+
+
+@st.composite
+def number_tables(draw):
+    """A header, int64 and float64 columns, and the types a reader's schema asks for."""
+    width = draw(st.integers(1, 4))
+    header = draw(st.lists(st.sampled_from(["a", "b,c", 'q"', "", "é", "n\0", "\0n", "r\r"]),
+                           min_size=width, max_size=width))
+    n_rows = draw(st.integers(0, 4))
+    kinds = draw(st.lists(st.sampled_from([int, float]), min_size=width, max_size=width))
+    cell = {int: st.integers(-(2**63), 2**63 - 1),
+            float: st.floats() | st.sampled_from([-0.0, math.inf, 5e-324])}
+    columns = [np.array(draw(st.lists(cell[k], min_size=n_rows, max_size=n_rows)),
+                        dtype=np.int64 if k is int else np.float64) for k in kinds]
+    asked = kinds if draw(st.booleans()) else draw(
+        st.lists(st.sampled_from([int, float]), min_size=width, max_size=width))
+    return header, columns, asked
+
+
+def _read_outcome(path, asked):
+    """read_table's header and typed columns (NaN as a string), or its error."""
+    try:
+        header, columns = read_table(path, "table", lambda header: asked)
+    except DataError as exc:
+        return str(exc)
+    return header, [(c.dtype, [repr(v) for v in c.tolist()]) for c in columns]
+
+
+class TestTableCacheMatchesParse:
+    @settings(max_examples=300, deadline=None)
+    @given(table=number_tables())
+    def test_cached_read_equals_parse(self, tmp_path_factory, table):
+        header, columns, asked = table
+        path = tmp_path_factory.mktemp("c") / "t.csv"
+        write_table(path, header, columns, cache=True)
+        cache = Path(f"{path}.npy")
+        # a cache is saved exactly for tables that the parse returns unchanged
+        assert cache.exists() == bool(
+            len(columns[0]) and all(h.isascii() and not h.endswith("\0") for h in header)
+            and not any(np.isnan(c).any() for c in columns))
+        if cache.exists() and asked == [int if c.dtype == np.int64 else float for c in columns]:
+            # and it stands in for the parse
+            with mock.patch.object(tables, "_read_plain", side_effect=AssertionError), \
+                    mock.patch.object(tables, "_read_rows", side_effect=AssertionError):
+                got = _read_outcome(path, asked)
+        else:
+            got = _read_outcome(path, asked)
+        cache.unlink(missing_ok=True)
+        assert got == _read_outcome(path, asked)
+
+    def test_write_without_cache_flag_saves_none(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, ["a", "b"], [np.arange(3), np.ones(3)])
+        assert not Path(f"{path}.npy").exists()
+        write_table(path, ["a", "b"], [np.arange(3), np.ones(3)], cache=True)
+        assert Path(f"{path}.npy").exists()
+        write_table(path, ["a", "b"], [np.arange(3), np.full(3, np.nan)], cache=True)
+        assert not Path(f"{path}.npy").exists()  # a stale cache is removed
