@@ -80,13 +80,13 @@ class Prediction:
 
 
 def elu_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized ELU."""
-    return np.where(x > 0.0, x, np.expm1(np.minimum(x, 0.0)))
+    """Vectorized ELU; expm1(x) >= x for x <= 0, and x first keeps +0.0 at x = -0.0."""
+    return np.maximum(x, np.expm1(np.minimum(x, 0.0)))
 
 
 def elu_grad_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized ELU derivative: 1 for x > 0, exp(x) otherwise."""
-    return np.where(x > 0.0, 1.0, np.exp(np.minimum(x, 0.0)))
+    """Vectorized ELU derivative: 1 for x > 0, as exp(0) is exactly 1; exp(x) otherwise."""
+    return np.exp(np.minimum(x, 0.0))
 
 
 def logits_to_evidence(logits: Logits) -> EvidencePair:

@@ -45,8 +45,9 @@ def recurrence_shift(x) -> tuple[np.ndarray, np.ndarray | float, np.ndarray | fl
     threshold, x itself and scalar zero sums.  The entries below the
     threshold are gathered once into a ladder whose row r holds each one
     after r steps of +1.  Rows already past the threshold are masked to inf,
-    so they add 1/inf = 0, and the sums accumulate row by row: every entry
-    sees the operations of a step-by-step loop in the loop's order.
+    so they add 1/inf = 0, and the sums reduce over the rows in row order:
+    every entry sees the operations of a step-by-step loop in the loop's
+    order.  Its shifted value is its smallest ladder entry past the threshold.
     """
     x = np.asarray(x, dtype=float)
     lowest = np.minimum.reduce(x, axis=None) if x.size else np.inf
@@ -68,19 +69,17 @@ def recurrence_shift(x) -> tuple[np.ndarray, np.ndarray | float, np.ndarray | fl
     np.add.accumulate(ladder, axis=0, out=ladder)
     past = ladder >= _SHIFT_THRESHOLD
     masked = np.where(past[:steps], np.inf, ladder[:steps])
-    # 0 - a - b is 0 + (-a) + (-b) bit for bit, so one accumulate serves both
+    # 0 - a - b is 0 + (-a) + (-b) bit for bit, so one reduce serves both; it
+    # adds the at most 6 rows in order (numpy sums pairwise from 8 terms on)
     sums = np.empty((2, steps, xs.size))
     np.divide(-1.0, masked, out=sums[0])
     # below about 1e-154, x * x underflows: psi' is inf there, not an error
     with np.errstate(over="ignore", divide="ignore"):
         np.divide(1.0, masked * masked, out=sums[1])
-    np.add.accumulate(sums, axis=1, out=sums)
     shifted = x.copy()
-    shifted[below] = np.minimum.reduce(ladder, axis=0, where=past, initial=np.inf)
-    psi_sum = np.zeros(x.shape)
-    psi_sum[below] = sums[0, -1]
-    psi1_sum = np.zeros(x.shape)
-    psi1_sum[below] = sums[1, -1]
+    shifted[below] = np.where(past, ladder, np.inf).min(axis=0)
+    psi_sum, psi1_sum = np.zeros(x.shape), np.zeros(x.shape)
+    psi_sum[below], psi1_sum[below] = np.add.reduce(sums, axis=1)
     return shifted, psi_sum, psi1_sum
 
 

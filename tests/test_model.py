@@ -3,7 +3,17 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from test_special import (
+    _accumulate_shift_reference,
+    _elu_grad_where_reference,
+    _elu_where_reference,
+)
+
+import betaood.evidence as evidence_mod
 import betaood.loss as loss_mod
+import betaood.model as model_mod
+import betaood.special as special_mod
+from betaood.datagen import default_spec, generate_ind
 from betaood.errors import ConfigError, DataError
 from betaood.model import (
     ArchConfig,
@@ -328,6 +338,36 @@ class TestTrain:
         expected = [(2, rows, ARCH.label_count) for rows in batch_rows]
         assert shapes["digamma"] == expected
         assert shapes["trigamma"] == expected
+
+    @pytest.mark.parametrize("dims", [(8, 32, 5), (64, 128, 32)], ids=["default", "wide"])
+    def test_kernels_train_as_their_reference_forms(self, monkeypatch, dims):
+        # the ELU pair without a select and the shift's reduce give the bits
+        # of the select forms and the accumulates over whole training runs
+        features, hidden, labels = dims
+        spec = default_spec(features, labels, dict.fromkeys(("train", "val", "test"), 320))
+        data = generate_ind(spec)["train"]
+        arch, cfg = ArchConfig(features, (hidden,), labels), TrainConfig(epochs=2)
+        shipped = train(data.X, data.Y, arch, cfg)
+        calls = dict.fromkeys(("elu_array", "elu_grad_array", "recurrence_shift"), 0)
+
+        def counted(name, reference):
+            def kernel(x):
+                calls[name] += 1
+                return reference(x)
+            return kernel
+
+        for name, reference in (
+            ("elu_array", _elu_where_reference),
+            ("elu_grad_array", _elu_grad_where_reference),
+            ("recurrence_shift", _accumulate_shift_reference),
+        ):
+            for mod in (model_mod, loss_mod, evidence_mod, special_mod):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted(name, reference))
+        referenced = train(data.X, data.Y, arch, cfg)
+        assert min(calls.values()) > 0
+        assert checkpoint_to_json(shipped) == checkpoint_to_json(referenced)
+        assert shipped.loss_trace == referenced.loss_trace
 
 
 class TestPredictBatch:

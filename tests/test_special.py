@@ -44,6 +44,67 @@ class TestElu:
         np.testing.assert_allclose(elu_grad_array(x), fd, rtol=1e-6, atol=0)
 
 
+def _elu_where_reference(x):
+    """ELU as a select on x > 0, the form evidence.elu_array had before its
+    select was dropped.  Kept as the exactness reference for elu_array."""
+    return np.where(x > 0.0, x, np.expm1(np.minimum(x, 0.0)))
+
+
+def _elu_grad_where_reference(x):
+    """The ELU slope as a select on x > 0; the reference for elu_grad_array."""
+    return np.where(x > 0.0, 1.0, np.exp(np.minimum(x, 0.0)))
+
+
+def _assert_elu_pair_bytes_equal_select_forms(x):
+    # byte for byte: np.array_equal holds -0.0 equal to +0.0, which is the
+    # case the operand order of elu_array decides
+    for fn, reference in (
+        (elu_array, _elu_where_reference),
+        (elu_grad_array, _elu_grad_where_reference),
+    ):
+        with np.errstate(invalid="ignore"):  # expm1 and exp of a signalling NaN
+            got, want = np.asarray(fn(x)), np.asarray(reference(x))
+        assert got.dtype == want.dtype == np.float64
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+# the signed zeros, the smallest subnormals, an x whose expm1 rounds to x
+# itself, one where exp underflows to 0, and the finite extremes
+_ELU_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, -(2.0**-53), -745.2, 1e308, -1e308]
+# every bit pattern: NaNs of any sign and payload, infinities, subnormals
+_ELU_BITS = np.random.default_rng(23).integers(0, 2**64, size=(64, 128), dtype=np.uint64)
+_ELU_BITS = _ELU_BITS.view(np.float64)
+_ELU_BITS.flat[:11] = [*_ELU_SPECIALS, np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+@pytest.mark.parametrize("x", [*_ELU_SPECIALS, math.nan, math.inf, -math.inf])
+def test_elu_pair_bytes_equal_select_forms_at_special_values(x, as_array):
+    _assert_elu_pair_bytes_equal_select_forms(np.array(x) if as_array else x)
+
+
+@given(
+    x=st.one_of(
+        st.floats(),
+        hnp.arrays(
+            np.float64,
+            st.one_of(
+                st.just(()),
+                st.tuples(st.integers(0, 128)),
+                st.tuples(st.integers(0, 64), st.integers(0, 128)),
+            ),
+            elements=st.floats(),
+        ),
+    )
+)
+@example(x=np.array([*_ELU_SPECIALS, np.nan, np.inf, -np.inf]))
+@example(x=_ELU_BITS)
+@settings(deadline=None)
+def test_elu_pair_bytes_equal_select_forms(x):
+    _assert_elu_pair_bytes_equal_select_forms(x)
+
+
 class TestDigamma:
     def test_euler_mascheroni(self):
         assert digamma_array(1.0) == pytest.approx(-0.5772156649, abs=1e-9)
@@ -208,6 +269,40 @@ def _masked_loop_shift(x):
     return x, psi_sum, psi1_sum
 
 
+def _accumulate_shift_reference(x):
+    """special.recurrence_shift as it was before its sums became one reduce:
+    the sums accumulate row by row and the shifted value is a masked minimum.
+    Kept as the reference the shipped shift must train like."""
+    x = np.asarray(x, dtype=float)
+    lowest = float(np.min(x)) if x.size else np.inf
+    if lowest >= 6.0:
+        return x, 0.0, 0.0
+    steps = 0
+    while lowest < 6.0:
+        lowest += 1.0
+        steps += 1
+    below = x < 6.0
+    xs = x[below]
+    ladder = np.empty((steps + 1, xs.size))
+    ladder[0] = xs
+    ladder[1:] = 1.0
+    np.add.accumulate(ladder, axis=0, out=ladder)
+    past = ladder >= 6.0
+    masked = np.where(past[:steps], np.inf, ladder[:steps])
+    sums = np.empty((2, steps, xs.size))
+    np.divide(-1.0, masked, out=sums[0])
+    with np.errstate(over="ignore", divide="ignore"):
+        np.divide(1.0, masked * masked, out=sums[1])
+    np.add.accumulate(sums, axis=1, out=sums)
+    shifted = x.copy()
+    shifted[below] = np.minimum.reduce(ladder, axis=0, where=past, initial=np.inf)
+    psi_sum = np.zeros(x.shape)
+    psi_sum[below] = sums[0, -1]
+    psi1_sum = np.zeros(x.shape)
+    psi1_sum[below] = sums[1, -1]
+    return shifted, psi_sum, psi1_sum
+
+
 # entries at and just below the threshold, at the domain's low end, and 1e200
 # beside small ones: its square must not overflow in the shift
 _SHIFT_ELEMENTS = st.one_of(
@@ -245,6 +340,32 @@ def test_recurrence_shift_bit_equal_to_masked_loop(x, transpose):
     assert np.array_equal(np.broadcast_to(psi_sum, x.shape), want_psi)
     assert np.array_equal(np.broadcast_to(psi1_sum, x.shape), want_psi1)
     assert np.array_equal(x, before)
+
+
+def _training_size_stack(labels):
+    """A (2, 64, labels) stack like a batch's (alpha + beta, labelled evidence):
+    about 5 % of it below 6, with 1e-3 and 1e-200, which take all 6 steps."""
+    rng = np.random.default_rng(labels)
+    x = rng.uniform(6.0, 60.0, size=(2, 64, labels))
+    small = rng.random(x.shape) < 0.05
+    x[small] = rng.uniform(1.0, 6.0, size=int(small.sum()))
+    x[1, 0, :2] = [1e-3, 1e-200]
+    return x
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("labels", [5, 32])
+@pytest.mark.parametrize("transpose", [False, True])
+def test_recurrence_shift_bytes_equal_to_masked_loop_at_training_sizes(labels, transpose):
+    x = _training_size_stack(labels)
+    x = x.T if transpose else x
+    got = recurrence_shift(x)
+    with np.errstate(divide="ignore"):  # the loop's 1 / (1e-200 * 1e-200)
+        want = _masked_loop_shift(x)
+    assert 0.03 < np.mean(x < 6.0) < 0.07
+    assert np.isinf(want[2]).any()
+    for g, w in zip(got, want):
+        assert np.broadcast_to(g, x.shape).tobytes() == w.tobytes()
 
 
 class TestBetaPdf:
