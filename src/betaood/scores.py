@@ -15,9 +15,47 @@ from .errors import ConfigError
 from .evidence import EvidencePair, Logits
 
 
+def _two_sum_halves(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Add the halves of the (k, N) rows by TwoSum down to one (N,) row, which with
+    the (k - 1, N) errors sums to each column's sum exactly.  Overwrites rows."""
+    n, errors = len(rows), np.empty((len(rows) - 1, rows.shape[1]))
+    while n > 1:
+        half = n // 2
+        a, b, e = rows[:half], rows[n - half : n], errors[len(rows) - n :][:half]
+        s = a + b
+        t = s - a  # the error of s is (a - (s - t)) + (b - t)
+        np.subtract(a, np.subtract(s, t, out=e), out=e)
+        e += np.subtract(b, t, out=t)
+        a[...], n = s, n - half
+    return rows[0], errors
+
+
 def _fsum_rows(x: np.ndarray) -> np.ndarray:
-    """Exact sum of each row; fsum makes it invariant to label order."""
-    return np.array([math.fsum(row) for row in x.tolist()], dtype=float)
+    """math.fsum of each row, bit for bit, so invariant to label order.
+
+    TwoSum halving gives a row's sum as s plus errors e, exactly; halving the e gives
+    E plus residuals g, and TwoSum(s, E) = (r, f): the sum is r + f + sum(g). fsum
+    rounds it half-even: to r if every g is 0, or if f - d and f + d, d = 2 sum|g|,
+    lie strictly inside the half-gaps from r to its neighbours.  Other rows, rows of
+    under two labels, r == 0 (fsum gives +0.0) and sums of |x| past 2**1023 (inf, nan,
+    fsum's intermediate overflow) take math.fsum in row order, with its errors.
+    """
+    sums, keep = np.zeros(len(x)), np.zeros(len(x), dtype=bool)
+    if x.shape[1] > 1:
+        with np.errstate(all="ignore"):  # the caller raises on over/invalid
+            rows = x.T.copy()
+            small = np.add.reduce(np.abs(rows), axis=0) <= 2.0**1023
+            s, e = _two_sum_halves(rows)
+            big, g = _two_sum_halves(e)
+            r, (f,) = _two_sum_halves(np.stack([s, big]))
+            d = 2.0 * np.add.reduce(np.abs(g), axis=0)
+            inside = ((f + d < (np.nextafter(r, np.inf) - r) / 2)
+                      & (f - d > (np.nextafter(r, -np.inf) - r) / 2))
+            keep = small & (r != 0) & ((d == 0) | inside)
+            sums = np.where(keep, r, 0.0)
+    for i in np.flatnonzero(~keep).tolist():
+        sums[i] = math.fsum(x[i].tolist())
+    return sums
 
 
 # The score family.  Each kernel maps (N, L) rows to (N,) scores.

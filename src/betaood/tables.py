@@ -121,12 +121,14 @@ def write_table(path, header: list[str], columns, cache: bool = False) -> None:
     numbers = cache and len(columns[0]) and all(
         isinstance(c, np.ndarray) and c.dtype in (np.int64, np.float64) for c in columns)
     blocks = numbers and [np.array(list(run)) for _, run in groupby(columns, lambda c: c.dtype)]
+    # the repr or str of a number is never empty and holds no ",", '"' or line break
+    plain = all(isinstance(c, np.ndarray) and c.dtype.kind in "iuf" for c in columns)
     if blocks and (not all(map(str.isascii, header)) or np.array(header).tolist() != header
                    or any(np.isnan(b).any() for b in blocks)):
         blocks = None
     key = digest([])
     with open(path, "w", newline="") as fh:
-        for chunk in chain([[[name] for name in header]], chunks):
+        for body, chunk in enumerate(chain([[[name] for name in header]], chunks)):
             width, rows = len(chunk), len(chunk[0])
             # each cell followed by "," or, at the end of its row, by "\r\n"
             parts = [","] * (2 * width * rows)
@@ -135,7 +137,7 @@ def write_table(path, header: list[str], columns, cache: bool = False) -> None:
             parts[2 * width - 1 :: 2 * width] = ["\r\n"] * rows
             text = "".join(parts)
             # a cell holding ",", '"' or a line break, or a row of one empty cell, is quoted
-            if ('"' in text or text.count(",") != (width - 1) * rows
+            if not (body and plain) and ('"' in text or text.count(",") != (width - 1) * rows
                     or not text.count("\n") == rows == text.count("\r")
                     or width == 1 and "" in chunk[0]):
                 csv.writer(text := io.StringIO()).writerows(zip(*chunk))

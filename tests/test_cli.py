@@ -620,6 +620,25 @@ class TestScore:
         # the output directory is created only when there is something to write
         assert not out.exists()
 
+    def test_sum_score_overflow_is_numeric_error(self, pipeline, tmp_path, capsys):
+        # finite evidence near 1e308 on every label: the exact row sum of the
+        # sum family overflows, as math.fsum reports it
+        doc = json.loads((pipeline / "checkpoint.json").read_text())
+        doc["params"]["b_pos"] = _filled(doc["params"]["b_pos"], 1e308)
+        huge = tmp_path / "checkpoint.json"
+        huge.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code = main([
+            "score", "--checkpoint", str(huge),
+            "--data", str(pipeline / "synth"), "--out", str(out),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"numeric error: checkpoint {huge} on {pipeline / 'synth'}.test.jsonl: "
+            "intermediate overflow in fsum\n"
+        )
+        assert not (out / "scores.csv").exists() and not (out / "preds.csv").exists()
+
     def test_rerun_byte_identical(self, pipeline, tmp_path):
         blobs = []
         for sub in ("a", "b"):

@@ -304,6 +304,22 @@ def number_tables(draw):
     return header, columns, asked
 
 
+class TestNumberTablesMatchCsvWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(table=number_tables(), chunk=st.sampled_from([1, 2, 256]),
+           names=st.lists(st.sampled_from(["a", "b,c", 'q"', '""', "", "r\r"]), min_size=4))
+    def test_bytes_equal(self, tmp_path_factory, table, chunk, names):
+        # only the header of an all-number table is scanned for cells to quote
+        _, columns, _ = table
+        header = names[: len(columns)]
+        d = tmp_path_factory.mktemp("b")
+        with mock.patch.object(tables, "CHUNK_ROWS", chunk):
+            write_table(d / "got.csv", header, columns)
+        rows = [[repr(v) if c.dtype.kind == "f" else str(v) for v in c.tolist()] for c in columns]
+        want = _csv_writer_bytes(d / "want.csv", header, list(zip(*rows)))
+        assert (d / "got.csv").read_bytes() == want
+
+
 def _read_outcome(path, asked):
     """read_table's header and typed columns (NaN as a string), or its error."""
     try:
