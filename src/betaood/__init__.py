@@ -29,7 +29,6 @@ from .scores import (
     ood_score_sum,
     score_by_name,
 )
-from .special import beta_pdf, quadrature_expected_bce
 
 __version__ = "0.1.0"
 
@@ -62,6 +61,4 @@ __all__ = [
     "ood_score_max",
     "ood_score_sum",
     "score_by_name",
-    "beta_pdf",
-    "quadrature_expected_bce",
 ]

@@ -1,6 +1,6 @@
 """Binary OOD-detection evaluation: AUROC, AUPR, FPR@TPR, ROC export, mAP.
 
-The positive class is OOD (configurable).  Thresholds sweep the distinct
+The positive class is OOD.  Thresholds sweep the distinct
 score values in descending order, grouping ties into a single step, so
 AUROC is exactly the pairwise estimator with ties counted 0.5 and every
 metric is deterministic and oracle-checkable.  ``roc_curve`` sorts a score
@@ -81,9 +81,9 @@ class RocCurve:
         return list(zip(self.fpr.tolist(), self.tpr.tolist()))
 
 
-def roc_curve(ds: ScoredDataset, positive_is_ood: bool = True) -> RocCurve:
+def roc_curve(ds: ScoredDataset) -> RocCurve:
     """Sort the scores once and count TP/FP after each run of equal scores."""
-    positive = ds.is_ood.astype(bool) if positive_is_ood else ~ds.is_ood.astype(bool)
+    positive = ds.is_ood.astype(bool)
     # any order within a run of equal scores gives the same counts at its end
     order = np.argsort(-ds.scores)
     sorted_scores = ds.scores[order]
@@ -120,20 +120,16 @@ def detection_metrics(curve: RocCurve, target_tpr: float = 0.95) -> DetectionMet
 
 # One-metric views, one sweep each; the oracle tests and the benchmark's
 # tracer (perfbench/tracer.py) call them by name.
-def auroc(ds: ScoredDataset, positive_is_ood: bool = True) -> float:
-    return detection_metrics(roc_curve(ds, positive_is_ood)).auroc
+def auroc(ds: ScoredDataset) -> float:
+    return detection_metrics(roc_curve(ds)).auroc
 
 
-def aupr(ds: ScoredDataset, positive_is_ood: bool = True) -> float:
-    return detection_metrics(roc_curve(ds, positive_is_ood)).aupr
+def aupr(ds: ScoredDataset) -> float:
+    return detection_metrics(roc_curve(ds)).aupr
 
 
-def fpr_at_tpr(
-    ds: ScoredDataset,
-    target_tpr: float = 0.95,
-    positive_is_ood: bool = True,
-) -> float:
-    return detection_metrics(roc_curve(ds, positive_is_ood), target_tpr).fpr95
+def fpr_at_tpr(ds: ScoredDataset, target_tpr: float = 0.95) -> float:
+    return detection_metrics(roc_curve(ds), target_tpr).fpr95
 
 
 def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:

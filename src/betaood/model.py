@@ -278,13 +278,10 @@ def predict_batch(params: ModelParams, features) -> tuple[
 ]:
     """Forward an (N, D) batch and map it through evidence; each result is (N, L).
 
-    An empty batch gives zero-row objects; a row with non-finite logits
+    A (0, D) batch gives zero-row objects; a row with non-finite logits
     raises NumericError.
     """
-    if len(features) == 0:
-        x = np.empty((0, params.arch.input_dim))
-    else:
-        x = np.asarray(features, dtype=float)
+    x = np.asarray(features, dtype=float)
     # huge but finite weights overflow here; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         _, _, f_pos, f_neg = _forward_batch(params, x)

@@ -1,9 +1,9 @@
 """The pipeline's one CSV reader and writer, with the csv module's excel-dialect behaviour,
 and the one cache codec of the files it and datagen write.
 
-Plain tables are parsed in one typed ``np.loadtxt`` pass and written with one
-string join per chunk of rows; anything else, and every error, goes through
-``csv.reader``/``csv.writer``, so that a message names the file, the line and the cause.
+Tables are parsed by ``csv.reader``, so that a message names the file, the line and
+the cause.  Plain tables are written with one string join per chunk of rows; any
+other goes through ``csv.writer``.
 
 A cache, ``<file>.npy``, holds what parsing the file gives under a key of its bytes
 (zlib: hashlib loads OpenSSL); it is never required and safe to delete.
@@ -15,7 +15,6 @@ import contextlib
 import csv
 import io
 import os
-import warnings
 import zlib
 from itertools import chain, groupby
 from pathlib import Path
@@ -45,66 +44,48 @@ def read_table(path, what: str, schema) -> tuple[list[str], list]:
         columns = [column for block in cached[1:] if block.ndim == 2 for column in block]
         if [column.dtype for column in columns] == [_DTYPES[t] for t in schema(header)]:
             return header, columns
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: cannot decode: {exc}") from exc
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    # without quotes or blank lines, csv.reader's rows are the lines split on ","
-    if lines and "" not in lines and '"' not in text:
-        header = lines[0].split(",")
-        columns = _read_plain(lines[1:], schema(header))
-        if columns is not None:
-            return header, columns
     return _read_rows(path, what, schema)
 
 
-def _read_plain(body: list[str], types: list) -> list | None:
-    """Every column from one typed ``np.loadtxt`` call, or None if a row needs _read_rows.
+def _int64(cell: str) -> int:
+    """int(cell), or ValueError if an int64 column cannot hold it."""
+    value = int(cell)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{cell!r} is outside the int64 range")
+    return value
 
-    One dtype field per column makes loadtxt reject a row of another width; it
-    accepts a subset of what int() and float() accept, with the same values, and
-    keeps str cells as they are.  A numpy that parses a non-integer int cell as a
-    float says so with a DeprecationWarning, which also sends the table to _read_rows.
-    """
-    if not body:
-        return None
-    dtype = np.dtype([("", _DTYPES[t]) for t in types])
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            block = np.loadtxt(body, delimiter=",", dtype=dtype, comments=None, ndmin=1)
-    except (ValueError, DeprecationWarning):
-        return None
-    return [block[nm].tolist() if t is str else block[nm] for nm, t in zip(dtype.names, types)]
+
+_PARSERS = {int: _int64, float: float, str: str}
 
 
 def _read_rows(path, what: str, schema) -> tuple[list[str], list]:
-    """csv.reader with int() / float() per cell; names the first bad line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-            types = schema(header)
-            values = [[] for _ in types]
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise DataError(
-                        f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}"
-                    )
-                try:
-                    for column, kind, cell in zip(values, types, row):
-                        column.append(kind(cell))
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: malformed row: {exc}") from exc
-        except StopIteration:
-            raise DataError(f"{what} {path} is empty") from None
-        except csv.Error as exc:
-            raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
-    return header, [v if t is str else np.array(v) for v, t in zip(values, types)]
+    """csv.reader over one read of the file, with a parser per cell; names the first bad line."""
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: cannot decode: {exc}") from exc
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc}") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+        types = schema(header)
+        values = [[] for _ in types]
+        parsers = [_PARSERS[t] for t in types]
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
+            try:
+                for column, parse, cell in zip(values, parsers, row):
+                    column.append(parse(cell))
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: malformed row: {exc}") from exc
+    except StopIteration:
+        raise DataError(f"{what} {path} is empty") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+    return header, [v if t is str else np.array(v, _DTYPES[t]) for v, t in zip(values, types)]
 
 
 def write_table(path, header: list[str], columns, cache: bool = False) -> None:

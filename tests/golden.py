@@ -28,6 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
+from betaood import cli
+
 GOLDEN = Path(__file__).with_name("golden.json")
 
 SEEDS = (0, 31)
@@ -88,8 +90,6 @@ def _digests(out: Path) -> dict[str, str]:
 
 def run_pipeline(workload: str, seed: int, root: Path) -> dict[str, str]:
     """One run's record: per command in order, its stdout, then each file it wrote."""
-    from betaood.cli import main
-
     gen, train = WORKLOADS[workload]
     run = root / f"{workload}-{seed}"
     cfg, out = run / "cfg", run / "out"
@@ -100,7 +100,7 @@ def run_pipeline(workload: str, seed: int, root: Path) -> dict[str, str]:
     for step, argv in _steps(cfg, out):
         stdout = io.StringIO()
         with redirect_stdout(stdout):
-            rc = main(argv)
+            rc = cli.main(argv)
         record[f"{step}: exit code"] = str(rc)
         record[f"{step}: stdout"] = stdout.getvalue().replace(str(run), "$RUN")
         for name, digest in _digests(out).items():

@@ -787,7 +787,6 @@ class TestSidecar:
         self, pipeline, data, capsys, monkeypatch
     ):
         with monkeypatch.context() as patch:  # the caches stand in for every table parse
-            patch.setattr(tables_mod, "_read_plain", None)
             patch.setattr(tables_mod, "_read_rows", None)
             got = self._run(pipeline, data, capsys, "cached", "table")
         assert got[0] == [0, 0]
@@ -883,6 +882,55 @@ class TestEval:
         out = tmp_path / "o"
         assert main([*argv, "--out", str(out)]) == 2
         assert f"{bad}{where}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["plus", "minus"])
+    @pytest.mark.parametrize("name, row", [
+        ("scores.csv", "{v},1,0.9,0.8"),
+        ("scores.csv", "1,{v},0.9,0.8"),
+        ("preds.csv", "{v},0.5,0"),
+        ("preds.csv", "1,0.5,{v}"),
+    ], ids=["sample_id", "is_ood", "preds_sample_id", "y_0"])
+    def test_int_cell_outside_int64_is_malformed_row(
+        self, pipeline, tmp_path, capsys, name, row, sign
+    ):
+        header, first = {"scores.csv": ("sample_id,is_ood,u_s_p,u_s_n", "0,0,0.1,0.2"),
+                         "preds.csv": ("sample_id,p_0,y_0", "0,0.2,1")}[name]
+        bad = tmp_path / name
+        bad.write_text(f"{header}\r\n{first}\r\n{row.format(v=f'{sign}1' + '0' * 20)}\r\n")
+        argv = (["--scores-csv", str(bad)] if name == "scores.csv" else
+                ["--scores-csv", str(pipeline / "scores.csv"), "--preds", str(bad)])
+        out = tmp_path / "o"
+        assert main(["eval", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:3: malformed row" in err and "int64" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "eval_preds", "eval_aggregate", "sweep_lambda"])
+    def test_unreadable_csv_is_data_error(self, pipeline, tmp_path, capsys, monkeypatch, command):
+        scores, denied = pipeline / "scores.csv", {
+            "eval_preds": pipeline / "preds.csv",
+            "eval_aggregate": Path(_metrics_csv(tmp_path)),
+        }.get(command, pipeline / "scores.csv")
+        argv = {
+            "eval": ["eval", "--scores-csv", str(scores)],
+            "eval_preds": ["eval", "--scores-csv", str(scores), "--preds", str(denied)],
+            "eval_aggregate": ["eval", "--aggregate", str(denied)],
+            "sweep_lambda": ["sweep-lambda", "--scores-csv", str(scores)],
+        }[command]
+        real_open = open
+
+        def deny(file, *args, **kwargs):
+            if os.fspath(file) == str(denied):
+                raise PermissionError(13, "Permission denied", str(denied))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", deny)
+        out = tmp_path / "o"
+        code = main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert err.startswith(f"data error: {denied}: cannot read: ") and "Permission denied" in err
         assert not out.exists()
 
     def test_single_class_input_is_data_error(self, tmp_path):

@@ -19,7 +19,8 @@ from betaood.loss import (
     loss_and_grad,
 )
 from betaood.model import ArchConfig, _arrays, _batch_gradients, init_params, param_shapes
-from betaood.special import digamma_array, quadrature_expected_bce, trigamma_array
+from betaood.special import digamma_array, trigamma_array
+from oracles import quadrature_expected_bce
 
 
 def ev1(alpha, beta):

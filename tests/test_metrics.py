@@ -285,6 +285,12 @@ def _reference_metrics(ds, target_tpr, positive_is_ood):
     return DetectionMetrics(auroc=area, aupr=pr_area, fpr95=float(fp[idx] / n_neg))
 
 
+def _positive(ds, positive_is_ood):
+    """ds as roc_curve reads it, OOD the positive class: with classes swapped
+    where IND is the positive class of the reference."""
+    return ds if positive_is_ood else ScoredDataset(scores=ds.scores, is_ood=1 - ds.is_ood)
+
+
 @st.composite
 def scored_datasets(draw):
     """Both classes present, n_pos and n_neg free; scores from a handful of
@@ -305,17 +311,18 @@ class TestOneSweepMatchesThreeSweeps:
            target=st.sampled_from([0.2, 0.5, 0.95, 1.0]))
     @settings(max_examples=300, deadline=None)
     def test_metrics_bit_equal(self, ds, positive_is_ood, target):
-        got = detection_metrics(roc_curve(ds, positive_is_ood), target)
+        got = detection_metrics(roc_curve(_positive(ds, positive_is_ood)), target)
         want = _reference_metrics(ds, target, positive_is_ood)
         assert got == want
         assert repr(got) == repr(want)
-        assert roc_curve(ds, positive_is_ood).points == _reference_points(ds, positive_is_ood)
+        curve = roc_curve(_positive(ds, positive_is_ood))
+        assert curve.points == _reference_points(ds, positive_is_ood)
 
     @given(ds=scored_datasets(), positive_is_ood=st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_roc_csv_bytes_equal_csv_writer(self, ds, positive_is_ood, tmp_path_factory):
         path = tmp_path_factory.getbasetemp() / "roc_bit_equal.csv"
-        write_roc_csv(roc_curve(ds, positive_is_ood), path)
+        write_roc_csv(roc_curve(_positive(ds, positive_is_ood)), path)
         buf = io.StringIO(newline="")
         csv.writer(buf).writerows(
             [["fpr", "tpr"], *([repr(f), repr(t)] for f, t in _reference_points(ds, positive_is_ood))]
@@ -354,7 +361,7 @@ class TestTieOrder:
     @given(ds=tied_datasets(), positive_is_ood=st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_roc_counts_equal_stable_sort(self, ds, positive_is_ood):
-        curve = roc_curve(ds, positive_is_ood)
+        curve = roc_curve(_positive(ds, positive_is_ood))
         tp, fp, n_pos, n_neg = _reference_sweep(ds, positive_is_ood)
         assert np.array_equal(curve.tp, tp) and np.array_equal(curve.fp, fp)
         assert (curve.n_pos, curve.n_neg) == (n_pos, n_neg)
@@ -364,7 +371,7 @@ class TestTieOrder:
         scores = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], size=5000)
         ds = ScoredDataset(scores=scores, is_ood=rng.integers(0, 2, size=5000))
         for positive_is_ood in (True, False):
-            curve = roc_curve(ds, positive_is_ood)
+            curve = roc_curve(_positive(ds, positive_is_ood))
             tp, fp, _, _ = _reference_sweep(ds, positive_is_ood)
             assert np.array_equal(curve.tp, tp) and np.array_equal(curve.fp, fp)
 

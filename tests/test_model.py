@@ -373,7 +373,7 @@ class TestTrain:
 class TestPredictBatch:
     def test_empty_input(self):
         params = init_params(ARCH, 0)
-        logits, ev, pred = predict_batch(params, [])
+        logits, ev, pred = predict_batch(params, np.empty((0, ARCH.input_dim)))
         for array in (logits.f_pos, logits.f_neg, ev.alpha, ev.beta, pred.p):
             assert array.shape == (0, ARCH.label_count)
 

@@ -9,15 +9,8 @@ from hypothesis.extra import numpy as hnp
 
 from betaood.errors import ConfigError, NumericError
 from betaood.evidence import elu_array, elu_grad_array
-from betaood.special import (
-    _BERNOULLI_2K,
-    adaptive_quadrature,
-    beta_pdf,
-    digamma_array,
-    quadrature_expected_bce,
-    recurrence_shift,
-    trigamma_array,
-)
+from betaood.special import _BERNOULLI_2K, digamma_array, recurrence_shift, trigamma_array
+from oracles import adaptive_quadrature, beta_pdf, quadrature_expected_bce
 
 mp.mp.dps = 30
 

@@ -1,6 +1,5 @@
 import csv
 import math
-import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -54,7 +53,7 @@ def _reference_scores(path):
         first = ids.index(sample_id) + 2
         if first != lineno:
             raise DataError(f"{path}:{lineno}: sample_id {sample_id!r} repeats line {first}")
-    return np.array(is_ood), {nm: np.array(v) for nm, v in columns.items()}
+    return np.array(is_ood, dtype=np.int64), {nm: np.array(v) for nm, v in columns.items()}
 
 
 def _reference_preds(path):
@@ -172,27 +171,15 @@ class TestReadTableMatchesCsvReader:
         with pytest.raises(DataError, match=f"{path}: cannot decode"):
             _read_scores_csv(path)
 
-    def test_int_cell_parsed_via_float_goes_to_csv_reader(self, tmp_path):
-        # some numpy releases parse an int cell such as "1.5" as a float,
-        # truncate it and warn with a DeprecationWarning instead of failing
-        loadtxt = np.loadtxt
-
-        def lenient_loadtxt(body, dtype=float, **kwargs):
-            as_float = np.dtype([(nm, float) for nm in dtype.names])
-            if as_float != dtype:
-                warnings.warn("Parsing an integer via a float is deprecated", DeprecationWarning)
-                return loadtxt(body, dtype=as_float, **kwargs).astype(dtype)
-            return loadtxt(body, dtype=dtype, **kwargs)
-
-        path = tmp_path / "scores.csv"
-        path.write_bytes(b"sample_id,is_ood,u_s_p\r\n0,1.5,0.5\r\n")
-        with mock.patch("numpy.loadtxt", lenient_loadtxt):
-            with pytest.raises(DataError, match=f"{path}:2: malformed row"):
-                _read_scores_csv(path)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(DataError, match=f"{path}:2: malformed row"):
-                    _read_scores_csv(path)
+    def test_int_cells_at_the_int64_bounds(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(f"a\r\n{-2**63}\r\n{2**63 - 1}\r\n")
+        _, (column,) = read_table(path, "table", lambda header: [int])
+        assert column.dtype == np.int64 and column.tolist() == [-2**63, 2**63 - 1]
+        for body, lineno in ((f"{2**63}", 2), (f"0\r\n{-2**63 - 1}", 3)):
+            path.write_text(f"a\r\n{body}\r\n")
+            with pytest.raises(DataError, match=f"{path}:{lineno}: malformed row: .*int64"):
+                read_table(path, "table", lambda header: [int])
 
     def test_nul_byte_names_file_and_line(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -209,27 +196,20 @@ class TestReadTableMatchesCsvReader:
     def test_one_pass_hands_bad_table_to_line_reader(self, tmp_path, body, message):
         path = tmp_path / "scores.csv"
         path.write_bytes(b"sample_id,is_ood,u_s_p\r\n" + body)
-        with mock.patch.object(tables, "_read_rows", wraps=tables._read_rows) as line_reader:
-            with pytest.raises(DataError) as got:
-                _read_scores_csv(path)
-        assert line_reader.call_count == 1
+        with pytest.raises(DataError) as got:
+            _read_scores_csv(path)
         assert str(got.value).startswith(f"{path}{message}")
 
     def test_header_only_table_goes_to_line_reader(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_bytes(b"sample_id,is_ood,u_s_p\r\n")
-        with mock.patch.object(tables, "_read_rows", wraps=tables._read_rows) as line_reader:
-            is_ood, columns = _read_scores_csv(path)
-        assert line_reader.call_count == 1
+        is_ood, columns = _read_scores_csv(path)
         assert is_ood.shape == (0,) and columns["u_s_p"].shape == (0,)
 
-    def test_plain_table_is_one_loadtxt_call(self, tmp_path):
+    def test_plain_table_values_and_dtypes(self, tmp_path):
         path = tmp_path / "preds.csv"
         path.write_bytes(b"sample_id,p_0,p_1,y_0,y_1\r\n0,0.25,0.5,1,0\r\n1,1.0,0.0,0,1\r\n")
-        with mock.patch("numpy.loadtxt", wraps=np.loadtxt) as loadtxt, \
-                mock.patch.object(tables, "_read_rows") as line_reader:
-            probs, labels = _read_preds_csv(path)
-        assert loadtxt.call_count == 1 and line_reader.call_count == 0
+        probs, labels = _read_preds_csv(path)
         assert probs.tolist() == [[0.25, 0.5], [1.0, 0.0]]
         assert labels.tolist() == [[1, 0], [0, 1]]
         assert labels.dtype == np.int64
@@ -343,8 +323,7 @@ class TestTableCacheMatchesParse:
             and not any(np.isnan(c).any() for c in columns))
         if cache.exists() and asked == [int if c.dtype == np.int64 else float for c in columns]:
             # and it stands in for the parse
-            with mock.patch.object(tables, "_read_plain", side_effect=AssertionError), \
-                    mock.patch.object(tables, "_read_rows", side_effect=AssertionError):
+            with mock.patch.object(tables, "_read_rows", side_effect=AssertionError):
                 got = _read_outcome(path, asked)
         else:
             got = _read_outcome(path, asked)
