@@ -908,10 +908,9 @@ class TestEval:
 
     @pytest.mark.parametrize("command", ["eval", "eval_preds", "eval_aggregate", "sweep_lambda"])
     def test_unreadable_csv_is_data_error(self, pipeline, tmp_path, capsys, monkeypatch, command):
-        scores, denied = pipeline / "scores.csv", {
-            "eval_preds": pipeline / "preds.csv",
-            "eval_aggregate": Path(_metrics_csv(tmp_path)),
-        }.get(command, pipeline / "scores.csv")
+        scores = pipeline / "scores.csv"
+        denied = {"eval_preds": pipeline / "preds.csv",
+                  "eval_aggregate": Path(_metrics_csv(tmp_path))}.get(command, scores)
         argv = {
             "eval": ["eval", "--scores-csv", str(scores)],
             "eval_preds": ["eval", "--scores-csv", str(scores), "--preds", str(denied)],
