@@ -213,11 +213,16 @@ def cmd_gen_data(config_path, out, seed, name):
         samples=cfg["ood_samples"],
         seed=cfg["seed"],
     )
-    ind = generate_ind(spec)
-    ood = generate_ood(spec, ood_spec)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+        ind = generate_ind(spec)
+        ood = generate_ood(spec, ood_spec)
     base = cfg["name"]
     unlabeled = Dataset(X=ood, Y=np.zeros((len(ood), 0), dtype=int), split="ood")
     splits = [*ind.items(), ("ood", unlabeled)]
+    for split, ds in splits:
+        if not np.isfinite(ds.X).all():
+            keys = "cluster_spread, mean_scale" + ", ood_shift" * (split == "ood")
+            raise NumericError(f"{split} features overflow: lower {keys} in config {config_path}")
     out_dir = _write_out(out, {
         **{f"{base}.{split}.jsonl": functools.partial(write_jsonl, ds) for split, ds in splits},
         "gen_data_config.json": _config_json(cfg),

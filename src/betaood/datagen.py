@@ -245,19 +245,14 @@ def write_jsonl(data: Dataset, path) -> None:
         raise DataError(f"cannot write {path}: labels must be the numbers 0 or 1, not bools")
     if len(X) and (problem := _broken_rule(X, data.Y, None, [data.split], 2, None)):
         raise DataError(f"cannot write {path}: {problem}")
-    labeled = data.Y.shape[1] > 0
     tail = ',"split":' + json.dumps(data.split) + "}\n"
-    chunk = tables.CHUNK_ROWS
+    Y = data.Y.astype(np.float64 if data.Y.dtype.kind == "f" else np.int64)
+    labels = ["[", Y, "]" + tail] if Y.shape[1] else ["null" + tail]
     with open(path, "wb") as fh:  # ASCII: json.dumps escapes every other character
         fh.write(block := (_HEADER + "\n").encode())
         key = tables.digest([block])
-        for start in range(0, len(X), chunk):
-            rows = zip(X[start : start + chunk].tolist(), data.Y[start : start + chunk].tolist())
-            fh.write(block := "".join([
-                '{"features":[' + ",".join(map(repr, x)) + '],"labels":'
-                + ("[" + ",".join(map(str, y)) + "]" if labeled else "null") + tail
-                for x, y in rows
-            ]).encode())
+        for block in tables.number_rows(['{"features":[', X, '],"labels":', *labels], len(X)):
+            fh.write(block)
             key = tables.digest([block], key)
     # cached if the parse gives the arrays back: rows, int labels, a split numpy keeps
     fit = (len(X) and len(data.Y) == len(X) and data.Y.dtype.kind in "iu"

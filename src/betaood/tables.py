@@ -2,8 +2,8 @@
 and the one cache codec of the files it and datagen write.
 
 Tables are parsed by ``csv.reader``, so that a message names the file, the line and
-the cause.  Plain tables are written with one string join per chunk of rows; any
-other goes through ``csv.writer``.
+the cause.  Number rows are written by an array kernel with the bytes of repr and str
+(``number_rows``), other rows by one string join per chunk or by ``csv.writer``.
 
 A cache, ``<file>.npy``, holds what parsing the file gives under a key of its bytes
 (zlib: hashlib loads OpenSSL); it is never required and safe to delete.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import os
 import zlib
@@ -24,9 +25,12 @@ import numpy as np
 from .errors import DataError
 
 _DTYPES = {int: np.int64, float: np.float64, str: object}
-# rows turned into text at a time by write_table and by datagen's JSONL
-# writer: bounds the Python objects held in memory
-CHUNK_ROWS = 256
+# cells turned into text at a time by write_table and by datagen's JSONL writer: bounds
+# the arrays (about 180 bytes a cell) and the str cells of other tables held in memory
+CHUNK_CELLS = 1 << 13
+# write_table joins the repr and str of number tables of fewer cells: the kernel's
+# fixed cost (about 0.1 ms a chunk) is more than theirs
+KERNEL_MIN_CELLS = 1 << 10
 
 
 def read_table(path, what: str, schema) -> tuple[list[str], list]:
@@ -92,37 +96,29 @@ def write_table(path, header: list[str], columns, cache: bool = False) -> None:
     """Write a header and equal-length columns with the bytes of csv.writer.
 
     A float array's cells are the repr of each Python float, another number
-    array's the str of each value; a list or object array holds str cells.
+    array's the str of each value; a list or object array holds str cells.  The
+    rows of int64 and float64 columns, KERNEL_MIN_CELLS cells or more, come from
+    ``number_rows``; any other table's are joined from str cells.
     With ``cache``, also save ``<path>.npy``, the header and a 2-D block per run of
     columns of one dtype, if the parse gives them back: int64 or float64 arrays of
     a row or more without NaN, an ASCII header that numpy keeps (no trailing NUL).
     """
-    chunks = ([_cells(column[start : start + CHUNK_ROWS]) for column in columns]
-              for start in range(0, len(columns[0]), CHUNK_ROWS))
-    numbers = cache and len(columns[0]) and all(
-        isinstance(c, np.ndarray) and c.dtype in (np.int64, np.float64) for c in columns)
-    blocks = numbers and [np.array(list(run)) for _, run in groupby(columns, lambda c: c.dtype)]
-    # the repr or str of a number is never empty and holds no ",", '"' or line break
-    plain = all(isinstance(c, np.ndarray) and c.dtype.kind in "iuf" for c in columns)
+    n, step = len(columns[0]), max(1, CHUNK_CELLS // len(columns))
+    numbers = all(isinstance(c, np.ndarray) and c.dtype in (np.int64, np.float64) for c in columns)
+    runs = numbers and [np.array(list(run)) for _, run in groupby(columns, lambda c: c.dtype)]
+    blocks = cache and n and runs
     if blocks and (not all(map(str.isascii, header)) or np.array(header).tolist() != header
                    or any(np.isnan(b).any() for b in blocks)):
         blocks = None
+    chunks = ([_cells(column[start : start + step]) for column in columns]
+              for start in range(0, n, step))
+    texts = map(_joined, chain([[[name] for name in header]], chunks))
+    if numbers and n * len(columns) >= KERNEL_MIN_CELLS:  # cells that are never quoted
+        parts = [part for run in runs for part in (run.T, ",")][:-1] + ["\r\n"]
+        texts = chain([next(texts)], (block.decode() for block in number_rows(parts, n)))
     key = digest([])
     with open(path, "w", newline="") as fh:
-        for body, chunk in enumerate(chain([[[name] for name in header]], chunks)):
-            width, rows = len(chunk), len(chunk[0])
-            # each cell followed by "," or, at the end of its row, by "\r\n"
-            parts = [","] * (2 * width * rows)
-            for j, cells in enumerate(chunk):
-                parts[2 * j :: 2 * width] = cells
-            parts[2 * width - 1 :: 2 * width] = ["\r\n"] * rows
-            text = "".join(parts)
-            # a cell holding ",", '"' or a line break, or a row of one empty cell, is quoted
-            if not (body and plain) and ('"' in text or text.count(",") != (width - 1) * rows
-                    or not text.count("\n") == rows == text.count("\r")
-                    or width == 1 and "" in chunk[0]):
-                csv.writer(text := io.StringIO()).writerows(zip(*chunk))
-                text = text.getvalue()
+        for text in texts:
             fh.write(text)
             if blocks:
                 key = digest([text.encode(fh.encoding)], key)
@@ -135,6 +131,157 @@ def _cells(part) -> list[str]:
     if isinstance(part, np.ndarray) and part.dtype.kind != "O":
         return list(map(repr if part.dtype.kind == "f" else str, part.tolist()))
     return part.tolist() if isinstance(part, np.ndarray) else part
+
+
+def _joined(chunk) -> str:
+    """csv.writer's text of rows of str cells given as one list per column."""
+    width, rows = len(chunk), len(chunk[0])
+    # each cell followed by "," or, at the end of its row, by "\r\n"
+    parts = [","] * (2 * width * rows)
+    for j, cells in enumerate(chunk):
+        parts[2 * j :: 2 * width] = cells
+    parts[2 * width - 1 :: 2 * width] = ["\r\n"] * rows
+    text = "".join(parts)
+    # a cell holding ",", '"' or a line break, or a row of one empty cell, is quoted
+    if ('"' in text or text.count(",") != (width - 1) * rows
+            or not text.count("\n") == rows == text.count("\r") or width == 1 and "" in chunk[0]):
+        csv.writer(text := io.StringIO()).writerows(zip(*chunk))
+        text = text.getvalue()
+    return text
+
+
+def number_rows(parts, n: int):
+    """Yield the ASCII bytes of n rows, about CHUNK_CELLS cells at a time.
+
+    Each part is a str with no NUL, the same on every row, or an (n, k) int64 or
+    float64 array whose row gives k cells joined by ",": the str of each int and the
+    repr of each float, from ``_cell_words``.  A chunk is a uint32 matrix of words of
+    1-4 bytes padded by NUL, written without the NULs; a cell is its words and ",".
+    """
+    width = sum(p.shape[1] for p in parts if not isinstance(p, str))
+    step = max(1, CHUNK_CELLS // max(width, 1))
+    for start in range(0, n, step):
+        chunk = [p if isinstance(p, str) else p[start : start + step] for p in parts]
+        pieces = [_words([p]) if isinstance(p, str) else _cell_words(p.ravel()) if p.size else []
+                  for p in chunk]
+        slots = [len(w) if isinstance(p, str) else p.shape[1] * (len(w) + 1)
+                 for p, w in zip(chunk, pieces)]
+        out, at = np.zeros((min(step, n - start), sum(slots)), np.uint32), 0
+        for p, words, slot in zip(chunk, pieces, slots):
+            if isinstance(p, str):
+                out[:, at : at + slot] = words
+            elif slot:
+                cells = out[:, at : at + slot].reshape(len(out), p.shape[1], -1)
+                for j, word in enumerate(words):
+                    cells[:, :, j] = word.reshape(len(out), -1)
+                cells[:, :-1, -1] = _COMMA
+            at += slot
+        yield out.tobytes().translate(None, b"\0")
+
+
+def _words(texts) -> np.ndarray:
+    """The bytes of ASCII texts as uint32 words, each text padded by NUL to a whole word."""
+    return np.frombuffer(b"".join(t.encode().ljust(-max(len(t), 1) // 4 * -4, b"\0")
+                                  for t in texts), np.uint32)
+
+
+@functools.cache  # built at the first call, not at import: about 1 ms
+def _tables() -> tuple:
+    """The 4-digit groups as words: with leading zeros, without them, without trailing
+    zeros (0 as no digit in these two), then "0"; and Schubfach's g = floor(10**-k 2**s) + 1
+    in [2**125, 2**126) for k in [-324, 292], as 32-bit limbs of g >> 63 and g mod 2**63."""
+    v, scale = np.arange(10**4, dtype=np.int16)[:, None], np.array([1000, 100, 10, 1], np.int16)
+    digits = (v // scale % 10 + 48).astype(np.uint8)
+    forms = np.stack([digits, digits * (v >= scale), digits * (v % (scale * 10) != 0)])
+    g = np.array([(10 ** max(-k, 0) << max(s, 0)) // (10 ** max(k, 0) << max(-s, 0)) + 1
+                  for k in range(-324, 293) for s in [125 - (-k * 913124641741 >> 38)]])
+    limbs = [g >> 63 & 0xFFFFFFFF, g >> 95, g & 0xFFFFFFFF, g >> 32 & 0x7FFFFFFF]
+    return np.append(forms.view(np.uint32).ravel(), _words(["0"])), np.array(limbs, np.uint32)
+
+
+_LEAD, _TRAIL, _ZERO = (np.uint64(i * 10**4) for i in (1, 2, 3))  # offsets into the groups
+# "0" * z + str(d) at 10 z + d for z < 4, then no text: what a value below 1 shows after "0."
+_FRONT = _words(["0" * (i // 10) + str(i % 10) for i in range(40)] + [""])
+_EXP = _words([f"e{e:+03d}".ljust(8, "\0") for e in range(-330, 331)]).reshape(-1, 2)
+_COMMA, _DOT, _MINUS = _words([",", ".", "-"])
+_P10 = np.array([10**i for i in range(20)], dtype=np.uint64)
+
+
+def _shortest(bits):
+    """(f, k): the positive normal float64s of ``bits`` are f 10**k rounded, f the
+    fewest digits that round back, the closest on a tie.  Schubfach (R. Giulietti,
+    "The Schubfach way to render doubles", 2020) as in OpenJDK's DoubleToDecimal."""
+    q, c = (bits >> 52).astype(np.int64) - 1075, bits & (2**52 - 1) | 2**52
+    regular = (c != 2**52) | (q == -1074)  # else 2**q sits closer to its lower neighbour
+    k = q * 661971961083 - ~regular * 274743187321 >> 41  # floor(log10(2**q or 3/4 2**q))
+    h = (q + (-k * 913124641741 >> 38) + 2).astype(np.uint64)
+    g = _tables()[1].take(k + 324, axis=1)
+    g1, cb = g[1].astype(np.uint64) << 32 | g[0], c << 2
+    def round_odd(cp):  # OpenJDK's rop, g cp 2**-127 rounded to odd, from 32-bit limbs:
+        # g's are below 2**32 (high ones below 2**31) and cp < 2**60: no sum passes 2**64
+        b0, b1 = cp & 0xFFFFFFFF, cp >> 32
+        y1, x1 = (a1 * b1 + ((a0 * b0 >> 32) + a0 * b1 + a1 * b0 >> 32)
+                  for a0, a1 in (g[:2], g[2:]))
+        z = (g1 * cp >> 1) + x1
+        return y1 + (z >> 63) | ((z & (2**63 - 1)) != 0)
+    vb = round_odd(cb << h)
+    vbl = round_odd(cb - 1 - regular << h) + (c & 1)
+    vbr = round_odd(cb + 2 << h) - (c & 1)
+    s = vb >> 2
+    s10 = s // 10 * 10  # one digit fewer: s10 or s10 + 10, if exactly one is in the interval
+    lo10, hi10 = vbl <= s10 << 2, s10 + 10 << 2 <= vbr
+    lo, hi = vbl <= s << 2, s + 1 << 2 <= vbr
+    f = s + np.where(lo != hi, hi, (vb > 4 * s + 2) | (vb == 4 * s + 2) & (s & 1 == 1))
+    return np.where(lo10 != hi10, np.where(hi10, s10 + 10, s10), f), k  # s > 10**15 on normals
+
+
+def _cell_words(a: np.ndarray) -> list:
+    """The str of each int64 or the repr of each float64 of a 1-D array, as rows of
+    uint32 words, a row per word position that some value uses, NUL as padding."""
+    group, bits = _tables()[0], a.view(np.uint64)
+    if a.dtype.kind == "i":
+        return _integer_words(np.where(a < 0, 0 - bits, bits), a < 0, group)
+    zero, normal = bits << 1 == 0, np.isfinite(a) & (np.abs(a) >= np.finfo(float).tiny)
+    f, k = _shortest(np.where(normal, bits & 2**63 - 1, 1 << 62))
+    n = np.log10(f).astype(np.int64) + 1  # digits in f, up to the rounding of f to float
+    n = n + (f >= _P10[n]) - (f < _P10[n - 1])
+    f17, point = f * _P10[17 - n] * ~zero, (k + n) * ~zero  # point: digits before the "."
+    exponent = (point > 16) | (point < -3)
+    point[exponent] = 1
+    below1 = point < 1  # "0." then _FRONT, then the 16 digits after the first
+    unit = _P10[17 - np.clip(point, 1, 16)]
+    whole = f17 // unit
+    fraction = (f17 - whole * unit) * (10**16 // unit)  # 16 digits, left-aligned
+    words = _integer_words(whole * ~below1, bits >> 63 == 1, group)
+    words.append(_DOT * ~(exponent & (fraction == 0)))
+    if below1.any():
+        words.append(_FRONT[np.where(below1, -10 * point + whole.astype(np.int64), 40)])
+    high, low, tail = fraction // 10**8, np.ones(a.shape, bool), []
+    for half in ((fraction - high * 10**8).astype(np.uint32), high.astype(np.uint32)):
+        for digits in (half - half // 10**4 * 10**4, half // 10**4):
+            tail.append(group[digits + _TRAIL * low])
+            low &= digits == 0
+    tail[-1][(fraction == 0) & ~exponent & ~below1] = group[_ZERO]  # the "0" of "1.0"
+    words += tail[::-1]
+    if exponent.any():
+        words += list(_EXP[(k + n - 1) * exponent + 330].T * exponent)
+    if (fallback := np.flatnonzero(~normal & ~zero)).size:  # subnormal, inf and nan: repr
+        texts = [repr(v).ljust(4 * len(words), "\0") for v in a[fallback].tolist()]
+        for word, column in zip(words, _words(texts).reshape(fallback.size, -1).T):
+            word[fallback] = column
+    return words
+
+
+def _integer_words(u, negative, group) -> list:
+    """Rows of 4-digit words of each uint64 u ("0" for 0), after "-" where ``negative``."""
+    words, rest = [], u
+    for j in range(4, len(str(int(u.max()))), 4):  # each word below the top one
+        quotient = rest // 10**4
+        words.append(group[rest - quotient * 10**4 + _LEAD * (u < 10**j)])
+        rest = quotient
+    words.append(group[rest + _LEAD])  # no value has a leading zero in the top word
+    words[0][u == 0] = group[_ZERO]
+    return [negative * _MINUS] * bool(negative.any()) + words[::-1]
 
 
 def digest(blocks, key: tuple = (0, 0, 1)) -> tuple:

@@ -96,6 +96,29 @@ class TestGenData:
         bad.write_text("{broken")
         assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
 
+    @pytest.mark.parametrize("doc, split, keys", [
+        ({"cluster_spread": 1e308, "mean_scale": 1e308}, "train", "cluster_spread, mean_scale"),
+        ({"ood_mode": "shifted", "ood_shift": 1e308, "cluster_spread": 10.0}, "ood",
+         "cluster_spread, mean_scale, ood_shift"),
+    ], ids=["ind", "ood"])
+    def test_overflowing_features_are_numeric_error(self, tmp_path, capsys, doc, split, keys):
+        # numpy's overflow warnings would fail the test: pytest makes them errors
+        cfg = _write_config(tmp_path, "gen.json", doc)
+        out = tmp_path / "d"
+        assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"numeric error: {split} features overflow: lower {keys} in config {cfg}\n")
+        assert not out.exists()
+
+    def test_huge_ood_shift_writes_exponent_form_features(self, tmp_path):
+        cfg = _write_config(tmp_path, "gen.json", {"ood_shift": 1e308})
+        out = tmp_path / "d"
+        assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "synth.ood.jsonl").read_text().splitlines()[1:]
+        assert any("e+15" in line for line in lines)  # features near 2e+153
+        for line in lines:
+            assert line == json.dumps(json.loads(line), separators=(",", ":"))
+
 
 @pytest.mark.parametrize("command,key,value", [
     ("gen-data", "train_samples", "300"),

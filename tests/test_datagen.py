@@ -352,7 +352,7 @@ class TestJsonlCodecMatchesReference:
     @given(data=datasets(), chunk=st.sampled_from([1, 3, 256]))
     def test_writer_bytes_equal_json_dumps(self, tmp_path_factory, data, chunk):
         path = tmp_path_factory.mktemp("w") / "ds.jsonl"
-        with mock.patch.object(tables, "CHUNK_ROWS", chunk):
+        with mock.patch.object(tables, "CHUNK_CELLS", chunk):
             _write_parsed(data, path)
         assert path.read_text() == _reference_jsonl(data)
         if len(data):
@@ -360,6 +360,22 @@ class TestJsonlCodecMatchesReference:
             assert restored.X.tobytes() == data.X.tobytes()
             np.testing.assert_array_equal(restored.Y, data.Y)
             assert restored.split == data.split
+
+    @pytest.mark.parametrize("chunk", [tables.CHUNK_CELLS, 4096])
+    def test_writer_bytes_equal_json_dumps_at_size(self, tmp_path, chunk):
+        # 3000 rows of 7 features and 3 labels: several chunks through the kernel
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(3000, 7)) * 10.0 ** rng.integers(-8, 22, size=(3000, 7))
+        X[::97, 0], X[::89, 1], X[::83, 2] = -0.0, 1e16 - 2, 5e-324
+        X[::79, 3] = np.round(X[::79, 3])
+        Y = rng.integers(0, 2, size=(3000, 3))
+        data = Dataset(X=X, Y=Y, split="train")
+        path = tmp_path / "ds.jsonl"
+        with mock.patch.object(tables, "CHUNK_CELLS", chunk):
+            write_jsonl(data, path)
+        text = path.read_text()
+        assert "e+" in text and "e-" in text and "-0.0," in text and "9999999999999998.0" in text
+        assert text == _reference_jsonl(data)
 
     def test_writer_rejects_nonfinite_features(self, tmp_path):
         data = Dataset(X=np.array([[1.0, np.nan]]), Y=np.ones((1, 1), int), split="train")
@@ -430,7 +446,7 @@ class TestJsonlCodecMatchesReference:
 @st.composite
 def writer_inputs(draw):
     """datasets() with labels as int, bool or float (0.7 and 1.0) and a split
-    that may be None or end in a NUL; some cross CHUNK_ROWS at 257 rows."""
+    that may be None or end in a NUL; some have 257 rows."""
     data = draw(datasets())
     X, Y = data.X, data.Y
     if len(data) and draw(st.booleans()):

@@ -244,7 +244,7 @@ class TestWriteTableMatchesCsvWriter:
     def test_bytes_equal(self, tmp_path_factory, table, chunk):
         header, columns = table
         d = tmp_path_factory.mktemp("w")
-        with mock.patch.object(tables, "CHUNK_ROWS", chunk):
+        with mock.patch.object(tables, "CHUNK_CELLS", chunk):
             write_table(d / "got.csv", header, columns)
         rows = [[column[i] for column in columns] for i in range(len(columns[0]))]
         assert (d / "got.csv").read_bytes() == _csv_writer_bytes(d / "want.csv", header, rows)
@@ -259,7 +259,7 @@ class TestWriteTableMatchesCsvWriter:
     def test_number_columns_are_repr_and_str(self, tmp_path_factory, values, chunk):
         floats, ints, names = (list(column) for column in zip(*values)) if values else ([], [], [])
         d = tmp_path_factory.mktemp("n")
-        with mock.patch.object(tables, "CHUNK_ROWS", chunk):
+        with mock.patch.object(tables, "CHUNK_CELLS", chunk):
             write_table(d / "got.csv", ["f", "i", "s"],
                         [np.array(floats, dtype=float), np.array(ints, dtype=np.int64), names])
         want = _csv_writer_bytes(d / "want.csv", ["f", "i", "s"],
@@ -287,13 +287,14 @@ def number_tables(draw):
 class TestNumberTablesMatchCsvWriter:
     @settings(max_examples=150, deadline=None)
     @given(table=number_tables(), chunk=st.sampled_from([1, 2, 256]),
-           names=st.lists(st.sampled_from(["a", "b,c", 'q"', '""', "", "r\r"]), min_size=4))
-    def test_bytes_equal(self, tmp_path_factory, table, chunk, names):
+           names=st.lists(st.sampled_from(["a", "b,c", 'q"', '""', "", "r\r"]), min_size=4),
+           least=st.sampled_from([0, 1024]))
+    def test_bytes_equal(self, tmp_path_factory, table, chunk, names, least):
         # only the header of an all-number table is scanned for cells to quote
         _, columns, _ = table
         header = names[: len(columns)]
         d = tmp_path_factory.mktemp("b")
-        with mock.patch.object(tables, "CHUNK_ROWS", chunk):
+        with mock.patch.multiple(tables, CHUNK_CELLS=chunk, KERNEL_MIN_CELLS=least):
             write_table(d / "got.csv", header, columns)
         rows = [[repr(v) if c.dtype.kind == "f" else str(v) for v in c.tolist()] for c in columns]
         want = _csv_writer_bytes(d / "want.csv", header, list(zip(*rows)))
@@ -338,3 +339,97 @@ class TestTableCacheMatchesParse:
         assert Path(f"{path}.npy").exists()
         write_table(path, ["a", "b"], [np.arange(3), np.full(3, np.nan)], cache=True)
         assert not Path(f"{path}.npy").exists()  # a stale cache is removed
+
+
+def _kernel_text(values: np.ndarray) -> bytes:
+    """number_rows' text of a 1-D array, a value a line."""
+    return b"".join(tables.number_rows([values[:, None], "\n"], len(values)))
+
+
+def _python_text(values: np.ndarray) -> bytes:
+    """The reference: the repr or str of each value, a value a line."""
+    cell = repr if values.dtype.kind == "f" else str
+    return "".join(cell(v) + "\n" for v in values.tolist()).encode()
+
+
+def _edge_floats() -> np.ndarray:
+    """Every power of two and of ten, the neighbours of the layout's limits and
+    of 2**53, the smallest and largest magnitudes, zeros, inf and nan."""
+    powers = [*np.ldexp(1.0, np.arange(-1074, 1024)), *(float(f"1e{e}") for e in range(-323, 309))]
+    limits = [1e-4, 1e16, 2.0**53, 1.0, 0.1]
+    near = [np.nextafter(v, to) for v in limits for to in (0.0, np.inf)]
+    values = [*powers, *limits, *near, float(2**53 - 1), float(2**53 + 1), 9007199254740993.0,
+              5e-324, 2.2250738585072014e-308, np.finfo(float).max, 0.0, np.inf, np.nan, 123.0]
+    return np.array(values + [-v for v in values])
+
+
+class TestNumberKernel:
+    """number_rows' array kernel gives the bytes of repr of each float64 and str of each int64."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(), max_size=30))
+    def test_floats_are_repr(self, values):
+        a = np.array(values, dtype=np.float64)
+        assert _kernel_text(a) == _python_text(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=30))
+    def test_ints_are_str(self, values):
+        a = np.array(values, dtype=np.int64)
+        assert _kernel_text(a) == _python_text(a)
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(22)
+        for _ in range(8):  # 2**21 patterns: every sign, exponent field and fraction
+            a = rng.integers(0, 2**64, size=2**18, dtype=np.uint64).view(np.float64)
+            assert _kernel_text(a) == _python_text(a)
+
+    def test_edge_values(self):
+        a = _edge_floats()
+        assert _kernel_text(a) == _python_text(a)
+
+    def test_int64_edges(self):
+        edges = [0, 1, 9, 10, 9999, 10**4, 10**8, 10**12, 10**16 - 1, 10**16, 10**18, 2**63 - 1]
+        a = np.array(edges + [-v for v in edges] + [-(2**63)], dtype=np.int64)
+        assert _kernel_text(a) == _python_text(a)
+
+    def test_kernel_and_fallback_lanes_both_run(self):
+        # normal floats and zeros take the kernel; subnormals, inf and nan take repr
+        a = _edge_floats()
+        lanes, fallback = [], []
+        shortest, python_repr = tables._shortest, repr
+
+        def count_lanes(bits):
+            lanes.append(bits.size)
+            return shortest(bits)
+
+        def count_repr(value):
+            fallback.append(value)
+            return python_repr(value)
+
+        with mock.patch.object(tables, "_shortest", count_lanes), \
+                mock.patch.object(tables, "repr", count_repr, create=True):
+            assert _kernel_text(a) == _python_text(a)
+        special = ~np.isfinite(a) | (np.abs(a) < 2.2250738585072014e-308) & (a != 0)
+        assert sum(lanes) == a.size and sorted(map(repr, fallback)) == sorted(
+            map(repr, a[special].tolist()))
+        assert 0 < len(fallback) < a.size
+
+
+class TestNumberTableAtSize:
+    @pytest.mark.parametrize("chunk", [tables.CHUNK_CELLS, 4096])
+    def test_mixed_table_bytes_equal_csv_writer(self, tmp_path, chunk):
+        # 5000 rows of int64 and float64 columns: several chunks through the kernel
+        rng = np.random.default_rng(7)
+        ints = [np.arange(5000), rng.integers(0, 2, 5000),
+                rng.integers(-(2**63), 2**63 - 1, 5000, dtype=np.int64)]
+        floats = rng.normal(size=(3, 5000)) * 10.0 ** rng.integers(-320, 300, size=(3, 5000))
+        floats[0, ::7], floats[1, ::11], floats[2, ::13] = np.nan, -0.0, -np.inf
+        columns = [ints[0], ints[1], *floats[:2], ints[2], floats[2]]
+        header = ["sample_id", "is_ood", "a", "b", "c", "d"]
+        with mock.patch.object(tables, "CHUNK_CELLS", chunk):
+            write_table(tmp_path / "got.csv", header, columns)
+        rows = zip(*([repr(v) if c.dtype.kind == "f" else str(v) for v in c.tolist()]
+                     for c in columns))
+        want = _csv_writer_bytes(tmp_path / "want.csv", header, list(rows))
+        assert (tmp_path / "got.csv").read_bytes() == want
