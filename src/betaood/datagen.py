@@ -177,6 +177,15 @@ def generate_ind(spec: SyntheticSpec) -> dict[str, Dataset]:
     return {split: _generate_split(spec, split, tag) for tag, split in enumerate(_SPLITS)}
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(a, axis=1), scaled by the largest entry where the squares of
+    finite entries could overflow: only a norm above the largest float is inf."""
+    scale = float(np.abs(a).max())
+    if scale < 1e150 or not np.isfinite(scale):
+        return np.linalg.norm(a, axis=1)
+    return np.linalg.norm(a / scale, axis=1) * scale
+
+
 def generate_ood(ind_spec: SyntheticSpec, ood_spec: OodSpec) -> np.ndarray:
     """(N, D) unlabeled OOD features at >= shift_distance * sigma from IND means."""
     rng = _split_rng(ood_spec.seed, 0x00D)
@@ -210,14 +219,14 @@ def generate_ood(ind_spec: SyntheticSpec, ood_spec: OodSpec) -> np.ndarray:
         raise DataError("could not sample a novel-cluster direction")
 
     n_clusters = max(2, ind_spec.label_count)
-    radius = float(np.mean(np.linalg.norm(means_ind, axis=1)))
+    radius = float(np.mean(_row_norms(means_ind)))
     min_gap = ood_spec.shift_distance * sigma
     novel_means = []
     while len(novel_means) < n_clusters:
         accepted = False
         for _ in range(200):
             cand = radius * _direction()
-            if np.min(np.linalg.norm(means_ind - cand, axis=1)) >= min_gap:
+            if np.min(_row_norms(means_ind - cand)) >= min_gap:
                 novel_means.append(cand)
                 accepted = True
                 break

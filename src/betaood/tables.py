@@ -28,8 +28,8 @@ _DTYPES = {int: np.int64, float: np.float64, str: object}
 # cells turned into text at a time by write_table and by datagen's JSONL writer: bounds
 # the arrays (about 180 bytes a cell) and the str cells of other tables held in memory
 CHUNK_CELLS = 1 << 13
-# write_table joins the repr and str of number tables of fewer cells: the kernel's
-# fixed cost (about 0.1 ms a chunk) is more than theirs
+# write_table joins the repr and str of number tables of fewer cells, as sweep.csv's 44:
+# through number_rows, sweep-lambda took 0.29 ms (15 %) more CPU on the default data
 KERNEL_MIN_CELLS = 1 << 10
 
 
@@ -65,7 +65,7 @@ _PARSERS = {int: _int64, float: float, str: str}
 def _read_rows(path, what: str, schema) -> tuple[list[str], list]:
     """csv.reader over one read of the file, with a parser per cell; names the first bad line."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: cannot decode: {exc}") from exc
@@ -96,9 +96,9 @@ def write_table(path, header: list[str], columns, cache: bool = False) -> None:
     """Write a header and equal-length columns with the bytes of csv.writer.
 
     A float array's cells are the repr of each Python float, another number
-    array's the str of each value; a list or object array holds str cells.  The
-    rows of int64 and float64 columns, KERNEL_MIN_CELLS cells or more, come from
-    ``number_rows``; any other table's are joined from str cells.
+    array's the str of each value; a list or object array holds str cells, written
+    as UTF-8.  The rows of int64 and float64 columns, KERNEL_MIN_CELLS cells or
+    more, come from ``number_rows``; any other table's are joined from str cells.
     With ``cache``, also save ``<path>.npy``, the header and a 2-D block per run of
     columns of one dtype, if the parse gives them back: int64 or float64 arrays of
     a row or more without NaN, an ASCII header that numpy keeps (no trailing NUL).
@@ -110,18 +110,18 @@ def write_table(path, header: list[str], columns, cache: bool = False) -> None:
     if blocks and (not all(map(str.isascii, header)) or np.array(header).tolist() != header
                    or any(np.isnan(b).any() for b in blocks)):
         blocks = None
-    chunks = ([_cells(column[start : start + step]) for column in columns]
-              for start in range(0, n, step))
-    texts = map(_joined, chain([[[name] for name in header]], chunks))
     if numbers and n * len(columns) >= KERNEL_MIN_CELLS:  # cells that are never quoted
         parts = [part for run in runs for part in (run.T, ",")][:-1] + ["\r\n"]
-        texts = chain([next(texts)], (block.decode() for block in number_rows(parts, n)))
+        rows = number_rows(parts, n)
+    else:
+        rows = (_joined([_cells(column[start : start + step]) for column in columns]).encode()
+                for start in range(0, n, step))
     key = digest([])
-    with open(path, "w", newline="") as fh:
-        for text in texts:
-            fh.write(text)
+    with open(path, "wb") as fh:
+        for block in chain([_joined([[name] for name in header]).encode()], rows):
+            fh.write(block)
             if blocks:
-                key = digest([text.encode(fh.encoding)], key)
+                key = digest([block], key)
     if cache:
         save_cache(path, key, [np.array(header), *blocks] if blocks else None)
 

@@ -110,14 +110,16 @@ class TestGenData:
             f"numeric error: {split} features overflow: lower {keys} in config {cfg}\n")
         assert not out.exists()
 
-    def test_huge_ood_shift_writes_exponent_form_features(self, tmp_path):
-        cfg = _write_config(tmp_path, "gen.json", {"ood_shift": 1e308})
+    def test_huge_means_write_exponent_form_features(self, tmp_path):
+        # features near 1e200, whose squares overflow in the novel-cluster search
+        cfg = _write_config(tmp_path, "gen.json", {"mean_scale": 1e200})
         out = tmp_path / "d"
         assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 0
-        lines = (out / "synth.ood.jsonl").read_text().splitlines()[1:]
-        assert any("e+15" in line for line in lines)  # features near 2e+153
-        for line in lines:
-            assert line == json.dumps(json.loads(line), separators=(",", ":"))
+        for split in ("train", "val", "test", "ood"):
+            lines = (out / f"synth.{split}.jsonl").read_text().splitlines()[1:]
+            assert all("e+" in line for line in lines)
+            for line in lines:
+                assert line == json.dumps(json.loads(line), separators=(",", ":"))
 
 
 @pytest.mark.parametrize("command,key,value", [

@@ -116,6 +116,15 @@ class TestGenerateOod:
             dists = np.linalg.norm(spec.label_cluster_means - f, axis=1)
             assert dists.min() > 50.0 * spec.cluster_spread
 
+    def test_novel_clusters_keep_their_distance_at_huge_scale(self):
+        # squares of these features overflow: an unscaled norm reads inf and
+        # accepts radius 1e300, where the means are 1.41e300 from the IND means
+        spec = default_spec(mean_scale=1e300)
+        X = generate_ood(spec, OodSpec("novel_cluster", shift_distance=2e300, samples=20, seed=0))
+        assert np.isfinite(X).all()
+        scaled = (X[:, None, :] - spec.label_cluster_means) / 1e300
+        assert np.linalg.norm(scaled, axis=2).min() >= 2.0
+
 
 # The per-sample generator loops the array generator replaced: one draw of
 # subset choices, then one noise draw per sample.  The array code must draw
