@@ -219,10 +219,9 @@ def cmd_gen_data(config_path, out, seed, name):
     base = cfg["name"]
     unlabeled = Dataset(X=ood, Y=np.zeros((len(ood), 0), dtype=int), split="ood")
     splits = [*ind.items(), ("ood", unlabeled)]
-    for split, ds in splits:
-        if not np.isfinite(ds.X).all():
-            keys = "cluster_spread, mean_scale" + ", ood_shift" * (split == "ood")
-            raise NumericError(f"{split} features overflow: lower {keys} in config {config_path}")
+    if bad := [split for split, ds in splits if not np.isfinite(ds.X).all()]:
+        keys = "cluster_spread, mean_scale" + ", ood_shift" * (bad[0] == "ood")
+        raise NumericError(f"{bad[0]} features overflow: lower {keys} in config {config_path}")
     out_dir = _write_out(out, {
         **{f"{base}.{split}.jsonl": functools.partial(write_jsonl, ds) for split, ds in splits},
         "gen_data_config.json": _config_json(cfg),

@@ -178,11 +178,9 @@ def generate_ind(spec: SyntheticSpec) -> dict[str, Dataset]:
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(a, axis=1), scaled by the largest entry where the squares of
-    finite entries could overflow: only a norm above the largest float is inf."""
+    """np.linalg.norm(a, axis=1), scaled by the largest entry if squares could overflow."""
     scale = float(np.abs(a).max())
-    if scale < 1e150 or not np.isfinite(scale):
-        return np.linalg.norm(a, axis=1)
+    scale = scale if 1e150 <= scale < np.inf else 1.0  # dividing by 1.0 changes no bit
     return np.linalg.norm(a / scale, axis=1) * scale
 
 

@@ -95,10 +95,9 @@ def _read_rows(path, what: str, schema) -> tuple[list[str], list]:
 def write_table(path, header: list[str], columns, cache: bool = False) -> None:
     """Write a header and equal-length columns with the bytes of csv.writer.
 
-    A float array's cells are the repr of each Python float, another number
-    array's the str of each value; a list or object array holds str cells, written
-    as UTF-8.  The rows of int64 and float64 columns, KERNEL_MIN_CELLS cells or
-    more, come from ``number_rows``; any other table's are joined from str cells.
+    A float array's cells are the repr of each Python float, another number array's
+    the str of each value, a list or object array's its str cells; the file is UTF-8.
+    Tables of KERNEL_MIN_CELLS int64 and float64 cells or more take ``number_rows``.
     With ``cache``, also save ``<path>.npy``, the header and a 2-D block per run of
     columns of one dtype, if the parse gives them back: int64 or float64 arrays of
     a row or more without NaN, an ASCII header that numpy keeps (no trailing NUL).
@@ -110,12 +109,10 @@ def write_table(path, header: list[str], columns, cache: bool = False) -> None:
     if blocks and (not all(map(str.isascii, header)) or np.array(header).tolist() != header
                    or any(np.isnan(b).any() for b in blocks)):
         blocks = None
+    rows = (_joined([_cells(column[start : start + step]) for column in columns]).encode()
+            for start in range(0, n, step))
     if numbers and n * len(columns) >= KERNEL_MIN_CELLS:  # cells that are never quoted
-        parts = [part for run in runs for part in (run.T, ",")][:-1] + ["\r\n"]
-        rows = number_rows(parts, n)
-    else:
-        rows = (_joined([_cells(column[start : start + step]) for column in columns]).encode()
-                for start in range(0, n, step))
+        rows = number_rows([p for run in runs for p in (run.T, ",")][:-1] + ["\r\n"], n)
     key = digest([])
     with open(path, "wb") as fh:
         for block in chain([_joined([[name] for name in header]).encode()], rows):
