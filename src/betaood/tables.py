@@ -29,7 +29,7 @@ _DTYPES = {int: np.int64, float: np.float64, str: object}
 # the arrays (about 180 bytes a cell) and the str cells of other tables held in memory
 CHUNK_CELLS = 1 << 13
 # write_table joins the repr and str of number tables of fewer cells, as sweep.csv's 44:
-# through number_rows, sweep-lambda took 0.29 ms (15 %) more CPU on the default data
+# through number_rows, sweep-lambda took 14-22 % more CPU on the default workload
 KERNEL_MIN_CELLS = 1 << 10
 
 
