@@ -1,7 +1,9 @@
 """Array digamma/trigamma.
 
 digamma_array/trigamma_array use a recurrence shift to x >= 6 followed by a
-fixed Bernoulli-coefficient asymptotic series, so results are bit-stable
+fixed Bernoulli-coefficient asymptotic series.  Their bits are those of
+numpy's float64 loops, some of which (log among them) numpy picks by CPU at
+run time: they repeat for one numpy build on one set of CPU targets, not
 across platforms.
 """
 

@@ -11,8 +11,10 @@ of every file each command writes, ``.npy`` caches included.
     PYTHONPATH=src python tests/golden.py --update   # rewrite golden.json
 
 A change that alters an artifact on purpose rewrites the record with --update
-and lists each changed file.  The record names the numpy version and the BLAS
-it was made with: the wide workload's products go through BLAS gemm.
+and lists each changed file.  The record names the numpy version, the BLAS and
+the CPU targets numpy dispatched to when it was made: the wide workload's
+products go through BLAS gemm, and numpy picks some float64 loops, such as
+log and exp, by CPU at run time.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ WORKLOADS = {
 
 def environment() -> dict:
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
+    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
+            "cpu": " ".join(np.__config__.CONFIG["SIMD Extensions"]["found"])}
 
 
 def _steps(cfg: Path, out: Path) -> list[tuple[str, list[str]]]:
