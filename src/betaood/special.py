@@ -1,10 +1,10 @@
 """Array digamma/trigamma.
 
 digamma_array/trigamma_array use a recurrence shift to x >= 6 followed by a
-fixed Bernoulli-coefficient asymptotic series.  Their bits are those of
-numpy's float64 loops, some of which (log among them) numpy picks by CPU at
-run time: they repeat for one numpy build on one set of CPU targets, not
-across platforms.
+fixed Bernoulli-coefficient asymptotic series in Horner form.  Their bits
+are those of numpy's float64 loops, some of which (log among them) numpy
+picks by CPU at run time: they repeat for one numpy build on one set of CPU
+targets, not across platforms.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ _BERNOULLI_2K = (
     7.0 / 6.0,
     -3617.0 / 510.0,
 )
+# B_2k / 2k, the coefficients of psi's series
+_PSI_COEFFS = tuple(b2k / (2.0 * k) for k, b2k in enumerate(_BERNOULLI_2K, start=1))
 
 
 def recurrence_shift(x) -> tuple[np.ndarray, np.ndarray | float, np.ndarray | float]:
@@ -85,30 +87,36 @@ def _check_domain(x: np.ndarray, name: str) -> None:
 
 
 def digamma_array(x):
-    """Elementwise digamma psi(x) for x > 0, absolute error <= 1e-10 on [1e-3, 1e6]."""
+    """Elementwise digamma psi(x) for x > 0, absolute error <= 1e-10 on [1e-3, 1e6].
+
+    On the shifted x, (ln x - 1/(2x)) - s with s = sum_k B_2k / (2k x**2k) in
+    Horner form in 1/x**2: s = c8/x**2, then s = (s + c_k)/x**2 for k = 7..1.
+    """
     x = np.asarray(x, dtype=float)
     _check_domain(x, "digamma")
     x, acc, _ = recurrence_shift(x)
     inv = 1.0 / x
     inv2 = inv * inv
-    result = np.log(x) - 0.5 * inv
-    power = inv2.copy()
-    for k, b2k in enumerate(_BERNOULLI_2K, start=1):
-        result -= b2k / (2.0 * k) * power
-        power *= inv2
-    return acc + result
+    series = _PSI_COEFFS[-1] * inv2
+    for c in reversed(_PSI_COEFFS[:-1]):
+        series += c
+        series *= inv2
+    return acc + ((np.log(x) - 0.5 * inv) - series)
 
 
 def trigamma_array(x):
-    """Elementwise trigamma psi'(x) for x > 0, absolute error <= 1e-8 on [1e-3, 1e6]."""
+    """Elementwise trigamma psi'(x) for x > 0, absolute error <= 1e-8 on [1e-3, 1e6].
+
+    On the shifted x, (1/x + 1/(2x**2)) + s/x with s = sum_k B_2k / x**2k in
+    the Horner form of digamma_array.
+    """
     x = np.asarray(x, dtype=float)
     _check_domain(x, "trigamma")
     x, _, acc = recurrence_shift(x)
     inv = 1.0 / x
     inv2 = inv * inv
-    result = inv + 0.5 * inv2
-    power = inv2 * inv
-    for b2k in _BERNOULLI_2K:
-        result += b2k * power
-        power *= inv2
-    return acc + result
+    series = _BERNOULLI_2K[-1] * inv2
+    for b2k in reversed(_BERNOULLI_2K[:-1]):
+        series += b2k
+        series *= inv2
+    return acc + ((inv + 0.5 * inv2) + inv * series)

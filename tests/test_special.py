@@ -146,6 +146,25 @@ class TestTrigamma:
             trigamma_array(-2.0)
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        np.linspace(np.nextafter(6.0, 0.0), 7.0, 1500),
+        6.0 - np.geomspace(1e-13, 1.0, 1000),
+        np.linspace(1e5, 1e6, 1000),
+    ],
+    ids=["series-at-6-to-7", "one-step-below-6", "1e5-to-1e6"],
+)
+def test_kernels_within_docstring_bounds_of_mpmath(grid):
+    # where the truncated series is least accurate (just past the threshold),
+    # where one recurrence step precedes it, and at the top of the domain
+    assert np.all((grid > 0.0) & (grid <= 1e6))
+    psi = np.array([float(mp.digamma(mp.mpf(float(x)))) for x in grid])
+    psi1 = np.array([float(mp.psi(1, mp.mpf(float(x)))) for x in grid])
+    assert np.max(np.abs(digamma_array(grid) - psi)) <= 1e-10
+    assert np.max(np.abs(trigamma_array(grid) - psi1)) <= 1e-8
+
+
 def test_recurrence_identities_random_points():
     rng = np.random.default_rng(11)
     xs = rng.uniform(0.01, 100.0, 1000)
@@ -168,7 +187,8 @@ def test_finite_difference_cross_check():
 def _boolean_index_reference(x, digamma_kind: bool):
     """The array functions' earlier form: the recurrence shift updates only the
     still-small entries through boolean indexing.  Kept as the exactness
-    reference for the gathered shift in `special.recurrence_shift`."""
+    reference for the gathered shift in `special.recurrence_shift`; its series
+    runs in the kernels' Horner order."""
     x = np.array(x, dtype=float)
     acc = np.zeros_like(x)
     while True:
@@ -183,17 +203,16 @@ def _boolean_index_reference(x, digamma_kind: bool):
     inv = 1.0 / x
     inv2 = inv * inv
     if digamma_kind:
-        result = np.log(x) - 0.5 * inv
-        power = inv2.copy()
-        for k, b2k in enumerate(_BERNOULLI_2K, start=1):
-            result -= b2k / (2.0 * k) * power
-            power *= inv2
+        coeffs = [b2k / (2.0 * k) for k, b2k in enumerate(_BERNOULLI_2K, start=1)]
     else:
-        result = inv + 0.5 * inv2
-        power = inv2 * inv
-        for b2k in _BERNOULLI_2K:
-            result += b2k * power
-            power *= inv2
+        coeffs = list(_BERNOULLI_2K)
+    series = coeffs[-1] * inv2
+    for c in reversed(coeffs[:-1]):
+        series = (series + c) * inv2
+    if digamma_kind:
+        result = (np.log(x) - 0.5 * inv) - series
+    else:
+        result = (inv + 0.5 * inv2) + inv * series
     return acc + result
 
 
