@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigError
 from .evidence import EvidencePair, Logits, elu_grad_array, logits_to_evidence
 from .special import digamma_array as _digamma_vec
-from .special import recurrence_shift
+from .special import add_shift_sums, recurrence_shift
 from .special import trigamma_array as _trigamma_vec
 
 
@@ -57,13 +57,13 @@ def loss_and_grad(
 
     The stack is shifted once; the digamma and trigamma calls evaluate their
     series on the shifted stack, which every entry leaves at x >= 6, and the
-    shift's sums are added back.  The labelled evidence's own term goes to
-    d/d(alpha) where y = 1 and to d/d(beta) elsewhere; the other derivative
-    is psi'(alpha + beta) alone.
+    shift's sums are added back at the shifted entries only.  The labelled
+    evidence's own term goes to d/d(alpha) where y = 1 and to d/d(beta)
+    elsewhere; the other derivative is psi'(alpha + beta) alone.
     """
-    shifted, psi_sum, psi1_sum = recurrence_shift(stack)
-    psi = psi_sum + _digamma_vec(shifted)
-    psi1 = psi1_sum + _trigamma_vec(shifted)
+    shifted, at, sums = recurrence_shift(stack)
+    psi = add_shift_sums(_digamma_vec(shifted), at, sums[0])
+    psi1 = add_shift_sums(_trigamma_vec(shifted), at, sums[1])
     n = y.shape[-1]
     own = psi1[0] - psi1[1]
     labelled = y == 1.0

@@ -284,11 +284,12 @@ def _masked_loop_shift(x):
 def _accumulate_shift_reference(x):
     """special.recurrence_shift as it was before its sums became one reduce:
     the sums accumulate row by row and the shifted value is a masked minimum.
-    Kept as the reference the shipped shift must train like."""
+    Kept as the reference the shipped shift must train like; it returns the
+    shipped form, the sums of the entries below 6 with their flat indices."""
     x = np.asarray(x, dtype=float)
     lowest = float(np.min(x)) if x.size else np.inf
     if lowest >= 6.0:
-        return x, 0.0, 0.0
+        return x, np.empty(0, np.intp), np.empty((2, 0))
     steps = 0
     while lowest < 6.0:
         lowest += 1.0
@@ -308,11 +309,18 @@ def _accumulate_shift_reference(x):
     np.add.accumulate(sums, axis=1, out=sums)
     shifted = x.copy()
     shifted[below] = np.minimum.reduce(ladder, axis=0, where=past, initial=np.inf)
-    psi_sum = np.zeros(x.shape)
-    psi_sum[below] = sums[0, -1]
-    psi1_sum = np.zeros(x.shape)
-    psi1_sum[below] = sums[1, -1]
-    return shifted, psi_sum, psi1_sum
+    return shifted, np.flatnonzero(below), sums[:, -1]
+
+
+def _shift_with_full_sums(x):
+    """recurrence_shift(x) in the masked loop's form: its sums scattered at
+    their flat indices, which must be those of the entries below 6, into
+    arrays of x's shape that hold 0 elsewhere."""
+    shifted, at, sums = recurrence_shift(x)
+    assert np.array_equal(at, np.flatnonzero(np.asarray(x) < 6.0))
+    full = np.zeros((2, np.size(x)))
+    full[:, at] = sums
+    return shifted, full[0].reshape(np.shape(x)), full[1].reshape(np.shape(x))
 
 
 # entries at and just below the threshold, at the domain's low end, and 1e200
@@ -345,7 +353,7 @@ def test_recurrence_shift_bit_equal_to_masked_loop(x, transpose):
     if transpose:
         x = x.T
     before = x.copy()
-    shifted, psi_sum, psi1_sum = recurrence_shift(x)
+    shifted, psi_sum, psi1_sum = _shift_with_full_sums(x)
     want_x, want_psi, want_psi1 = _masked_loop_shift(x)
     assert np.shape(shifted) == x.shape
     assert np.array_equal(shifted, want_x)
@@ -371,7 +379,7 @@ def _training_size_stack(labels):
 def test_recurrence_shift_bytes_equal_to_masked_loop_at_training_sizes(labels, transpose):
     x = _training_size_stack(labels)
     x = x.T if transpose else x
-    got = recurrence_shift(x)
+    got = _shift_with_full_sums(x)
     with np.errstate(divide="ignore"):  # the loop's 1 / (1e-200 * 1e-200)
         want = _masked_loop_shift(x)
     assert 0.03 < np.mean(x < 6.0) < 0.07
