@@ -1,7 +1,8 @@
 """The pipeline's byte-identity record, ``tests/golden.json``.
 
 For each workload of the benchmark's smoke sizes (``perfbench/workloads.py``,
-``SMOKE_WORKLOADS``) at seeds 0 and 31 this runs gen-data -> train -> score ->
+``SMOKE_WORKLOADS``), and for a ``gemv`` workload whose products go through
+BLAS gemv, at seeds 0 and 31 this runs gen-data -> train -> score ->
 eval -> sweep-lambda, a second score at lambda1 0.3 / lambda2 0.7 with its own
 eval, and an eval --aggregate over both metrics.csv.  It records each command's
 stdout, with the run directory replaced by ``$RUN``, and the length and SHA-256
@@ -13,7 +14,7 @@ of every file each command writes, ``.npy`` caches included.
 A change that alters an artifact on purpose rewrites the record with --update
 and lists each changed file.  The record names the numpy version, the BLAS and
 the CPU targets numpy dispatched to when it was made: the wide workload's
-products go through BLAS gemm, and numpy picks some float64 loops, such as
+products go through BLAS gemm, the gemv workload's through gemv, and numpy picks some float64 loops, such as
 log and exp, by CPU at run time.
 """
 
@@ -51,6 +52,13 @@ WORKLOADS = {
         {"feature_dim": 64, "label_count": 32, "train_samples": 300, "val_samples": 100,
          "test_samples": 200, "ood_samples": 100},
         {"hidden": [128], "epochs": 1},
+    ),
+    # one label, so each head product is a matrix-vector product, and 81 = 5 * 16 + 1
+    # training rows, so each epoch ends on a one-row batch
+    "gemv": (
+        {"label_count": 1, "train_samples": 81, "val_samples": 40, "test_samples": 40,
+         "ood_samples": 40},
+        {"hidden": [32], "epochs": 2, "batch_size": 16},
     ),
 }
 
