@@ -144,6 +144,15 @@ def _arrays(shapes: dict, values: dict) -> list:
             for v in (values[key] if isinstance(shape, list) else [values[key]])]
 
 
+def _views(shapes: dict, flat: np.ndarray | None = None) -> dict:
+    """Views of the 1-D ``flat`` (new if None) with the keys and shapes of
+    ``shapes``, laid out in _arrays order; ``flat`` holds exactly their entries."""
+    ends = np.cumsum([math.prod(s) for s in _arrays(shapes, shapes)])
+    parts = iter(np.split(np.empty(ends[-1]) if flat is None else flat, ends))
+    return {key: _per_layer(lambda s: next(parts).reshape(s), shape, shape)
+            for key, shape in shapes.items()}
+
+
 def init_params(arch: ArchConfig, seed: int) -> ModelParams:
     """Scaled-uniform init: W ~ U(-s, s) with s = sqrt(1/fan_in); biases zero."""
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -178,13 +187,17 @@ def per_sample_losses(terms: np.ndarray) -> np.ndarray:
     return np.add.reduce(terms, axis=1) / terms.shape[1]
 
 
-def _batch_gradients(params: ModelParams, x: np.ndarray, y: np.ndarray):
+def _batch_gradients(params: ModelParams, x: np.ndarray, y: np.ndarray, out=None):
     """Per-sample losses and the gradients of their mean, from one forward pass.
 
+    Each gradient is written into its array of ``out``, views of one flat
+    buffer as _views lays them out; with ``out=None`` a new buffer is made.
     Both heads go through ELU and its derivative as one (N, 2L) block.  The
     head products stay two: numpy sends an (N, H) @ (H, 1) product to BLAS
     gemv, so a stacked product is not bit-equal to them for L = 1.
     """
+    if out is None:
+        out = _views(param_shapes(params.arch))
     n, labels = x.shape[0], params.arch.label_count
     pre_acts, acts, f_pos, f_neg = _forward_batch(params, x)
     f = np.concatenate((f_pos, f_neg), axis=1)
@@ -197,24 +210,17 @@ def _batch_gradients(params: ModelParams, x: np.ndarray, y: np.ndarray):
     slope = elu_grad_array(f)
     d_fpos = d_alpha * slope[:, :labels] / n
     d_fneg = d_beta * slope[:, labels:] / n
-    grads = {
-        "w_pos": d_fpos.T @ acts[-1],
-        "b_pos": d_fpos.sum(axis=0),
-        "w_neg": d_fneg.T @ acts[-1],
-        "b_neg": d_fneg.sum(axis=0),
-    }
+    for head, d_f in (("pos", d_fpos), ("neg", d_fneg)):
+        np.matmul(d_f.T, acts[-1], out=out[f"w_{head}"])
+        np.add.reduce(d_f, axis=0, out=out[f"b_{head}"])
     d_h = d_fpos @ params.w_pos + d_fneg @ params.w_neg
-    grads_hw = []
-    grads_hb = []
     for layer in range(len(params.hidden_weights) - 1, -1, -1):
         d_z = d_h * elu_grad_array(pre_acts[layer])
-        grads_hw.append(d_z.T @ acts[layer])
-        grads_hb.append(d_z.sum(axis=0))
+        np.matmul(d_z.T, acts[layer], out=out["hidden_weights"][layer])
+        np.add.reduce(d_z, axis=0, out=out["hidden_biases"][layer])
         if layer:  # no gradient w.r.t. the input features
             d_h = d_z @ params.hidden_weights[layer]
-    grads["hidden_weights"] = list(reversed(grads_hw))
-    grads["hidden_biases"] = list(reversed(grads_hb))
-    return losses, grads
+    return losses, out
 
 
 @dataclass
@@ -229,7 +235,13 @@ class Checkpoint:
 @np.errstate(over="ignore", invalid="ignore")
 def train(features: np.ndarray, labels: np.ndarray, arch: ArchConfig,
           config: TrainConfig) -> Checkpoint:
-    """Plain SGD with seeded shuffling and distinct backbone/head rates."""
+    """Plain SGD with seeded shuffling and distinct backbone/head rates.
+
+    The parameters are views of one flat buffer, the backbone's arrays before
+    the heads', and each batch writes its gradients into views of a second
+    buffer made once per run.  A step scales each rate's slice of the gradient
+    in place, then subtracts it all at once: the bits of a -= rate * g per array.
+    """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if features.ndim != 2 or features.shape[0] == 0:
@@ -239,12 +251,16 @@ def train(features: np.ndarray, labels: np.ndarray, arch: ArchConfig,
             f"labels must have shape ({features.shape[0]}, {arch.label_count}), "
             f"got {labels.shape}"
         )
-    params = init_params(arch, config.seed)
     shapes = param_shapes(arch)
-    rates = {key: [config.learning_rate_backbone] * len(shape) if isinstance(shape, list)
-             else config.learning_rate_head for key, shape in shapes.items()}
-    # each array with its rate; the step updates the arrays in place
-    steps = list(zip(_arrays(shapes, vars(params)), _arrays(shapes, rates)))
+    # every parameter and gradient is a view of one flat buffer, the backbone's first
+    initial = _arrays(shapes, vars(init_params(arch, config.seed)))
+    theta = np.concatenate([a.ravel() for a in initial])
+    params = ModelParams(arch, **_views(shapes, theta))
+    grad = np.empty_like(theta)
+    grads = _views(shapes, grad)
+    backbone = sum(a.size for a in initial[: 2 * len(arch.hidden)])
+    groups = ((grad[:backbone], config.learning_rate_backbone),
+              (grad[backbone:], config.learning_rate_head))
     rng = np.random.Generator(np.random.PCG64(config.seed + 1))
     n = features.shape[0]
     trace = []
@@ -255,17 +271,19 @@ def train(features: np.ndarray, labels: np.ndarray, arch: ArchConfig,
             idx = order[start : start + config.batch_size]
             xb, yb = features[idx], labels[idx]
             try:
-                losses, grads = _batch_gradients(params, xb, yb)
+                losses, _ = _batch_gradients(params, xb, yb, out=grads)
             except NumericError as exc:
                 raise NumericError(
                     f"training diverged at epoch {epoch}, batch {batch}: {exc}"
                 ) from None
             sample_losses.extend(losses.tolist())
-            for (a, rate), g in zip(steps, _arrays(shapes, grads)):
-                a -= rate * g
+            # rate * g, then one subtraction: the bits of a -= rate * g per array
+            for g, rate in groups:
+                np.multiply(g, rate, out=g)
+            theta -= grad
         # exact sum: the epoch mean is independent of batch partitioning
         trace.append(math.fsum(sample_losses) / n)
-    if not all(np.isfinite(a).all() for a, _ in steps):
+    if not np.isfinite(theta).all():
         raise NumericError(
             f"training diverged at epoch {epoch}, batch {batch}: a parameter is "
             f"non-finite after the last update"

@@ -37,14 +37,19 @@ def recurrence_shift(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns the shifted x, the flat (C-order) indices `at` of the entries
     below the threshold, and a (2, len(at)) array of their sums of -1/x
     (digamma) and +1/x**2 (trigamma) over the steps, for add_shift_sums.
-    Those entries are gathered once into a ladder whose row r holds each one
-    after r steps of +1.  Rows already past the threshold are masked to inf,
-    so they add 1/inf = 0, and the sums reduce over the rows in row order:
-    every entry sees the operations of a step-by-step loop in the loop's
-    order.  Its shifted value is its smallest ladder entry past the threshold.
+    Those entries are gathered once, through one nonzero on a flat copy of x,
+    into a ladder whose row r holds each one after r steps of +1.  Rows
+    already past the threshold are masked to inf, so they add 1/inf = 0, and
+    the sums reduce over the rows in row order: every entry sees the
+    operations of a step-by-step loop in the loop's order.  Its shifted value
+    is its smallest ladder entry past the threshold.
     """
     x = np.asarray(x, dtype=float)
-    lowest = np.minimum.reduce(x, axis=None) if x.size else np.inf
+    return _shift(x, np.minimum.reduce(x, axis=None) if x.size else np.inf)
+
+
+def _shift(x: np.ndarray, lowest) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """recurrence_shift of a float array x whose smallest entry is ``lowest``."""
     if lowest >= _SHIFT_THRESHOLD:
         return x, *_UNSHIFTED
     if not lowest > 0.0:
@@ -55,7 +60,7 @@ def recurrence_shift(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lowest += 1.0
         steps += 1
     shifted = x.flatten()
-    at = np.flatnonzero(x < _SHIFT_THRESHOLD)
+    at = (shifted < _SHIFT_THRESHOLD).nonzero()[0]
     ladder = np.empty((steps + 1, at.size))
     ladder[0] = shifted[at]
     for r in range(steps):
@@ -82,20 +87,22 @@ def add_shift_sums(result, at: np.ndarray, part: np.ndarray):
     return result if isinstance(result, np.ndarray) else flat[0]
 
 
-def _check_domain(x: np.ndarray, name: str) -> None:
-    # NaN fails both comparisons; an empty x has nothing to check
-    if x.size and not (
-        np.minimum.reduce(x, axis=None) > 0.0 and np.maximum.reduce(x, axis=None) < np.inf
-    ):
+def _check_domain(x: np.ndarray, name: str):
+    """The smallest entry of x, which must be finite and > 0 (inf for an empty x)."""
+    if not x.size:
+        return np.inf
+    lowest = np.minimum.reduce(x, axis=None)
+    # NaN fails both comparisons
+    if not (lowest > 0.0 and np.maximum.reduce(x, axis=None) < np.inf):
         raise ConfigError(f"{name} requires finite x > 0")
+    return lowest
 
 
 def digamma_array(x):
     """Elementwise digamma psi(x) for x > 0, absolute error <= 1e-10 on [1e-3, 1e6]:
     on the shifted x, (ln x - 1/(2x)) - sum_k B_2k / (2k x**2k), in Horner form in 1/x**2."""
     x = np.asarray(x, dtype=float)
-    _check_domain(x, "digamma")
-    x, at, sums = recurrence_shift(x)
+    x, at, sums = _shift(x, _check_domain(x, "digamma"))
     inv = 1.0 / x
     inv2 = inv * inv
     series = _PSI_COEFFS[-1] * inv2
@@ -109,8 +116,7 @@ def trigamma_array(x):
     """Elementwise trigamma psi'(x) for x > 0, absolute error <= 1e-8 on [1e-3, 1e6]:
     on the shifted x, (1/x + 1/(2x**2)) + (1/x) sum_k B_2k / x**2k, the sum as in digamma."""
     x = np.asarray(x, dtype=float)
-    _check_domain(x, "trigamma")
-    x, at, sums = recurrence_shift(x)
+    x, at, sums = _shift(x, _check_domain(x, "trigamma"))
     inv = 1.0 / x
     inv2 = inv * inv
     series = _BERNOULLI_2K[-1] * inv2
