@@ -252,7 +252,6 @@ def train(features: np.ndarray, labels: np.ndarray, arch: ArchConfig,
             f"got {labels.shape}"
         )
     shapes = param_shapes(arch)
-    # every parameter and gradient is a view of one flat buffer, the backbone's first
     initial = _arrays(shapes, vars(init_params(arch, config.seed)))
     theta = np.concatenate([a.ravel() for a in initial])
     params = ModelParams(arch, **_views(shapes, theta))
