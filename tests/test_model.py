@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -22,6 +23,7 @@ from betaood.model import (
     TrainConfig,
     _arrays,
     _batch_gradients,
+    _views,
     checkpoint_from_json,
     checkpoint_to_json,
     init_params,
@@ -368,6 +370,61 @@ class TestTrain:
         assert min(calls.values()) > 0
         assert checkpoint_to_json(shipped) == checkpoint_to_json(referenced)
         assert shipped.loss_trace == referenced.loss_trace
+
+
+def _reference_train(features, labels, arch, config):
+    """train as a loop over the parameter arrays: each batch's gradients in new
+    arrays, then a -= rate * g for each array with its own rate."""
+    params = init_params(arch, config.seed)
+    shapes = param_shapes(arch)
+    rates = {key: [config.learning_rate_backbone] * len(shape) if isinstance(shape, list)
+             else config.learning_rate_head for key, shape in shapes.items()}
+    steps = list(zip(_arrays(shapes, vars(params)), _arrays(shapes, rates)))
+    rng = np.random.Generator(np.random.PCG64(config.seed + 1))
+    n = features.shape[0]
+    trace = []
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        sample_losses = []
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            losses, grads = _batch_gradients(params, features[idx], labels[idx])
+            sample_losses.extend(losses.tolist())
+            for (a, rate), g in zip(steps, _arrays(shapes, grads)):
+                a -= rate * g
+        trace.append(math.fsum(sample_losses) / n)
+    return Checkpoint(params=params, train_config=config, loss_trace=trace)
+
+
+class TestFlatBuffer:
+    """train keeps its parameters and gradients in two flat buffers."""
+
+    # (features, hidden, labels, training rows, batch size): default, wide, and
+    # one label with a one-row last batch, whose products go through BLAS gemv
+    SHAPES = [(8, 32, 5, 320, 64), (64, 128, 32, 320, 64), (8, 32, 1, 81, 16)]
+
+    @pytest.mark.parametrize("dims", SHAPES, ids=["default", "wide", "one_label_one_row"])
+    def test_in_place_gradients_and_updates_bit_equal_to_allocating_loop(self, dims):
+        features, hidden, labels, rows, batch_size = dims
+        spec = default_spec(features, labels, {"train": rows, "val": 80, "test": 80})
+        data = generate_ind(spec)["train"]
+        arch = ArchConfig(features, (hidden,), labels)
+        params, shapes = init_params(arch, 0), param_shapes(arch)
+        for batch in (slice(0, batch_size), slice(rows - 1, rows)):
+            x, y = data.X[batch], data.Y[batch].astype(float)
+            buffer = np.full(_flatten(params).size, np.nan)
+            views = _views(shapes, buffer)
+            losses, grads = _batch_gradients(params, x, y, out=views)
+            want_losses, want = _batch_gradients(params, x, y)
+            assert grads is views and not np.isnan(buffer).any()
+            assert losses.tobytes() == want_losses.tobytes()
+            for g, w in zip(_arrays(shapes, grads), _arrays(shapes, want)):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        cfg = TrainConfig(epochs=2, batch_size=batch_size)
+        shipped = train(data.X, data.Y, arch, cfg)
+        looped = _reference_train(data.X, data.Y.astype(float), arch, cfg)
+        assert checkpoint_to_json(shipped) == checkpoint_to_json(looped)
+        assert shipped.loss_trace == looped.loss_trace
 
 
 class TestPredictBatch:

@@ -147,22 +147,25 @@ class TestTrigamma:
 
 
 @pytest.mark.parametrize(
-    "grid",
+    "grid, psi_bound, psi1_bound",
     [
-        np.linspace(np.nextafter(6.0, 0.0), 7.0, 1500),
-        6.0 - np.geomspace(1e-13, 1.0, 1000),
-        np.linspace(1e5, 1e6, 1000),
+        (np.linspace(np.nextafter(6.0, 0.0), 7.0, 1500), 6e-14, 1.5e-13),
+        (6.0 - np.geomspace(1e-13, 1.0, 1000), 6e-14, 1.5e-13),
+        (np.linspace(1e5, 1e6, 1000), 1e-10, 1e-8),
     ],
     ids=["series-at-6-to-7", "one-step-below-6", "1e5-to-1e6"],
 )
-def test_kernels_within_docstring_bounds_of_mpmath(grid):
+def test_kernels_within_docstring_bounds_of_mpmath(grid, psi_bound, psi1_bound):
     # where the truncated series is least accurate (just past the threshold),
-    # where one recurrence step precedes it, and at the top of the domain
+    # where one recurrence step precedes it, and at the top of the domain.
+    # Near 6 the bounds are tighter than the docstrings', so that every series
+    # term counts: the errors there are about 2.5e-14 (psi) and 7.2e-14 (psi'),
+    # and without the last Bernoulli term of a series 1.3e-13 and 3.5e-13.
     assert np.all((grid > 0.0) & (grid <= 1e6))
     psi = np.array([float(mp.digamma(mp.mpf(float(x)))) for x in grid])
     psi1 = np.array([float(mp.psi(1, mp.mpf(float(x)))) for x in grid])
-    assert np.max(np.abs(digamma_array(grid) - psi)) <= 1e-10
-    assert np.max(np.abs(trigamma_array(grid) - psi1)) <= 1e-8
+    assert np.max(np.abs(digamma_array(grid) - psi)) <= psi_bound
+    assert np.max(np.abs(trigamma_array(grid) - psi1)) <= psi1_bound
 
 
 def test_recurrence_identities_random_points():
