@@ -217,18 +217,20 @@ def generate_ood(ind_spec: SyntheticSpec, ood_spec: OodSpec) -> np.ndarray:
         raise DataError("could not sample a novel-cluster direction")
 
     n_clusters = max(2, ind_spec.label_count)
-    radius = float(np.mean(_row_norms(means_ind)))
+    norms = _row_norms(means_ind)
+    radius = float(np.mean(norms))
     min_gap = ood_spec.shift_distance * sigma
+    # no candidate passes while radius + min(norms) < min_gap; 1e-6 covers rounding
+    while (radius + float(norms.min())) * (1.0 + 1e-6) < min_gap:
+        radius *= 1.3
     novel_means = []
     while len(novel_means) < n_clusters:
-        accepted = False
         for _ in range(200):
             cand = radius * _direction()
             if np.min(_row_norms(means_ind - cand)) >= min_gap:
                 novel_means.append(cand)
-                accepted = True
                 break
-        if not accepted:
+        else:
             radius *= 1.3  # guaranteed to terminate: distance grows with radius
     picks = rng.integers(0, n_clusters, size=ood_spec.samples)
     return np.array(novel_means)[picks] + sigma * rng.normal(size=shape)
@@ -241,19 +243,13 @@ _NUMBER = "biuf"
 
 def write_jsonl(data: Dataset, path) -> None:
     """One JSON object per line, the bytes of json.dumps(row, separators=(",", ":")),
-    after a comment header; rows without labels carry labels: null.  Rejects
-    what read_jsonl would: non-finite features, labels other than 0 or 1 or
-    stored as bools (written as True/False, which is not JSON), and rows whose
-    split is not a string."""
-    X = np.asarray(data.X, dtype=float)
-    if not np.isfinite(X).all():
-        raise DataError(f"cannot write {path}: features must be finite")
-    if data.Y.dtype.kind == "b" or _broken_rule(X, data.Y, None, [], 2, None):
-        raise DataError(f"cannot write {path}: labels must be the numbers 0 or 1, not bools")
-    if len(X) and (problem := _broken_rule(X, data.Y, None, [data.split], 2, None)):
+    after a comment header; rows without labels carry labels: null.  Before it
+    opens the file it rejects what read_jsonl would not give back (_table_rule)."""
+    X, Y = np.asarray(data.X), np.asarray(data.Y)
+    if problem := _table_rule(X, Y, data.split):
         raise DataError(f"cannot write {path}: {problem}")
+    X, Y = X.astype(float, copy=False), Y.astype(float if Y.dtype.kind == "f" else np.int64)
     tail = ',"split":' + json.dumps(data.split) + "}\n"
-    Y = data.Y.astype(np.float64 if data.Y.dtype.kind == "f" else np.int64)
     labels = ["[", Y, "]" + tail] if Y.shape[1] else ["null" + tail]
     with open(path, "wb") as fh:  # ASCII: json.dumps escapes every other character
         fh.write(block := (_HEADER + "\n").encode())
@@ -261,11 +257,10 @@ def write_jsonl(data: Dataset, path) -> None:
         for block in tables.number_rows(['{"features":[', X, '],"labels":', *labels], len(X)):
             fh.write(block)
             key = tables.digest([block], key)
-    # cached if the parse gives the arrays back: rows, int labels, a split numpy keeps
-    fit = (len(X) and len(data.Y) == len(X) and data.Y.dtype.kind in "iu"
-           and np.array(data.split).item() == data.split)  # not one ending in NUL
-    arrays = [X, data.Y.astype(np.int64), np.array(data.split)]
-    tables.save_cache(path, key, arrays if fit else None)
+    # cached if the parse gives the arrays back: rows, int labels, and a split
+    # numpy keeps (not one ending in NUL)
+    fit = len(X) and Y.dtype == np.int64 and np.array(data.split).item() == data.split
+    tables.save_cache(path, key, [X, Y, np.array(data.split)] if fit else None)
 
 
 def read_jsonl(path) -> Dataset:
@@ -279,8 +274,7 @@ def read_jsonl(path) -> Dataset:
     if cached and len(cached) == 3:
         X, Y, split = cached
         if (X.dtype == np.float64 and Y.dtype == np.int64 and split.dtype.kind == "U"
-                and split.ndim == 0 and _broken_rule(X, Y, None, [split.item()], 2, None) is None
-                and len(Y) == len(X) > 0 and np.isfinite(X).all()):
+                and split.ndim == 0 and len(X) and _table_rule(X, Y, split.item()) is None):
             return Dataset(X=X, Y=Y, split=split.item())
     return _parse_jsonl(path)
 
@@ -299,7 +293,7 @@ def _parse_jsonl(path) -> Dataset:
                     x, labels, split = doc["features"], doc["labels"], doc["split"]
                     y = [] if labels is None else labels
                     fx, fy = np.asarray(x), np.asarray(y)
-                    problem = _broken_rule(fx, fy, labels, [split], 1, first)
+                    problem = _broken_rule(fx, fy, labels, split, first)
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise DataError(f"{path}:{lineno}: malformed dataset line: {exc}") from exc
                 # a list of numbers, so the test is safe; numpy reads true as 1
@@ -323,22 +317,41 @@ def _parse_jsonl(path) -> Dataset:
     return Dataset(X=X, Y=np.array(labels, dtype=int), split=splits[0])
 
 
-def _broken_rule(X: np.ndarray, Y: np.ndarray, labels, splits: list, ndim: int,
-                 first) -> str | None:
-    """The first rule that one row (ndim 1) or a table of rows (ndim 2) breaks,
-    or None.  X and Y are the features and labels as numpy reads them with no
-    dtype given, so a string makes them strings: features and labels are
-    lists of numbers, not of numeric strings; labels are 0 or 1 (0.7 is not
-    0); each split is a string; and a row has as many features and labels as
-    ``first``, the file's first row as (features, labels, line)."""
-    if not (X.ndim == Y.ndim == ndim and X.dtype.kind in _NUMBER and Y.dtype.kind in _NUMBER):
+def _table_rule(X: np.ndarray, Y: np.ndarray, split) -> str | None:
+    """The first rule that a table of features X, labels Y and its rows' split
+    breaks, or None: X and Y are 2-D with one row per sample; X holds finite
+    numbers, not numeric strings; Y the numbers 0 or 1, not bools (written
+    True/False, which is not JSON); and a table with rows has a string split."""
+    if not (X.ndim == Y.ndim == 2 and len(X) == len(Y)):
+        return (f"features and labels must be 2-D with one row per sample, "
+                f"got shapes {X.shape} and {Y.shape}")
+    if X.dtype.kind not in _NUMBER or not np.isfinite(X).all():
+        return "features must be finite numbers"
+    if Y.dtype.kind == "b":
+        return "labels must be the numbers 0 or 1, not bools"
+    if Y.dtype.kind not in _NUMBER:
+        return f"labels must be the numbers 0 or 1, got dtype {Y.dtype}"
+    if (bad := Y[(Y != 0) & (Y != 1)]).size:
+        return f"labels must be the numbers 0 or 1, got {bad[0].item()!r}"
+    if len(X) and not isinstance(split, str):
+        return f"split must be a string, got {split!r}"
+    return None
+
+
+def _broken_rule(x: np.ndarray, y: np.ndarray, labels, split, first) -> str | None:
+    """The first rule that one row breaks, or None.  x and y are its features
+    and labels as numpy reads them with no dtype given, so a string makes them
+    strings: features and labels are lists of numbers, not of numeric strings;
+    labels are 0 or 1 (0.7 is not 0); the split is a string; and a row has as
+    many features and labels as ``first``, the file's first row as (features,
+    labels, line)."""
+    if not (x.ndim == y.ndim == 1 and x.dtype.kind in _NUMBER and y.dtype.kind in _NUMBER):
         return "features and labels must be lists of numbers"
-    if not np.all((Y == 0) | (Y == 1)):
+    if not np.all((y == 0) | (y == 1)):
         return f"labels must be 0 or 1, got {labels!r}"
-    wrong = [split for split in splits if not isinstance(split, str)]
-    if wrong:
-        return f"split must be a string, got {wrong[0]!r}"
-    if first and (X.shape[-1], Y.shape[-1]) != first[:2]:
-        return (f"{X.shape[-1]} features and {Y.shape[-1]} labels, "
+    if not isinstance(split, str):
+        return f"split must be a string, got {split!r}"
+    if first and (x.size, y.size) != first[:2]:
+        return (f"{x.size} features and {y.size} labels, "
                 f"but line {first[2]} has {first[0]} and {first[1]}")
     return None

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigError
 from .evidence import EvidencePair, Logits, elu_grad_array, logits_to_evidence
 from .special import digamma_array as _digamma_vec
-from .special import add_shift_sums, recurrence_shift
+from .special import recurrence_shift
 from .special import trigamma_array as _trigamma_vec
 
 
@@ -55,15 +55,16 @@ def loss_and_grad(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-label loss and d/d(alpha), d/d(beta) of the label-mean loss.
 
-    The stack is shifted once; the digamma and trigamma calls evaluate their
-    series on the shifted stack, which every entry leaves at x >= 6, and the
-    shift's sums are added back at the shifted entries only.  The labelled
-    evidence's own term goes to d/d(alpha) where y = 1 and to d/d(beta)
-    elsewhere; the other derivative is psi'(alpha + beta) alone.
+    The stack is shifted once, every entry by the steps its smallest needs;
+    digamma and trigamma evaluate their series on the shifted stack, and each
+    gets its sum of the shift added with one +.  The labelled evidence's own
+    term goes to d/d(alpha) where y = 1 and to d/d(beta) elsewhere; the other
+    derivative is psi'(alpha + beta) alone.
     """
-    shifted, at, sums = recurrence_shift(stack)
-    psi = add_shift_sums(_digamma_vec(shifted), at, sums[0])
-    psi1 = add_shift_sums(_trigamma_vec(shifted), at, sums[1])
+    shifted, sums = recurrence_shift(stack)
+    psi, psi1 = _digamma_vec(shifted), _trigamma_vec(shifted)
+    if sums is not None:
+        psi, psi1 = psi + sums[0], psi1 + sums[1]
     n = y.shape[-1]
     own = psi1[0] - psi1[1]
     labelled = y == 1.0

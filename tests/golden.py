@@ -11,8 +11,10 @@ of every file each command writes, ``.npy`` caches included.
     PYTHONPATH=src python tests/golden.py            # compare with golden.json
     PYTHONPATH=src python tests/golden.py --update   # rewrite golden.json
 
-A change that alters an artifact on purpose rewrites the record with --update
-and lists each changed file.  The record names the numpy version, the BLAS and
+The check prints every entry that differs, as '<run>: <key>', and exits 1 if
+there is one; --update prints the entries it changes before it writes them.  A
+change that alters an artifact on purpose rewrites the record with --update
+and lists each changed entry.  The record names the numpy version, the BLAS and
 the CPU targets numpy dispatched to when it was made: the wide workload's
 products go through BLAS gemm, the gemv workload's through gemv, and numpy picks some float64 loops, such as
 log and exp, by CPU at run time.
@@ -127,17 +129,18 @@ def run_all() -> dict:
     return {"environment": environment(), "runs": runs}
 
 
-def first_difference(golden: dict, fresh: dict) -> str | None:
-    """None if every record matches, else a message naming the first entry that differs."""
+def differences(golden: dict, fresh: dict) -> list[str]:
+    """'<run>: <key>' of every entry that differs, was added or was removed,
+    then '<run>' of every run that was removed or added."""
+    found, runs = [], []
     for run, want in golden["runs"].items():
-        got = fresh["runs"].get(run, {})
-        for key in [*want, *(k for k in got if k not in want)]:
-            if want.get(key) != got.get(key):
-                return (f"{run}: {key}: recorded {want.get(key)!r}, now {got.get(key)!r} "
-                        f"(recorded with {golden['environment']}, run with {fresh['environment']})")
-    if golden["runs"].keys() != fresh["runs"].keys():
-        return f"runs differ: recorded {sorted(golden['runs'])}, now {sorted(fresh['runs'])}"
-    return None
+        got = fresh["runs"].get(run)
+        if got is None:
+            runs.append(run)
+            continue
+        found += [f"{run}: {key}" for key in [*want, *(k for k in got if k not in want)]
+                  if want.get(key) != got.get(key)]
+    return found + runs + [run for run in fresh["runs"] if run not in golden["runs"]]
 
 
 def main(argv=None) -> int:
@@ -145,13 +148,16 @@ def main(argv=None) -> int:
     parser.add_argument("--update", action="store_true", help="rewrite golden.json")
     args = parser.parse_args(argv)
     fresh = run_all()
+    golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"runs": {}}
+    changed = differences(golden, fresh)
+    print("\n".join(changed) or "every artifact matches golden.json")
     if args.update:
         GOLDEN.write_text(json.dumps(fresh, indent=1) + "\n")
-        print(f"wrote {GOLDEN}")
+        print(f"wrote {GOLDEN} ({len(changed)} entries changed)")
         return 0
-    difference = first_difference(json.loads(GOLDEN.read_text()), fresh)
-    print(difference or "every artifact matches golden.json")
-    return 1 if difference else 0
+    if changed:
+        print(f"recorded with {golden.get('environment')}, run with {fresh['environment']}")
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """The quadrature oracle of the closed-form loss: the Beta density and an
-adaptive Gauss-Kronrod integrator of the expected BCE.
+adaptive Gauss-Kronrod integrator of the expected BCE; and the recurrence
+shift of the digamma/trigamma kernels, rung by rung.
 
 The Beta density is evaluated in log space.  The integrator shares no code
 with the loss path, so the tests cross-check ``betaood.loss`` against it.
@@ -9,7 +10,33 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from betaood.errors import ConfigError, NumericError
+
+
+def uniform_shift_reference(x):
+    """special.recurrence_shift of an array x > 0 as a loop over its rungs.
+
+    s is the fewest steps with min(x) + s >= 6 in float arithmetic.  Rung
+    r < s takes z = x + r and inv = 1/z; the sums are psi-sum = -(sum inv)
+    and psi'-sum = sum inv * inv, each added in rung order from r = 0.
+    Returns (x + s, (psi-sum, psi'-sum)), or (x, None) when s = 0.
+    """
+    x = np.asarray(x, dtype=float)
+    lowest = np.min(x) if x.size else np.inf
+    s = 0
+    while lowest + s < 6.0:
+        s += 1
+    if s == 0:
+        return x, None
+    inv_sum = inv2_sum = 0.0
+    for r in range(s):
+        inv = 1.0 / (x + r)
+        with np.errstate(over="ignore"):  # inv * inv is inf below about 1e-154
+            inv2_sum = inv2_sum + inv * inv
+        inv_sum = inv_sum + inv
+    return x + s, (-inv_sum, inv2_sum)
 
 
 def _check_positive(x: float, name: str) -> None:

@@ -1,4 +1,5 @@
 import json
+import time
 from unittest import mock
 
 import numpy as np
@@ -125,6 +126,17 @@ class TestGenerateOod:
         scaled = (X[:, None, :] - spec.label_cluster_means) / 1e300
         assert np.linalg.norm(scaled, axis=2).min() >= 2.0
 
+    def test_novel_clusters_skip_radii_no_draw_can_pass(self):
+        # about 2700 radii of x1.3 lie below the gap, where no direction can
+        # pass; drawing 200 directions at each took seconds
+        spec = default_spec()
+        start = time.perf_counter()
+        X = generate_ood(spec, OodSpec("novel_cluster", shift_distance=1e308, samples=20, seed=0))
+        assert time.perf_counter() - start < 0.5
+        assert np.isfinite(X).all()
+        scaled = (X[:, None, :] - spec.label_cluster_means) / 1e300
+        assert np.linalg.norm(scaled, axis=2).min() >= 1e8
+
 
 # The per-sample generator loops the array generator replaced: one draw of
 # subset choices, then one noise draw per sample.  The array code must draw
@@ -183,7 +195,11 @@ def _reference_ood(ind_spec, ood_spec):
         raise AssertionError("no direction")
 
     n_clusters = max(2, ind_spec.label_count)
-    radius = float(np.mean(np.linalg.norm(means_ind, axis=1)))
+    norms = np.linalg.norm(means_ind, axis=1)
+    radius = float(np.mean(norms))
+    # no draws while radius + the smallest mean norm is short of the gap
+    while (radius + norms.min()) * (1.0 + 1e-6) < ood_spec.shift_distance * sigma:
+        radius *= 1.3
     novel_means = []
     while len(novel_means) < n_clusters:
         for _ in range(200):
@@ -386,20 +402,47 @@ class TestJsonlCodecMatchesReference:
         assert "e+" in text and "e-" in text and "-0.0," in text and "9999999999999998.0" in text
         assert text == _reference_jsonl(data)
 
-    def test_writer_rejects_nonfinite_features(self, tmp_path):
-        data = Dataset(X=np.array([[1.0, np.nan]]), Y=np.ones((1, 1), int), split="train")
-        with pytest.raises(DataError, match="finite"):
-            write_jsonl(data, tmp_path / "ds.jsonl")
+    @pytest.mark.parametrize("features", [
+        np.array([[1.0, np.nan]]), np.array([["a", "2"]]), np.array([["1.5", "2"]]),
+    ], ids=["nan", "str", "numeric_str"])
+    def test_writer_rejects_nonfinite_features(self, tmp_path, features):
+        # the reader rejects numeric strings too; "a" made np.asarray raise
+        path = tmp_path / "ds.jsonl"
+        data = Dataset(X=features, Y=np.ones((1, 1), int), split="train")
+        with pytest.raises(DataError, match="finite") as info:
+            write_jsonl(data, path)
+        assert str(info.value) == f"cannot write {path}: features must be finite numbers"
+        assert not path.exists() and not _sidecar(path).exists()
 
-    @pytest.mark.parametrize("labels", [
-        np.array([[True, False]]), np.array([[1.0, 0.7]]), np.array([[2, 0]]),
-    ], ids=["bool", "float_0_7", "int_2"])
-    def test_writer_rejects_labels_its_reader_rejects(self, tmp_path, labels):
+    @pytest.mark.parametrize("labels, rule", [
+        (np.array([[True, False]]), "not bools"),
+        (np.array([[1.0, 0.7]]), "got 0.7"),
+        (np.array([[2, 0]]), "got 2"),
+        (np.array([[0.0, np.nan]]), "got nan"),
+        (np.array([["1", "0"]]), "got dtype <U1"),
+    ], ids=["bool", "float_0_7", "int_2", "nan", "str"])
+    def test_writer_rejects_labels_its_reader_rejects(self, tmp_path, labels, rule):
         path = tmp_path / "ds.jsonl"
         data = Dataset(X=np.ones((1, 3)), Y=labels, split="train")
-        with pytest.raises(DataError, match="labels must be the numbers 0 or 1"):
+        with pytest.raises(DataError, match="labels must be the numbers 0 or 1") as info:
             write_jsonl(data, path)
-        assert not path.exists()
+        assert str(info.value) == f"cannot write {path}: labels must be the numbers 0 or 1, {rule}"
+        assert not path.exists() and not _sidecar(path).exists()
+
+    @pytest.mark.parametrize("X, Y", [
+        (np.ones(3), np.ones((3, 1), int)),
+        (np.ones((3, 2)), np.ones(3, int)),
+        (np.ones((3, 2)), np.ones((2, 1), int)),
+        (np.ones((1, 2, 2)), np.ones((1, 1), int)),
+    ], ids=["1d_features", "1d_labels", "rows_3_and_2", "3d_features"])
+    def test_writer_rejects_tables_of_other_shapes_before_writing(self, tmp_path, X, Y):
+        path = tmp_path / "ds.jsonl"
+        with pytest.raises(DataError) as info:
+            write_jsonl(Dataset(X=X, Y=Y, split="train"), path)
+        assert str(info.value) == (
+            f"cannot write {path}: features and labels must be 2-D with one row per "
+            f"sample, got shapes {X.shape} and {Y.shape}")
+        assert not path.exists() and not _sidecar(path).exists()
 
     @pytest.mark.parametrize("split", [None, 3], ids=["none", "int"])
     def test_writer_rejects_split_its_reader_rejects(self, tmp_path, split):

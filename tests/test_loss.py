@@ -141,15 +141,25 @@ class TestBetaLossGrad:
 
 # -- the two-row (alpha + beta, labelled evidence) stack is the three-row one --
 
+def _three_rows(kernel, alpha, beta, y):
+    """kernel(alpha), kernel(beta) and kernel(alpha + beta) as the earlier
+    (alpha, beta, alpha + beta) stack's rows, taken from the kernel on the same
+    two-row stack, which sets their shift.  That stack holds alpha only where
+    y = 1 and beta only where y = 0; elsewhere the rows repeat the labelled
+    value, which the three-row formulas weight by 0."""
+    two = kernel(evidence_stack(alpha, beta, y))
+    return np.stack([two[1], two[1], two[0]])
+
+
 def _three_row_loss_terms(alpha, beta, y):
-    """The loss from the earlier (alpha, beta, alpha + beta) stack."""
-    psi = digamma_array(np.stack([alpha, beta, alpha + beta]))
+    """The loss in the earlier three-row stack's formula."""
+    psi = _three_rows(digamma_array, alpha, beta, y)
     return y * (psi[2] - psi[0]) + (1.0 - y) * (psi[2] - psi[1])
 
 
 def _three_row_mean_loss_grad(alpha, beta, y):
-    """The gradient from the earlier (alpha, beta, alpha + beta) stack."""
-    psi1 = trigamma_array(np.stack([alpha, beta, alpha + beta]))
+    """The gradient in the earlier three-row stack's formula."""
+    psi1 = _three_rows(trigamma_array, alpha, beta, y)
     n = y.shape[-1]
     d_alpha = (y * (psi1[2] - psi1[0]) + (1.0 - y) * psi1[2]) / n
     d_beta = (y * psi1[2] + (1.0 - y) * (psi1[2] - psi1[1])) / n

@@ -4,11 +4,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from test_special import (
-    _accumulate_shift_reference,
-    _elu_grad_where_reference,
-    _elu_where_reference,
-)
+from oracles import uniform_shift_reference
+from test_special import _elu_grad_where_reference, _elu_where_reference
 
 import betaood.evidence as evidence_mod
 import betaood.loss as loss_mod
@@ -343,8 +340,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("dims", [(8, 32, 5), (64, 128, 32)], ids=["default", "wide"])
     def test_kernels_train_as_their_reference_forms(self, monkeypatch, dims):
-        # the ELU pair without a select and the shift's reduce give the bits
-        # of the select forms and the accumulates over whole training runs
+        # the ELU pair without a select and the shift's one reduce give the
+        # bits of the select forms and the rung-by-rung loop over whole runs
         features, hidden, labels = dims
         spec = default_spec(features, labels, dict.fromkeys(("train", "val", "test"), 320))
         data = generate_ind(spec)["train"]
@@ -361,7 +358,7 @@ class TestTrain:
         for name, reference in (
             ("elu_array", _elu_where_reference),
             ("elu_grad_array", _elu_grad_where_reference),
-            ("recurrence_shift", _accumulate_shift_reference),
+            ("recurrence_shift", uniform_shift_reference),
         ):
             for mod in (model_mod, loss_mod, evidence_mod, special_mod):
                 if hasattr(mod, name):

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from betaood.errors import ConfigError, NumericError
 from betaood.evidence import elu_array, elu_grad_array
 from betaood.special import _BERNOULLI_2K, digamma_array, recurrence_shift, trigamma_array
-from oracles import adaptive_quadrature, beta_pdf, quadrature_expected_bce
+from oracles import adaptive_quadrature, beta_pdf, quadrature_expected_bce, uniform_shift_reference
 
 mp.mp.dps = 30
 
@@ -187,22 +187,10 @@ def test_finite_difference_cross_check():
     np.testing.assert_allclose(fd, trigamma_array(xs), rtol=0, atol=1e-5)
 
 
-def _boolean_index_reference(x, digamma_kind: bool):
-    """The array functions' earlier form: the recurrence shift updates only the
-    still-small entries through boolean indexing.  Kept as the exactness
-    reference for the gathered shift in `special.recurrence_shift`; its series
-    runs in the kernels' Horner order."""
-    x = np.array(x, dtype=float)
-    acc = np.zeros_like(x)
-    while True:
-        small = x < 6.0
-        if not small.any():
-            break
-        if digamma_kind:
-            acc[small] -= 1.0 / x[small]
-        else:
-            acc[small] += 1.0 / (x[small] * x[small])
-        x[small] += 1.0
+def _kernel_reference(x, digamma_kind: bool):
+    """digamma_array (digamma_kind) or trigamma_array: the kernels' series in
+    their Horner order on the reference shift's x, plus the shift's sum."""
+    x, sums = uniform_shift_reference(x)
     inv = 1.0 / x
     inv2 = inv * inv
     if digamma_kind:
@@ -216,7 +204,7 @@ def _boolean_index_reference(x, digamma_kind: bool):
         result = (np.log(x) - 0.5 * inv) - series
     else:
         result = (inv + 0.5 * inv2) + inv * series
-    return acc + result
+    return result if sums is None else result + sums[0 if digamma_kind else 1]
 
 
 @pytest.mark.filterwarnings("error")
@@ -231,12 +219,12 @@ def test_stacked_calls_bit_equal_per_slice_and_reference():
     stack = np.stack([alpha, beta, alpha + beta])
     for fn, digamma_kind in ((digamma_array, True), (trigamma_array, False)):
         whole = fn(stack)
-        assert np.array_equal(whole, _boolean_index_reference(stack, digamma_kind))
+        assert np.array_equal(whole, _kernel_reference(stack, digamma_kind))
         for i in range(3):
             assert np.array_equal(whole[i], fn(stack[i]))
-            assert np.array_equal(whole[i], _boolean_index_reference(stack[i], digamma_kind))
-    # the shift gathers the entries below 6: none of them, all of them, a 0-d
-    # input and a non-contiguous one must give what the reference gives
+            assert np.array_equal(whole[i], _kernel_reference(stack[i], digamma_kind))
+    # no entry below 6, every entry below 6, a 0-d input and a non-contiguous
+    # one must give what the reference gives
     cases = [
         np.geomspace(6.0, 1e200, 60).reshape(12, 5),
         np.geomspace(1e-3, np.nextafter(6.0, 0.0), 60).reshape(12, 5),
@@ -251,7 +239,7 @@ def test_stacked_calls_bit_equal_per_slice_and_reference():
         for fn, digamma_kind in ((digamma_array, True), (trigamma_array, False)):
             got = fn(x)
             assert np.shape(got) == x.shape
-            assert np.array_equal(got, _boolean_index_reference(x, digamma_kind))
+            assert np.array_equal(got, _kernel_reference(x, digamma_kind))
         assert np.array_equal(x, before)
 
 
@@ -260,70 +248,37 @@ def test_tiny_arguments_give_the_loop_values_without_warnings():
     # the shift sums 1/x**2 for trigamma on every call: its overflow below
     # about 1e-154 must not reach digamma, and trigamma's value there is inf
     x = np.array([1e-200, 1e-160, 1e-3, 2.0])
-    assert np.array_equal(digamma_array(x), _boolean_index_reference(x, True))
+    assert np.array_equal(digamma_array(x), _kernel_reference(x, True))
     psi1 = trigamma_array(x)
     assert psi1[0] == psi1[1] == np.inf
-    assert np.array_equal(psi1[2:], _boolean_index_reference(x[2:], False))
+    assert np.array_equal(psi1[2:], _kernel_reference(x[2:], False))
 
 
-def _masked_loop_shift(x):
-    """The recurrence shift as a step-by-step loop: every entry still below 6
-    adds -1/x and +1/x**2 to its sums and steps up by 1; the others add
-    1/inf = 0 and stay."""
-    x = np.array(x, dtype=float)
-    psi_sum = np.zeros_like(x)
-    psi1_sum = np.zeros_like(x)
-    while True:
-        small = x < 6.0
-        if not small.any():
-            break
-        masked = np.where(small, x, np.inf)
-        psi_sum = psi_sum - 1.0 / masked
-        psi1_sum = psi1_sum + 1.0 / (masked * masked)
-        x = x + small
-    return x, psi_sum, psi1_sum
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("fn, name", [
+    (digamma_array, "digamma"), (trigamma_array, "trigamma"),
+    (recurrence_shift, "the recurrence shift"),
+])
+def test_shift_and_kernels_reject_what_is_not_finite_and_positive(fn, name, bad):
+    # the shift and each kernel check min and max before they take any step
+    for x in (np.array(bad), np.array([[2.0, bad], [7.0, 1e-3]])):
+        with pytest.raises(ConfigError) as info:
+            fn(x)
+        assert str(info.value) == f"{name} requires finite x > 0"
 
 
-def _accumulate_shift_reference(x):
-    """special.recurrence_shift as it was before its sums became one reduce:
-    the sums accumulate row by row and the shifted value is a masked minimum.
-    Kept as the reference the shipped shift must train like; it returns the
-    shipped form, the sums of the entries below 6 with their flat indices."""
-    x = np.asarray(x, dtype=float)
-    lowest = float(np.min(x)) if x.size else np.inf
-    if lowest >= 6.0:
-        return x, np.empty(0, np.intp), np.empty((2, 0))
-    steps = 0
-    while lowest < 6.0:
-        lowest += 1.0
-        steps += 1
-    below = x < 6.0
-    xs = x[below]
-    ladder = np.empty((steps + 1, xs.size))
-    ladder[0] = xs
-    ladder[1:] = 1.0
-    np.add.accumulate(ladder, axis=0, out=ladder)
-    past = ladder >= 6.0
-    masked = np.where(past[:steps], np.inf, ladder[:steps])
-    sums = np.empty((2, steps, xs.size))
-    np.divide(-1.0, masked, out=sums[0])
-    with np.errstate(over="ignore", divide="ignore"):
-        np.divide(1.0, masked * masked, out=sums[1])
-    np.add.accumulate(sums, axis=1, out=sums)
-    shifted = x.copy()
-    shifted[below] = np.minimum.reduce(ladder, axis=0, where=past, initial=np.inf)
-    return shifted, np.flatnonzero(below), sums[:, -1]
-
-
-def _shift_with_full_sums(x):
-    """recurrence_shift(x) in the masked loop's form: its sums scattered at
-    their flat indices, which must be those of the entries below 6, into
-    arrays of x's shape that hold 0 elsewhere."""
-    shifted, at, sums = recurrence_shift(x)
-    assert np.array_equal(at, np.flatnonzero(np.asarray(x) < 6.0))
-    full = np.zeros((2, np.size(x)))
-    full[:, at] = sums
-    return shifted, full[0].reshape(np.shape(x)), full[1].reshape(np.shape(x))
+def _assert_shift_bytes_equal_to_reference(x):
+    """recurrence_shift(x) gives the rung-by-rung reference's shifted x and
+    sums, or like it no sums, byte for byte and in x's shape."""
+    shifted, sums = recurrence_shift(x)
+    want_x, want_sums = uniform_shift_reference(x)
+    assert np.shape(shifted) == x.shape
+    assert np.asarray(shifted).tobytes() == np.asarray(want_x).tobytes()
+    assert (sums is None) == (want_sums is None)
+    for got, want in zip(() if sums is None else sums, want_sums or ()):
+        assert np.shape(got) == x.shape
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    return want_sums
 
 
 # entries at and just below the threshold, at the domain's low end, and 1e200
@@ -356,12 +311,7 @@ def test_recurrence_shift_bit_equal_to_masked_loop(x, transpose):
     if transpose:
         x = x.T
     before = x.copy()
-    shifted, psi_sum, psi1_sum = _shift_with_full_sums(x)
-    want_x, want_psi, want_psi1 = _masked_loop_shift(x)
-    assert np.shape(shifted) == x.shape
-    assert np.array_equal(shifted, want_x)
-    assert np.array_equal(np.broadcast_to(psi_sum, x.shape), want_psi)
-    assert np.array_equal(np.broadcast_to(psi1_sum, x.shape), want_psi1)
+    _assert_shift_bytes_equal_to_reference(x)
     assert np.array_equal(x, before)
 
 
@@ -382,13 +332,9 @@ def _training_size_stack(labels):
 def test_recurrence_shift_bytes_equal_to_masked_loop_at_training_sizes(labels, transpose):
     x = _training_size_stack(labels)
     x = x.T if transpose else x
-    got = _shift_with_full_sums(x)
-    with np.errstate(divide="ignore"):  # the loop's 1 / (1e-200 * 1e-200)
-        want = _masked_loop_shift(x)
+    want_sums = _assert_shift_bytes_equal_to_reference(x)
     assert 0.03 < np.mean(x < 6.0) < 0.07
-    assert np.isinf(want[2]).any()
-    for g, w in zip(got, want):
-        assert np.broadcast_to(g, x.shape).tobytes() == w.tobytes()
+    assert np.isinf(want_sums[1]).any()
 
 
 class TestBetaPdf:
