@@ -155,6 +155,15 @@ def _subset_table(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return weights / weights.sum(), indicators, mean_sums
 
 
+def _noisy(rng: np.random.Generator, means: np.ndarray, sigma: float) -> np.ndarray:
+    """The bits of means + sigma * noise, the noise drawn in means' shape, with no
+    array besides means and the result."""
+    x = rng.normal(size=means.shape)
+    x *= sigma
+    x += means
+    return x
+
+
 def _generate_split(spec: SyntheticSpec, split: str, tag: int) -> Dataset:
     n = spec.samples_per_split[split]
     weights, indicators, mean_sums = _subset_table(spec)
@@ -164,8 +173,8 @@ def _generate_split(spec: SyntheticSpec, split: str, tag: int) -> Dataset:
         y = indicators[choices]
         # each attempt has its own generator, so a rejected one need not draw noise
         if np.all(y.sum(axis=0) > 0):
-            noise = rng.normal(size=(n, spec.feature_dim))
-            return Dataset(X=mean_sums[choices] + spec.cluster_spread * noise, Y=y, split=split)
+            return Dataset(X=_noisy(rng, mean_sums[choices], spec.cluster_spread), Y=y,
+                           split=split)
     raise DataError(
         f"split {split!r} missing some label as positive after "
         f"{_PRESENCE_RETRIES} regeneration attempts; increase the sample count"
@@ -188,14 +197,13 @@ def generate_ood(ind_spec: SyntheticSpec, ood_spec: OodSpec) -> np.ndarray:
     """(N, D) unlabeled OOD features at >= shift_distance * sigma from IND means."""
     rng = _split_rng(ood_spec.seed, 0x00D)
     sigma = ind_spec.cluster_spread
-    shape = (ood_spec.samples, ind_spec.feature_dim)
     if ood_spec.mode == "shifted":
         direction = rng.normal(size=ind_spec.feature_dim)
         direction /= np.linalg.norm(direction)
         offset = ood_spec.shift_distance * sigma * direction
         weights, _, mean_sums = _subset_table(ind_spec)
         choices = rng.choice(len(weights), size=ood_spec.samples, p=weights)
-        return mean_sums[choices] + offset + sigma * rng.normal(size=shape)
+        return _noisy(rng, mean_sums[choices] + offset, sigma)
     # novel_cluster: fresh cluster means at an IND-typical radius but carrying
     # none of the known class signatures.  Directions are sampled in the
     # orthogonal complement of the class-mean span when one exists (otherwise
@@ -233,7 +241,7 @@ def generate_ood(ind_spec: SyntheticSpec, ood_spec: OodSpec) -> np.ndarray:
         else:
             radius *= 1.3  # guaranteed to terminate: distance grows with radius
     picks = rng.integers(0, n_clusters, size=ood_spec.samples)
-    return np.array(novel_means)[picks] + sigma * rng.normal(size=shape)
+    return _noisy(rng, np.array(novel_means)[picks], sigma)
 
 
 _HEADER = "# betaood dataset v1"

@@ -50,10 +50,9 @@ def evidence_stack(alpha: np.ndarray, beta: np.ndarray, y: np.ndarray) -> np.nda
     return np.array([alpha + beta, np.where(y == 1.0, alpha, beta)])
 
 
-def loss_and_grad(
-    stack: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-label loss and d/d(alpha), d/d(beta) of the label-mean loss.
+def loss_and_grad(stack: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-label loss and the derivatives of the label-mean loss as one block:
+    d/d(alpha) in the first L entries of the last axis, d/d(beta) in the last L.
 
     The stack is shifted once, every entry by the steps its smallest needs;
     digamma and trigamma evaluate their series on the shifted stack, and each
@@ -68,15 +67,16 @@ def loss_and_grad(
     n = y.shape[-1]
     own = psi1[0] - psi1[1]
     labelled = y == 1.0
-    d_alpha = np.where(labelled, own, psi1[0]) / n
-    d_beta = np.where(labelled, psi1[0], own) / n
-    return psi[0] - psi[1], d_alpha, d_beta
+    d = np.concatenate((np.where(labelled, own, psi1[0]), np.where(labelled, psi1[0], own)),
+                       axis=-1)
+    d /= n
+    return psi[0] - psi[1], d
 
 
 def beta_loss(ev: EvidencePair, y: np.ndarray) -> float:
     """Mean over labels of the expected BCE under the predicted Beta."""
     yf = _check_labels(ev, y)
-    terms, _, _ = loss_and_grad(evidence_stack(ev.alpha, ev.beta, yf), yf)
+    terms, _ = loss_and_grad(evidence_stack(ev.alpha, ev.beta, yf), yf)
     return float(np.mean(terms))
 
 
@@ -104,5 +104,6 @@ def beta_loss_grad(ev: EvidencePair, y: np.ndarray, logits: Logits) -> LossGradi
 def evidence_grad(ev: EvidencePair, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """d(beta_loss)/d(alpha) and d(beta_loss)/d(beta), with the 1/L factor."""
     yf = _check_labels(ev, y)
-    _, d_alpha, d_beta = loss_and_grad(evidence_stack(ev.alpha, ev.beta, yf), yf)
+    _, d = loss_and_grad(evidence_stack(ev.alpha, ev.beta, yf), yf)
+    d_alpha, d_beta = np.split(d, 2, axis=-1)
     return d_alpha, d_beta

@@ -134,8 +134,16 @@ def fpr_at_tpr(ds: ScoredDataset, target_tpr: float = 0.95) -> float:
 
 def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
     """AP of one label column: mean precision at each positive in the descending
-    ranking, tied scores in row order (their order changes AP, so the sort is stable)."""
-    order = np.argsort(-scores, kind="stable")
+    ranking, tied scores in row order (their order changes AP).
+
+    Distinct scores have one order, so the stable sort runs only when the
+    faster one leaves two neighbours not strictly increasing: a tie, +-0 or NaN.
+    """
+    keys = -scores
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if not (ranked[:-1] < ranked[1:]).all():
+        order = np.argsort(keys, kind="stable")
     hits = labels[order].astype(int)
     ranks = np.arange(1, hits.size + 1)
     cum_hits = np.cumsum(hits)

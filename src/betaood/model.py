@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import InitVar, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -110,7 +110,11 @@ _ARCH_FIELDS = {"input_dim": 1, "hidden": [1], "label_count": 1}
 
 @dataclass
 class ModelParams:
-    """Hidden-layer weights/biases plus the two head layers."""
+    """Hidden-layer weights/biases plus the two head layers.
+
+    ``heads``, when given, is the pair of arrays that head_block returns; it
+    must alias w_pos, w_neg, b_pos and b_neg, as _views' "heads" entry does.
+    """
 
     arch: ArchConfig
     hidden_weights: list[np.ndarray]
@@ -119,17 +123,30 @@ class ModelParams:
     b_pos: np.ndarray
     w_neg: np.ndarray
     b_neg: np.ndarray
+    heads: InitVar[tuple | None] = None
+
+    def __post_init__(self, heads):
+        self._heads = heads
+
+    def head_block(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both heads as one (2L, H) weight and one (2L,) bias array, the positive
+        head's rows first: the views given as ``heads``, else new arrays."""
+        if self._heads is not None:
+            return self._heads
+        return (np.concatenate((self.w_pos, self.w_neg)),
+                np.concatenate((self.b_pos, self.b_neg)))
 
 
 def param_shapes(arch: ArchConfig) -> dict:
-    """Each checkpoint ``params`` key and its shape, in the order init_params draws:
-    a hidden (backbone) key holds one shape per layer.  Weights are (fan_out,
-    fan_in) and biases (fan_out,)."""
+    """Each checkpoint ``params`` key and its shape, in the order init_params draws
+    and train lays them out: a hidden (backbone) key holds one shape per layer.
+    Weights are (fan_out, fan_in) and biases (fan_out,).  The heads' weights
+    come before their biases, which draw nothing, so each pair is adjacent."""
     fan_in = (arch.input_dim, *arch.hidden)
     head = (arch.label_count, fan_in[-1])
     return {"hidden_weights": list(zip(arch.hidden, fan_in)),
             "hidden_biases": [(h,) for h in arch.hidden],
-            "w_pos": head, "b_pos": head[:1], "w_neg": head, "b_neg": head[:1]}
+            "w_pos": head, "w_neg": head, "b_pos": head[:1], "b_neg": head[:1]}
 
 
 def _per_layer(fn, value, shape):
@@ -146,11 +163,18 @@ def _arrays(shapes: dict, values: dict) -> list:
 
 def _views(shapes: dict, flat: np.ndarray | None = None) -> dict:
     """Views of the 1-D ``flat`` (new if None) with the keys and shapes of
-    ``shapes``, laid out in _arrays order; ``flat`` holds exactly their entries."""
+    param_shapes' ``shapes``, laid out in _arrays order; ``flat`` holds exactly
+    their entries.  A "heads" entry adds the (2L, H) and (2L,) views of its tail
+    that hold both heads' weights and biases."""
     ends = np.cumsum([math.prod(s) for s in _arrays(shapes, shapes)])
-    parts = iter(np.split(np.empty(ends[-1]) if flat is None else flat, ends))
-    return {key: _per_layer(lambda s: next(parts).reshape(s), shape, shape)
-            for key, shape in shapes.items()}
+    flat = np.empty(ends[-1]) if flat is None else flat
+    parts = iter(np.split(flat, ends))
+    views = {key: _per_layer(lambda s: next(parts).reshape(s), shape, shape)
+             for key, shape in shapes.items()}
+    rows, width = 2 * shapes["w_pos"][0], shapes["w_pos"][1]
+    biases = flat.size - rows
+    views["heads"] = (flat[biases - rows * width : biases].reshape(rows, width), flat[biases:])
+    return views
 
 
 def init_params(arch: ArchConfig, seed: int) -> ModelParams:
@@ -165,7 +189,8 @@ def init_params(arch: ArchConfig, seed: int) -> ModelParams:
 
 
 def _forward_batch(params: ModelParams, x: np.ndarray):
-    """Forward an (N, D) batch: hidden pre-activations, each layer's input, logits."""
+    """Forward an (N, D) batch: hidden pre-activations, each layer's input, and
+    both heads' logits as one (N, 2L) block, the positive head's first."""
     if x.ndim != 2 or x.shape[1] != params.arch.input_dim:
         raise ConfigError(
             f"feature batch must have shape (N, {params.arch.input_dim}), "
@@ -174,12 +199,14 @@ def _forward_batch(params: ModelParams, x: np.ndarray):
     pre_acts = []
     acts = [x]
     for w, b in zip(params.hidden_weights, params.hidden_biases):
-        z = acts[-1] @ w.T + b
+        z = acts[-1] @ w.T
+        z += b
         pre_acts.append(z)
         acts.append(elu_array(z))
-    f_pos = acts[-1] @ params.w_pos.T + params.b_pos
-    f_neg = acts[-1] @ params.w_neg.T + params.b_neg
-    return pre_acts, acts, f_pos, f_neg
+    weights, biases = params.head_block()
+    f = acts[-1] @ weights.T
+    f += biases
+    return pre_acts, acts, f
 
 
 def per_sample_losses(terms: np.ndarray) -> np.ndarray:
@@ -192,28 +219,30 @@ def _batch_gradients(params: ModelParams, x: np.ndarray, y: np.ndarray, out=None
 
     Each gradient is written into its array of ``out``, views of one flat
     buffer as _views lays them out; with ``out=None`` a new buffer is made.
-    Both heads go through ELU and its derivative as one (N, 2L) block.  The
-    head products stay two: numpy sends an (N, H) @ (H, 1) product to BLAS
-    gemv, so a stacked product is not bit-equal to them for L = 1.
+    Both heads run as one (N, 2L) block: one minimum gives ELU and its slope,
+    and one product and one reduction write their gradients into ``out``'s
+    "heads" views.  The gradient into the last hidden layer stays one product
+    per head: a single (N, 2L) @ (2L, H) product sums in another order.
     """
     if out is None:
         out = _views(param_shapes(params.arch))
     n, labels = x.shape[0], params.arch.label_count
-    pre_acts, acts, f_pos, f_neg = _forward_batch(params, x)
-    f = np.concatenate((f_pos, f_neg), axis=1)
-    evidence = elu_array(f) + 2.0
+    pre_acts, acts, f = _forward_batch(params, x)
+    # ELU as elu_array computes it; an array of zeros is faster than 0.0 here
+    low = np.minimum(f, np.zeros(f.shape))
+    slope = np.exp(low)
+    evidence = np.maximum(f, np.expm1(low, out=low), out=low)
+    evidence += 2.0
     stack = evidence_stack(evidence[:, :labels], evidence[:, labels:], y)
     if not (np.isfinite(f).all() and np.isfinite(stack[0]).all()):
         raise NumericError("non-finite logits or evidence")
-    terms, d_alpha, d_beta = loss_and_grad(stack, y)
+    terms, d_f = loss_and_grad(stack, y)
     losses = per_sample_losses(terms)
-    slope = elu_grad_array(f)
-    d_fpos = d_alpha * slope[:, :labels] / n
-    d_fneg = d_beta * slope[:, labels:] / n
-    for head, d_f in (("pos", d_fpos), ("neg", d_fneg)):
-        np.matmul(d_f.T, acts[-1], out=out[f"w_{head}"])
-        np.add.reduce(d_f, axis=0, out=out[f"b_{head}"])
-    d_h = d_fpos @ params.w_pos + d_fneg @ params.w_neg
+    d_f *= slope
+    d_f /= n
+    np.matmul(d_f.T, acts[-1], out=out["heads"][0])
+    np.add.reduce(d_f, axis=0, out=out["heads"][1])
+    d_h = d_f[:, :labels] @ params.w_pos + d_f[:, labels:] @ params.w_neg
     for layer in range(len(params.hidden_weights) - 1, -1, -1):
         d_z = d_h * elu_grad_array(pre_acts[layer])
         np.matmul(d_z.T, acts[layer], out=out["hidden_weights"][layer])
@@ -239,8 +268,9 @@ def train(features: np.ndarray, labels: np.ndarray, arch: ArchConfig,
 
     The parameters are views of one flat buffer, the backbone's arrays before
     the heads', and each batch writes its gradients into views of a second
-    buffer made once per run.  A step scales each rate's slice of the gradient
-    in place, then subtracts it all at once: the bits of a -= rate * g per array.
+    buffer made once per run.  A step scales the gradient in place by a buffer
+    of each entry's rate, then subtracts it all at once: the bits of
+    a -= rate * g per array.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -257,9 +287,8 @@ def train(features: np.ndarray, labels: np.ndarray, arch: ArchConfig,
     params = ModelParams(arch, **_views(shapes, theta))
     grad = np.empty_like(theta)
     grads = _views(shapes, grad)
-    backbone = sum(a.size for a in initial[: 2 * len(arch.hidden)])
-    groups = ((grad[:backbone], config.learning_rate_backbone),
-              (grad[backbone:], config.learning_rate_head))
+    rates = np.full_like(theta, config.learning_rate_head)
+    rates[: sum(a.size for a in initial[: 2 * len(arch.hidden)])] = config.learning_rate_backbone
     rng = np.random.Generator(np.random.PCG64(config.seed + 1))
     n = features.shape[0]
     trace = []
@@ -277,8 +306,7 @@ def train(features: np.ndarray, labels: np.ndarray, arch: ArchConfig,
                 ) from None
             sample_losses.extend(losses.tolist())
             # rate * g, then one subtraction: the bits of a -= rate * g per array
-            for g, rate in groups:
-                np.multiply(g, rate, out=g)
+            np.multiply(grad, rates, out=grad)
             theta -= grad
         # exact sum: the epoch mean is independent of batch partitioning
         trace.append(math.fsum(sample_losses) / n)
@@ -301,11 +329,12 @@ def predict_batch(params: ModelParams, features) -> tuple[
     x = np.asarray(features, dtype=float)
     # huge but finite weights overflow here; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        _, _, f_pos, f_neg = _forward_batch(params, x)
-    finite = np.isfinite(f_pos).all(axis=1) & np.isfinite(f_neg).all(axis=1)
+        f = _forward_batch(params, x)[2]
+    finite = np.isfinite(f).all(axis=1)
     if not finite.all():
         raise NumericError(f"the logits of row {int(np.argmin(finite))} are not finite")
-    logits = Logits(f_pos=f_pos, f_neg=f_neg)
+    labels = params.arch.label_count
+    logits = Logits(f_pos=f[:, :labels], f_neg=f[:, labels:])
     ev = logits_to_evidence(logits)
     return logits, ev, evidence_to_prediction(ev)
 

@@ -166,28 +166,38 @@ def _three_row_mean_loss_grad(alpha, beta, y):
     return d_alpha, d_beta
 
 
-def _three_row_batch_gradients(params, x, y):
+def _three_row_batch_gradients(params, x, y, stacked_heads=True):
     """model._batch_gradients as it was on the three-row stack, with its own
-    forward pass and each head through its own ELU and ELU derivative."""
+    forward pass and each head through its own ELU and ELU derivative.  The
+    heads' logits, weight gradients and bias gradients each come from one
+    product or sum of both heads stacked, or with ``stacked_heads=False`` from
+    one per head."""
     n = x.shape[0]
     pre_acts = []
     acts = [x]
     for w, b in zip(params.hidden_weights, params.hidden_biases):
         pre_acts.append(acts[-1] @ w.T + b)
         acts.append(elu_array(pre_acts[-1]))
-    f_pos = acts[-1] @ params.w_pos.T + params.b_pos
-    f_neg = acts[-1] @ params.w_neg.T + params.b_neg
+    if stacked_heads:
+        w = np.concatenate((params.w_pos, params.w_neg))
+        f = acts[-1] @ w.T + np.concatenate((params.b_pos, params.b_neg))
+        f_pos, f_neg = np.split(f, 2, axis=1)
+    else:
+        f_pos = acts[-1] @ params.w_pos.T + params.b_pos
+        f_neg = acts[-1] @ params.w_neg.T + params.b_neg
     alpha, beta = elu_array(f_pos) + 2.0, elu_array(f_neg) + 2.0
     losses = _three_row_loss_terms(alpha, beta, y).mean(axis=1)
     d_alpha, d_beta = _three_row_mean_loss_grad(alpha, beta, y)
     d_fpos = d_alpha * elu_grad_array(f_pos) / n
     d_fneg = d_beta * elu_grad_array(f_neg) / n
-    grads = {
-        "w_pos": d_fpos.T @ acts[-1],
-        "b_pos": d_fpos.sum(axis=0),
-        "w_neg": d_fneg.T @ acts[-1],
-        "b_neg": d_fneg.sum(axis=0),
-    }
+    if stacked_heads:
+        d_f = np.concatenate((d_fpos, d_fneg), axis=1)
+        w_pos, w_neg = np.split(d_f.T @ acts[-1], 2)
+        b_pos, b_neg = np.split(d_f.sum(axis=0), 2)
+    else:
+        w_pos, w_neg = d_fpos.T @ acts[-1], d_fneg.T @ acts[-1]
+        b_pos, b_neg = d_fpos.sum(axis=0), d_fneg.sum(axis=0)
+    grads = {"w_pos": w_pos, "b_pos": b_pos, "w_neg": w_neg, "b_neg": b_neg}
     d_h = d_fpos @ params.w_pos + d_fneg @ params.w_neg
     grads_hw = []
     grads_hb = []
@@ -235,7 +245,9 @@ class TestTwoRowStackMatchesThreeRow:
         alpha, beta, y = case
         stack = evidence_stack(alpha, beta, y)
         assert stack.shape == (2, *alpha.shape)
-        terms, d_alpha, d_beta = loss_and_grad(stack, y)
+        terms, d = loss_and_grad(stack, y)
+        assert d.shape == (alpha.shape[0], 2 * alpha.shape[1])
+        d_alpha, d_beta = np.split(d, 2, axis=1)
         assert np.array_equal(terms, _three_row_loss_terms(alpha, beta, y))
         want_alpha, want_beta = _three_row_mean_loss_grad(alpha, beta, y)
         assert np.array_equal(d_alpha, want_alpha)
@@ -262,14 +274,19 @@ class TestTwoRowStackMatchesThreeRow:
 
 def _assert_matches_reference(params, x, y):
     losses, grads = _batch_gradients(params, x, y)
-    want_losses, want = _three_row_batch_gradients(params, x, y)
-    assert np.array_equal(losses, want_losses)
     shapes = param_shapes(params.arch)
-    got, expected = _arrays(shapes, grads), _arrays(shapes, want)
-    # one gradient array per parameter array, layer by layer
-    assert len(got) == len(expected) == len(_arrays(shapes, vars(params)))
-    for g, e in zip(got, expected):
-        assert np.array_equal(g, e)
+    got = _arrays(shapes, grads)
+    # for L = 1 numpy sends each head's products to BLAS gemv and sums each
+    # head's (N, 1) bias gradient pairwise, so one per head rounds otherwise;
+    # from L = 2 on the stacked and per-head forms are bit-equal
+    for stacked_heads in (True, False) if params.arch.label_count > 1 else (True,):
+        want_losses, want = _three_row_batch_gradients(params, x, y, stacked_heads)
+        assert np.array_equal(losses, want_losses)
+        expected = _arrays(shapes, want)
+        # one gradient array per parameter array, layer by layer
+        assert len(got) == len(expected) == len(_arrays(shapes, vars(params)))
+        for g, e in zip(got, expected):
+            assert np.array_equal(g, e)
 
 
 @pytest.mark.parametrize("rows, features, hidden, labels", [

@@ -379,6 +379,27 @@ class TestTieOrder:
         assert average_precision(np.array([0.5, 0.5]), np.array([1, 0])) == 1.0
         assert average_precision(np.array([0.5, 0.5]), np.array([0, 1])) == 0.5
 
+    @given(column=st.integers(1, 300).flatmap(lambda n: st.tuples(
+        st.one_of(
+            # tie-free: 0.0 and -0.0 count as one value, so at most one of them
+            st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n, unique=True),
+            st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, float("nan")]),
+                     min_size=n, max_size=n),
+        ),
+        st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        st.integers(0, n - 1),
+    )))
+    @settings(max_examples=300, deadline=None)
+    def test_average_precision_equals_stable_sort_form(self, column):
+        values, hits, positive = column
+        scores, labels = np.array(values), np.array(hits)
+        labels[positive] = 1
+        order = np.argsort(-scores, kind="stable")
+        ranked = labels[order]
+        ranks = np.arange(1, ranked.size + 1)[ranked == 1]
+        want = float(np.mean(np.cumsum(ranked)[ranked == 1] / ranks))
+        assert average_precision(scores, labels) == want
+
     def test_average_precision_equals_stable_ranking(self):
         rng = np.random.default_rng(11)
         scores = rng.choice([0.25, 0.5, 0.75], size=300)

@@ -424,6 +424,66 @@ class TestFlatBuffer:
         assert shipped.loss_trace == looped.loss_trace
 
 
+class TestHeadBlock:
+    """Both heads as one (2L, H) weight and one (2L,) bias view of the flat buffers."""
+
+    @pytest.mark.parametrize("hidden", [(), (4,), (5, 3)])
+    def test_head_views_alias_the_head_arrays(self, hidden):
+        arch = ArchConfig(input_dim=3, hidden=hidden, label_count=2)
+        shapes, width = param_shapes(arch), (3, *hidden)[-1]
+        flat = np.arange(float(_flatten(init_params(arch, 0)).size))
+        views = _views(shapes, flat)
+        weights, biases = views["heads"]
+        assert weights.shape == (4, width) and biases.shape == (4,)
+        # the buffer ends on w_pos, w_neg, b_pos, b_neg
+        heads = [views[key] for key in ("w_pos", "w_neg", "b_pos", "b_neg")]
+        tail = np.concatenate([a.ravel() for a in heads])
+        assert np.array_equal(flat[flat.size - tail.size :], tail)
+        parts = (weights[:2], weights[2:], biases[:2], biases[2:])
+        for view, part in zip(heads, parts):
+            assert np.shares_memory(view, part) and np.array_equal(view, part)
+        weights += 1000.0
+        biases -= 1000.0
+        for view, part in zip(heads, parts):
+            assert np.array_equal(view, part)
+        params = ModelParams(arch, **views)
+        assert all(a is b for a, b in zip(params.head_block(), views["heads"]))
+
+    def test_head_block_of_separate_arrays_is_a_stacked_copy(self):
+        params = init_params(ARCH, 3)
+        weights, biases = params.head_block()
+        assert np.array_equal(weights, np.vstack((params.w_pos, params.w_neg)))
+        assert np.array_equal(biases, np.concatenate((params.b_pos, params.b_neg)))
+        assert not np.shares_memory(weights, params.w_pos)
+
+    @pytest.mark.parametrize("dims", TestFlatBuffer.SHAPES, ids=["default", "wide", "one_label_one_row"])
+    def test_rate_vector_bit_equal_to_two_slice_update(self, dims):
+        features, hidden, labels, rows, batch_size = dims
+        spec = default_spec(features, labels, {"train": rows, "val": 80, "test": 80})
+        data = generate_ind(spec)["train"]
+        arch = ArchConfig(features, (hidden,), labels)
+        cfg = TrainConfig(learning_rate_backbone=0.3, learning_rate_head=7.0, epochs=2,
+                          batch_size=batch_size)
+        # train's step before the rate vector: each rate scales its slice
+        shapes = param_shapes(arch)
+        theta = _flatten(init_params(arch, cfg.seed))
+        params = ModelParams(arch, **_views(shapes, theta))
+        grad = np.empty_like(theta)
+        grads = _views(shapes, grad)
+        backbone = hidden * (features + 1)
+        rng = np.random.Generator(np.random.PCG64(cfg.seed + 1))
+        for _ in range(cfg.epochs):
+            order = rng.permutation(rows)
+            for start in range(0, rows, batch_size):
+                idx = order[start : start + batch_size]
+                _batch_gradients(params, data.X[idx], data.Y[idx].astype(float), out=grads)
+                for g, rate in ((grad[:backbone], cfg.learning_rate_backbone),
+                                (grad[backbone:], cfg.learning_rate_head)):
+                    np.multiply(g, rate, out=g)
+                theta -= grad
+        assert _flatten(train(data.X, data.Y, arch, cfg).params).tobytes() == theta.tobytes()
+
+
 class TestPredictBatch:
     def test_empty_input(self):
         params = init_params(ARCH, 0)
