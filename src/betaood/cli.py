@@ -21,6 +21,7 @@ import click
 import numpy as np
 
 from .datagen import (
+    OOD_MODES,
     Dataset,
     OodSpec,
     default_spec,
@@ -170,6 +171,16 @@ def _split_flag(value: str | None, flag: str) -> list[str] | None:
     return None if value is None else value.split(",")
 
 
+@contextlib.contextmanager
+def _array_sizes(keys: str, source: str):
+    """Report a size that no array can hold, met while the block builds its
+    arrays, as a config error naming the size ``keys`` and their ``source``."""
+    try:
+        yield
+    except (OverflowError, ValueError, MemoryError):
+        raise ConfigError(f"arrays too large to build: lower {keys} in {source}") from None
+
+
 class _Path(click.Path):
     """A path option: a NUL byte in it is a usage error naming the option."""
 
@@ -194,34 +205,36 @@ def cmd_gen_data(config_path, out, seed, name):
     cfg = _load_config(config_path, _GEN_DEFAULTS, {"seed": seed, "name": name})
     where = "command line" if name is not None else f"config {config_path}"
     _check_name(cfg["name"], ".train.jsonl.npy", f"malformed {where}: 'name'", ConfigError)
+    source = f"config {config_path}"
+    # the specs' checks that a config can fail, each by its gen-data key
+    for key, bad, rule in (("cluster_spread", cfg["cluster_spread"] <= 0, "must be > 0"),
+                           ("ood_mode", cfg["ood_mode"] not in OOD_MODES,
+                            f"must be one of {OOD_MODES}"),
+                           ("ood_shift", cfg["ood_shift"] <= 0, "must be > 0")):
+        if bad:
+            raise ConfigError(f"malformed {source}: {key!r} {rule}, got {cfg[key]!r}")
     _check_out(out)
-    spec = default_spec(
-        feature_dim=cfg["feature_dim"],
-        label_count=cfg["label_count"],
-        samples_per_split={
-            "train": cfg["train_samples"],
-            "val": cfg["val_samples"],
-            "test": cfg["test_samples"],
-        },
-        cluster_spread=cfg["cluster_spread"],
-        mean_scale=cfg["mean_scale"],
-        seed=cfg["seed"],
-    )
-    ood_spec = OodSpec(
-        mode=cfg["ood_mode"],
-        shift_distance=cfg["ood_shift"],
-        samples=cfg["ood_samples"],
-        seed=cfg["seed"],
-    )
+    samples = {split: cfg[f"{split}_samples"] for split in ("train", "val", "test")}
+    with _array_sizes("feature_dim, label_count", source):
+        try:
+            spec = default_spec(cfg["feature_dim"], cfg["label_count"], samples,
+                                cfg["cluster_spread"], cfg["mean_scale"], cfg["seed"])
+        except ConfigError as exc:  # the cluster means coincide
+            raise ConfigError(f"malformed {source}: 'mean_scale' {cfg['mean_scale']!r} is "
+                              f"too small to tell the label clusters apart ({exc})") from None
+    ood_spec = OodSpec(cfg["ood_mode"], cfg["ood_shift"], cfg["ood_samples"], cfg["seed"])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
-        ind = generate_ind(spec)
-        ood = generate_ood(spec, ood_spec)
+        with _array_sizes("feature_dim, label_count, train_samples, val_samples, "
+                          "test_samples", source):
+            ind = generate_ind(spec)
+        with _array_sizes("feature_dim, ood_samples", source):
+            ood = generate_ood(spec, ood_spec)
     base = cfg["name"]
     unlabeled = Dataset(X=ood, Y=np.zeros((len(ood), 0), dtype=int), split="ood")
     splits = [*ind.items(), ("ood", unlabeled)]
     if bad := [split for split, ds in splits if not np.isfinite(ds.X).all()]:
         keys = "cluster_spread, mean_scale" + ", ood_shift" * (bad[0] == "ood")
-        raise NumericError(f"{bad[0]} features overflow: lower {keys} in config {config_path}")
+        raise NumericError(f"{bad[0]} features overflow: lower {keys} in {source}")
     out_dir = _write_out(out, {
         **{f"{base}.{split}.jsonl": functools.partial(write_jsonl, ds) for split, ds in splits},
         "gen_data_config.json": _config_json(cfg),
@@ -254,7 +267,8 @@ def cmd_train(config_path, data, out, seed, epochs, batch_size):
     arch = ArchConfig(input_dim=ds.X.shape[1], hidden=tuple(cfg["hidden"]),
                       label_count=ds.Y.shape[1])
     tc = TrainConfig(**{k: v for k, v in cfg.items() if k != "hidden"})
-    ckpt = train(ds.X, ds.Y, arch, tc)
+    with _array_sizes("hidden", f"config {config_path}"):
+        ckpt = train(ds.X, ds.Y, arch, tc)
     _write_out(out, {
         "checkpoint.json": lambda path: Path(path).write_text(checkpoint_to_json(ckpt) + "\n"),
         "train_config.json": _config_json(cfg),

@@ -22,6 +22,7 @@ from . import tables
 from .errors import ConfigError, DataError
 
 _SPLITS = ("train", "val", "test")
+OOD_MODES = ("shifted", "novel_cluster")
 _PRESENCE_RETRIES = 20
 
 
@@ -79,7 +80,7 @@ class OodSpec:
     seed: int
 
     def __post_init__(self):
-        if self.mode not in ("shifted", "novel_cluster"):
+        if self.mode not in OOD_MODES:
             raise ConfigError(f"unknown OOD mode {self.mode!r}")
         if self.shift_distance <= 0:
             raise ConfigError("shift_distance must be > 0")
@@ -226,7 +227,8 @@ def generate_ood(ind_spec: SyntheticSpec, ood_spec: OodSpec) -> np.ndarray:
 
     n_clusters = max(2, ind_spec.label_count)
     norms = _row_norms(means_ind)
-    radius = float(np.mean(norms))
+    # means below about 1e-162 have norm 0, and a zero radius never grows
+    radius = max(float(np.mean(norms)), np.finfo(float).tiny)
     min_gap = ood_spec.shift_distance * sigma
     # no candidate passes while radius + min(norms) < min_gap; 1e-6 covers rounding
     while (radius + float(norms.min())) * (1.0 + 1e-6) < min_gap:

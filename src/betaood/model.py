@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import InitVar, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -108,35 +108,6 @@ _CHECKPOINT_FIELDS = {"format_version": CHECKPOINT_FORMAT_VERSION, "arch": {},
 _ARCH_FIELDS = {"input_dim": 1, "hidden": [1], "label_count": 1}
 
 
-@dataclass
-class ModelParams:
-    """Hidden-layer weights/biases plus the two head layers.
-
-    ``heads``, when given, is the pair of arrays that head_block returns; it
-    must alias w_pos, w_neg, b_pos and b_neg, as _views' "heads" entry does.
-    """
-
-    arch: ArchConfig
-    hidden_weights: list[np.ndarray]
-    hidden_biases: list[np.ndarray]
-    w_pos: np.ndarray
-    b_pos: np.ndarray
-    w_neg: np.ndarray
-    b_neg: np.ndarray
-    heads: InitVar[tuple | None] = None
-
-    def __post_init__(self, heads):
-        self._heads = heads
-
-    def head_block(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both heads as one (2L, H) weight and one (2L,) bias array, the positive
-        head's rows first: the views given as ``heads``, else new arrays."""
-        if self._heads is not None:
-            return self._heads
-        return (np.concatenate((self.w_pos, self.w_neg)),
-                np.concatenate((self.b_pos, self.b_neg)))
-
-
 def param_shapes(arch: ArchConfig) -> dict:
     """Each checkpoint ``params`` key and its shape, in the order init_params draws
     and train lays them out: a hidden (backbone) key holds one shape per layer.
@@ -155,26 +126,39 @@ def _per_layer(fn, value, shape):
 
 
 def _arrays(shapes: dict, values: dict) -> list:
-    """Each array of ``values``, which holds the keys of ``shapes`` as ModelParams
-    and gradients do, in the table's order; a hidden key's layer by layer."""
+    """Each array of ``values``, which holds the keys of ``shapes`` as the vars of
+    a ModelParams do, in the table's order; a hidden key's layer by layer."""
     return [v for key, shape in shapes.items()
             for v in (values[key] if isinstance(shape, list) else [values[key]])]
 
 
-def _views(shapes: dict, flat: np.ndarray | None = None) -> dict:
-    """Views of the 1-D ``flat`` (new if None) with the keys and shapes of
-    param_shapes' ``shapes``, laid out in _arrays order; ``flat`` holds exactly
-    their entries.  A "heads" entry adds the (2L, H) and (2L,) views of its tail
-    that hold both heads' weights and biases."""
-    ends = np.cumsum([math.prod(s) for s in _arrays(shapes, shapes)])
-    flat = np.empty(ends[-1]) if flat is None else flat
-    parts = iter(np.split(flat, ends))
-    views = {key: _per_layer(lambda s: next(parts).reshape(s), shape, shape)
-             for key, shape in shapes.items()}
-    rows, width = 2 * shapes["w_pos"][0], shapes["w_pos"][1]
-    biases = flat.size - rows
-    views["heads"] = (flat[biases - rows * width : biases].reshape(rows, width), flat[biases:])
-    return views
+class ModelParams:
+    """Every parameter array of ``arch`` as a view of ``flat``, one C-contiguous
+    1-D float64 buffer that holds exactly their entries in _arrays order: the
+    backbone's, then the heads'.  ``heads`` is the (2L, H) weight and the (2L,)
+    bias view of its tail, both heads' rows, the positive head's first.
+    Gradients are ModelParams too."""
+
+    def __init__(self, arch: ArchConfig, flat: np.ndarray):
+        shapes = param_shapes(arch)
+        ends = np.cumsum([math.prod(s) for s in _arrays(shapes, shapes)])
+        if not (isinstance(flat, np.ndarray) and flat.dtype == np.float64 and flat.ndim == 1
+                and flat.flags.c_contiguous and flat.size == ends[-1]):
+            raise ConfigError(f"parameters must be one C-contiguous 1-D float64 buffer "
+                              f"of {ends[-1]} entries")
+        self.arch, self.flat = arch, flat
+        parts = iter(np.split(flat, ends))
+        for key, shape in shapes.items():
+            setattr(self, key, _per_layer(lambda s: next(parts).reshape(s), shape, shape))
+        rows, width = 2 * arch.label_count, shapes["w_pos"][1]
+        biases = flat.size - rows
+        self.heads = (flat[biases - rows * width : biases].reshape(rows, width), flat[biases:])
+
+
+def _packed(arch: ArchConfig, values: dict) -> ModelParams:
+    """ModelParams holding a copy of ``values``' arrays, keyed as param_shapes."""
+    arrays = _arrays(param_shapes(arch), values)
+    return ModelParams(arch, np.concatenate([a.ravel() for a in arrays]))
 
 
 def init_params(arch: ArchConfig, seed: int) -> ModelParams:
@@ -185,7 +169,7 @@ def init_params(arch: ArchConfig, seed: int) -> ModelParams:
         s = np.sqrt(1.0 / shape[-1])
         return rng.uniform(-s, s, size=shape) if len(shape) == 2 else np.zeros(shape)
 
-    return ModelParams(arch, **{k: _per_layer(draw, s, s) for k, s in param_shapes(arch).items()})
+    return _packed(arch, {k: _per_layer(draw, s, s) for k, s in param_shapes(arch).items()})
 
 
 def _forward_batch(params: ModelParams, x: np.ndarray):
@@ -203,7 +187,7 @@ def _forward_batch(params: ModelParams, x: np.ndarray):
         z += b
         pre_acts.append(z)
         acts.append(elu_array(z))
-    weights, biases = params.head_block()
+    weights, biases = params.heads
     f = acts[-1] @ weights.T
     f += biases
     return pre_acts, acts, f
@@ -217,15 +201,15 @@ def per_sample_losses(terms: np.ndarray) -> np.ndarray:
 def _batch_gradients(params: ModelParams, x: np.ndarray, y: np.ndarray, out=None):
     """Per-sample losses and the gradients of their mean, from one forward pass.
 
-    Each gradient is written into its array of ``out``, views of one flat
-    buffer as _views lays them out; with ``out=None`` a new buffer is made.
-    Both heads run as one (N, 2L) block: one minimum gives ELU and its slope,
-    and one product and one reduction write their gradients into ``out``'s
-    "heads" views.  The gradient into the last hidden layer stays one product
-    per head: a single (N, 2L) @ (2L, H) product sums in another order.
+    Each gradient is written into its view of ``out``, a ModelParams of the
+    same arch; with ``out=None`` a new one is made.  Both heads run as one
+    (N, 2L) block: one minimum gives ELU and its slope, and one product and
+    one reduction write their gradients into ``out.heads``.  The gradient
+    into the last hidden layer stays one product per head: a single
+    (N, 2L) @ (2L, H) product sums in another order.
     """
     if out is None:
-        out = _views(param_shapes(params.arch))
+        out = ModelParams(params.arch, np.empty_like(params.flat))
     n, labels = x.shape[0], params.arch.label_count
     pre_acts, acts, f = _forward_batch(params, x)
     # ELU as elu_array computes it; an array of zeros is faster than 0.0 here
@@ -240,13 +224,13 @@ def _batch_gradients(params: ModelParams, x: np.ndarray, y: np.ndarray, out=None
     losses = per_sample_losses(terms)
     d_f *= slope
     d_f /= n
-    np.matmul(d_f.T, acts[-1], out=out["heads"][0])
-    np.add.reduce(d_f, axis=0, out=out["heads"][1])
+    np.matmul(d_f.T, acts[-1], out=out.heads[0])
+    np.add.reduce(d_f, axis=0, out=out.heads[1])
     d_h = d_f[:, :labels] @ params.w_pos + d_f[:, labels:] @ params.w_neg
     for layer in range(len(params.hidden_weights) - 1, -1, -1):
         d_z = d_h * elu_grad_array(pre_acts[layer])
-        np.matmul(d_z.T, acts[layer], out=out["hidden_weights"][layer])
-        np.add.reduce(d_z, axis=0, out=out["hidden_biases"][layer])
+        np.matmul(d_z.T, acts[layer], out=out.hidden_weights[layer])
+        np.add.reduce(d_z, axis=0, out=out.hidden_biases[layer])
         if layer:  # no gradient w.r.t. the input features
             d_h = d_z @ params.hidden_weights[layer]
     return losses, out
@@ -281,14 +265,11 @@ def train(features: np.ndarray, labels: np.ndarray, arch: ArchConfig,
             f"labels must have shape ({features.shape[0]}, {arch.label_count}), "
             f"got {labels.shape}"
         )
-    shapes = param_shapes(arch)
-    initial = _arrays(shapes, vars(init_params(arch, config.seed)))
-    theta = np.concatenate([a.ravel() for a in initial])
-    params = ModelParams(arch, **_views(shapes, theta))
-    grad = np.empty_like(theta)
-    grads = _views(shapes, grad)
+    params = init_params(arch, config.seed)
+    grads = ModelParams(arch, np.empty_like(params.flat))
+    theta, grad = params.flat, grads.flat
     rates = np.full_like(theta, config.learning_rate_head)
-    rates[: sum(a.size for a in initial[: 2 * len(arch.hidden)])] = config.learning_rate_backbone
+    rates[: theta.size - sum(a.size for a in params.heads)] = config.learning_rate_backbone
     rng = np.random.Generator(np.random.PCG64(config.seed + 1))
     n = features.shape[0]
     trace = []
@@ -365,9 +346,10 @@ def _param_arrays(value, key: str, shape):
         raise DataError(f"parameter {key!r} is not an array of numbers: {exc}") from None
 
 
-def _check_params(params: ModelParams) -> None:
-    """Every parameter array has the shape its arch gives and finite entries."""
-    shapes, values = param_shapes(params.arch), vars(params)
+def _check_params(arch: ArchConfig, values: dict) -> None:
+    """Every parameter array of ``values``, keyed as param_shapes, has the shape
+    ``arch`` gives and finite entries."""
+    shapes = param_shapes(arch)
     for key, shape in shapes.items():  # else the zip below pairs arrays with wrong shapes
         if isinstance(shape, list) and len(values[key]) != len(shape):
             raise DataError(f"arch has {len(shape)} hidden layers, but params hold "
@@ -408,13 +390,12 @@ def checkpoint_from_json(text: str) -> Checkpoint:
         tc = TrainConfig(**doc["train_config"])
         shapes = param_shapes(arch)
         _check_keys(doc["params"], shapes, "params")
-        params = ModelParams(arch, **{
-            key: _param_arrays(doc["params"][key], key, shape) for key, shape in shapes.items()
-        })
+        values = {key: _param_arrays(doc["params"][key], key, shape)
+                  for key, shape in shapes.items()}
         loss_trace = doc["loss_trace"]
     except KeyError as exc:
         raise DataError(f"checkpoint is missing key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint field: {exc}") from exc
-    _check_params(params)
-    return Checkpoint(params, tc, loss_trace, version)
+    _check_params(arch, values)
+    return Checkpoint(_packed(arch, values), tc, loss_trace, version)

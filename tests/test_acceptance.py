@@ -71,7 +71,7 @@ def test_network_gradients_match_finite_differences():
         xb, yb = x[None, :], np.array([y], dtype=float)
         grads = _batch_gradients(params, xb, yb)[1]
         shapes = param_shapes(arch)
-        flat_grads = np.concatenate([g.ravel() for g in _arrays(shapes, grads)])
+        flat_grads = np.concatenate([g.ravel() for g in _arrays(shapes, vars(grads))])
         tensors = _arrays(shapes, vars(params))
         fd = []
         for t in tensors:

@@ -15,7 +15,7 @@ import betaood.datagen as datagen_mod
 import betaood.metrics as metrics_mod
 import betaood.tables as tables_mod
 from betaood.cli import main
-from betaood.datagen import Dataset, read_jsonl, write_jsonl
+from betaood.datagen import Dataset, default_spec, read_jsonl, write_jsonl
 from betaood.errors import DataError, NumericError
 from betaood.evidence import Logits, evidence_to_prediction, logits_to_evidence
 from betaood.metrics import ScoredDataset, roc_curve
@@ -39,6 +39,16 @@ def _write_config(tmp_dir: Path, name: str, doc: dict) -> str:
     path = tmp_dir / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def _run_betaood(args, cwd) -> subprocess.CompletedProcess:
+    """``python -W error -m betaood *args`` in a new process, stopped after 60 s."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    )}
+    return subprocess.run([sys.executable, "-W", "error", "-m", "betaood", *args],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
 
 
 def _read_csv(path) -> list[list[str]]:
@@ -108,6 +118,66 @@ class TestGenData:
         assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 3
         assert capsys.readouterr().err == (
             f"numeric error: {split} features overflow: lower {keys} in config {cfg}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"mean_scale": 1e-200},
+        {"mean_scale": 5e-324},
+        {"label_count": 1, "mean_scale": 0},
+    ], ids=["1e-200", "5e-324", "zero_one_label"])
+    def test_tiny_means_end(self, tmp_path, monkeypatch, doc):
+        # means whose squares underflow have norm 0, and the novel-cluster
+        # search never grew a radius of 0: these configs ran forever
+        cfg = _write_config(tmp_path, "gen.json", doc)
+        done = _run_betaood(["gen-data", "--config", cfg, "--out", "d"], tmp_path)
+        assert (done.returncode, done.stderr) == (0, "")
+        # the same run in-process, keeping the means _noisy draws each split around
+        centres = []
+
+        def noisy(rng, means, sigma, original=datagen_mod._noisy):
+            centres.append(means.copy())
+            return original(rng, means, sigma)
+
+        monkeypatch.setattr(datagen_mod, "_noisy", noisy)
+        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "again")]) == 0
+        ood = read_jsonl(tmp_path / "d" / "synth.ood.jsonl").X
+        assert np.array_equal(read_jsonl(tmp_path / "again" / "synth.ood.jsonl").X, ood)
+        defaults = cli_mod._GEN_DEFAULTS
+        ind_means = default_spec(defaults["feature_dim"], doc.get("label_count", 5),
+                                 mean_scale=doc["mean_scale"]).label_cluster_means
+        # every OOD row is drawn around a novel mean at least the gap from every IND mean
+        gap = defaults["ood_shift"] * defaults["cluster_spread"]
+        assert centres[-1].shape == ood.shape
+        assert np.linalg.norm(centres[-1][:, None, :] - ind_means, axis=2).min() >= gap
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"ood_shift": -1}, "'ood_shift' must be > 0, got -1"),
+        ({"cluster_spread": 0}, "'cluster_spread' must be > 0, got 0"),
+        ({"ood_mode": "x"}, "'ood_mode' must be one of ('shifted', 'novel_cluster'), got 'x'"),
+        ({"mean_scale": 0}, "'mean_scale' 0 is too small to tell the label clusters apart "
+                            "(cluster means 0 and 1 coincide)"),
+    ], ids=["ood_shift", "cluster_spread", "ood_mode", "mean_scale"])
+    def test_spec_errors_name_the_key_and_config(self, tmp_path, capsys, doc, message):
+        cfg = _write_config(tmp_path, "gen.json", doc)
+        out = tmp_path / "d"
+        assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: malformed config {cfg}: {message}\n"
+        assert not out.exists()
+
+    # sizes above int64, or whose product passes intp: they fail before any allocation
+    @pytest.mark.parametrize("doc, keys", [
+        ({"train_samples": 10**20}, "feature_dim, label_count, train_samples, val_samples, "
+                                    "test_samples"),
+        ({"ood_samples": 10**20}, "feature_dim, ood_samples"),
+        ({"feature_dim": 10**20}, "feature_dim, label_count"),
+        ({"feature_dim": 2**40, "label_count": 2**40}, "feature_dim, label_count"),
+    ], ids=["train_samples", "ood_samples", "feature_dim", "product"])
+    def test_sizes_no_array_holds_are_config_errors(self, tmp_path, capsys, doc, keys):
+        cfg = _write_config(tmp_path, "gen.json", doc)
+        out = tmp_path / "d"
+        assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: arrays too large to build: lower {keys} in config {cfg}\n")
         assert not out.exists()
 
     def test_huge_means_write_exponent_form_features(self, tmp_path):
@@ -216,6 +286,18 @@ def _copy_rows(src: Path, dst: Path, edit, linenos) -> None:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("hidden", [[10**20], [8, 10**20]], ids=["first", "second"])
+    def test_width_no_array_holds_is_config_error(self, pipeline, tmp_path, capsys, hidden):
+        # above int64: the draw fails before any allocation
+        cfg = _write_config(tmp_path, "train.json", {"hidden": hidden})
+        out = tmp_path / "o"
+        code = main(["train", "--config", cfg, "--data", str(pipeline / "synth"),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"config error: arrays too large to build: lower hidden in config {cfg}\n")
+        assert not out.exists()
+
     def test_missing_training_file_is_data_error(self, tmp_path):
         code = main([
             "train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o"),
@@ -1340,14 +1422,7 @@ class TestExitCodes:
           "--scores", "u_s_q"], 1),
     ], ids=["help", "unknown_score"])
     def test_python_dash_m_exits_with_main_code(self, tmp_path, args, code):
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (str(src), os.environ.get("PYTHONPATH")) if p
-        )}
-        done = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "betaood", *args],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
-        )
+        done = _run_betaood(args, tmp_path)
         assert done.returncode == code
         assert "Traceback" not in done.stderr
         if code == 0:

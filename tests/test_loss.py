@@ -275,7 +275,7 @@ class TestTwoRowStackMatchesThreeRow:
 def _assert_matches_reference(params, x, y):
     losses, grads = _batch_gradients(params, x, y)
     shapes = param_shapes(params.arch)
-    got = _arrays(shapes, grads)
+    got = _arrays(shapes, vars(grads))
     # for L = 1 numpy sends each head's products to BLAS gemv and sums each
     # head's (N, 1) bias gradient pairwise, so one per head rounds otherwise;
     # from L = 2 on the stacked and per-head forms are bit-equal

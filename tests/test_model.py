@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from betaood.model import (
     TrainConfig,
     _arrays,
     _batch_gradients,
-    _views,
     checkpoint_from_json,
     checkpoint_to_json,
     init_params,
@@ -30,11 +28,6 @@ from betaood.model import (
 )
 
 ARCH = ArchConfig(input_dim=2, hidden=(4,), label_count=2)
-
-
-def _flatten(params):
-    arrays = _arrays(param_shapes(params.arch), vars(params))
-    return np.concatenate([a.ravel() for a in arrays])
 
 
 def _grads(params, x, y):
@@ -58,18 +51,18 @@ def _tiny_dataset(rng, n=60, d=2, labels=2):
 
 class TestInitParams:
     def test_same_seed_bit_identical(self):
-        p1 = _flatten(init_params(ARCH, 42))
-        p2 = _flatten(init_params(ARCH, 42))
+        p1 = init_params(ARCH, 42).flat
+        p2 = init_params(ARCH, 42).flat
         np.testing.assert_array_equal(p1, p2)
 
     def test_different_seeds_differ(self):
-        p1 = _flatten(init_params(ARCH, 1))
-        p2 = _flatten(init_params(ARCH, 2))
+        p1 = init_params(ARCH, 1).flat
+        p2 = init_params(ARCH, 2).flat
         assert np.any(p1 != p2)
 
     def test_parameter_count(self):
         arch = ArchConfig(input_dim=2, hidden=(8,), label_count=3)
-        assert _flatten(init_params(arch, 0)).size == 2 * 8 + 8 + 2 * (8 * 3 + 3)
+        assert init_params(arch, 0).flat.size == 2 * 8 + 8 + 2 * (8 * 3 + 3)
 
     def test_biases_zero(self):
         params = init_params(ARCH, 5)
@@ -84,7 +77,7 @@ class TestInitParams:
 
 
 def _reference_init(arch, seed):
-    """init_params' draw loop from before the layout table."""
+    """init_params' draw loop from before the layout table, each array by its key."""
     rng = np.random.Generator(np.random.PCG64(seed))
     hidden_weights = []
     hidden_biases = []
@@ -97,15 +90,14 @@ def _reference_init(arch, seed):
     s = np.sqrt(1.0 / fan_in)
     w_pos = rng.uniform(-s, s, size=(arch.label_count, fan_in))
     w_neg = rng.uniform(-s, s, size=(arch.label_count, fan_in))
-    return ModelParams(
-        arch=arch,
-        hidden_weights=hidden_weights,
-        hidden_biases=hidden_biases,
-        w_pos=w_pos,
-        b_pos=np.zeros(arch.label_count),
-        w_neg=w_neg,
-        b_neg=np.zeros(arch.label_count),
-    )
+    return {
+        "hidden_weights": hidden_weights,
+        "hidden_biases": hidden_biases,
+        "w_pos": w_pos,
+        "b_pos": np.zeros(arch.label_count),
+        "w_neg": w_neg,
+        "b_neg": np.zeros(arch.label_count),
+    }
 
 
 # the JSON of the hand-built checkpoint below, written out in full
@@ -119,6 +111,22 @@ HAND_JSON = (
 )
 
 
+def _sample(arch, rows=12):
+    rng = np.random.default_rng(rows)
+    y = rng.integers(0, 2, size=(rows, arch.label_count)).astype(float)
+    return rng.normal(size=(rows, arch.input_dim)), y
+
+
+# each way a ModelParams comes about, as a function of its arch
+PARAM_SOURCES = {
+    "init_params": lambda arch: init_params(arch, 5),
+    "checkpoint_from_json": lambda arch: checkpoint_from_json(
+        checkpoint_to_json(Checkpoint(init_params(arch, 5), TrainConfig()))).params,
+    "train": lambda arch: train(*_sample(arch), arch, TrainConfig(epochs=1, batch_size=8)).params,
+    "gradients": lambda arch: _batch_gradients(init_params(arch, 5), *_sample(arch))[1],
+}
+
+
 class TestLayout:
     """The parameter layout, pinned without the layout table."""
 
@@ -127,30 +135,66 @@ class TestLayout:
     def test_init_equals_reference_draw_loop(self, seed, hidden):
         arch = ArchConfig(input_dim=3, hidden=hidden, label_count=2)
         got, want = init_params(arch, seed), _reference_init(arch, seed)
-        for f in fields(ModelParams):
-            if f.name == "arch":
-                continue
-            a, b = getattr(got, f.name), getattr(want, f.name)
+        assert set(want) == set(param_shapes(arch))
+        for key, b in want.items():
+            a = getattr(got, key)
             if isinstance(b, list):
-                assert len(a) == len(b) == len(hidden), f.name
+                assert len(a) == len(b) == len(hidden), key
             else:
                 a, b = [a], [b]
             for x, y in zip(a, b):
-                assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+                assert x.dtype == y.dtype and np.array_equal(x, y), key
 
     def test_checkpoint_json_of_hand_built_params(self):
-        params = ModelParams(
-            arch=ArchConfig(input_dim=2, hidden=(3,), label_count=1),
-            hidden_weights=[np.array([[0.5, -1.0], [2.0, 0.25], [0.0, 1.5]])],
-            hidden_biases=[np.array([0.1, 0.0, -0.2])],
-            w_pos=np.array([[1.0, 2.0, 3.0]]),
-            b_pos=np.array([0.5]),
-            w_neg=np.array([[-1.0, 0.0, 1.0]]),
-            b_neg=np.array([-0.5]),
-        )
+        # hidden_weights, hidden_biases, w_pos, w_neg, b_pos, b_neg
+        params = ModelParams(ArchConfig(input_dim=2, hidden=(3,), label_count=1), np.array([
+            0.5, -1.0, 2.0, 0.25, 0.0, 1.5,
+            0.1, 0.0, -0.2,
+            1.0, 2.0, 3.0,
+            -1.0, 0.0, 1.0,
+            0.5,
+            -0.5,
+        ]))
         ckpt = Checkpoint(params, TrainConfig(epochs=2, seed=3), loss_trace=[0.75, 0.5])
         assert checkpoint_to_json(ckpt) == HAND_JSON
         assert checkpoint_to_json(checkpoint_from_json(HAND_JSON)) == HAND_JSON
+
+    @pytest.mark.parametrize("source", PARAM_SOURCES)
+    @pytest.mark.parametrize("hidden", [(), (4,), (5, 3)])
+    def test_every_array_is_a_view_of_the_flat_buffer(self, source, hidden):
+        arch = ArchConfig(input_dim=3, hidden=hidden, label_count=2)
+        params = PARAM_SOURCES[source](arch)
+        arrays = _arrays(param_shapes(arch), vars(params))
+        weights, biases = params.heads
+        for a in (*arrays, weights, biases):
+            assert np.shares_memory(a, params.flat)
+        # a write through each array lands in its own slice, in layout order
+        for k, a in enumerate(arrays):
+            a[...] = k
+        want = np.repeat(np.arange(len(arrays)), [a.size for a in arrays])
+        assert np.array_equal(params.flat, want)
+        weights[...] = -1.0
+        biases[...] = -2.0
+        for key, value in (("w_pos", -1.0), ("w_neg", -1.0), ("b_pos", -2.0), ("b_neg", -2.0)):
+            assert np.all(getattr(params, key) == value), key
+        tail = np.concatenate((np.full(weights.size, -1.0), np.full(biases.size, -2.0)))
+        assert np.array_equal(params.flat[-tail.size :], tail)
+        assert np.array_equal(params.flat[: -tail.size], want[: -tail.size])
+
+    @pytest.mark.parametrize("make", [
+        lambda n: np.zeros(n - 1),
+        lambda n: np.zeros(n + 1),
+        lambda n: np.zeros(n, dtype=np.float32),
+        lambda n: np.zeros(n, dtype=np.int64),
+        lambda n: np.zeros(2 * n)[::2],
+        lambda n: np.zeros((1, n)),
+        lambda n: [0.0] * n,
+    ], ids=["short", "long", "float32", "int64", "strided", "2d", "list"])
+    def test_buffer_of_another_layout_rejected(self, make):
+        arch = ArchConfig(input_dim=3, hidden=(4,), label_count=2)
+        n = init_params(arch, 0).flat.size
+        with pytest.raises(ConfigError, match=f"float64 buffer of {n} entries"):
+            ModelParams(arch, make(n))
 
 
 class TestForward:
@@ -211,7 +255,7 @@ class TestBackward:
             y = rng.integers(0, 2, arch.label_count)
             grads = _grads(params, x, y)
             shapes = param_shapes(arch)
-            flat_grads = np.concatenate([g.ravel() for g in _arrays(shapes, grads)])
+            flat_grads = np.concatenate([g.ravel() for g in _arrays(shapes, vars(grads))])
             tensors = _arrays(shapes, vars(params))
             xb = x[None, :]
             yb = np.array([y], dtype=float)
@@ -242,8 +286,8 @@ class TestBackward:
         x = rng.normal(size=2)
         g1 = _grads(params, x, np.array([1]))
         g0 = _grads(params, x, np.array([0]))
-        np.testing.assert_array_equal(g1["w_pos"], g0["w_neg"])
-        np.testing.assert_array_equal(g1["w_neg"], g0["w_pos"])
+        np.testing.assert_array_equal(g1.w_pos, g0.w_neg)
+        np.testing.assert_array_equal(g1.w_neg, g0.w_pos)
 
     def test_stationary_point_on_slice(self):
         # shared backbone weight with opposing head pulls: raising the hidden
@@ -260,7 +304,7 @@ class TestBackward:
 
         def grad_at(v):
             params.hidden_weights[0][0, 0] = v
-            return _grads(params, x, y)["hidden_weights"][0][0, 0]
+            return _grads(params, x, y).hidden_weights[0][0, 0]
 
         lo, hi = -5.0, 5.0
         assert grad_at(lo) < 0 < grad_at(hi) or grad_at(lo) > 0 > grad_at(hi)
@@ -300,9 +344,7 @@ class TestTrain:
             batch_size=16, seed=4,
         )
         ckpt = train(x, y, ARCH, cfg)
-        np.testing.assert_array_equal(
-            _flatten(ckpt.params), _flatten(init_params(ARCH, 4))
-        )
+        np.testing.assert_array_equal(ckpt.params.flat, init_params(ARCH, 4).flat)
         assert len(set(ckpt.loss_trace)) == 1
 
     def test_empty_dataset_rejected(self):
@@ -387,7 +429,7 @@ def _reference_train(features, labels, arch, config):
             idx = order[start : start + config.batch_size]
             losses, grads = _batch_gradients(params, features[idx], labels[idx])
             sample_losses.extend(losses.tolist())
-            for (a, rate), g in zip(steps, _arrays(shapes, grads)):
+            for (a, rate), g in zip(steps, _arrays(shapes, vars(grads))):
                 a -= rate * g
         trace.append(math.fsum(sample_losses) / n)
     return Checkpoint(params=params, train_config=config, loss_trace=trace)
@@ -409,13 +451,13 @@ class TestFlatBuffer:
         params, shapes = init_params(arch, 0), param_shapes(arch)
         for batch in (slice(0, batch_size), slice(rows - 1, rows)):
             x, y = data.X[batch], data.Y[batch].astype(float)
-            buffer = np.full(_flatten(params).size, np.nan)
-            views = _views(shapes, buffer)
+            buffer = np.full(params.flat.size, np.nan)
+            views = ModelParams(arch, buffer)
             losses, grads = _batch_gradients(params, x, y, out=views)
             want_losses, want = _batch_gradients(params, x, y)
             assert grads is views and not np.isnan(buffer).any()
             assert losses.tobytes() == want_losses.tobytes()
-            for g, w in zip(_arrays(shapes, grads), _arrays(shapes, want)):
+            for g, w in zip(_arrays(shapes, vars(grads)), _arrays(shapes, vars(want))):
                 assert g.shape == w.shape and g.tobytes() == w.tobytes()
         cfg = TrainConfig(epochs=2, batch_size=batch_size)
         shipped = train(data.X, data.Y, arch, cfg)
@@ -431,8 +473,8 @@ class TestHeadBlock:
     def test_head_views_alias_the_head_arrays(self, hidden):
         arch = ArchConfig(input_dim=3, hidden=hidden, label_count=2)
         shapes, width = param_shapes(arch), (3, *hidden)[-1]
-        flat = np.arange(float(_flatten(init_params(arch, 0)).size))
-        views = _views(shapes, flat)
+        flat = np.arange(float(init_params(arch, 0).flat.size))
+        views = vars(ModelParams(arch, flat))
         weights, biases = views["heads"]
         assert weights.shape == (4, width) and biases.shape == (4,)
         # the buffer ends on w_pos, w_neg, b_pos, b_neg
@@ -446,15 +488,6 @@ class TestHeadBlock:
         biases -= 1000.0
         for view, part in zip(heads, parts):
             assert np.array_equal(view, part)
-        params = ModelParams(arch, **views)
-        assert all(a is b for a, b in zip(params.head_block(), views["heads"]))
-
-    def test_head_block_of_separate_arrays_is_a_stacked_copy(self):
-        params = init_params(ARCH, 3)
-        weights, biases = params.head_block()
-        assert np.array_equal(weights, np.vstack((params.w_pos, params.w_neg)))
-        assert np.array_equal(biases, np.concatenate((params.b_pos, params.b_neg)))
-        assert not np.shares_memory(weights, params.w_pos)
 
     @pytest.mark.parametrize("dims", TestFlatBuffer.SHAPES, ids=["default", "wide", "one_label_one_row"])
     def test_rate_vector_bit_equal_to_two_slice_update(self, dims):
@@ -465,11 +498,9 @@ class TestHeadBlock:
         cfg = TrainConfig(learning_rate_backbone=0.3, learning_rate_head=7.0, epochs=2,
                           batch_size=batch_size)
         # train's step before the rate vector: each rate scales its slice
-        shapes = param_shapes(arch)
-        theta = _flatten(init_params(arch, cfg.seed))
-        params = ModelParams(arch, **_views(shapes, theta))
-        grad = np.empty_like(theta)
-        grads = _views(shapes, grad)
+        params = init_params(arch, cfg.seed)
+        grads = ModelParams(arch, np.empty_like(params.flat))
+        theta, grad = params.flat, grads.flat
         backbone = hidden * (features + 1)
         rng = np.random.Generator(np.random.PCG64(cfg.seed + 1))
         for _ in range(cfg.epochs):
@@ -481,7 +512,7 @@ class TestHeadBlock:
                                 (grad[backbone:], cfg.learning_rate_head)):
                     np.multiply(g, rate, out=g)
                 theta -= grad
-        assert _flatten(train(data.X, data.Y, arch, cfg).params).tobytes() == theta.tobytes()
+        assert train(data.X, data.Y, arch, cfg).params.flat.tobytes() == theta.tobytes()
 
 
 class TestPredictBatch:
