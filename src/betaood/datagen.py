@@ -26,6 +26,22 @@ OOD_MODES = ("shifted", "novel_cluster")
 _PRESENCE_RETRIES = 20
 
 
+def _coinciding_rows(rows: np.ndarray) -> tuple[int, int] | None:
+    """The first (i, j), i < j, in row-major pair order with rows i and j equal
+    under np.array_equal (-0.0 equals +0.0; a row holding NaN equals none), or None.
+
+    One stable sort, which holds -0.0 and +0.0 equal and puts NaN last, brings
+    equal rows together in index order; the least index followed by an equal
+    row then starts the pair.
+    """
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    followed = np.flatnonzero((rows[order[1:]] == rows[order[:-1]]).all(axis=1))
+    if not followed.size:
+        return None
+    k = followed[np.argmin(order[followed])]
+    return int(order[k]), int(order[k + 1])
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Cluster layout and sampling plan for the IND data."""
@@ -46,10 +62,9 @@ class SyntheticSpec:
                 f"cluster means must have shape ({self.label_count}, "
                 f"{self.feature_dim}), got {means.shape}"
             )
-        for i in range(self.label_count):
-            for j in range(i + 1, self.label_count):
-                if np.array_equal(means[i], means[j]):
-                    raise ConfigError(f"cluster means {i} and {j} coincide")
+        pair = _coinciding_rows(means)
+        if pair is not None:
+            raise ConfigError(f"cluster means {pair[0]} and {pair[1]} coincide")
         if self.cluster_spread <= 0:
             raise ConfigError("cluster_spread must be > 0")
         if set(self.samples_per_split) != set(_SPLITS):

@@ -8,6 +8,7 @@ a=0.5 make belief + disbelief + uncertainty sum to exactly 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,14 +80,38 @@ class Prediction:
     p: np.ndarray
 
 
+# Entries up to which np.minimum's zero operand is a full array.  The zeros
+# timed cheaper than the scalar's loop up to 32768 entries and far dearer at
+# 65536 (150 against 27 us at (512, 128)); this bound keeps clear of the turn.
+_FULL_ZEROS_MAX = 16384
+
+
+def zero_operand(x):
+    """The zero of min(x, 0): a full array of zeros of min's result dtype up
+    to _FULL_ZEROS_MAX entries, the scalar 0.0 above.
+
+    Against the scalar numpy takes a slower loop, with the same bits (2.0
+    against 3.5 us at (64, 128), timeit, min of 5); the benchmark's training
+    batches, at most 64 x 128 entries, all take the array.
+    """
+    shape = np.shape(x)
+    if math.prod(shape) <= _FULL_ZEROS_MAX:
+        return np.zeros(shape, np.result_type(x, 0.0))
+    return 0.0
+
+
 def elu_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized ELU; expm1(x) >= x for x <= 0, and x first keeps +0.0 at x = -0.0."""
-    return np.maximum(x, np.expm1(np.minimum(x, 0.0)))
+    """Vectorized ELU; expm1(x) >= x for x <= 0, and x first keeps +0.0 at x = -0.0.
+    min(x, 0) takes its zero from zero_operand, an array where numpy's loop
+    against the scalar 0.0 is slower; the bits are the same."""
+    return np.maximum(x, np.expm1(np.minimum(x, zero_operand(x))))
 
 
 def elu_grad_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized ELU derivative: 1 for x > 0, as exp(0) is exactly 1; exp(x) otherwise."""
-    return np.exp(np.minimum(x, 0.0))
+    """Vectorized ELU derivative: 1 for x > 0, as exp(0) is exactly 1; exp(x) otherwise.
+    min(x, 0) takes its zero from zero_operand, an array where numpy's loop
+    against the scalar 0.0 is slower; the bits are the same."""
+    return np.exp(np.minimum(x, zero_operand(x)))
 
 
 def logits_to_evidence(logits: Logits) -> EvidencePair:

@@ -56,14 +56,15 @@ def loss_and_grad(stack: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndar
 
     The stack is shifted once, every entry by the steps its smallest needs;
     digamma and trigamma evaluate their series on the shifted stack, and each
-    gets its sum of the shift added with one +.  The labelled evidence's own
+    gets its sum of the shift added in place.  The labelled evidence's own
     term goes to d/d(alpha) where y = 1 and to d/d(beta) elsewhere; the other
     derivative is psi'(alpha + beta) alone.
     """
     shifted, sums = recurrence_shift(stack)
     psi, psi1 = _digamma_vec(shifted), _trigamma_vec(shifted)
     if sums is not None:
-        psi, psi1 = psi + sums[0], psi1 + sums[1]
+        psi += sums[0]
+        psi1 += sums[1]
     n = y.shape[-1]
     own = psi1[0] - psi1[1]
     labelled = y == 1.0

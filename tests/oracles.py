@@ -1,6 +1,7 @@
 """The quadrature oracle of the closed-form loss: the Beta density and an
-adaptive Gauss-Kronrod integrator of the expected BCE; and the recurrence
-shift of the digamma/trigamma kernels, rung by rung.
+adaptive Gauss-Kronrod integrator of the expected BCE; the recurrence shift
+of the digamma/trigamma kernels, rung by rung and with int64 rung offsets;
+and the ELU pair with the scalar 0.0 as the zero of min(x, 0).
 
 The Beta density is evaluated in log space.  The integrator shares no code
 with the loss path, so the tests cross-check ``betaood.loss`` against it.
@@ -37,6 +38,36 @@ def uniform_shift_reference(x):
             inv2_sum = inv2_sum + inv * inv
         inv_sum = inv_sum + inv
     return x + s, (-inv_sum, inv2_sum)
+
+
+def int_offset_shift_reference(x):
+    """special.recurrence_shift of an array x > 0 with its rung offsets an
+    int64 np.arange(s), which numpy casts to float64 in the add: the form
+    the shift had before its offsets became a float64 constant.
+    """
+    x = np.asarray(x, dtype=float)
+    lowest = np.min(x) if x.size else np.inf
+    if lowest >= 6.0:
+        return x, None
+    steps = 1
+    while lowest + steps < 6.0:
+        steps += 1
+    rungs = np.empty((2, steps, *x.shape))
+    np.add(x, np.arange(steps).reshape(steps, *[1] * x.ndim), out=rungs[0])
+    np.divide(-1.0, rungs[0], out=rungs[0])
+    with np.errstate(over="ignore"):
+        np.multiply(rungs[0], rungs[0], out=rungs[1])
+    return x + steps, np.add.reduce(rungs, axis=1)
+
+
+def elu_scalar_zero_reference(x):
+    """evidence.elu_array with the scalar 0.0 as the zero of min(x, 0)."""
+    return np.maximum(x, np.expm1(np.minimum(x, 0.0)))
+
+
+def elu_grad_scalar_zero_reference(x):
+    """evidence.elu_grad_array with the scalar 0.0 as the zero of min(x, 0)."""
+    return np.exp(np.minimum(x, 0.0))
 
 
 def _check_positive(x: float, name: str) -> None:

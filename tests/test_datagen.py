@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -46,6 +50,51 @@ class TestSpecValidation:
                 co_occurrence=[((0,), 1.0), ((1,), 1.0)],
                 seed=0,
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_coincident_means_reported_as_the_pairwise_loop_does(self, data):
+        labels = data.draw(st.integers(1, 12), label="labels")
+        dim = data.draw(st.integers(0, 3), label="dim")
+        # few values, so that rows meet by chance too; -0.0 and NaN among them
+        values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, np.nan])
+        means = np.array(data.draw(st.lists(
+            st.lists(values, min_size=dim, max_size=dim), min_size=labels, max_size=labels,
+        ), label="means"), dtype=float).reshape(labels, dim)
+        for dst, src in data.draw(st.lists(st.tuples(
+            st.integers(0, labels - 1), st.integers(0, labels - 1)), max_size=3), label="copies"):
+            means[dst] = means[src]
+        want = None
+        for i in range(labels):  # the check as a loop over every label pair
+            for j in range(i + 1, labels):
+                if want is None and np.array_equal(means[i], means[j]):
+                    want = f"cluster means {i} and {j} coincide"
+        try:
+            SyntheticSpec(
+                feature_dim=dim,
+                label_count=labels,
+                samples_per_split={"train": 10, "val": 10, "test": 10},
+                label_cluster_means=means,
+                cluster_spread=1.0,
+                co_occurrence=[((l,), 1.0) for l in range(labels)],
+                seed=0,
+            )
+        except ConfigError as exc:
+            assert str(exc) == want
+        else:
+            assert want is None
+
+    def test_many_labels_checked_without_a_pairwise_loop(self):
+        # a loop over label pairs takes minutes at 20000 labels
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+        )}
+        code = ("from betaood.datagen import default_spec; "
+                "print(default_spec(8, 20000, {'train': 1, 'val': 1, 'test': 1}).label_count)")
+        done = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "20000\n", "")
 
     def test_uncovered_label_rejected(self):
         means = np.eye(2, 3)

@@ -9,10 +9,13 @@ from betaood.errors import ConfigError
 from betaood.evidence import (
     EvidencePair,
     Logits,
+    elu_array,
+    elu_grad_array,
     evidence_to_opinion,
     evidence_to_prediction,
     logits_to_evidence,
 )
+from oracles import elu_grad_scalar_zero_reference, elu_scalar_zero_reference
 
 finite_logits = st.lists(
     st.floats(min_value=-30.0, max_value=30.0, allow_nan=False),
@@ -130,3 +133,56 @@ class TestPrediction:
             for t in totals
         ]
         assert np.all(np.diff(us) < 0)
+
+
+# NaN of both signs, the signed zeros and infinities, the smallest subnormals,
+# the smallest normals, the finite extremes and an x whose exp underflows
+_ELU_VALUES = np.array([
+    np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 5e-324, -5e-324,
+    2.2e-308, -2.2e-308, 1e308, -1e308, -745.2,
+])
+_ELU_VALUES_32 = np.array([
+    np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 1e-45, -1e-45,
+    1.2e-38, -1.2e-38, 3e38, -3e38, -104.0,
+], dtype=np.float32)
+assert np.signbit(_ELU_VALUES[:2]).tolist() == [False, True]
+assert np.signbit(_ELU_VALUES_32[:2]).tolist() == [False, True]
+
+
+def _elu_inputs():
+    """Each shape's input: every value of _ELU_VALUES, then random draws of them.
+    The half is the first L columns of a (N, 2L) block, as predict_batch passes
+    each head; both zero forms of evidence.zero_operand are reached, in float64
+    and in float32, whose result must stay float32."""
+    rng = np.random.default_rng(29)
+    cases = {}
+    for shape in [(), (0,), (17,), (64, 32), (64, 128), (2000, 128), (10000, 32)]:
+        cases[str(shape)] = rng.choice(_ELU_VALUES, size=shape)
+    for n, labels in [(64, 5), (2000, 32), (10000, 5)]:
+        cases[f"({n}, {labels}) half"] = rng.choice(_ELU_VALUES, size=(n, 2 * labels))[:, :labels]
+    for shape in [(64, 32), (10000, 32)]:
+        cases[f"{shape} float32"] = rng.choice(_ELU_VALUES_32, size=shape)
+    for x in cases.values():
+        values = _ELU_VALUES_32 if x.dtype == np.float32 else _ELU_VALUES
+        k = min(x.size, values.size)
+        x.flat[:k] = values[:k]
+    return cases
+
+
+_ELU_INPUTS = _elu_inputs()
+
+
+@pytest.mark.parametrize("fn, reference", [
+    (elu_array, elu_scalar_zero_reference),
+    (elu_grad_array, elu_grad_scalar_zero_reference),
+], ids=["elu", "elu_grad"])
+@pytest.mark.parametrize("case", list(_ELU_INPUTS))
+def test_elu_pair_bit_equal_to_the_scalar_zero_forms(fn, reference, case):
+    x = _ELU_INPUTS[case]
+    before = x.copy()
+    got, want = np.asarray(fn(x)), np.asarray(reference(x))
+    assert got.dtype == want.dtype == x.dtype
+    assert got.shape == want.shape == x.shape
+    bits = f"i{x.itemsize}"
+    assert np.array_equal(got.view(bits), want.view(bits))
+    assert np.array_equal(x.view(bits), before.view(bits))

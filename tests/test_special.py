@@ -9,8 +9,15 @@ from hypothesis.extra import numpy as hnp
 
 from betaood.errors import ConfigError, NumericError
 from betaood.evidence import elu_array, elu_grad_array
+from betaood import special
 from betaood.special import _BERNOULLI_2K, digamma_array, recurrence_shift, trigamma_array
-from oracles import adaptive_quadrature, beta_pdf, quadrature_expected_bce, uniform_shift_reference
+from oracles import (
+    adaptive_quadrature,
+    beta_pdf,
+    int_offset_shift_reference,
+    quadrature_expected_bce,
+    uniform_shift_reference,
+)
 
 mp.mp.dps = 30
 
@@ -335,6 +342,42 @@ def test_recurrence_shift_bytes_equal_to_masked_loop_at_training_sizes(labels, t
     want_sums = _assert_shift_bytes_equal_to_reference(x)
     assert 0.03 < np.mean(x < 6.0) < 0.07
     assert np.isinf(want_sums[1]).any()
+
+
+# (smallest entry, the steps it needs): every step count, 1e-300 where 1/z
+# squared overflows, and entries whose last rung lands just below 6
+_SHIFT_MINIMA = [
+    (1e-300, 6), (0.3, 6), (0.5, 6), (1.17, 5), (1.85, 5), (2.5, 4), (3.5, 3),
+    (4.5, 2), (5.5, 1), (5.9999999, 1),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", [(), (2, 64, 5), (2, 64, 32)])
+@pytest.mark.parametrize("lowest, steps", _SHIFT_MINIMA)
+def test_recurrence_shift_bit_equal_to_int_offsets(shape, lowest, steps):
+    x = np.random.default_rng(steps).uniform(lowest, 60.0, size=shape)
+    x.flat[x.size // 2] = lowest
+    shifted, sums = recurrence_shift(x)
+    want_x, want_sums = int_offset_shift_reference(x)
+    assert shifted.flat[x.size // 2] == lowest + steps
+    assert np.array_equal(np.asarray(shifted).view(np.int64), want_x.view(np.int64))
+    assert sums.shape == want_sums.shape == (2, *shape)
+    assert np.array_equal(sums.view(np.int64), want_sums.view(np.int64))
+
+
+def test_recurrence_shift_of_nothing_takes_no_step():
+    shifted, sums = recurrence_shift(np.empty(0))
+    assert shifted.shape == (0,) and sums is None
+    assert int_offset_shift_reference(np.empty(0))[1] is None
+
+
+def test_rung_offsets_are_read_only():
+    with pytest.raises(ValueError):
+        special._RUNG_OFFSETS[0] = 1.0
+    with pytest.raises(ValueError):
+        special._RUNG_OFFSETS[:3] += 1.0
+    assert special._RUNG_OFFSETS.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 class TestBetaPdf:
