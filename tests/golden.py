@@ -1,8 +1,9 @@
 """The pipeline's byte-identity record, ``tests/golden.json``.
 
 For each workload of the benchmark's smoke sizes (``perfbench/workloads.py``,
-``SMOKE_WORKLOADS``), and for a ``gemv`` workload whose products go through
-BLAS gemv, at seeds 0 and 31 this runs gen-data -> train -> score ->
+``SMOKE_WORKLOADS``), for a ``gemv`` workload whose products go through
+BLAS gemv and for a ``seams`` workload whose tables span several text chunks,
+at seeds 0 and 31 this runs gen-data -> train -> score ->
 eval -> sweep-lambda, a second score at lambda1 0.3 / lambda2 0.7 with its own
 eval, and an eval --aggregate over both metrics.csv.  It records each command's
 stdout, with the run directory replaced by ``$RUN``, and the length and SHA-256
@@ -61,6 +62,12 @@ WORKLOADS = {
         {"label_count": 1, "train_samples": 81, "val_samples": 40, "test_samples": 40,
          "ood_samples": 40},
         {"hidden": [32], "epochs": 2, "batch_size": 16},
+    ),
+    # 9000 scored rows, so scores.csv, preds.csv and each roc_*.csv (up to 9001 rows of
+    # 2 cells) span several text chunks at CHUNK_CELLS 2**13 and at 2**14
+    "seams": (
+        {"train_samples": 200, "val_samples": 50, "test_samples": 4500, "ood_samples": 4500},
+        {"epochs": 1},
     ),
 }
 
