@@ -103,15 +103,20 @@ def zero_operand(x):
 def elu_array(x: np.ndarray) -> np.ndarray:
     """Vectorized ELU; expm1(x) >= x for x <= 0, and x first keeps +0.0 at x = -0.0.
     min(x, 0) takes its zero from zero_operand, an array where numpy's loop
-    against the scalar 0.0 is slower; the bits are the same."""
-    return np.maximum(x, np.expm1(np.minimum(x, zero_operand(x))))
+    against the scalar 0.0 is slower; the bits are the same.  expm1 and max write
+    into min's result, so a call allocates one array of x's size, not three."""
+    low = np.minimum(x, zero_operand(x))
+    out = low if isinstance(low, np.ndarray) else None  # a 0-d result is a scalar
+    return np.maximum(x, np.expm1(low, out=out), out=out)
 
 
 def elu_grad_array(x: np.ndarray) -> np.ndarray:
     """Vectorized ELU derivative: 1 for x > 0, as exp(0) is exactly 1; exp(x) otherwise.
     min(x, 0) takes its zero from zero_operand, an array where numpy's loop
-    against the scalar 0.0 is slower; the bits are the same."""
-    return np.exp(np.minimum(x, zero_operand(x)))
+    against the scalar 0.0 is slower; the bits are the same.  exp writes into
+    min's result."""
+    low = np.minimum(x, zero_operand(x))
+    return np.exp(low, out=low if isinstance(low, np.ndarray) else None)
 
 
 def logits_to_evidence(logits: Logits) -> EvidencePair:

@@ -26,8 +26,11 @@ from .errors import DataError
 
 _DTYPES = {int: np.int64, float: np.float64, str: object}
 # cells turned into text at a time by write_table and by datagen's JSONL writer: bounds
-# the arrays (about 180 bytes a cell) and the str cells of other tables held in memory
-CHUNK_CELLS = 1 << 13
+# the arrays (170-200 bytes a cell) and the str cells of other tables held in memory.
+# At 2**14 each uint64 temporary of a chunk takes at most 128 KiB, glibc's default mmap
+# threshold; the JSONL write of wide's train split took 10 % more CPU at 2**13, and no
+# less at 2**15, which holds twice the arrays
+CHUNK_CELLS = 1 << 14
 # write_table joins the repr and str of number tables of fewer cells, as sweep.csv's 44:
 # through number_rows, sweep-lambda took 14-22 % more CPU on the default workload
 KERNEL_MIN_CELLS = 1 << 10
@@ -109,13 +112,13 @@ def write_table(path, header: list[str], columns, cache: bool = False) -> None:
     if blocks and (not all(map(str.isascii, header)) or np.array(header).tolist() != header
                    or any(np.isnan(b).any() for b in blocks)):
         blocks = None
-    rows = (_joined([_cells(column[start : start + step]) for column in columns]).encode()
+    rows = (_joined([_cells(column[start : start + step]) for column in columns])
             for start in range(0, n, step))
     if numbers and n * len(columns) >= KERNEL_MIN_CELLS:  # cells that are never quoted
         rows = number_rows([p for run in runs for p in (run.T, ",")][:-1] + ["\r\n"], n)
     key = digest([])
     with open(path, "wb") as fh:
-        for block in chain([_joined([[name] for name in header]).encode()], rows):
+        for block in chain([_joined([[name] for name in header])], rows):
             fh.write(block)
             if blocks:
                 key = digest([block], key)
@@ -130,21 +133,23 @@ def _cells(part) -> list[str]:
     return part.tolist() if isinstance(part, np.ndarray) else part
 
 
-def _joined(chunk) -> str:
-    """csv.writer's text of rows of str cells given as one list per column."""
+def _joined(chunk) -> bytes:
+    """csv.writer's UTF-8 bytes of rows of str cells given as one list per column."""
     width, rows = len(chunk), len(chunk[0])
     # each cell followed by "," or, at the end of its row, by "\r\n"
     parts = [","] * (2 * width * rows)
     for j, cells in enumerate(chunk):
         parts[2 * j :: 2 * width] = cells
     parts[2 * width - 1 :: 2 * width] = ["\r\n"] * rows
-    text = "".join(parts)
-    # a cell holding ",", '"' or a line break, or a row of one empty cell, is quoted
-    if ('"' in text or text.count(",") != (width - 1) * rows
-            or not text.count("\n") == rows == text.count("\r") or width == 1 and "" in chunk[0]):
+    data = "".join(parts).encode()
+    # a cell holding ",", '"' or a line break, or a row of one empty cell, is quoted; the
+    # joins put width - 1 commas and one "\r\n" in a row, and UTF-8 never holds one of
+    # these four bytes inside a multi-byte character, so one pass counts them all
+    if (len(data) - len(data.translate(None, b',"\r\n')) != (width + 1) * rows
+            or width == 1 and "" in chunk[0]):
         csv.writer(text := io.StringIO()).writerows(zip(*chunk))
-        text = text.getvalue()
-    return text
+        data = text.getvalue().encode()
+    return data
 
 
 def number_rows(parts, n: int):
@@ -186,17 +191,19 @@ def _words(texts) -> np.ndarray:
 def _tables() -> tuple:
     """The 4-digit groups as words: with leading zeros, without them, without trailing
     zeros (0 as no digit in these two), then "0"; and Schubfach's g = floor(10**-k 2**s) + 1
-    in [2**125, 2**126) for k in [-324, 292], as 32-bit limbs of g >> 63 and g mod 2**63."""
+    in [2**125, 2**126) for k in [-324, 292], as 32-bit limbs of g >> 63 and g mod 2**63,
+    held in uint64 so that their products with uint64 run on numpy's same-dtype loops."""
     v, scale = np.arange(10**4, dtype=np.int16)[:, None], np.array([1000, 100, 10, 1], np.int16)
     digits = (v // scale % 10 + 48).astype(np.uint8)
     forms = np.stack([digits, digits * (v >= scale), digits * (v % (scale * 10) != 0)])
     g = np.array([(10 ** max(-k, 0) << max(s, 0)) // (10 ** max(k, 0) << max(-s, 0)) + 1
                   for k in range(-324, 293) for s in [125 - (-k * 913124641741 >> 38)]])
     limbs = [g >> 63 & 0xFFFFFFFF, g >> 95, g & 0xFFFFFFFF, g >> 32 & 0x7FFFFFFF]
-    return np.append(forms.view(np.uint32).ravel(), _words(["0"])), np.array(limbs, np.uint32)
+    return np.append(forms.view(np.uint32).ravel(), _words(["0"])), np.array(limbs, np.uint64)
 
 
-_LEAD, _TRAIL, _ZERO = (np.uint64(i * 10**4) for i in (1, 2, 3))  # offsets into the groups
+_LEAD, _ZERO = (np.uint64(i * 10**4) for i in (1, 3))  # offsets into the groups
+_TRAIL32 = np.uint32(2 * 10**4)  # for the uint32 digits of the fraction
 # "0" * z + str(d) at 10 z + d for z < 4, then no text: what a value below 1 shows after "0."
 _FRONT = _words(["0" * (i // 10) + str(i % 10) for i in range(40)] + [""])
 _EXP = _words([f"e{e:+03d}".ljust(8, "\0") for e in range(-330, 331)]).reshape(-1, 2)
@@ -213,14 +220,17 @@ def _shortest(bits):
     k = q * 661971961083 - ~regular * 274743187321 >> 41  # floor(log10(2**q or 3/4 2**q))
     h = (q + (-k * 913124641741 >> 38) + 2).astype(np.uint64)
     g = _tables()[1].take(k + 324, axis=1)
-    g1, cb = g[1].astype(np.uint64) << 32 | g[0], c << 2
-    def round_odd(cp):  # OpenJDK's rop, g cp 2**-127 rounded to odd, from 32-bit limbs:
-        # g's are below 2**32 (high ones below 2**31) and cp < 2**60: no sum passes 2**64
+    g1, cb = g[1] << 32 | g[0], c << 2
+    def round_odd(cp):  # OpenJDK's rop, g cp 2**-127 rounded to odd, from 32-bit limbs
         b0, b1 = cp & 0xFFFFFFFF, cp >> 32
-        y1, x1 = (a1 * b1 + ((a0 * b0 >> 32) + a0 * b1 + a1 * b0 >> 32)
-                  for a0, a1 in (g[:2], g[2:]))
-        z = (g1 * cp >> 1) + x1
-        return y1 + (z >> 63) | ((z & (2**63 - 1)) != 0)
+        y1, x1 = _high(*g[:2], b0, b1), _high(*g[2:], b0, b1)
+        z = g1 * cp
+        z >>= 1
+        z += x1
+        y1 += z >> 63
+        z <<= 1  # the low 63 bits of z, nonzero or not
+        y1 |= z != 0
+        return y1
     vb = round_odd(cb << h)
     vbl = round_odd(cb - 1 - regular << h) + (c & 1)
     vbr = round_odd(cb + 2 << h) - (c & 1)
@@ -232,6 +242,18 @@ def _shortest(bits):
     return np.where(lo10 != hi10, np.where(hi10, s10 + 10, s10), f), k  # s > 10**15 on normals
 
 
+def _high(a0, a1, b0, b1):
+    """(a1 2**32 + a0)(b1 2**32 + b0) >> 64, summed in place.  In Schubfach the a's are
+    below 2**32 (a1 below 2**31) and b1 2**32 + b0 below 2**60: no sum passes 2**64."""
+    t = a0 * b0
+    t >>= 32
+    t += a0 * b1
+    t += a1 * b0
+    t >>= 32
+    t += a1 * b1
+    return t
+
+
 def _cell_words(a: np.ndarray) -> list:
     """The str of each int64 or the repr of each float64 of a 1-D array, as rows of
     uint32 words, a row per word position that some value uses, NUL as padding."""
@@ -240,23 +262,22 @@ def _cell_words(a: np.ndarray) -> list:
         return _integer_words(np.where(a < 0, 0 - bits, bits), a < 0, group)
     zero, normal = bits << 1 == 0, np.isfinite(a) & (np.abs(a) >= np.finfo(float).tiny)
     f, k = _shortest(np.where(normal, bits & 2**63 - 1, 1 << 62))
-    n = np.log10(f).astype(np.int64) + 1  # digits in f, up to the rounding of f to float
-    n = n + (f >= _P10[n]) - (f < _P10[n - 1])
-    f17, point = f * _P10[17 - n] * ~zero, (k + n) * ~zero  # point: digits before the "."
+    n = _P10.searchsorted(f, side="right")  # digits in f: the powers of ten up to f
+    f17, point = f * _P10.take(17 - n) * ~zero, (k + n) * ~zero  # point: digits before the "."
     exponent = (point > 16) | (point < -3)
     point[exponent] = 1
     below1 = point < 1  # "0." then _FRONT, then the 16 digits after the first
-    unit = _P10[17 - np.clip(point, 1, 16)]
+    unit = _P10.take(17 - np.clip(point, 1, 16))
     whole = f17 // unit
     fraction = (f17 - whole * unit) * (10**16 // unit)  # 16 digits, left-aligned
     words = _integer_words(whole * ~below1, bits >> 63 == 1, group)
     words.append(_DOT * ~(exponent & (fraction == 0)))
     if below1.any():
-        words.append(_FRONT[np.where(below1, -10 * point + whole.astype(np.int64), 40)])
+        words.append(_FRONT.take(np.where(below1, -10 * point + whole.astype(np.int64), 40)))
     high, low, tail = fraction // 10**8, np.ones(a.shape, bool), []
     for half in ((fraction - high * 10**8).astype(np.uint32), high.astype(np.uint32)):
         for digits in (half - half // 10**4 * 10**4, half // 10**4):
-            tail.append(group[digits + _TRAIL * low])
+            tail.append(group.take(digits + _TRAIL32 * low))
             low &= digits == 0
     tail[-1][(fraction == 0) & ~exponent & ~below1] = group[_ZERO]  # the "0" of "1.0"
     words += tail[::-1]
@@ -274,9 +295,9 @@ def _integer_words(u, negative, group) -> list:
     words, rest = [], u
     for j in range(4, len(str(int(u.max()))), 4):  # each word below the top one
         quotient = rest // 10**4
-        words.append(group[rest - quotient * 10**4 + _LEAD * (u < 10**j)])
+        words.append(group.take(rest - quotient * 10**4 + _LEAD * (u < 10**j)))
         rest = quotient
-    words.append(group[rest + _LEAD])  # no value has a leading zero in the top word
+    words.append(group.take(rest + _LEAD))  # no value has a leading zero in the top word
     words[0][u == 0] = group[_ZERO]
     return [negative * _MINUS] * bool(negative.any()) + words[::-1]
 

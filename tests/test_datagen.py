@@ -436,13 +436,16 @@ class TestJsonlCodecMatchesReference:
             assert restored.split == data.split
 
     @pytest.mark.parametrize("chunk", [tables.CHUNK_CELLS, 4096])
-    def test_writer_bytes_equal_json_dumps_at_size(self, tmp_path, chunk):
-        # 3000 rows of 7 features and 3 labels: several chunks through the kernel
+    @pytest.mark.parametrize("features, labels", [(7, 3), (64, 32)], ids=["narrow", "wide"])
+    def test_writer_bytes_equal_json_dumps_at_size(self, tmp_path, chunk, features, labels):
+        # rows for 3 seams between chunks of CHUNK_CELLS cells through the kernel; "wide"
+        # is the benchmark's wide workload shape
         rng = np.random.default_rng(5)
-        X = rng.normal(size=(3000, 7)) * 10.0 ** rng.integers(-8, 22, size=(3000, 7))
+        n = 3 * (tables.CHUNK_CELLS // (features + labels)) + 17
+        X = rng.normal(size=(n, features)) * 10.0 ** rng.integers(-8, 22, size=(n, features))
         X[::97, 0], X[::89, 1], X[::83, 2] = -0.0, 1e16 - 2, 5e-324
         X[::79, 3] = np.round(X[::79, 3])
-        Y = rng.integers(0, 2, size=(3000, 3))
+        Y = rng.integers(0, 2, size=(n, labels))
         data = Dataset(X=X, Y=Y, split="train")
         path = tmp_path / "ds.jsonl"
         with mock.patch.object(tables, "CHUNK_CELLS", chunk):

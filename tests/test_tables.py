@@ -266,6 +266,29 @@ class TestWriteTableMatchesCsvWriter:
                                  [[repr(f), str(i), nm] for f, i, nm in values])
         assert (d / "got.csv").read_bytes() == want
 
+    # _joined counts ",", '"', "\r" and "\n" in one pass over a chunk's UTF-8 bytes: one
+    # extra in one cell must send the chunk to csv.writer, and the bytes of a non-ASCII
+    # cell (U+2C2C, U+0D0A: code points whose bytes in other encodings are "," or "\r\n")
+    # must not count, next to a separator comma or not
+    @pytest.mark.parametrize("cell", [
+        "x,y", 'x"y', "x\ry", "x\ny", ",", '"', "\r", "\n",
+        "é", "\u2c2c", "\u0d0a", "€,", ",\u2c2c", "\u0d0a\n",
+    ])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_one_separator_in_one_cell(self, tmp_path, cell, column):
+        columns = [[f"{j}.{i}" for i in range(40)] for j in range(3)]
+        columns[column][21] = cell
+        write_table(tmp_path / "got.csv", ["a", "b", "c"], columns)
+        want = _csv_writer_bytes(tmp_path / "want.csv", ["a", "b", "c"], list(zip(*columns)))
+        assert (tmp_path / "got.csv").read_bytes() == want
+
+    @pytest.mark.parametrize("cells", [["a", "", "b"], [""], ["é", ""]])
+    def test_empty_cell_of_one_column_table_is_quoted(self, tmp_path, cells):
+        write_table(tmp_path / "got.csv", ["a"], [cells])
+        want = _csv_writer_bytes(tmp_path / "want.csv", ["a"], [[c] for c in cells])
+        assert b'""\r\n' in want
+        assert (tmp_path / "got.csv").read_bytes() == want
+
 
 @st.composite
 def number_tables(draw):
@@ -418,15 +441,24 @@ class TestNumberKernel:
 
 class TestNumberTableAtSize:
     @pytest.mark.parametrize("chunk", [tables.CHUNK_CELLS, 4096])
-    def test_mixed_table_bytes_equal_csv_writer(self, tmp_path, chunk):
-        # 5000 rows of int64 and float64 columns: several chunks through the kernel
+    @pytest.mark.parametrize("shape", ["mixed", "scores"])
+    def test_mixed_table_bytes_equal_csv_writer(self, tmp_path, chunk, shape):
+        # int64 and float64 columns, rows for 3 seams between chunks at CHUNK_CELLS: "mixed"
+        # puts wide ints between float columns, "scores" is scores.csv's 11 columns
         rng = np.random.default_rng(7)
-        ints = [np.arange(5000), rng.integers(0, 2, 5000),
-                rng.integers(-(2**63), 2**63 - 1, 5000, dtype=np.int64)]
-        floats = rng.normal(size=(3, 5000)) * 10.0 ** rng.integers(-320, 300, size=(3, 5000))
+        width = 6 if shape == "mixed" else 11
+        n = 3 * (tables.CHUNK_CELLS // width) + 17
+        ints = [np.arange(n), rng.integers(0, 2, n),
+                rng.integers(-(2**63), 2**63 - 1, n, dtype=np.int64)]
+        floats = rng.normal(size=(9, n)) * 10.0 ** rng.integers(-320, 300, size=(9, n))
         floats[0, ::7], floats[1, ::11], floats[2, ::13] = np.nan, -0.0, -np.inf
-        columns = [ints[0], ints[1], *floats[:2], ints[2], floats[2]]
-        header = ["sample_id", "is_ood", "a", "b", "c", "d"]
+        if shape == "mixed":
+            columns = [ints[0], ints[1], *floats[:2], ints[2], floats[2]]
+            header = ["sample_id", "is_ood", "a", "b", "c", "d"]
+        else:
+            floats[3:] = rng.normal(size=(6, n)) * 10.0 ** rng.integers(-6, 3, size=(6, n))
+            columns = [ints[0], ints[1], *floats]
+            header = ["sample_id", "is_ood", *(f"s{j}" for j in range(9))]
         with mock.patch.object(tables, "CHUNK_CELLS", chunk):
             write_table(tmp_path / "got.csv", header, columns)
         rows = zip(*([repr(v) if c.dtype.kind == "f" else str(v) for v in c.tolist()]
