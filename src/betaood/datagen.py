@@ -8,7 +8,7 @@ around fresh cluster means that carry none of the known class signatures
 files are JSONL with a leading comment header.
 
 ``write_jsonl`` also saves the parsed arrays to ``<file>.npy`` (``tables.save_cache``);
-``read_jsonl`` returns them while the file's bytes match and they pass the row rules.
+``read_jsonl`` returns them while the file's bytes match and they pass _table_rule.
 """
 
 from __future__ import annotations
@@ -293,7 +293,7 @@ def read_jsonl(path) -> Dataset:
 
     Every row must hold as many features and labels as the first row, every
     feature must be finite and every label 0 or 1; the split is the first row's.
-    A matching cache, if its arrays pass the row rules, stands in for the parse.
+    A matching cache, if its arrays pass _table_rule, stands in for the parse.
     """
     cached = tables.load_cache(path)
     if cached and len(cached) == 3:
@@ -305,8 +305,10 @@ def read_jsonl(path) -> Dataset:
 
 
 def _parse_jsonl(path) -> Dataset:
-    """Each row in file order, checked against the row rules; raises for the first bad line."""
-    rows, first = [], None  # first: the first row's (features, labels, line)
+    """The rows in file order; raises for the first bad line.  Each line is an
+    object whose features and labels are lists of numbers, as many as the first
+    row's, and each row, as a one-row table, meets _table_rule."""
+    rows, problem = [], None  # rows: each row's (features, labels, split, line)
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -315,31 +317,39 @@ def _parse_jsonl(path) -> Dataset:
                     continue
                 try:
                     doc = json.loads(line)
-                    x, labels, split = doc["features"], doc["labels"], doc["split"]
-                    y = [] if labels is None else labels
-                    fx, fy = np.asarray(x), np.asarray(y)
-                    problem = _broken_rule(fx, fy, labels, split, first)
+                    x, y, split = doc["features"], doc["labels"], doc["split"]
+                    y = [] if y is None else y
+                    # json.loads gives int or float for a number, bool for true and false
+                    if not (type(x) is type(y) is list
+                            and {*map(type, x), *map(type, y)} <= {int, float}):
+                        problem = "features and labels must be lists of numbers, not true or false"
+                    elif rows and (len(x), len(y)) != (rows[0][0].size, rows[0][1].size):
+                        problem = (f"{len(x)} features and {len(y)} labels, but line "
+                                   f"{rows[0][3]} has {rows[0][0].size} and {rows[0][1].size}")
+                    else:
+                        rows.append((np.array(x, dtype=float), np.array(y), split, lineno))
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                    raise DataError(f"{path}:{lineno}: malformed dataset line: {exc}") from exc
-                # a list of numbers, so the test is safe; numpy reads true as 1
-                if problem is None and (bool in map(type, x) or bool in map(type, y)):
-                    problem = "features and labels must be numbers, not true or false"
+                    problem = f"malformed dataset line: {exc}"
                 if problem:
-                    raise DataError(f"{path}:{lineno}: {problem}")
-                first = first or (fx.size, fy.size, lineno)
-                rows.append((fx, fy, lineno, split))
+                    break
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: cannot decode: {exc}") from exc
     except OSError as exc:
         raise DataError(f"{path}: cannot read: {exc}") from exc
+    if rows:
+        features, labels, splits, _ = zip(*rows)
+        X, Y = np.array(features), np.array(labels)
+        # every row meets the rule if the stacked table does and every row has the
+        # first row's split; only otherwise is each row checked, in file order
+        if _table_rule(X, Y, splits[0]) or splits.count(splits[0]) < len(splits):
+            for x, y, split, row_line in rows:
+                if rule := _table_rule(x[None], y[None], split):
+                    raise DataError(f"{path}:{row_line}: {rule}")
+    if problem:
+        raise DataError(f"{path}:{lineno}: {problem}")
     if not rows:
         return Dataset(X=np.empty((0, 0)), Y=np.empty((0, 0), dtype=int), split=None)
-    features, labels, linenos, splits = zip(*rows)
-    X = np.array(features, dtype=float)
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        raise DataError(f"{path}:{linenos[int(np.argmin(finite))]}: features must be finite")
-    return Dataset(X=X, Y=np.array(labels, dtype=int), split=splits[0])
+    return Dataset(X=X, Y=Y.astype(int, copy=False), split=splits[0])
 
 
 def _table_rule(X: np.ndarray, Y: np.ndarray, split) -> str | None:
@@ -360,23 +370,4 @@ def _table_rule(X: np.ndarray, Y: np.ndarray, split) -> str | None:
         return f"labels must be the numbers 0 or 1, got {bad[0].item()!r}"
     if len(X) and not isinstance(split, str):
         return f"split must be a string, got {split!r}"
-    return None
-
-
-def _broken_rule(x: np.ndarray, y: np.ndarray, labels, split, first) -> str | None:
-    """The first rule that one row breaks, or None.  x and y are its features
-    and labels as numpy reads them with no dtype given, so a string makes them
-    strings: features and labels are lists of numbers, not of numeric strings;
-    labels are 0 or 1 (0.7 is not 0); the split is a string; and a row has as
-    many features and labels as ``first``, the file's first row as (features,
-    labels, line)."""
-    if not (x.ndim == y.ndim == 1 and x.dtype.kind in _NUMBER and y.dtype.kind in _NUMBER):
-        return "features and labels must be lists of numbers"
-    if not np.all((y == 0) | (y == 1)):
-        return f"labels must be 0 or 1, got {labels!r}"
-    if not isinstance(split, str):
-        return f"split must be a string, got {split!r}"
-    if first and (x.size, y.size) != first[:2]:
-        return (f"{x.size} features and {y.size} labels, "
-                f"but line {first[2]} has {first[0]} and {first[1]}")
     return None

@@ -376,7 +376,8 @@ def checkpoint_from_json(text: str) -> Checkpoint:
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed checkpoint JSON: {exc}") from exc
     check_fields(doc, _CHECKPOINT_FIELDS, "checkpoint")
-    version = doc.get("format_version")
+    _check_keys(doc, _CHECKPOINT_FIELDS, "checkpoint")
+    version = doc["format_version"]
     if version != CHECKPOINT_FORMAT_VERSION:
         raise DataError(
             f"unsupported checkpoint format version {version!r} "
@@ -392,10 +393,7 @@ def checkpoint_from_json(text: str) -> Checkpoint:
         _check_keys(doc["params"], shapes, "params")
         values = {key: _param_arrays(doc["params"][key], key, shape)
                   for key, shape in shapes.items()}
-        loss_trace = doc["loss_trace"]
-    except KeyError as exc:
-        raise DataError(f"checkpoint is missing key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint field: {exc}") from exc
     _check_params(arch, values)
-    return Checkpoint(_packed(arch, values), tc, loss_trace, version)
+    return Checkpoint(_packed(arch, values), tc, doc["loss_trace"], version)

@@ -566,8 +566,10 @@ class TestScore:
     def test_malformed_checkpoint_is_data_error(self, pipeline, tmp_path, capsys):
         doc = json.loads((pipeline / "checkpoint.json").read_text())
         broken_docs = {
-            f"'{key}'": {k: v for k, v in doc.items() if k != key}
-            for key in ("arch", "train_config", "params")
+            f"malformed checkpoint: missing key(s) {key}": {
+                k: v for k, v in doc.items() if k != key
+            }
+            for key in ("format_version", "arch", "train_config", "params", "loss_trace")
         }
         broken_docs["malformed"] = {**doc, "train_config": {"epochs": "2"}}
         params = doc["params"]
@@ -579,8 +581,9 @@ class TestScore:
             ("parameter 'w_neg' has shape", {"w_neg": params["w_neg"][:-1]}),
         ):
             broken_docs[expected] = {**doc, "params": {**params, **edit}}
-        for expected, broken_doc in broken_docs.items():
-            broken = tmp_path / "checkpoint.json"
+        for k, (expected, broken_doc) in enumerate(broken_docs.items()):
+            # a new file each time: rewriting one is slow on some filesystems
+            broken = tmp_path / f"checkpoint{k}.json"
             broken.write_text(json.dumps(broken_doc))
             code = main([
                 "score", "--checkpoint", str(broken),
@@ -879,7 +882,7 @@ class TestSidecar:
             b'"labels":[1', b'"labels":[2', 1)
         path.write_bytes(b"\n".join(lines))
         got = self._run(pipeline, data, capsys, "changed")
-        assert 2 in got[0] and f"{path}:3: labels must be 0 or 1" in got[2]
+        assert 2 in got[0] and f"{path}:3: labels must be the numbers 0 or 1, got 2" in got[2]
         assert got == self._parsed(pipeline, data, capsys)
 
     @pytest.mark.parametrize("damage", list(_DAMAGES))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -303,6 +304,21 @@ def _write_parsed(data, path) -> None:
     _sidecar(path).unlink(missing_ok=True)
 
 
+# the parse's rule for JSON text that is not a list of numbers, true and false included
+LIST_RULE = "features and labels must be lists of numbers, not true or false"
+
+
+def _parse_error(data, path) -> str:
+    """read_jsonl's error for data's rows, each written as a line by json.dumps."""
+    path.write_text("".join(
+        json.dumps({"features": x, "labels": y, "split": data.split}) + "\n"
+        for x, y in zip(data.X.tolist(), data.Y.tolist())
+    ))
+    with pytest.raises(DataError) as info:
+        read_jsonl(path)
+    return str(info.value)
+
+
 class TestJsonlRoundTrip:
     def test_empty_dataset_writes_header_comment(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -382,6 +398,12 @@ class TestJsonlRoundTrip:
         '{"features": [1.0], "labels": [0.7], "split": "train"}',
         '{"features": [1e999999], "labels": [1], "split": "train"}',
         '{"features": [1.0], "labels": [100000000000000000000000], "split": "train"}',
+        '{"features": [1' + "0" * 400 + '], "labels": [1], "split": "train"}',
+        '{"features": [1.0], "labels": [1], "split": null}',
+        # a value fault names its line before a later line's fault of either kind
+        '{"features": [NaN], "labels": [1], "split": "train"}\n'
+        '{"features": [1.0], "labels": [2], "split": "train"}',
+        '{"features": [1.0], "labels": [0.5], "split": "train"}\nnot json',
     ])
     def test_bad_row_reports_line_number(self, tmp_path, line):
         path = tmp_path / "bad.jsonl"
@@ -454,32 +476,43 @@ class TestJsonlCodecMatchesReference:
         assert "e+" in text and "e-" in text and "-0.0," in text and "9999999999999998.0" in text
         assert text == _reference_jsonl(data)
 
-    @pytest.mark.parametrize("features", [
-        np.array([[1.0, np.nan]]), np.array([["a", "2"]]), np.array([["1.5", "2"]]),
-    ], ids=["nan", "str", "numeric_str"])
-    def test_writer_rejects_nonfinite_features(self, tmp_path, features):
+    # Each case is also written as JSON lines, which the parse rejects at the line
+    # of the bad row, by the writer's rule; or, for a JSON string or true or false,
+    # by its rule of the JSON text (LIST_RULE).
+    @pytest.mark.parametrize("features, text_fault", [
+        (np.array([[1.0, np.nan]]), False), (np.array([[2.0, -np.inf]]), False),
+        (np.array([["a", "2"]]), True), (np.array([["1.5", "2"]]), True),
+    ], ids=["nan", "minus_inf", "str", "numeric_str"])
+    def test_writer_rejects_nonfinite_features(self, tmp_path, features, text_fault):
         # the reader rejects numeric strings too; "a" made np.asarray raise
         path = tmp_path / "ds.jsonl"
         data = Dataset(X=features, Y=np.ones((1, 1), int), split="train")
         with pytest.raises(DataError, match="finite") as info:
             write_jsonl(data, path)
-        assert str(info.value) == f"cannot write {path}: features must be finite numbers"
+        rule = "features must be finite numbers"
+        assert str(info.value) == f"cannot write {path}: {rule}"
         assert not path.exists() and not _sidecar(path).exists()
+        assert _parse_error(data, path) == f"{path}:1: {LIST_RULE if text_fault else rule}"
 
     @pytest.mark.parametrize("labels, rule", [
         (np.array([[True, False]]), "not bools"),
         (np.array([[1.0, 0.7]]), "got 0.7"),
         (np.array([[2, 0]]), "got 2"),
+        (np.array([[0, -1]]), "got -1"),
         (np.array([[0.0, np.nan]]), "got nan"),
+        (np.array([[1e23, 1.0]]), "got 1e+23"),
         (np.array([["1", "0"]]), "got dtype <U1"),
-    ], ids=["bool", "float_0_7", "int_2", "nan", "str"])
+    ], ids=["bool", "float_0_7", "int_2", "int_minus_1", "nan", "float_1e23", "str"])
     def test_writer_rejects_labels_its_reader_rejects(self, tmp_path, labels, rule):
         path = tmp_path / "ds.jsonl"
         data = Dataset(X=np.ones((1, 3)), Y=labels, split="train")
         with pytest.raises(DataError, match="labels must be the numbers 0 or 1") as info:
             write_jsonl(data, path)
-        assert str(info.value) == f"cannot write {path}: labels must be the numbers 0 or 1, {rule}"
+        rule = f"labels must be the numbers 0 or 1, {rule}"
+        assert str(info.value) == f"cannot write {path}: {rule}"
         assert not path.exists() and not _sidecar(path).exists()
+        text_fault = labels.dtype.kind in "bU"
+        assert _parse_error(data, path) == f"{path}:1: {LIST_RULE if text_fault else rule}"
 
     @pytest.mark.parametrize("X, Y", [
         (np.ones(3), np.ones((3, 1), int)),
@@ -496,14 +529,17 @@ class TestJsonlCodecMatchesReference:
             f"sample, got shapes {X.shape} and {Y.shape}")
         assert not path.exists() and not _sidecar(path).exists()
 
-    @pytest.mark.parametrize("split", [None, 3], ids=["none", "int"])
+    @pytest.mark.parametrize("split", [None, 3, True, ["x"]],
+                             ids=["none", "int", "bool", "list"])
     def test_writer_rejects_split_its_reader_rejects(self, tmp_path, split):
         path = tmp_path / "ds.jsonl"
         data = Dataset(X=np.ones((2, 3)), Y=np.ones((2, 1), int), split=split)
         with pytest.raises(DataError) as info:
             write_jsonl(data, path)
-        assert str(info.value) == f"cannot write {path}: split must be a string, got {split!r}"
+        rule = f"split must be a string, got {split!r}"
+        assert str(info.value) == f"cannot write {path}: {rule}"
         assert not path.exists() and not _sidecar(path).exists()
+        assert _parse_error(data, path) == f"{path}:1: {rule}"
 
     def test_writer_keeps_empty_dataset_without_split(self, tmp_path):
         # no row carries the split, and the reader gives split None for no rows
@@ -515,10 +551,12 @@ class TestJsonlCodecMatchesReference:
     @given(rows=st.lists(
         st.fixed_dictionaries({
             "features": st.lists(
-                st.sampled_from([0.5, -1.0, 1e308, "2", None, [1.0], True]), max_size=2
+                st.sampled_from([0.5, -1.0, 1e308, "2", None, [1.0], True, math.nan, -math.inf,
+                                 10**400]), max_size=2
             ) | st.sampled_from([1.0, None]),
             "labels": st.none() | st.lists(
-                st.sampled_from([0, 1, 2, 0.7, 1.0, "1", "1.0", True, [0], None]), max_size=2
+                st.sampled_from([0, 1, 2, 0.7, 1.0, "1", "1.0", True, [0], None, math.nan,
+                                 10**23]), max_size=2
             ),
             "split": st.sampled_from(["train", "test", 3]),
         }, optional={"extra": st.just([{"a": 1}])}) | st.sampled_from(["[]", "{", "x"]),
@@ -644,7 +682,9 @@ class TestSidecarMatchesParse:
 
 
 def _reference_read_jsonl(path) -> Dataset:
-    """The per-line reader that read_jsonl replaced, with its label and bool rules."""
+    """The per-line reader: each line's JSON, then its text rules, then its width,
+    then datagen._table_rule on the line as a one-row table; the first line that
+    breaks one of them raises."""
     features_rows, label_rows, linenos = [], [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -653,40 +693,35 @@ def _reference_read_jsonl(path) -> Dataset:
                 continue
             try:
                 doc = json.loads(line)
-                # read without a dtype, so that numeric strings stay strings
-                features = np.asarray(doc["features"])
-                labels = doc["labels"]
-                split = doc["split"]
-                y = np.zeros(0) if labels is None else np.asarray(labels)
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                features, labels, split = doc["features"], doc["labels"], doc["split"]
+            except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed dataset line: {exc}") from exc
-            if not (features.ndim == y.ndim == 1
-                    and all(np.issubdtype(a.dtype, np.number) or a.dtype == bool
-                            for a in (features, y))):
-                raise DataError(f"{path}:{lineno}: features and labels must be lists of numbers")
-            if not all(v in (0, 1) for v in y.tolist()):
-                raise DataError(f"{path}:{lineno}: labels must be 0 or 1, got {labels!r}")
-            if not isinstance(split, str):
-                raise DataError(f"{path}:{lineno}: split must be a string, got {split!r}")
-            features, y = features.astype(float), y.astype(int)
-            if linenos:
-                if (features.size, y.size) != (features_rows[0].size, label_rows[0].size):
-                    raise DataError(
-                        f"{path}:{lineno}: {features.size} features and {y.size} labels, "
-                        f"but line {linenos[0]} has {features_rows[0].size} and "
-                        f"{label_rows[0].size}"
-                    )
-            else:
+            labels = [] if labels is None else labels
+            if not all(isinstance(a, list) and all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in a)
+                    for a in (features, labels)):
+                raise DataError(f"{path}:{lineno}: features and labels must be lists of "
+                                "numbers, not true or false")
+            if linenos and (len(features), len(labels)) != (features_rows[0].size,
+                                                            label_rows[0].size):
+                raise DataError(
+                    f"{path}:{lineno}: {len(features)} features and {len(labels)} labels, "
+                    f"but line {linenos[0]} has {features_rows[0].size} and "
+                    f"{label_rows[0].size}"
+                )
+            try:
+                x = np.array([features], dtype=float)
+            except OverflowError as exc:
+                raise DataError(f"{path}:{lineno}: malformed dataset line: {exc}") from exc
+            y = np.array([labels])
+            if problem := datagen._table_rule(x, y, split):
+                raise DataError(f"{path}:{lineno}: {problem}")
+            if not linenos:
                 first_split = split
-            if any(type(v) is bool for v in [*doc["features"], *(labels or [])]):
-                raise DataError(f"{path}:{lineno}: features and labels must be numbers, "
-                                "not true or false")
-            features_rows.append(features)
-            label_rows.append(y)
+            features_rows.append(x[0])
+            label_rows.append(y[0])
             linenos.append(lineno)
     if not linenos:
         return Dataset(X=np.empty((0, 0)), Y=np.empty((0, 0), dtype=int), split=None)
-    finite = np.isfinite(np.array(features_rows)).all(axis=1)
-    if not finite.all():
-        raise DataError(f"{path}:{linenos[int(np.argmin(finite))]}: features must be finite")
-    return Dataset(X=np.array(features_rows), Y=np.array(label_rows), split=first_split)
+    return Dataset(X=np.array(features_rows), Y=np.array(label_rows).astype(int),
+                   split=first_split)

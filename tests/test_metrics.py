@@ -321,7 +321,8 @@ class TestOneSweepMatchesThreeSweeps:
     @given(ds=scored_datasets(), positive_is_ood=st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_roc_csv_bytes_equal_csv_writer(self, ds, positive_is_ood, tmp_path_factory):
-        path = tmp_path_factory.getbasetemp() / "roc_bit_equal.csv"
+        # a new file each example: rewriting one is slow on some filesystems
+        path = tmp_path_factory.mktemp("roc") / "roc_bit_equal.csv"
         write_roc_csv(roc_curve(_positive(ds, positive_is_ood)), path)
         buf = io.StringIO(newline="")
         csv.writer(buf).writerows(
