@@ -220,13 +220,19 @@ def cmd_gen_data(config_path, out, seed, name):
             spec = default_spec(cfg["feature_dim"], cfg["label_count"], samples,
                                 cfg["cluster_spread"], cfg["mean_scale"], cfg["seed"])
         except ConfigError as exc:  # the cluster means coincide
-            raise ConfigError(f"malformed {source}: 'mean_scale' {cfg['mean_scale']!r} is "
-                              f"too small to tell the label clusters apart ({exc})") from None
+            blame = (f"'mean_scale' {cfg['mean_scale']!r} is too small to tell the label "
+                     "clusters apart" if cfg["feature_dim"] > 1 or not cfg["mean_scale"] else
+                     f"'feature_dim' 1 gives the 'label_count' {cfg['label_count']} label "
+                     "clusters only the directions -1 and +1")
+            raise ConfigError(f"malformed {source}: {blame} ({exc})") from None
     ood_spec = OodSpec(cfg["ood_mode"], cfg["ood_shift"], cfg["ood_samples"], cfg["seed"])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
         with _array_sizes("feature_dim, label_count, train_samples, val_samples, "
                           "test_samples", source):
-            ind = generate_ind(spec)
+            try:
+                ind = generate_ind(spec)
+            except ConfigError as exc:  # a split too small to hold every label
+                raise ConfigError(f"malformed {source}: {exc}") from None
         with _array_sizes("feature_dim, ood_samples", source):
             ood = generate_ood(spec, ood_spec)
     base = cfg["name"]
@@ -342,7 +348,7 @@ def cmd_score(config_path, checkpoint, data, out, scores_arg, lambda1, lambda2):
                     values[:, j] = score_by_name(
                         nm, ev, logits, cfg["lambda1"], cfg["lambda2"]
                     )
-        except (NumericError, FloatingPointError, OverflowError) as exc:
+        except (NumericError, FloatingPointError) as exc:
             raise NumericError(f"checkpoint {checkpoint} on {path}: {exc}") from None
         groups.append((values, pred.p))
 

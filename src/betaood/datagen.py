@@ -191,9 +191,9 @@ def _generate_split(spec: SyntheticSpec, split: str, tag: int) -> Dataset:
         if np.all(y.sum(axis=0) > 0):
             return Dataset(X=_noisy(rng, mean_sums[choices], spec.cluster_spread), Y=y,
                            split=split)
-    raise DataError(
-        f"split {split!r} missing some label as positive after "
-        f"{_PRESENCE_RETRIES} regeneration attempts; increase the sample count"
+    raise ConfigError(
+        f"'{split}_samples' {n} is too small for 'label_count' {spec.label_count}: none of "
+        f"{_PRESENCE_RETRIES} draws of the split held every label as a positive"
     )
 
 

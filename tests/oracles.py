@@ -1,7 +1,8 @@
 """The quadrature oracle of the closed-form loss: the Beta density and an
 adaptive Gauss-Kronrod integrator of the expected BCE; the recurrence shift
 of the digamma/trigamma kernels, rung by rung and with int64 rung offsets;
-and the ELU pair with the scalar 0.0 as the zero of min(x, 0).
+the ELU pair with the scalar 0.0 as the zero of min(x, 0); and the sum
+scores' row sum as a Python loop.
 
 The Beta density is evaluated in log space.  The integrator shares no code
 with the loss path, so the tests cross-check ``betaood.loss`` against it.
@@ -68,6 +69,19 @@ def elu_scalar_zero_reference(x):
 def elu_grad_scalar_zero_reference(x):
     """evidence.elu_grad_array with the scalar 0.0 as the zero of min(x, 0)."""
     return np.exp(np.minimum(x, 0.0))
+
+
+def label_sums_reference(x):
+    """scores._label_sums of (N, L) rows: each row as Python floats, sorted
+    ascending and added left to right from its first value."""
+    sums = []
+    for row in np.asarray(x, dtype=float).tolist():
+        row.sort()
+        total = row[0]
+        for value in row[1:]:
+            total += value
+        sums.append(total)
+    return np.array(sums, dtype=float)
 
 
 def _check_positive(x: float, name: str) -> None:

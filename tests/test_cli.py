@@ -156,7 +156,25 @@ class TestGenData:
         ({"ood_mode": "x"}, "'ood_mode' must be one of ('shifted', 'novel_cluster'), got 'x'"),
         ({"mean_scale": 0}, "'mean_scale' 0 is too small to tell the label clusters apart "
                             "(cluster means 0 and 1 coincide)"),
-    ], ids=["ood_shift", "cluster_spread", "ood_mode", "mean_scale"])
+        # one feature gives each label the direction -1 or +1: 3 labels always coincide,
+        # 2 labels at seed 1, whatever the scale
+        ({"feature_dim": 1, "label_count": 3, "mean_scale": 1e100},
+         "'feature_dim' 1 gives the 'label_count' 3 label clusters only the directions -1 "
+         "and +1 (cluster means 0 and 2 coincide)"),
+        ({"feature_dim": 1, "label_count": 2, "seed": 1},
+         "'feature_dim' 1 gives the 'label_count' 2 label clusters only the directions -1 "
+         "and +1 (cluster means 0 and 1 coincide)"),
+        # at seed 0 the two directions differ: the zero scale alone makes them coincide
+        ({"feature_dim": 1, "label_count": 2, "mean_scale": 0},
+         "'mean_scale' 0 is too small to tell the label clusters apart "
+         "(cluster means 0 and 1 coincide)"),
+        # two rows of singletons and pairs hold at most 4 of the 5 labels
+        *(({f"{split}_samples": 2}, f"'{split}_samples' 2 is too small for 'label_count' 5: "
+           "none of 20 draws of the split held every label as a positive")
+          for split in ("train", "val", "test")),
+    ], ids=["ood_shift", "cluster_spread", "ood_mode", "mean_scale", "feature_dim_3_labels",
+            "feature_dim_2_labels", "feature_dim_zero_scale", "train_samples", "val_samples",
+            "test_samples"])
     def test_spec_errors_name_the_key_and_config(self, tmp_path, capsys, doc, message):
         cfg = _write_config(tmp_path, "gen.json", doc)
         out = tmp_path / "d"
@@ -270,7 +288,8 @@ def test_failed_run_creates_no_out(tmp_path, capsys, command):
         "sweep-lambda": ["sweep-lambda", "--scores-csv", missing],
     }[command]
     out = tmp_path / "o"
-    assert main([*argv, "--out", str(out)]) == 2
+    # a split too small for its labels is a config error
+    assert main([*argv, "--out", str(out)]) == (1 if command == "gen-data" else 2)
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
 
@@ -731,8 +750,8 @@ class TestScore:
         assert not out.exists()
 
     def test_sum_score_overflow_is_numeric_error(self, pipeline, tmp_path, capsys):
-        # finite evidence near 1e308 on every label: the exact row sum of the
-        # sum family overflows, as math.fsum reports it
+        # finite evidence near 1e308 on every label: the row sum of the sum
+        # family overflows, as numpy reports it under the command's errstate
         doc = json.loads((pipeline / "checkpoint.json").read_text())
         doc["params"]["b_pos"] = _filled(doc["params"]["b_pos"], 1e308)
         huge = tmp_path / "checkpoint.json"
@@ -745,7 +764,7 @@ class TestScore:
         assert code == 3
         assert capsys.readouterr().err == (
             f"numeric error: checkpoint {huge} on {pipeline / 'synth'}.test.jsonl: "
-            "intermediate overflow in fsum\n"
+            "overflow encountered in add\n"
         )
         assert not (out / "scores.csv").exists() and not (out / "preds.csv").exists()
 

@@ -670,15 +670,17 @@ class TestSidecarMatchesParse:
         parser raises more than ValueError for some (tokenize's TokenError)."""
         data = _labeled(3)
         write_jsonl(data, tmp_path / "ds.jsonl")
-        text, raw = (tmp_path / "ds.jsonl").read_bytes(), (tmp_path / "ds.jsonl.npy").read_bytes()
+        raw = (tmp_path / "ds.jsonl.npy").read_bytes()
         damaged = [raw[:n] for n in range(len(raw))]
         damaged += [raw[:i] + bytes([raw[i] ^ 0x80]) + raw[i + 1:] for i in range(len(raw))]
         for k, sidecar in enumerate(damaged):
             path = tmp_path / f"d{k}.jsonl"  # new files: rewriting one is slow on some filesystems
-            path.write_bytes(text)
+            os.link(tmp_path / "ds.jsonl", path)
             _sidecar(path).write_bytes(sidecar)
             got = read_jsonl(path)
             assert got.X.tobytes() == data.X.tobytes() and np.array_equal(got.Y, data.Y), k
+            path.unlink()
+            _sidecar(path).unlink()
 
 
 def _reference_read_jsonl(path) -> Dataset:

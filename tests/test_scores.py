@@ -1,11 +1,13 @@
 import math
-from unittest import mock
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+
+from oracles import label_sums_reference
 
 from betaood import scores
 from betaood.errors import ConfigError
@@ -155,10 +157,13 @@ class TestScoreProperties:
         beta = rng.uniform(1.1, 50.0, (40, 6))
         f_pos = rng.normal(scale=5.0, size=(40, 6))
         perm = rng.permutation(6)
-        # and 32 labels of magnitudes 1 to 1e12, whose plain float sum changes with their order
+        # and 32 and 81 labels of magnitudes 1 to 1e12, whose plain float sum changes
+        # with their order, the 32 also in F order
         wide = (*(1.0 + 10.0 ** rng.uniform(0.0, 12.0, (3, 40, 32))), rng.permutation(32))
-        for alpha, beta, f_pos, perm in ((alpha, beta, f_pos, perm), wide):
-            if alpha.shape[1] == 32:
+        fortran = (*map(np.asfortranarray, wide[:3]), wide[3])
+        many = (*(1.0 + 10.0 ** rng.uniform(0.0, 12.0, (3, 40, 81))), rng.permutation(81))
+        for alpha, beta, f_pos, perm in ((alpha, beta, f_pos, perm), wide, fortran, many):
+            if alpha.shape[1] >= 32:
                 for x in (alpha, 1.0 / beta, np.logaddexp(0.0, f_pos)):
                     assert (np.sum(x, axis=1) != np.sum(x[:, perm], axis=1)).any()
             ev = EvidencePair(alpha=alpha, beta=beta)
@@ -243,67 +248,50 @@ class TestScoreBatch:
             EvidencePair(alpha=alpha[None], beta=alpha[None])
 
 
-def _fsum_outcome(fn, x):
-    """The bits of each row's sum, or the type and message of the error raised."""
-    try:
-        return fn(x).view(np.int64).tolist()
-    except (OverflowError, ValueError) as exc:
-        return type(exc), str(exc)
+def _layouts(x):
+    """x's rows in C order, in F order, as a fancy-indexed permutation of its
+    labels and as a strided view, each with the same rows as x up to label order."""
+    perm = np.random.default_rng(x.shape[1]).permutation(x.shape[1])
+    padded = np.zeros((2 * len(x), 3 * x.shape[1]))
+    padded[::2, ::3] = x
+    return {"C": np.ascontiguousarray(x), "F": np.asfortranarray(x), "permuted": x[:, perm],
+            "strided": padded[::2, ::3]}
 
 
-def _fsum_loop(x):
-    return np.array([math.fsum(row) for row in x.tolist()], dtype=float)
+_LABEL_COUNTS = st.sampled_from([1, 2, 5, 32, 81])
 
 
-def _near_ties(seed, n=256):
-    """Shuffled rows a, +-(h - h 2^-k), +-h 2^-k, +-h 2^-(k+j), 0 with h = ulp(a)/2,
-    whose sums lie on or next to a rounding tie, half of them with a cancelling
-    pair +-B (without it, a halving order does not reach the rows that need d)."""
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(1.0, 2.0, n) * 2.0 ** rng.integers(-60, 60, n)
-    h = np.spacing(a) / 2
-    k, j = rng.integers(1, 60, (2, n))
-    signs = rng.choice([-1.0, 1.0], (3, n))
-    big = a * rng.uniform(1.0, 2.0, n) * 2.0 ** rng.integers(-60, 60, n) * (rng.random(n) < 0.5)
-    x = np.stack([a, signs[0] * (h - h * 2.0**-k), signs[1] * h * 2.0**-k,
-                  signs[2] * h * 2.0 ** -(k + j), np.zeros(n), big, -big], axis=1)
-    return rng.permuted(x, axis=1)
+class TestLabelSums:
+    """_label_sums adds each row's values smallest first, column by column."""
 
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.tuples(st.integers(0, 6), _LABEL_COUNTS).flatmap(
+        lambda shape: hnp.arrays(np.float64, shape, elements=st.floats(allow_nan=False,
+                                                                      allow_infinity=False))))
+    def test_equals_sorted_python_sum_in_every_layout(self, x):
+        want = label_sums_reference(x).view(np.int64)
+        with np.errstate(over="ignore"):  # a sum past the float maximum is inf in both
+            for layout, rows in _layouts(x).items():
+                np.testing.assert_array_equal(scores._label_sums(rows).view(np.int64), want,
+                                              err_msg=layout)
 
-class TestExactRowSums:
-    """_fsum_rows certifies most rows without math.fsum and gives fsum's bits."""
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.tuples(st.integers(1, 6), _LABEL_COUNTS).flatmap(
+        lambda shape: hnp.arrays(np.float64, shape, elements=st.floats(-1e300, 1e300))))
+    def test_within_recursive_summation_bound(self, x):
+        # |sum - S| <= (L - 1) 2**-53 sum|x| (Jeannerod and Rump), compared exactly,
+        # for the exact sum S that math.fsum rounds: fsum's half ulp would come on top
+        for row, got in zip(x.tolist(), scores._label_sums(x).tolist()):
+            bound = Fraction(len(row) - 1, 2**53) * sum(Fraction(abs(v)) for v in row)
+            assert abs(Fraction(got) - sum(map(Fraction, row))) <= bound
 
-    @settings(max_examples=150, deadline=None)
-    @given(x=st.tuples(st.integers(0, 6), st.sampled_from([0, 1, 2, 5, 32])).flatmap(
-        lambda shape: hnp.arrays(np.float64, shape, elements=st.floats() | st.sampled_from(
-            [0.0, -0.0, 5e-324, -2.0**-1022, math.inf, -math.inf, math.nan, 1e308, -1e308]))))
-    def test_any_floats_equal_fsum(self, x):
-        assert _fsum_outcome(scores._fsum_rows, x) == _fsum_outcome(_fsum_loop, x)
+    def test_one_label_returns_its_bits(self):
+        x = np.array([[-0.0], [5e-324], [-1.5], [math.inf], [math.nan], [1e308]])
+        np.testing.assert_array_equal(scores._label_sums(x).view(np.int64),
+                                      x[:, 0].view(np.int64))
 
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_near_ties_equal_fsum(self, seed):
-        x = _near_ties(seed)
-        assert _fsum_outcome(scores._fsum_rows, x) == _fsum_outcome(_fsum_loop, x)
-
-    def test_certified_and_fallback_rows(self):
-        # rows that fsum alone may sum: r == 0, |x| summing past 2**1023, inf, a
-        # row whose exact sum is finite but on which fsum's partials overflow
-        top = np.finfo(float).max
-        x = np.array([[0.1, 0.2, 0.3], [-0.0, -0.0, 0.0], [1e308, -1e308, 1.0],
-                      [math.inf, 1.0, 1.0], [-(top - 2.0**971), 2.0**970, top], [1.0, 2.0, 3.0]])
-        fsum = math.fsum
-        with mock.patch.object(math, "fsum", wraps=fsum) as spy:
-            with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
-                scores._fsum_rows(x)
-            got = _fsum_outcome(scores._fsum_rows, x[[0, 1, 2, 3, 5]])
-        # only the fallback rows, in row order, and fsum's error from the first that raises
-        assert [call.args[0] for call in spy.call_args_list] == [
-            x[1].tolist(), x[2].tolist(), x[3].tolist(), x[4].tolist(),
-            x[1].tolist(), x[2].tolist(), x[3].tolist()]
-        assert got == _fsum_outcome(_fsum_loop, x[[0, 1, 2, 3, 5]])
-        # near-tie rows take both branches
-        x = _near_ties(0, 2000)
-        with mock.patch.object(math, "fsum", wraps=fsum) as spy:
-            scores._fsum_rows(x)
-        assert 0 < spy.call_count < len(x)
+    def test_overflow_raises_under_errstate(self):
+        x = np.array([[1.0, 2.0], [1e308, 1e308]])
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError,
+                                                      match="overflow encountered in add"):
+            scores._label_sums(x)
