@@ -48,7 +48,7 @@ from .model import (
     train,
 )
 from .scores import SCORE_NAMES, mix_scores, score_by_name
-from .tables import read_table, write_table
+from .tables import read_table, row_line, write_table
 
 _GEN_DEFAULTS = {
     "name": "synth",
@@ -400,7 +400,8 @@ def _read_scores_csv(path):
 
 
 def _check_unique(values: np.ndarray, path, what: str) -> None:
-    """Reject the first value that repeats an earlier row, by line (header is line 1)."""
+    """Reject the first value that repeats an earlier row, naming the lines where both
+    rows start (tables.row_line)."""
     order = np.argsort(values, kind="stable")
     ranked = values[order]
     # a run of equal values keeps file order: each row after its first repeats it
@@ -408,7 +409,8 @@ def _check_unique(values: np.ndarray, path, what: str) -> None:
     if repeats.size:
         k = repeats[np.argmin(order[repeats])]
         i, first = order[k], order[np.searchsorted(ranked, ranked[k])]
-        raise DataError(f"{path}:{i + 2}: {what} {values.tolist()[i]!r} repeats line {first + 2}")
+        raise DataError(f"{path}:{row_line(path, i)}: {what} {values.tolist()[i]!r} repeats "
+                        f"line {row_line(path, first)}")
 
 
 # What a CSV cell may hold: (test over a column's values, what the cell must be).
@@ -418,7 +420,7 @@ _UNIT = (lambda v: (v >= 0) & (v <= 1), "a number in [0, 1]")
 
 
 def _check_cells(path, cells: dict) -> None:
-    """Reject the first cell, by line and then by column, that breaks its rule;
+    """Reject the first cell, by row and then by column, that breaks its rule;
     ``cells`` maps each checked column's name to its values and its rule."""
     first = None
     for nm, (values, (test, wanted)) in cells.items():
@@ -427,9 +429,8 @@ def _check_cells(path, cells: dict) -> None:
             first = (int(np.argmin(ok)), nm, wanted)
     if first is not None:
         i, nm, wanted = first
-        raise DataError(
-            f"{path}:{i + 2}: column {nm!r} holds {cells[nm][0][i].item()!r}, not {wanted}"
-        )
+        raise DataError(f"{path}:{row_line(path, i)}: column {nm!r} holds "
+                        f"{cells[nm][0][i].item()!r}, not {wanted}")
 
 
 def _check_score_cells(path, is_ood, columns: dict, names) -> None:

@@ -186,11 +186,11 @@ def _generate_split(spec: SyntheticSpec, split: str, tag: int) -> Dataset:
     for attempt in range(_PRESENCE_RETRIES):
         rng = _split_rng(spec.seed, tag, attempt)
         choices = rng.choice(len(spec.co_occurrence), size=n, p=weights)
-        y = indicators[choices]
+        y = indicators.take(choices, axis=0)
         # each attempt has its own generator, so a rejected one need not draw noise
         if np.all(y.sum(axis=0) > 0):
-            return Dataset(X=_noisy(rng, mean_sums[choices], spec.cluster_spread), Y=y,
-                           split=split)
+            means = mean_sums.take(choices, axis=0)
+            return Dataset(X=_noisy(rng, means, spec.cluster_spread), Y=y, split=split)
     raise ConfigError(
         f"'{split}_samples' {n} is too small for 'label_count' {spec.label_count}: none of "
         f"{_PRESENCE_RETRIES} draws of the split held every label as a positive"
@@ -219,7 +219,7 @@ def generate_ood(ind_spec: SyntheticSpec, ood_spec: OodSpec) -> np.ndarray:
         offset = ood_spec.shift_distance * sigma * direction
         weights, _, mean_sums = _subset_table(ind_spec)
         choices = rng.choice(len(weights), size=ood_spec.samples, p=weights)
-        return _noisy(rng, mean_sums[choices] + offset, sigma)
+        return _noisy(rng, mean_sums.take(choices, axis=0) + offset, sigma)
     # novel_cluster: fresh cluster means at an IND-typical radius but carrying
     # none of the known class signatures.  Directions are sampled in the
     # orthogonal complement of the class-mean span when one exists (otherwise
@@ -258,7 +258,7 @@ def generate_ood(ind_spec: SyntheticSpec, ood_spec: OodSpec) -> np.ndarray:
         else:
             radius *= 1.3  # guaranteed to terminate: distance grows with radius
     picks = rng.integers(0, n_clusters, size=ood_spec.samples)
-    return _noisy(rng, np.array(novel_means)[picks], sigma)
+    return _noisy(rng, np.array(novel_means).take(picks, axis=0), sigma)
 
 
 _HEADER = "# betaood dataset v1"

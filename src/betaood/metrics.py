@@ -171,11 +171,17 @@ def mean_average_precision(prob_matrix: np.ndarray, label_matrix: np.ndarray) ->
 
 @functools.lru_cache(maxsize=2)
 def _rate_cells(n: int) -> np.ndarray:
-    """repr of k / n for k = 0..n, an object array: the same division as ``fp / n_neg``."""
-    return np.array([repr(r) for r in (np.arange(n + 1) / n).tolist()], dtype=object)
+    """repr of k / n for k = 0..n, the same division as ``fp / n_neg``, as the read-only
+    (n + 1, w) uint32 cells of ``tables.number_rows``: a row holds one text's ASCII
+    bytes, NUL-padded to w words."""
+    texts = np.array([repr(r) for r in (np.arange(n + 1) / n).tolist()], dtype="S")
+    cells = texts.astype(f"S{-texts.itemsize // 4 * -4}").view(np.uint32).reshape(n + 1, -1)
+    cells.flags.writeable = False
+    return cells
 
 
 def write_roc_csv(curve: RocCurve, path) -> None:
-    """One row per ROC point, from (0, 0); each cell is gathered by its count."""
+    """One row per ROC point, from (0, 0); each cell is the rendered rate of its count."""
     fp, tp = (np.concatenate([[0], counts]) for counts in (curve.fp, curve.tp))
-    write_table(path, ["fpr", "tpr"], [_rate_cells(curve.n_neg)[fp], _rate_cells(curve.n_pos)[tp]])
+    write_table(path, ["fpr", "tpr"],
+                [(_rate_cells(curve.n_neg), fp), (_rate_cells(curve.n_pos), tp)])

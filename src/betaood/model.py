@@ -278,7 +278,7 @@ def train(features: np.ndarray, labels: np.ndarray, arch: ArchConfig,
         sample_losses = []
         for batch, start in enumerate(range(0, n, config.batch_size), start=1):
             idx = order[start : start + config.batch_size]
-            xb, yb = features[idx], labels[idx]
+            xb, yb = features.take(idx, axis=0), labels.take(idx, axis=0)
             try:
                 losses, _ = _batch_gradients(params, xb, yb, out=grads)
             except NumericError as exc:

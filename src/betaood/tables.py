@@ -1,9 +1,11 @@
 """The pipeline's one CSV reader and writer, with the csv module's excel-dialect behaviour,
 and the one cache codec of the files it and datagen write.
 
-Tables are parsed by ``csv.reader``, so that a message names the file, the line and
-the cause.  Number rows are written by an array kernel with the bytes of repr and str
-(``number_rows``), other rows by one string join per chunk or by ``csv.writer``.
+Tables are parsed by ``csv.reader``, so that a message names the file, the line where
+the row starts and the cause.  Number rows are written by an array kernel with the bytes
+of repr and str (``number_rows``), which also gathers cells rendered once, as uint32
+words, by row number (the ROC export's rates); other rows by one string join per chunk
+or by ``csv.writer``.
 
 A cache, ``<file>.npy``, holds what parsing the file gives under a key of its bytes
 (zlib: hashlib loads OpenSSL); it is never required and safe to delete.
@@ -17,7 +19,7 @@ import functools
 import io
 import os
 import zlib
-from itertools import chain, groupby
+from itertools import chain, groupby, islice
 from pathlib import Path
 
 import numpy as np
@@ -80,14 +82,15 @@ def _read_rows(path, what: str, schema) -> tuple[list[str], list]:
         types = schema(header)
         values = [[] for _ in types]
         parsers = [_PARSERS[t] for t in types]
-        for lineno, row in enumerate(reader, start=2):
+        for i, row in enumerate(reader):
             if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
+                raise DataError(f"{path}:{row_line(path, i)}: expected {len(header)} columns, "
+                                f"got {len(row)}")
             try:
                 for column, parse, cell in zip(values, parsers, row):
                     column.append(parse(cell))
             except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: malformed row: {exc}") from exc
+                raise DataError(f"{path}:{row_line(path, i)}: malformed row: {exc}") from exc
     except StopIteration:
         raise DataError(f"{what} {path} is empty") from None
     except csv.Error as exc:
@@ -95,17 +98,30 @@ def _read_rows(path, what: str, schema) -> tuple[list[str], list]:
     return header, [v if t is str else np.array(v, _DTYPES[t]) for v, t in zip(values, types)]
 
 
+def row_line(path, i: int) -> int:
+    """The line where data row i (0 the row after the header) of a CSV file starts, as
+    csv.reader counts lines: a quoted line break in an earlier row or the header moves it."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for _ in islice(reader, i + 1):
+            pass
+        return reader.line_num + 1
+
+
 def write_table(path, header: list[str], columns, cache: bool = False) -> None:
     """Write a header and equal-length columns with the bytes of csv.writer.
 
     A float array's cells are the repr of each Python float, another number array's
     the str of each value, a list or object array's its str cells; the file is UTF-8.
-    Tables of KERNEL_MIN_CELLS int64 and float64 cells or more take ``number_rows``.
+    A pair (cells, index) of pre-rendered cells gives row r the text of cells[index[r]]
+    (``number_rows``).  Tables of such pairs, and tables of KERNEL_MIN_CELLS int64 and
+    float64 cells or more, take ``number_rows``.
     With ``cache``, also save ``<path>.npy``, the header and a 2-D block per run of
     columns of one dtype, if the parse gives them back: int64 or float64 arrays of
     a row or more without NaN, an ASCII header that numpy keeps (no trailing NUL).
     """
-    n, step = len(columns[0]), max(1, CHUNK_CELLS // len(columns))
+    rendered = all(isinstance(c, tuple) for c in columns)
+    n, step = len(columns[0][1] if rendered else columns[0]), max(1, CHUNK_CELLS // len(columns))
     numbers = all(isinstance(c, np.ndarray) and c.dtype in (np.int64, np.float64) for c in columns)
     runs = numbers and [np.array(list(run)) for _, run in groupby(columns, lambda c: c.dtype)]
     blocks = cache and n and runs
@@ -114,8 +130,9 @@ def write_table(path, header: list[str], columns, cache: bool = False) -> None:
         blocks = None
     rows = (_joined([_cells(column[start : start + step]) for column in columns])
             for start in range(0, n, step))
-    if numbers and n * len(columns) >= KERNEL_MIN_CELLS:  # cells that are never quoted
-        rows = number_rows([p for run in runs for p in (run.T, ",")][:-1] + ["\r\n"], n)
+    if rendered or numbers and n * len(columns) >= KERNEL_MIN_CELLS:  # never quoted
+        parts = columns if rendered else [run.T for run in runs]
+        rows = number_rows([p for part in parts for p in (part, ",")][:-1] + ["\r\n"], n)
     key = digest([])
     with open(path, "wb") as fh:
         for block in chain([_joined([[name] for name in header])], rows):
@@ -128,9 +145,9 @@ def write_table(path, header: list[str], columns, cache: bool = False) -> None:
 
 def _cells(part) -> list[str]:
     """The str cells of a slice of a column."""
-    if isinstance(part, np.ndarray) and part.dtype.kind != "O":
+    if isinstance(part, np.ndarray):  # str leaves an object array's str cells as they are
         return list(map(repr if part.dtype.kind == "f" else str, part.tolist()))
-    return part.tolist() if isinstance(part, np.ndarray) else part
+    return part
 
 
 def _joined(chunk) -> bytes:
@@ -155,22 +172,30 @@ def _joined(chunk) -> bytes:
 def number_rows(parts, n: int):
     """Yield the ASCII bytes of n rows, about CHUNK_CELLS cells at a time.
 
-    Each part is a str with no NUL, the same on every row, or an (n, k) int64 or
-    float64 array whose row gives k cells joined by ",": the str of each int and the
-    repr of each float, from ``_cell_words``.  A chunk is a uint32 matrix of words of
-    1-4 bytes padded by NUL, written without the NULs; a cell is its words and ",".
+    Each part is one of:
+    - a str with no NUL, the same on every row;
+    - an (n, k) int64 or float64 array whose row gives k cells joined by ",": the str
+      of each int and the repr of each float, from ``_cell_words``;
+    - a pair (cells, index), one pre-rendered cell a row: ``cells`` is an (m, w) uint32
+      array whose rows hold ASCII texts with no byte that needs quoting, NUL-padded to
+      w words (NUL only as padding), and row r gets cells[index[r]], gathered by take.
+    A chunk is a uint32 matrix of words of 1-4 bytes padded by NUL, written without the
+    NULs; an array's cell is its words and ",".
     """
-    width = sum(p.shape[1] for p in parts if not isinstance(p, str))
+    width = sum(1 if isinstance(p, tuple) else p.shape[1] for p in parts if not isinstance(p, str))
     step = max(1, CHUNK_CELLS // max(width, 1))
     for start in range(0, n, step):
-        chunk = [p if isinstance(p, str) else p[start : start + step] for p in parts]
-        pieces = [_words([p]) if isinstance(p, str) else _cell_words(p.ravel()) if p.size else []
+        block = slice(start, start + step)
+        chunk = [p[block] if isinstance(p, np.ndarray) else p for p in parts]
+        # a str's words, a pair's gathered rows of words, an array's word rows per position
+        pieces = [_words([p]) if isinstance(p, str) else p[0].take(p[1][block], axis=0)
+                  if isinstance(p, tuple) else _cell_words(p.ravel()) if p.size else []
                   for p in chunk]
-        slots = [len(w) if isinstance(p, str) else p.shape[1] * (len(w) + 1)
+        slots = [p.shape[1] * (len(w) + 1) if isinstance(p, np.ndarray) else w.shape[-1]
                  for p, w in zip(chunk, pieces)]
         out, at = np.zeros((min(step, n - start), sum(slots)), np.uint32), 0
         for p, words, slot in zip(chunk, pieces, slots):
-            if isinstance(p, str):
+            if not isinstance(p, np.ndarray):
                 out[:, at : at + slot] = words
             elif slot:
                 cells = out[:, at : at + slot].reshape(len(out), p.shape[1], -1)

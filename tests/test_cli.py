@@ -1239,6 +1239,66 @@ class TestEval:
         assert not (out / "aggregate.csv").exists()
 
 
+class TestQuotedLineBreaks:
+    """A data error names the line where its row starts, as csv.reader counts lines,
+    when the header or an earlier cell holds a quoted line break."""
+
+    @pytest.mark.parametrize("cache", [False, True], ids=["parse", "cache"])
+    @pytest.mark.parametrize("command", ["eval", "sweep-lambda"])
+    @pytest.mark.parametrize("fault, where", [
+        ("repeat", ":5: sample_id 1 repeats line 4"),
+        ("inf", ":4: column 'u_s_n' holds inf, not a finite number"),
+    ])
+    def test_header_line_break(self, tmp_path, capsys, monkeypatch, cache, command, fault,
+                               where):
+        src = tmp_path / "scores.csv"
+        ids = np.array([0, 1, 1 if fault == "repeat" else 2])
+        u_s_n = np.array([0.5, np.inf if fault == "inf" else 0.7, 0.2])
+        write_table(src, ["sample_id", "is_ood", "u_s_p", "u_s_n", "x\ny"],
+                    [ids, np.array([0, 1, 0]), np.array([0.1, 0.2, 0.3]), u_s_n, u_s_n], cache)
+        assert src.read_bytes().startswith(b'sample_id,is_ood,u_s_p,u_s_n,"x\ny"\r\n0,')
+        assert Path(f"{src}.npy").exists() == cache
+        if cache:  # the rows come from the cache, not from a parse
+            monkeypatch.setattr(tables_mod, "_read_rows", None)
+        out = tmp_path / "o"
+        assert main([command, "--scores-csv", str(src), "--scores", "u_s_n", "--out", str(out)]
+                    if command == "eval" else
+                    [command, "--scores-csv", str(src), "--out", str(out)]) == 2
+        assert f"{src}{where}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, where", [
+        ('sample_id,is_ood,"x\ny"\r\n0,0,0.5\r\n1,1,0.7\r\n1,0,0.2\r\n',
+         ":5: sample_id 1 repeats line 4"),
+        ('sample_id,is_ood,"x\ny"\r\n0,0,0.5\r\n1,1,inf\r\n2,0,0.2\r\n',
+         ":4: column 'x\\ny' holds inf, not a finite number"),
+        ('sample_id,is_ood,x\r\n0,0,"0.5\n"\r\n1,1,0.7\r\n1,0,0.2\r\n',
+         ":5: sample_id 1 repeats line 4"),
+        ('sample_id,is_ood,x\r\n0,0,"0.5\r\n"\r\n1,1,0.7\r\n1,0,x\r\n',
+         ":5: malformed row"),
+    ], ids=["header_repeat", "header_inf", "cell_repeat", "cell_malformed"])
+    def test_eval_parse(self, tmp_path, capsys, text, where):
+        src = tmp_path / "s.csv"
+        src.write_bytes(text.encode())
+        out = tmp_path / "o"
+        assert main(["eval", "--scores-csv", str(src), "--out", str(out)]) == 2
+        assert f"{src}{where}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, where", [
+        ('"a\nb",0.1,0.9,0.8\r\nc,0.1,oops,0.8\r\n', ":4: malformed row"),
+        ('"a\nb",0.1,0.9,0.8\r\nc,0.1,0.9,0.8\r\n"a\nb",0.2,0.9,0.8\r\n',
+         ":5: score 'a\\nb' repeats line 2"),
+        ('"a\nb",0.1,0.9,0.8\r\nc,0.1,1.5,0.8\r\n',
+         ":4: column 'auroc' holds 1.5, not a number in [0, 1]"),
+    ], ids=["malformed", "repeat", "unit"])
+    def test_aggregate(self, tmp_path, capsys, rows, where):
+        src = tmp_path / "m.csv"
+        src.write_bytes(f"score,fpr95,auroc,aupr\r\n{rows}".encode())
+        out = tmp_path / "o"
+        assert main(["eval", "--aggregate", str(src), "--out", str(out)]) == 2
+        assert f"{src}{where}" in capsys.readouterr().err
+
+
 class TestSweepLambda:
     def test_default_grid_eleven_rows(self, pipeline, tmp_path):
         out = tmp_path / "o"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betaood import metrics, tables
 from betaood.errors import ConfigError, DataError
 from betaood.metrics import (
     DetectionMetrics,
@@ -340,6 +341,62 @@ class TestOneSweepMatchesThreeSweeps:
         assert curve.points == list(zip(curve.fpr.tolist(), curve.tpr.tolist()))
         with pytest.raises(ValueError):
             curve.tp[0] = 0
+
+
+def _roc_reference_bytes(curve) -> bytes:
+    """csv.writer of the repr pairs of k / n at each count, from (0, 0)."""
+    buf = io.StringIO(newline="")
+    points = zip([0, *curve.fp.tolist()], [0, *curve.tp.tolist()])
+    csv.writer(buf).writerows([["fpr", "tpr"], *([repr(f / curve.n_neg), repr(t / curve.n_pos)]
+                                                 for f, t in points)])
+    return buf.getvalue().encode()
+
+
+def _every_count_curve(n_neg: int, n_pos: int):
+    """A curve of distinct scores, one sample a threshold, whose FP and TP take
+    every count from 0 to their class size."""
+    is_ood = np.zeros(n_neg + n_pos, dtype=int)
+    is_ood[np.random.default_rng(n_neg).permutation(is_ood.size)[:n_pos]] = 1
+    return roc_curve(ScoredDataset(scores=np.arange(is_ood.size, dtype=float), is_ood=is_ood))
+
+
+class TestRocExport:
+    """write_roc_csv gathers the rows from rate cells rendered once per class size."""
+
+    # class sizes by the words of their longest cell: 1 (3 bytes; 4 bytes, the whole
+    # word, at n = 4), 2 (6), 3 (9), 4 (15), 5 (18 and 19) and 6 (22 bytes, 1 / 9999)
+    @pytest.mark.parametrize("n, words", [(1, 1), (2, 1), (10, 1), (4, 1), (10000, 2),
+                                          (128, 3), (8192, 4), (3, 5), (7, 5), (9999, 6)])
+    def test_bytes_equal_csv_writer_at_each_cell_width(self, tmp_path, n, words):
+        cells = metrics._rate_cells(n)
+        assert cells.dtype == np.uint32 and cells.shape == (n + 1, words)
+        assert not cells.flags.writeable
+        longest = max(len(repr(k / n)) for k in range(n + 1))
+        assert 4 * (words - 1) < longest <= 4 * words
+        for n_neg, n_pos in ((n, 3), (7, n)):
+            curve = _every_count_curve(n_neg, n_pos)
+            write_roc_csv(curve, tmp_path / f"roc_{n_neg}_{n_pos}.csv")
+            assert (tmp_path / f"roc_{n_neg}_{n_pos}.csv").read_bytes() == _roc_reference_bytes(
+                curve)
+
+    def test_cells_are_the_repr_of_each_rate(self):
+        cells = metrics._rate_cells(9999)
+        texts = [row.tobytes().rstrip(b"\0").decode() for row in cells]
+        assert texts == [repr(k / 9999) for k in range(10000)]
+        assert texts[1] == "0.00010001000100010001"
+
+    def test_single_threshold(self, tmp_path):
+        curve = roc_curve(ScoredDataset(scores=[0.5] * 5, is_ood=[0, 1, 1, 0, 0]))
+        write_roc_csv(curve, tmp_path / "roc.csv")
+        assert (tmp_path / "roc.csv").read_bytes() == b"fpr,tpr\r\n0.0,0.0\r\n1.0,1.0\r\n"
+
+    def test_one_row_past_the_block(self, tmp_path):
+        block = tables.CHUNK_CELLS // 2  # two cells a row
+        curve = _every_count_curve(block // 2, block // 2)  # block thresholds
+        write_roc_csv(curve, tmp_path / "roc.csv")
+        text = (tmp_path / "roc.csv").read_bytes()
+        assert text.count(b"\r\n") == 1 + block + 1  # the header, (0, 0), the thresholds
+        assert text == _roc_reference_bytes(curve)
 
 
 @st.composite

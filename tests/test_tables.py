@@ -23,6 +23,23 @@ def _reference_header(reader, what, path):
         raise DataError(f"{what} {path} is empty") from None
 
 
+def _reference_rows(reader):
+    """Each row after the header with the line where it starts, as csv.reader counts lines."""
+    while True:
+        lineno = reader.line_num + 1
+        try:
+            yield lineno, next(reader)
+        except StopIteration:
+            return
+
+
+def _reference_repeats(ids, lines, path):
+    for lineno, sample_id in zip(lines, ids):
+        first = lines[ids.index(sample_id)]
+        if first != lineno:
+            raise DataError(f"{path}:{lineno}: sample_id {sample_id!r} repeats line {first}")
+
+
 def _reference_width(row, header, path, lineno):
     if len(row) != len(header):
         raise DataError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
@@ -38,10 +55,11 @@ def _reference_scores(path):
         if header[:2] != ["sample_id", "is_ood"]:
             raise DataError(f"scores CSV {path} must start with sample_id,is_ood columns")
         names = header[2:]
-        ids, is_ood = [], []
+        ids, is_ood, lines = [], [], []
         columns = {nm: [] for nm in names}
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in _reference_rows(reader):
             _reference_width(row, header, path, lineno)
+            lines.append(lineno)
             try:
                 ids.append(int(row[0]))
                 is_ood.append(int(row[1]))
@@ -49,10 +67,7 @@ def _reference_scores(path):
                     columns[nm].append(float(val))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: malformed row: {exc}") from exc
-    for lineno, sample_id in enumerate(ids, start=2):
-        first = ids.index(sample_id) + 2
-        if first != lineno:
-            raise DataError(f"{path}:{lineno}: sample_id {sample_id!r} repeats line {first}")
+    _reference_repeats(ids, lines, path)
     return np.array(is_ood, dtype=np.int64), {nm: np.array(v) for nm, v in columns.items()}
 
 
@@ -68,26 +83,24 @@ def _reference_preds(path):
             raise DataError(
                 f"predictions CSV {path} must have columns sample_id, p_0.., y_0.."
             )
-        ids, probs, labels = [], [], []
-        for lineno, row in enumerate(reader, start=2):
+        ids, probs, labels, lines = [], [], [], []
+        for lineno, row in _reference_rows(reader):
             _reference_width(row, header, path, lineno)
+            lines.append(lineno)
             try:
                 ids.append(int(row[0]))
                 probs.append([float(v) for v in row[1 : 1 + n_labels]])
                 labels.append([int(v) for v in row[1 + n_labels :]])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: malformed row: {exc}") from exc
-    for lineno, sample_id in enumerate(ids, start=2):
-        first = ids.index(sample_id) + 2
-        if first != lineno:
-            raise DataError(f"{path}:{lineno}: sample_id {sample_id!r} repeats line {first}")
+    _reference_repeats(ids, lines, path)
     return np.array(probs), np.array(labels)
 
 
 CELLS = [
     "0", "1", "7", "-0", "+1", " 1", "0.5", "-2.5e-3", "1e5", "1.5", "1.0", "-0.0",
     "nan", "-inf", "Infinity", "1e999", "5e-324", "1_0", "0x10", "", "x", "1 2",
-    '"0.5"', '"1"', '"1,5"', '"a""b"', "\t0.25",
+    '"0.5"', '"1"', '"1,5"', '"a""b"', "\t0.25", '"2\n"', '"0.5\r\n"',
 ]
 
 
@@ -465,3 +478,56 @@ class TestNumberTableAtSize:
                      for c in columns))
         want = _csv_writer_bytes(tmp_path / "want.csv", header, list(rows))
         assert (tmp_path / "got.csv").read_bytes() == want
+
+
+class TestPreRenderedCells:
+    """number_rows' pair (cells, index) writes cells[index[r]]'s text on row r."""
+
+    # 8 to 5 bytes: 0 to 3 NULs of padding in two words; "1" pads the second word whole
+    TEXTS = ["0.123456", "1234567", "x_y-z+", "12345", "1"]
+
+    @pytest.mark.parametrize("chunk", [tables.CHUNK_CELLS, 8, 1])
+    def test_bytes_equal_join_of_cell_texts(self, chunk):
+        cells = np.array(self.TEXTS, dtype="S8").view(np.uint32).reshape(len(self.TEXTS), 2)
+        index = np.array([3, 0, 0, 2, 1, 4, 4, 4, 1, 3, 0])  # repeats, out of order
+        rng = np.random.default_rng(3)
+        floats = rng.normal(size=index.size) * 10.0 ** rng.integers(-8, 8, index.size)
+        ints = rng.integers(-(10**12), 10**12, index.size)
+        parts = ["a:", (cells, index), ",", floats[:, None], ",", ints[:, None], "\n"]
+        with mock.patch.object(tables, "CHUNK_CELLS", chunk):
+            got = b"".join(tables.number_rows(parts, index.size))
+        want = "".join(f"a:{self.TEXTS[i]},{f!r},{k}\n"
+                       for i, f, k in zip(index.tolist(), floats.tolist(), ints.tolist()))
+        assert got == want.encode()
+
+    def test_table_of_pairs_at_any_size(self, tmp_path):
+        # below KERNEL_MIN_CELLS too, and never cached: no number columns
+        cells = np.array(self.TEXTS, dtype="S8").view(np.uint32).reshape(len(self.TEXTS), 2)
+        index = np.array([4, 0, 2])
+        with mock.patch.object(tables, "number_rows", wraps=tables.number_rows) as kernel:
+            write_table(tmp_path / "t.csv", ["a", "b"], [(cells, index), (cells, index[::-1])],
+                        cache=True)
+        assert kernel.call_count == 1
+        assert (tmp_path / "t.csv").read_bytes() == _csv_writer_bytes(
+            tmp_path / "want.csv", ["a", "b"], [["1", "x_y-z+"], ["0.123456", "0.123456"],
+                                                ["x_y-z+", "1"]])
+        assert not Path(f"{tmp_path / 't.csv'}.npy").exists()
+
+
+class TestRowLine:
+    """row_line counts lines as csv.reader does: a quoted line break starts a new one."""
+
+    def test_line_breaks_in_header_and_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b'a,"b\nc"\r\n1,2\r\n"3\r\n\r\n",4\r\n5,"6\r"\n7,8\n')
+        assert [tables.row_line(path, i) for i in range(4)] == [3, 4, 7, 9]
+
+    @pytest.mark.parametrize("text, message", [
+        ('a,"b\nc"\r\n1,2\r\n3\r\n', ":4: expected 2 columns, got 1"),
+        ('a,b\r\n"1\n",2\r\nx,4\r\n', ":4: malformed row"),
+    ], ids=["width", "malformed"])
+    def test_parse_errors_name_the_start_line(self, tmp_path, text, message):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(DataError, match=f"{path}{message}"):
+            read_table(path, "table", lambda header: [int, int])
