@@ -308,13 +308,13 @@ def cmd_score(config_path, checkpoint, data, out, scores_arg, lambda1, lambda2):
     overrides = {"scores": _split_flag(scores_arg, "--scores"), "lambda1": lambda1,
                  "lambda2": lambda2}
     cfg = _load_config(config_path, _SCORE_DEFAULTS, overrides)
+    source = {key: f"command line: --{key}" if flag is not None else
+              f"config {config_path}: {key!r}" for key, flag in overrides.items()}
     for key in ("lambda1", "lambda2"):
         if not 0.0 <= cfg[key] <= 1.0:
-            where, name = (("command line", f"--{key}") if overrides[key] is not None
-                           else (f"config {config_path}", repr(key)))
-            raise ConfigError(f"malformed {where}: {name} must be in [0, 1], got {cfg[key]!r}")
+            raise ConfigError(f"malformed {source[key]} must be in [0, 1], got {cfg[key]!r}")
     requested = cfg["scores"]
-    _check_score_names(requested, SCORE_NAMES, "valid")
+    _check_score_names(requested, SCORE_NAMES, "valid", source["scores"])
     _check_out(out)
     ckpt = _load_checkpoint(checkpoint)
     test_path = Path(f"{data}.test.jsonl")
@@ -363,16 +363,18 @@ def cmd_score(config_path, checkpoint, data, out, scores_arg, lambda1, lambda2):
     click.echo(f"scored {len(test) + len(ood)} samples ({len(test)} IND, {len(ood)} OOD)")
 
 
-def _check_score_names(names: list, known, listing: str) -> None:
-    """Each requested score name is one of ``known`` and is listed once."""
-    unknown = [nm for nm in names if nm not in known]
-    if unknown:
-        raise ConfigError(
-            f"unknown score name(s) {', '.join(unknown)}; {listing}: {', '.join(known)}"
-        )
-    twice = [nm for i, nm in enumerate(names) if nm in names[:i]]
-    if twice:
-        raise ConfigError(f"score name {twice[0]!r} is listed twice")
+def _check_score_names(names: list, known, listing: str, source: str) -> None:
+    """At least one score name is requested, each one of ``known`` and listed once;
+    ``source`` names the file and key, or the flag, that requested them."""
+    if not names:
+        problem = "is empty: list at least one score name"
+    elif unknown := [nm for nm in names if nm not in known]:
+        problem = f"holds unknown score name(s) {', '.join(unknown)}; {listing}: {', '.join(known)}"
+    elif twice := [nm for i, nm in enumerate(names) if nm in names[:i]]:
+        problem = f"lists score name {twice[0]!r} twice"
+    else:
+        return
+    raise ConfigError(f"malformed {source} {problem}")
 
 
 def _preds_header(n_labels: int) -> list[str]:
@@ -388,8 +390,8 @@ def _read_scores_csv(path):
     """Returns (is_ood array, {score name: value array}); sample ids must be distinct."""
 
     def schema(header):
-        if header[:2] != ["sample_id", "is_ood"]:
-            raise DataError(f"scores CSV {path} must start with sample_id,is_ood columns")
+        if header[:2] != ["sample_id", "is_ood"] or len(header) == 2:
+            raise DataError(f"scores CSV {path} must have columns sample_id, is_ood, then scores")
         if len(set(header)) != len(header):
             raise DataError(f"scores CSV {path} names a column twice")
         return [int, int] + [float] * (len(header) - 2)
@@ -477,7 +479,8 @@ def cmd_eval(scores_csv, scores_arg, preds_csv, aggregate, out):
         raise ConfigError("either --scores-csv or --aggregate is required")
     is_ood, columns = _read_scores_csv(scores_csv)
     requested = requested or list(columns)
-    _check_score_names(requested, list(columns), f"columns of {scores_csv}")
+    _check_score_names(requested, list(columns), f"columns of {scores_csv}",
+                       "command line: --scores")
     for nm in requested:
         _check_name(nm, "roc_.csv", f"scores CSV {scores_csv}: column", DataError)
     _check_score_cells(scores_csv, is_ood, columns, requested)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .tables import write_table
+from .tables import text_words, write_table
 
 
 @dataclass(frozen=True)
@@ -172,10 +172,8 @@ def mean_average_precision(prob_matrix: np.ndarray, label_matrix: np.ndarray) ->
 @functools.lru_cache(maxsize=2)
 def _rate_cells(n: int) -> np.ndarray:
     """repr of k / n for k = 0..n, the same division as ``fp / n_neg``, as the read-only
-    (n + 1, w) uint32 cells of ``tables.number_rows``: a row holds one text's ASCII
-    bytes, NUL-padded to w words."""
-    texts = np.array([repr(r) for r in (np.arange(n + 1) / n).tolist()], dtype="S")
-    cells = texts.astype(f"S{-texts.itemsize // 4 * -4}").view(np.uint32).reshape(n + 1, -1)
+    (n + 1, w) uint32 cells of ``tables.number_rows`` (``tables.text_words``)."""
+    cells = text_words([repr(r) for r in (np.arange(n + 1) / n).tolist()])
     cells.flags.writeable = False
     return cells
 

@@ -4,8 +4,8 @@ and the one cache codec of the files it and datagen write.
 Tables are parsed by ``csv.reader``, so that a message names the file, the line where
 the row starts and the cause.  Number rows are written by an array kernel with the bytes
 of repr and str (``number_rows``), which also gathers cells rendered once, as uint32
-words, by row number (the ROC export's rates); other rows by one string join per chunk
-or by ``csv.writer``.
+words, by row number (the ROC export's rates); other rows by one ``csv.writer`` call
+per chunk.
 
 A cache, ``<file>.npy``, holds what parsing the file gives under a key of its bytes
 (zlib: hashlib loads OpenSSL); it is never required and safe to delete.
@@ -33,9 +33,9 @@ _DTYPES = {int: np.int64, float: np.float64, str: object}
 # threshold; the JSONL write of wide's train split took 10 % more CPU at 2**13, and no
 # less at 2**15, which holds twice the arrays
 CHUNK_CELLS = 1 << 14
-# write_table joins the repr and str of number tables of fewer cells, as sweep.csv's 44:
-# through number_rows, sweep-lambda took 14-22 % more CPU on the default workload
-KERNEL_MIN_CELLS = 1 << 10
+# number tables of fewer cells (sweep.csv's 44) go to csv.writer: 4 float64 columns of 44,
+# 256 and 320 cells took it 31, 136 and 169 us, number_rows 127, 147 and 148 (AMD EPYC)
+KERNEL_MIN_CELLS = 1 << 8
 
 
 def read_table(path, what: str, schema) -> tuple[list[str], list]:
@@ -114,8 +114,8 @@ def write_table(path, header: list[str], columns, cache: bool = False) -> None:
     A float array's cells are the repr of each Python float, another number array's
     the str of each value, a list or object array's its str cells; the file is UTF-8.
     A pair (cells, index) of pre-rendered cells gives row r the text of cells[index[r]]
-    (``number_rows``).  Tables of such pairs, and tables of KERNEL_MIN_CELLS int64 and
-    float64 cells or more, take ``number_rows``.
+    (``number_rows``).  Tables of such pairs, and of KERNEL_MIN_CELLS int64 and float64
+    cells or more, take ``number_rows``; others and the header csv.writer, once a chunk.
     With ``cache``, also save ``<path>.npy``, the header and a 2-D block per run of
     columns of one dtype, if the parse gives them back: int64 or float64 arrays of
     a row or more without NaN, an ASCII header that numpy keeps (no trailing NUL).
@@ -128,14 +128,16 @@ def write_table(path, header: list[str], columns, cache: bool = False) -> None:
     if blocks and (not all(map(str.isascii, header)) or np.array(header).tolist() != header
                    or any(np.isnan(b).any() for b in blocks)):
         blocks = None
-    rows = (_joined([_cells(column[start : start + step]) for column in columns])
-            for start in range(0, n, step))
     if rendered or numbers and n * len(columns) >= KERNEL_MIN_CELLS:  # never quoted
         parts = columns if rendered else [run.T for run in runs]
         rows = number_rows([p for part in parts for p in (part, ",")][:-1] + ["\r\n"], n)
+    else:  # cells as Python objects, not numpy scalars: csv.writer writes a float's repr
+        rows = (_csv_text(zip(*(c[i : i + step] if isinstance(c, list)
+                                else c[i : i + step].tolist() for c in columns)))
+                for i in range(0, n, step))
     key = digest([])
     with open(path, "wb") as fh:
-        for block in chain([_joined([[name] for name in header])], rows):
+        for block in chain([_csv_text([header])], rows):
             fh.write(block)
             if blocks:
                 key = digest([block], key)
@@ -143,30 +145,10 @@ def write_table(path, header: list[str], columns, cache: bool = False) -> None:
         save_cache(path, key, [np.array(header), *blocks] if blocks else None)
 
 
-def _cells(part) -> list[str]:
-    """The str cells of a slice of a column."""
-    if isinstance(part, np.ndarray):  # str leaves an object array's str cells as they are
-        return list(map(repr if part.dtype.kind == "f" else str, part.tolist()))
-    return part
-
-
-def _joined(chunk) -> bytes:
-    """csv.writer's UTF-8 bytes of rows of str cells given as one list per column."""
-    width, rows = len(chunk), len(chunk[0])
-    # each cell followed by "," or, at the end of its row, by "\r\n"
-    parts = [","] * (2 * width * rows)
-    for j, cells in enumerate(chunk):
-        parts[2 * j :: 2 * width] = cells
-    parts[2 * width - 1 :: 2 * width] = ["\r\n"] * rows
-    data = "".join(parts).encode()
-    # a cell holding ",", '"' or a line break, or a row of one empty cell, is quoted; the
-    # joins put width - 1 commas and one "\r\n" in a row, and UTF-8 never holds one of
-    # these four bytes inside a multi-byte character, so one pass counts them all
-    if (len(data) - len(data.translate(None, b',"\r\n')) != (width + 1) * rows
-            or width == 1 and "" in chunk[0]):
-        csv.writer(text := io.StringIO()).writerows(zip(*chunk))
-        data = text.getvalue().encode()
-    return data
+def _csv_text(rows) -> bytes:
+    """csv.writer's UTF-8 bytes of rows."""
+    csv.writer(text := io.StringIO()).writerows(rows)
+    return text.getvalue().encode()
 
 
 def number_rows(parts, n: int):
@@ -188,7 +170,7 @@ def number_rows(parts, n: int):
         block = slice(start, start + step)
         chunk = [p[block] if isinstance(p, np.ndarray) else p for p in parts]
         # a str's words, a pair's gathered rows of words, an array's word rows per position
-        pieces = [_words([p]) if isinstance(p, str) else p[0].take(p[1][block], axis=0)
+        pieces = [text_words([p]) if isinstance(p, str) else p[0].take(p[1][block], axis=0)
                   if isinstance(p, tuple) else _cell_words(p.ravel()) if p.size else []
                   for p in chunk]
         slots = [p.shape[1] * (len(w) + 1) if isinstance(p, np.ndarray) else w.shape[-1]
@@ -206,10 +188,11 @@ def number_rows(parts, n: int):
         yield out.tobytes().translate(None, b"\0")
 
 
-def _words(texts) -> np.ndarray:
-    """The bytes of ASCII texts as uint32 words, each text padded by NUL to a whole word."""
-    return np.frombuffer(b"".join(t.encode().ljust(-max(len(t), 1) // 4 * -4, b"\0")
-                                  for t in texts), np.uint32)
+def text_words(texts) -> np.ndarray:
+    """ASCII texts as an (m, w) uint32 matrix: row i holds texts[i]'s bytes, NUL-padded
+    to w words, the fewest (at least one) that hold the longest text."""
+    data = np.array(texts, dtype="S")
+    return data.astype(f"S{-data.itemsize // 4 * -4}").view(np.uint32).reshape(len(data), -1)
 
 
 @functools.cache  # built at the first call, not at import: about 1 ms
@@ -224,15 +207,15 @@ def _tables() -> tuple:
     g = np.array([(10 ** max(-k, 0) << max(s, 0)) // (10 ** max(k, 0) << max(-s, 0)) + 1
                   for k in range(-324, 293) for s in [125 - (-k * 913124641741 >> 38)]])
     limbs = [g >> 63 & 0xFFFFFFFF, g >> 95, g & 0xFFFFFFFF, g >> 32 & 0x7FFFFFFF]
-    return np.append(forms.view(np.uint32).ravel(), _words(["0"])), np.array(limbs, np.uint64)
+    return np.append(forms.view(np.uint32).ravel(), text_words(["0"])), np.array(limbs, np.uint64)
 
 
 _LEAD, _ZERO = (np.uint64(i * 10**4) for i in (1, 3))  # offsets into the groups
 _TRAIL32 = np.uint32(2 * 10**4)  # for the uint32 digits of the fraction
 # "0" * z + str(d) at 10 z + d for z < 4, then no text: what a value below 1 shows after "0."
-_FRONT = _words(["0" * (i // 10) + str(i % 10) for i in range(40)] + [""])
-_EXP = _words([f"e{e:+03d}".ljust(8, "\0") for e in range(-330, 331)]).reshape(-1, 2)
-_COMMA, _DOT, _MINUS = _words([",", ".", "-"])
+_FRONT = text_words(["0" * (i // 10) + str(i % 10) for i in range(40)] + [""]).ravel()
+_EXP = text_words([f"e{e:+03d}" for e in range(-330, 331)])
+_COMMA, _DOT, _MINUS = text_words([",", ".", "-"]).ravel()
 _P10 = np.array([10**i for i in range(20)], dtype=np.uint64)
 
 
@@ -310,7 +293,7 @@ def _cell_words(a: np.ndarray) -> list:
         words += list(_EXP[(k + n - 1) * exponent + 330].T * exponent)
     if (fallback := np.flatnonzero(~normal & ~zero)).size:  # subnormal, inf and nan: repr
         texts = [repr(v).ljust(4 * len(words), "\0") for v in a[fallback].tolist()]
-        for word, column in zip(words, _words(texts).reshape(fallback.size, -1).T):
+        for word, column in zip(words, text_words(texts).T):
             word[fallback] = column
     return words
 

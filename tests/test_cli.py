@@ -271,7 +271,41 @@ def test_score_name_listed_twice_is_config_error(pipeline, tmp_path, capsys, how
                  "--data", str(pipeline / "synth")]
     out = tmp_path / "o"
     assert main([*argv, "--out", str(out)]) == 1
-    assert "score name 'u_s_pn' is listed twice" in capsys.readouterr().err
+    source = (f"config {tmp_path / 'cfg.json'}: 'scores'" if how == "score_config"
+              else "command line: --scores")
+    assert f"malformed {source} lists score name 'u_s_pn' twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("how, names, problem", [
+    ("config", ["bogus"], "holds unknown score name(s) bogus; valid: u_m_p, "),
+    ("flag", ["bogus"], "holds unknown score name(s) bogus; valid: u_m_p, "),
+    ("config", [], "is empty: list at least one score name"),
+], ids=["unknown_key", "unknown_flag", "empty_key"])
+def test_score_names_error_names_its_source(pipeline, tmp_path, capsys, how, names, problem):
+    if how == "config":
+        cfg = _write_config(tmp_path, "c.json", {"scores": names})
+        argv, source = ["--config", cfg], f"config {cfg}: 'scores'"
+    else:
+        argv, source = ["--scores", ",".join(names)], "command line: --scores"
+    out = tmp_path / "o"
+    assert main(["score", *argv, "--checkpoint", str(pipeline / "checkpoint.json"),
+                 "--data", str(pipeline / "synth"), "--out", str(out)]) == 1
+    assert f"config error: malformed {source} {problem}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep-lambda"])
+@pytest.mark.parametrize("cached", [False, True], ids=["parse", "cache"])
+def test_scores_csv_without_score_column_is_data_error(tmp_path, capsys, command, cached):
+    path = tmp_path / "s.csv"
+    write_table(path, ["sample_id", "is_ood"], [np.arange(4), np.array([0, 1, 0, 1])],
+                cache=cached)
+    assert Path(f"{path}.npy").exists() == cached
+    out = tmp_path / "o"
+    assert main([command, "--scores-csv", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: scores CSV {path} must have columns sample_id, is_ood, then scores" in err
     assert not out.exists()
 
 

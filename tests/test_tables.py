@@ -52,8 +52,8 @@ def _reference_scores(path):
     with open(scores_path, newline="") as fh:
         reader = csv.reader(fh)
         header = _reference_header(reader, "scores CSV", path)
-        if header[:2] != ["sample_id", "is_ood"]:
-            raise DataError(f"scores CSV {path} must start with sample_id,is_ood columns")
+        if header[:2] != ["sample_id", "is_ood"] or len(header) == 2:
+            raise DataError(f"scores CSV {path} must have columns sample_id, is_ood, then scores")
         names = header[2:]
         ids, is_ood, lines = [], [], []
         columns = {nm: [] for nm in names}
@@ -143,7 +143,7 @@ class TestReadTableMatchesCsvReader:
     @settings(max_examples=300, deadline=None)
     @given(text=csv_texts(["sample_id", "is_ood", "u_s_p", "u_s_n"]) | csv_texts(
         ["sample_id", "is_ood", "u_s_pn"]
-    ) | st.sampled_from(["", "\r\n", "score,is_ood\r\n0,1\r\n"]))
+    ) | st.sampled_from(["", "\r\n", "score,is_ood\r\n0,1\r\n", "sample_id,is_ood\r\n0,1\r\n"]))
     def test_scores_reader(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("s") / "scores.csv"
         path.write_bytes(text.encode())
@@ -279,10 +279,10 @@ class TestWriteTableMatchesCsvWriter:
                                  [[repr(f), str(i), nm] for f, i, nm in values])
         assert (d / "got.csv").read_bytes() == want
 
-    # _joined counts ",", '"', "\r" and "\n" in one pass over a chunk's UTF-8 bytes: one
-    # extra in one cell must send the chunk to csv.writer, and the bytes of a non-ASCII
-    # cell (U+2C2C, U+0D0A: code points whose bytes in other encodings are "," or "\r\n")
-    # must not count, next to a separator comma or not
+    # tables with a str column go to csv.writer, which quotes a cell that holds ",", '"',
+    # "\r" or "\n": one such cell among plain ones is quoted alone, and a
+    # non-ASCII cell (U+2C2C, U+0D0A: code points whose bytes in other encodings are ","
+    # or "\r\n") is written as UTF-8, unquoted, next to a separator comma or not
     @pytest.mark.parametrize("cell", [
         "x,y", 'x"y', "x\ry", "x\ny", ",", '"', "\r", "\n",
         "é", "\u2c2c", "\u0d0a", "€,", ",\u2c2c", "\u0d0a\n",
@@ -300,6 +300,20 @@ class TestWriteTableMatchesCsvWriter:
         write_table(tmp_path / "got.csv", ["a"], [cells])
         want = _csv_writer_bytes(tmp_path / "want.csv", ["a"], [[c] for c in cells])
         assert b'""\r\n' in want
+        assert (tmp_path / "got.csv").read_bytes() == want
+
+    @pytest.mark.parametrize("kind", ["float", "int"])
+    @pytest.mark.parametrize("cells", [tables.KERNEL_MIN_CELLS - 1, tables.KERNEL_MIN_CELLS])
+    def test_number_table_at_the_kernel_bound(self, tmp_path, kind, cells):
+        # from KERNEL_MIN_CELLS cells on number_rows writes the rows, below it csv.writer
+        rng = np.random.default_rng(5)
+        column = (rng.normal(size=cells) * 10.0 ** rng.integers(-8, 20, cells) if kind == "float"
+                  else rng.integers(-(2**63), 2**63 - 1, cells, dtype=np.int64))
+        with mock.patch.object(tables, "number_rows", wraps=tables.number_rows) as kernel:
+            write_table(tmp_path / "got.csv", ["v"], [column])
+        assert kernel.call_count == (cells == tables.KERNEL_MIN_CELLS)
+        cell = repr if kind == "float" else str
+        want = _csv_writer_bytes(tmp_path / "want.csv", ["v"], [[cell(v)] for v in column.tolist()])
         assert (tmp_path / "got.csv").read_bytes() == want
 
 
@@ -478,6 +492,44 @@ class TestNumberTableAtSize:
                      for c in columns))
         want = _csv_writer_bytes(tmp_path / "want.csv", header, list(rows))
         assert (tmp_path / "got.csv").read_bytes() == want
+
+
+def _reference_words(texts) -> np.ndarray:
+    """Each text's ASCII bytes, NUL-padded to the whole words of the longest, one at least."""
+    width = max(1, -(-max(map(len, texts)) // 4))
+    data = b"".join(t.encode("ascii").ljust(4 * width, b"\0") for t in texts)
+    return np.frombuffer(data, np.uint32).reshape(len(texts), width)
+
+
+def _per_text_words(texts) -> np.ndarray:
+    """The word layout text_words replaced: each text NUL-padded to its own whole words,
+    all joined into one row."""
+    return np.frombuffer(b"".join(t.encode().ljust(-max(len(t), 1) // 4 * -4, b"\0")
+                                  for t in texts), np.uint32)
+
+
+class TestTextWords:
+    """text_words, the one builder of NUL-padded uint32 cell matrices."""
+
+    @pytest.mark.parametrize("length", range(10))
+    def test_one_text(self, length):
+        text = "abcdefghi"[:length]
+        assert _same_arrays(tables.text_words([text]), _reference_words([text]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(st.text(st.characters(max_codepoint=127), max_size=9), min_size=1,
+                          max_size=8))
+    def test_many_texts(self, texts):
+        assert _same_arrays(tables.text_words(texts), _reference_words(texts))
+
+    def test_kernel_constants_keep_their_words(self):
+        front = _per_text_words(["0" * (i // 10) + str(i % 10) for i in range(40)] + [""])
+        exp = _per_text_words([f"e{e:+03d}".ljust(8, "\0") for e in range(-330, 331)])
+        assert _same_arrays(tables._FRONT, front)
+        assert _same_arrays(tables._EXP, exp.reshape(-1, 2))
+        marks = (tables._COMMA, tables._DOT, tables._MINUS)
+        assert [(type(m), m) for m in marks] == [(type(m), m) for m in _per_text_words(",.-")]
+        assert tables._tables()[0][-1] == _per_text_words(["0"])[0]
 
 
 class TestPreRenderedCells:
