@@ -537,6 +537,15 @@ def _aggregate_metrics(paths, out: str) -> None:
     click.echo(f"aggregated {len(paths)} run(s) into {out_dir / 'aggregate.csv'}")
 
 
+def _lambda2_value(text: str) -> float:
+    """One value of the --lambda2 grid: a number in [0, 1]."""
+    with contextlib.suppress(ValueError):
+        text = float(text)
+    if not (isinstance(text, float) and 0.0 <= text <= 1.0):
+        raise ConfigError(f"malformed command line: --lambda2 must be in [0, 1], got {text!r}")
+    return text
+
+
 @cli.command("sweep-lambda")
 @click.option("--scores-csv", "scores_csv", required=True, type=_Path())
 @click.option("--lambda2", "lambda2_arg", type=str, default=None,
@@ -546,18 +555,14 @@ def cmd_sweep_lambda(scores_csv, lambda2_arg, out):
     """Metrics of the combined sum score over a lambda2 grid; writes sweep.csv."""
     _check_out(out)
     grid = _split_flag(lambda2_arg, "--lambda2")
+    grid = [k / 10.0 for k in range(11)] if grid is None else [_lambda2_value(v) for v in grid]
+    if twice := [lam for i, lam in enumerate(grid) if lam in grid[:i]]:
+        raise ConfigError(f"malformed command line: --lambda2 lists {twice[0]!r} twice")
     is_ood, columns = _read_scores_csv(scores_csv)
     for needed in ("u_s_p", "u_s_n"):
         if needed not in columns:
             raise ConfigError(f"sweep-lambda needs column {needed!r} in {scores_csv}")
     _check_score_cells(scores_csv, is_ood, columns, ("u_s_p", "u_s_n"))
-    try:
-        grid = [k / 10.0 for k in range(11)] if grid is None else [float(v) for v in grid]
-    except ValueError as exc:
-        raise ConfigError(f"bad --lambda2 grid: {exc}") from exc
-    for lam in grid:
-        if not (0.0 <= lam <= 1.0):
-            raise ConfigError(f"lambda2 values must be in [0, 1], got {lam}")
     rows = []
     try:
         for lam in grid:

@@ -24,6 +24,7 @@ from .evidence import (
     elu_grad_array,
     evidence_to_prediction,
     logits_to_evidence,
+    min_zero,
 )
 from .loss import evidence_stack, loss_and_grad
 
@@ -212,8 +213,8 @@ def _batch_gradients(params: ModelParams, x: np.ndarray, y: np.ndarray, out=None
         out = ModelParams(params.arch, np.empty_like(params.flat))
     n, labels = x.shape[0], params.arch.label_count
     pre_acts, acts, f = _forward_batch(params, x)
-    # ELU as elu_array computes it; an array of zeros is faster than 0.0 here
-    low = np.minimum(f, np.zeros(f.shape))
+    # ELU as elu_array computes it, and its slope, from one min(f, 0)
+    low = min_zero(f)
     slope = np.exp(low)
     evidence = np.maximum(f, np.expm1(low, out=low), out=low)
     evidence += 2.0

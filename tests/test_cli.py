@@ -1404,6 +1404,33 @@ class TestSweepLambda:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("grid, problem", [
+        ("2.0", "must be in [0, 1], got 2.0"),
+        ("0.0,-0.5", "must be in [0, 1], got -0.5"),
+        ("nan", "must be in [0, 1], got nan"),
+        ("0.5,abc", "must be in [0, 1], got 'abc'"),
+        ("0.5,", "must be in [0, 1], got ''"),
+        ("0.5,0.5", "lists 0.5 twice"),
+        ("0.2,0.7,0.20", "lists 0.2 twice"),
+    ])
+    def test_bad_grid_is_checked_before_the_scores_csv(self, tmp_path, capsys, grid, problem):
+        # the scores CSV does not exist: the grid's error comes first, naming the flag
+        out = tmp_path / "o"
+        code = main(["sweep-lambda", "--scores-csv", str(tmp_path / "missing.csv"),
+                     "--lambda2", grid, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"config error: malformed command line: --lambda2 {problem}\n")
+        assert not out.exists()
+
+    def test_repeated_grid_value_rejected_on_a_valid_csv(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["sweep-lambda", "--scores-csv", str(pipeline / "scores.csv"),
+                     "--lambda2", "0.5,0.5", "--out", str(out)])
+        assert code == 1
+        assert "--lambda2 lists 0.5 twice" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class _SortCountingNumpy:
     """numpy as the metrics module sees it, counting every call that sorts."""

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from example_files import example_dir
+
 from betaood.datagen import (
     Dataset,
     OodSpec,
@@ -447,15 +449,16 @@ class TestJsonlCodecMatchesReference:
     @settings(max_examples=200, deadline=None)
     @given(data=datasets(), chunk=st.sampled_from([1, 3, 256]))
     def test_writer_bytes_equal_json_dumps(self, tmp_path_factory, data, chunk):
-        path = tmp_path_factory.mktemp("w") / "ds.jsonl"
-        with mock.patch.object(tables, "CHUNK_CELLS", chunk):
-            _write_parsed(data, path)
-        assert path.read_text() == _reference_jsonl(data)
-        if len(data):
-            restored = read_jsonl(path)
-            assert restored.X.tobytes() == data.X.tobytes()
-            np.testing.assert_array_equal(restored.Y, data.Y)
-            assert restored.split == data.split
+        with example_dir(tmp_path_factory, "w") as d:
+            path = d / "ds.jsonl"
+            with mock.patch.object(tables, "CHUNK_CELLS", chunk):
+                _write_parsed(data, path)
+            assert path.read_text() == _reference_jsonl(data)
+            if len(data):
+                restored = read_jsonl(path)
+                assert restored.X.tobytes() == data.X.tobytes()
+                np.testing.assert_array_equal(restored.Y, data.Y)
+                assert restored.split == data.split
 
     @pytest.mark.parametrize("chunk", [tables.CHUNK_CELLS, 4096])
     @pytest.mark.parametrize("features, labels", [(7, 3), (64, 32)], ids=["narrow", "wide"])
@@ -570,19 +573,20 @@ class TestJsonlCodecMatchesReference:
             line.replace(",", ",\n", 1) if broken else line
             for line, broken in zip(lines, breaks)
         ]
-        path = tmp_path_factory.mktemp("r") / "ds.jsonl"
-        path.write_text("# h\n" + "\n".join(lines) + "\n")
-        try:
-            want = _reference_read_jsonl(path)
-        except DataError as exc:
-            with pytest.raises(DataError) as got:
-                read_jsonl(path)
-            assert str(got.value) == str(exc)
-            return
-        got = read_jsonl(path)
-        assert got.X.tobytes() == want.X.tobytes() and got.X.shape == want.X.shape
-        assert np.array_equal(got.Y, want.Y) and got.Y.dtype == want.Y.dtype
-        assert got.split == want.split
+        with example_dir(tmp_path_factory, "r") as d:
+            path = d / "ds.jsonl"
+            path.write_text("# h\n" + "\n".join(lines) + "\n")
+            try:
+                want = _reference_read_jsonl(path)
+            except DataError as exc:
+                with pytest.raises(DataError) as got:
+                    read_jsonl(path)
+                assert str(got.value) == str(exc)
+                return
+            got = read_jsonl(path)
+            assert got.X.tobytes() == want.X.tobytes() and got.X.shape == want.X.shape
+            assert np.array_equal(got.Y, want.Y) and got.Y.dtype == want.Y.dtype
+            assert got.split == want.split
 
 
 @st.composite
@@ -623,33 +627,34 @@ class TestSidecarMatchesParse:
     @example(data=Dataset(X=np.zeros((2, 0)), Y=np.zeros((2, 0), int), split="ood"))
     @example(data=_labeled(257))
     def test_cached_read_equals_parse(self, tmp_path_factory, data):
-        path = tmp_path_factory.mktemp("s") / "ds.jsonl"
-        if data.Y.dtype == bool or not np.all((data.Y == 0) | (data.Y == 1)):
-            # labels the reader would reject: the writer writes neither file
-            with pytest.raises(DataError, match=f"cannot write {path}: labels"):
-                write_jsonl(data, path)
-            assert not path.exists() and not _sidecar(path).exists()
-            return
-        if len(data) and data.split is None:
-            # rows with "split": null, which the reader rejects
-            with pytest.raises(DataError, match=f"cannot write {path}: split must be a "
-                                                f"string, got None$"):
-                write_jsonl(data, path)
-            assert not path.exists() and not _sidecar(path).exists()
-            return
-        write_jsonl(data, path)
-        cached = _sidecar(path).exists()
-        # a sidecar is written exactly for data that the parse returns unchanged
-        assert cached == bool(len(data) and data.Y.dtype.kind == "i"
-                              and data.split in ("train", "val", "test", "ood", 'é"x'))
-        if cached:  # and it stands in for the parse
-            with mock.patch.object(datagen, "_parse_jsonl", side_effect=AssertionError):
+        with example_dir(tmp_path_factory, "s") as d:
+            path = d / "ds.jsonl"
+            if data.Y.dtype == bool or not np.all((data.Y == 0) | (data.Y == 1)):
+                # labels the reader would reject: the writer writes neither file
+                with pytest.raises(DataError, match=f"cannot write {path}: labels"):
+                    write_jsonl(data, path)
+                assert not path.exists() and not _sidecar(path).exists()
+                return
+            if len(data) and data.split is None:
+                # rows with "split": null, which the reader rejects
+                with pytest.raises(DataError, match=f"cannot write {path}: split must be a "
+                                                    f"string, got None$"):
+                    write_jsonl(data, path)
+                assert not path.exists() and not _sidecar(path).exists()
+                return
+            write_jsonl(data, path)
+            cached = _sidecar(path).exists()
+            # a sidecar is written exactly for data that the parse returns unchanged
+            assert cached == bool(len(data) and data.Y.dtype.kind == "i"
+                                  and data.split in ("train", "val", "test", "ood", 'é"x'))
+            if cached:  # and it stands in for the parse
+                with mock.patch.object(datagen, "_parse_jsonl", side_effect=AssertionError):
+                    got = _read_outcome(path)
+                assert got[0] == data.X.tobytes() and got[6] == data.split
+            else:
                 got = _read_outcome(path)
-            assert got[0] == data.X.tobytes() and got[6] == data.split
-        else:
-            got = _read_outcome(path)
-        _sidecar(path).unlink(missing_ok=True)
-        assert got == _read_outcome(path)
+            _sidecar(path).unlink(missing_ok=True)
+            assert got == _read_outcome(path)
 
     def test_unfit_data_removes_old_sidecar(self, tmp_path):
         path = tmp_path / "ds.jsonl"

@@ -14,6 +14,7 @@ from betaood.evidence import (
     evidence_to_opinion,
     evidence_to_prediction,
     logits_to_evidence,
+    min_zero,
 )
 from oracles import elu_grad_scalar_zero_reference, elu_scalar_zero_reference
 
@@ -152,8 +153,8 @@ assert np.signbit(_ELU_VALUES_32[:2]).tolist() == [False, True]
 def _elu_inputs():
     """Each shape's input: every value of _ELU_VALUES, then random draws of them.
     The half is the first L columns of a (N, 2L) block, as predict_batch passes
-    each head; both zero forms of evidence.zero_operand are reached, in float64
-    and in float32, whose result must stay float32."""
+    each head.  Sizes run from a 0-d input to predict_batch's largest blocks,
+    in float64 and in float32, whose result must stay float32."""
     rng = np.random.default_rng(29)
     cases = {}
     for shape in [(), (0,), (17,), (64, 32), (64, 128), (2000, 128), (10000, 32)]:
@@ -186,3 +187,16 @@ def test_elu_pair_bit_equal_to_the_scalar_zero_forms(fn, reference, case):
     bits = f"i{x.itemsize}"
     assert np.array_equal(got.view(bits), want.view(bits))
     assert np.array_equal(x.view(bits), before.view(bits))
+
+
+@pytest.mark.parametrize("fn, value", [(min_zero, 0.0), (elu_grad_array, 1.0)],
+                         ids=["min_zero", "elu_grad"])
+@pytest.mark.parametrize("shape", [(17,), (64, 32)])
+def test_min_starts_from_zeros_not_from_a_freed_buffer(fn, value, shape):
+    """A buffer of x's size that held -1.0 and was freed just before the call
+    leaves no trace: on x > 0, min(x, 0) is +0.0 and the slope 1 everywhere."""
+    x = np.ones(shape)
+    for _ in range(3):
+        np.full(shape, -1.0)
+        got = fn(x)
+        assert np.array_equal(got.view("i8"), np.full(shape, value).view("i8"))

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from example_files import example_dir
+
 from betaood import metrics, tables
 from betaood.errors import ConfigError, DataError
 from betaood.metrics import (
@@ -323,13 +325,14 @@ class TestOneSweepMatchesThreeSweeps:
     @settings(max_examples=200, deadline=None)
     def test_roc_csv_bytes_equal_csv_writer(self, ds, positive_is_ood, tmp_path_factory):
         # a new file each example: rewriting one is slow on some filesystems
-        path = tmp_path_factory.mktemp("roc") / "roc_bit_equal.csv"
-        write_roc_csv(roc_curve(_positive(ds, positive_is_ood)), path)
-        buf = io.StringIO(newline="")
-        csv.writer(buf).writerows(
-            [["fpr", "tpr"], *([repr(f), repr(t)] for f, t in _reference_points(ds, positive_is_ood))]
-        )
-        assert path.read_bytes() == buf.getvalue().encode()
+        with example_dir(tmp_path_factory, "roc") as d:
+            path = d / "roc_bit_equal.csv"
+            write_roc_csv(roc_curve(_positive(ds, positive_is_ood)), path)
+            buf = io.StringIO(newline="")
+            csv.writer(buf).writerows(
+                [["fpr", "tpr"], *([repr(f), repr(t)] for f, t in _reference_points(ds, positive_is_ood))]
+            )
+            assert path.read_bytes() == buf.getvalue().encode()
 
     def test_rates_and_points_derive_from_counts(self):
         ds = ScoredDataset(scores=[0.9, 0.4, 0.4, 0.1, 0.1], is_ood=[1, 1, 0, 0, 1])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -12,6 +12,7 @@ from oracles import label_sums_reference
 from betaood import scores
 from betaood.errors import ConfigError
 from betaood.evidence import EvidencePair, Logits, logits_to_evidence
+from betaood.metrics import ScoredDataset, detection_metrics, roc_curve
 from betaood.scores import (
     BASELINE_METHODS,
     SCORE_NAMES,
@@ -209,6 +210,33 @@ class TestBaselines:
         msp = [baseline_score(Logits(f_pos=[f], f_neg=[0.0]), "msp") for f in fs]
         assert np.all(np.diff(je) < 0)
         assert np.argsort(ml).tolist() == np.argsort(msp).tolist()
+
+
+class TestMaxPositiveRanksAsBaselines:
+    """alpha = ELU(f) + 2 and sigma(f) both rise strictly with f, so u_m_p, maxlogit
+    and msp order the rows alike: the paper's positive Max score is MaxLogit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=st.tuples(st.integers(2, 40), st.sampled_from([1, 2, 5, 32])).flatmap(
+        lambda shape: st.tuples(
+            hnp.arrays(np.float64, shape, elements=st.floats(-10.0, 10.0)),
+            hnp.arrays(np.int64, shape[:1], elements=st.integers(0, 1)))))
+    def test_detection_metrics_bit_equal(self, case):
+        f_pos, is_ood = case
+        is_ood[:2] = 0, 1  # both classes
+        logits = Logits(f_pos=f_pos, f_neg=np.zeros_like(f_pos))
+        ev = logits_to_evidence(logits)
+        maxima = np.unique(f_pos.max(axis=1)).size
+        ranks, bits = {}, {}
+        for name in ("u_m_p", "maxlogit", "msp"):
+            s = score_by_name(name, ev, logits)
+            # rows whose largest logits differ could round to one score
+            assume(np.unique(s).size == maxima)
+            ranks[name] = np.unique(s, return_inverse=True)[1].tolist()
+            m = detection_metrics(roc_curve(ScoredDataset(scores=s, is_ood=is_ood)))
+            bits[name] = np.array([m.fpr95, m.auroc, m.aupr]).view(np.int64).tolist()
+        assert ranks["u_m_p"] == ranks["maxlogit"] == ranks["msp"]
+        assert bits["u_m_p"] == bits["maxlogit"] == bits["msp"]
 
 
 class TestScoreBatch:

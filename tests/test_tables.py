@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from example_files import example_dir
+
 from betaood.cli import _read_preds_csv, _read_scores_csv
 from betaood import tables
 from betaood.errors import DataError
@@ -145,34 +147,36 @@ class TestReadTableMatchesCsvReader:
         ["sample_id", "is_ood", "u_s_pn"]
     ) | st.sampled_from(["", "\r\n", "score,is_ood\r\n0,1\r\n", "sample_id,is_ood\r\n0,1\r\n"]))
     def test_scores_reader(self, tmp_path_factory, text):
-        path = tmp_path_factory.mktemp("s") / "scores.csv"
-        path.write_bytes(text.encode())
-        pair = _compare(_read_scores_csv, _reference_scores, path)
-        if pair is None:
-            return
-        (is_ood, columns), (want_is_ood, want_columns) = pair
-        assert _same_arrays(is_ood, want_is_ood)
-        assert list(columns) == list(want_columns)
-        for nm in columns:
-            assert _same_arrays(columns[nm], want_columns[nm])
+        with example_dir(tmp_path_factory, "s") as d:
+            path = d / "scores.csv"
+            path.write_bytes(text.encode())
+            pair = _compare(_read_scores_csv, _reference_scores, path)
+            if pair is None:
+                return
+            (is_ood, columns), (want_is_ood, want_columns) = pair
+            assert _same_arrays(is_ood, want_is_ood)
+            assert list(columns) == list(want_columns)
+            for nm in columns:
+                assert _same_arrays(columns[nm], want_columns[nm])
 
     @settings(max_examples=300, deadline=None)
     @given(text=csv_texts(["sample_id", "p_0", "p_1", "y_0", "y_1"]) | st.sampled_from(
         ["", "sample_id,y_0\r\n0,1\r\n", "sample_id,p_0,y_0\r\n0,0.5\r\n"]
     ))
     def test_preds_reader(self, tmp_path_factory, text):
-        path = tmp_path_factory.mktemp("p") / "preds.csv"
-        path.write_bytes(text.encode())
-        pair = _compare(_read_preds_csv, _reference_preds, path)
-        if pair is None:
-            return
-        (probs, labels), (want_probs, want_labels) = pair
-        if want_probs.size == 0:
-            # no rows: the reference stacks nothing, a 1-d empty array
-            assert probs.shape == (0, 2) and labels.shape == (0, 2)
-            return
-        assert _same_arrays(probs, want_probs)
-        assert _same_arrays(labels, want_labels)
+        with example_dir(tmp_path_factory, "p") as d:
+            path = d / "preds.csv"
+            path.write_bytes(text.encode())
+            pair = _compare(_read_preds_csv, _reference_preds, path)
+            if pair is None:
+                return
+            (probs, labels), (want_probs, want_labels) = pair
+            if want_probs.size == 0:
+                # no rows: the reference stacks nothing, a 1-d empty array
+                assert probs.shape == (0, 2) and labels.shape == (0, 2)
+                return
+            assert _same_arrays(probs, want_probs)
+            assert _same_arrays(labels, want_labels)
 
     def test_missing_file_named(self, tmp_path):
         with pytest.raises(DataError, match="metrics CSV not found"):
@@ -256,11 +260,11 @@ class TestWriteTableMatchesCsvWriter:
     @given(table=rectangular_tables(), chunk=st.sampled_from([1, 2, 256]))
     def test_bytes_equal(self, tmp_path_factory, table, chunk):
         header, columns = table
-        d = tmp_path_factory.mktemp("w")
-        with mock.patch.object(tables, "CHUNK_CELLS", chunk):
-            write_table(d / "got.csv", header, columns)
-        rows = [[column[i] for column in columns] for i in range(len(columns[0]))]
-        assert (d / "got.csv").read_bytes() == _csv_writer_bytes(d / "want.csv", header, rows)
+        with example_dir(tmp_path_factory, "w") as d:
+            with mock.patch.object(tables, "CHUNK_CELLS", chunk):
+                write_table(d / "got.csv", header, columns)
+            rows = [[column[i] for column in columns] for i in range(len(columns[0]))]
+            assert (d / "got.csv").read_bytes() == _csv_writer_bytes(d / "want.csv", header, rows)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -271,13 +275,13 @@ class TestWriteTableMatchesCsvWriter:
     )
     def test_number_columns_are_repr_and_str(self, tmp_path_factory, values, chunk):
         floats, ints, names = (list(column) for column in zip(*values)) if values else ([], [], [])
-        d = tmp_path_factory.mktemp("n")
-        with mock.patch.object(tables, "CHUNK_CELLS", chunk):
-            write_table(d / "got.csv", ["f", "i", "s"],
-                        [np.array(floats, dtype=float), np.array(ints, dtype=np.int64), names])
-        want = _csv_writer_bytes(d / "want.csv", ["f", "i", "s"],
-                                 [[repr(f), str(i), nm] for f, i, nm in values])
-        assert (d / "got.csv").read_bytes() == want
+        with example_dir(tmp_path_factory, "n") as d:
+            with mock.patch.object(tables, "CHUNK_CELLS", chunk):
+                write_table(d / "got.csv", ["f", "i", "s"],
+                            [np.array(floats, dtype=float), np.array(ints, dtype=np.int64), names])
+            want = _csv_writer_bytes(d / "want.csv", ["f", "i", "s"],
+                                     [[repr(f), str(i), nm] for f, i, nm in values])
+            assert (d / "got.csv").read_bytes() == want
 
     # tables with a str column go to csv.writer, which quotes a cell that holds ",", '"',
     # "\r" or "\n": one such cell among plain ones is quoted alone, and a
@@ -343,12 +347,12 @@ class TestNumberTablesMatchCsvWriter:
         # only the header of an all-number table is scanned for cells to quote
         _, columns, _ = table
         header = names[: len(columns)]
-        d = tmp_path_factory.mktemp("b")
-        with mock.patch.multiple(tables, CHUNK_CELLS=chunk, KERNEL_MIN_CELLS=least):
-            write_table(d / "got.csv", header, columns)
-        rows = [[repr(v) if c.dtype.kind == "f" else str(v) for v in c.tolist()] for c in columns]
-        want = _csv_writer_bytes(d / "want.csv", header, list(zip(*rows)))
-        assert (d / "got.csv").read_bytes() == want
+        with example_dir(tmp_path_factory, "b") as d:
+            with mock.patch.multiple(tables, CHUNK_CELLS=chunk, KERNEL_MIN_CELLS=least):
+                write_table(d / "got.csv", header, columns)
+            rows = [[repr(v) if c.dtype.kind == "f" else str(v) for v in c.tolist()] for c in columns]
+            want = _csv_writer_bytes(d / "want.csv", header, list(zip(*rows)))
+            assert (d / "got.csv").read_bytes() == want
 
 
 def _read_outcome(path, asked):
@@ -365,21 +369,22 @@ class TestTableCacheMatchesParse:
     @given(table=number_tables())
     def test_cached_read_equals_parse(self, tmp_path_factory, table):
         header, columns, asked = table
-        path = tmp_path_factory.mktemp("c") / "t.csv"
-        write_table(path, header, columns, cache=True)
-        cache = Path(f"{path}.npy")
-        # a cache is saved exactly for tables that the parse returns unchanged
-        assert cache.exists() == bool(
-            len(columns[0]) and all(h.isascii() and not h.endswith("\0") for h in header)
-            and not any(np.isnan(c).any() for c in columns))
-        if cache.exists() and asked == [int if c.dtype == np.int64 else float for c in columns]:
-            # and it stands in for the parse
-            with mock.patch.object(tables, "_read_rows", side_effect=AssertionError):
+        with example_dir(tmp_path_factory, "c") as d:
+            path = d / "t.csv"
+            write_table(path, header, columns, cache=True)
+            cache = Path(f"{path}.npy")
+            # a cache is saved exactly for tables that the parse returns unchanged
+            assert cache.exists() == bool(
+                len(columns[0]) and all(h.isascii() and not h.endswith("\0") for h in header)
+                and not any(np.isnan(c).any() for c in columns))
+            if cache.exists() and asked == [int if c.dtype == np.int64 else float for c in columns]:
+                # and it stands in for the parse
+                with mock.patch.object(tables, "_read_rows", side_effect=AssertionError):
+                    got = _read_outcome(path, asked)
+            else:
                 got = _read_outcome(path, asked)
-        else:
-            got = _read_outcome(path, asked)
-        cache.unlink(missing_ok=True)
-        assert got == _read_outcome(path, asked)
+            cache.unlink(missing_ok=True)
+            assert got == _read_outcome(path, asked)
 
     def test_write_without_cache_flag_saves_none(self, tmp_path):
         path = tmp_path / "t.csv"
