@@ -561,7 +561,7 @@ def cmd_sweep_lambda(scores_csv, lambda2_arg, out):
     is_ood, columns = _read_scores_csv(scores_csv)
     for needed in ("u_s_p", "u_s_n"):
         if needed not in columns:
-            raise ConfigError(f"sweep-lambda needs column {needed!r} in {scores_csv}")
+            raise DataError(f"scores CSV {scores_csv} has no column {needed!r} for sweep-lambda")
     _check_score_cells(scores_csv, is_ood, columns, ("u_s_p", "u_s_n"))
     rows = []
     try:

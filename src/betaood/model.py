@@ -103,7 +103,7 @@ class TrainConfig:
 
 _TRAIN_FIELDS = {f.name: f.default for f in fields(TrainConfig)}
 # A checkpoint's keys, and the arch's, with an example value of each type
-# (check_fields); params are checked for shape and finiteness by _check_params.
+# (check_fields); _checkpoint_params checks params for shape and finiteness.
 _CHECKPOINT_FIELDS = {"format_version": CHECKPOINT_FORMAT_VERSION, "arch": {},
                       "train_config": {}, "params": {}, "loss_trace": [0.0]}
 _ARCH_FIELDS = {"input_dim": 1, "hidden": [1], "label_count": 1}
@@ -119,11 +119,6 @@ def param_shapes(arch: ArchConfig) -> dict:
     return {"hidden_weights": list(zip(arch.hidden, fan_in)),
             "hidden_biases": [(h,) for h in arch.hidden],
             "w_pos": head, "w_neg": head, "b_pos": head[:1], "b_neg": head[:1]}
-
-
-def _per_layer(fn, value, shape):
-    """fn of a key's value: of each layer's for a hidden key, of the one for a head key."""
-    return [fn(v) for v in value] if isinstance(shape, list) else fn(value)
 
 
 def _arrays(shapes: dict, values: dict) -> list:
@@ -150,16 +145,11 @@ class ModelParams:
         self.arch, self.flat = arch, flat
         parts = iter(np.split(flat, ends))
         for key, shape in shapes.items():
-            setattr(self, key, _per_layer(lambda s: next(parts).reshape(s), shape, shape))
+            setattr(self, key, [next(parts).reshape(s) for s in shape]
+                    if isinstance(shape, list) else next(parts).reshape(shape))
         rows, width = 2 * arch.label_count, shapes["w_pos"][1]
         biases = flat.size - rows
         self.heads = (flat[biases - rows * width : biases].reshape(rows, width), flat[biases:])
-
-
-def _packed(arch: ArchConfig, values: dict) -> ModelParams:
-    """ModelParams holding a copy of ``values``' arrays, keyed as param_shapes."""
-    arrays = _arrays(param_shapes(arch), values)
-    return ModelParams(arch, np.concatenate([a.ravel() for a in arrays]))
 
 
 def init_params(arch: ArchConfig, seed: int) -> ModelParams:
@@ -170,7 +160,8 @@ def init_params(arch: ArchConfig, seed: int) -> ModelParams:
         s = np.sqrt(1.0 / shape[-1])
         return rng.uniform(-s, s, size=shape) if len(shape) == 2 else np.zeros(shape)
 
-    return _packed(arch, {k: _per_layer(draw, s, s) for k, s in param_shapes(arch).items()})
+    shapes = param_shapes(arch)
+    return ModelParams(arch, np.concatenate([draw(s) for s in _arrays(shapes, shapes)], axis=None))
 
 
 def _forward_batch(params: ModelParams, x: np.ndarray):
@@ -334,34 +325,32 @@ def checkpoint_to_json(ckpt: Checkpoint) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
 
 
-def _param_arrays(value, key: str, shape):
-    """A checkpoint ``params`` value as float arrays, a list of them for a hidden
-    key; a value that is not an array of numbers is reported by its name."""
-    if isinstance(shape, list):
-        if not isinstance(value, list):
-            raise DataError(f"parameter {key!r} must be a list of per-layer arrays")
-        return [_param_arrays(v, f"{key}[{i}]", ()) for i, v in enumerate(value)]
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"parameter {key!r} is not an array of numbers: {exc}") from None
-
-
-def _check_params(arch: ArchConfig, values: dict) -> None:
-    """Every parameter array of ``values``, keyed as param_shapes, has the shape
-    ``arch`` gives and finite entries."""
-    shapes = param_shapes(arch)
-    for key, shape in shapes.items():  # else the zip below pairs arrays with wrong shapes
-        if isinstance(shape, list) and len(values[key]) != len(shape):
-            raise DataError(f"arch has {len(shape)} hidden layers, but params hold "
-                            f"{len(values[key])} {key} arrays")
-    names = {key: [f"{key}[{i}]" for i in range(len(shape))] if isinstance(shape, list)
-             else key for key, shape in shapes.items()}
-    for name, value, shape in zip(*(_arrays(shapes, m) for m in (names, values, shapes))):
-        if value.shape != shape:
-            raise DataError(f"parameter {name!r} has shape {value.shape}, expected {shape}")
-        if not np.isfinite(value).all():
-            raise DataError(f"parameter {name!r} holds a non-finite value")
+def _checkpoint_params(arch: ArchConfig, params: dict) -> ModelParams:
+    """ModelParams holding a copy of a checkpoint's ``params``, keyed as param_shapes.
+    Each value is a finite array of numbers of its shape, a list of one per layer
+    for a hidden key; the first bad one in param_shapes order is named."""
+    arrays = []
+    for key, shape in param_shapes(arch).items():
+        value = params[key]
+        named = [(key, value, shape)]
+        if isinstance(shape, list):
+            if not isinstance(value, list):
+                raise DataError(f"parameter {key!r} must be a list of per-layer arrays")
+            if len(value) != len(shape):
+                raise DataError(f"arch has {len(shape)} hidden layers, but params hold "
+                                f"{len(value)} {key} arrays")
+            named = [(f"{key}[{i}]", v, s) for i, (v, s) in enumerate(zip(value, shape))]
+        for name, v, s in named:
+            try:
+                array = np.asarray(v, dtype=float)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise DataError(f"parameter {name!r} is not an array of numbers: {exc}") from None
+            if array.shape != s:
+                raise DataError(f"parameter {name!r} has shape {array.shape}, expected {s}")
+            if not np.isfinite(array).all():
+                raise DataError(f"parameter {name!r} holds a non-finite value")
+            arrays.append(array)
+    return ModelParams(arch, np.concatenate(arrays, axis=None))
 
 
 def _check_keys(doc: dict, keys, where: str) -> None:
@@ -390,11 +379,7 @@ def checkpoint_from_json(text: str) -> Checkpoint:
             _check_keys(doc[where], fields_, where)
         arch = ArchConfig(**doc["arch"])
         tc = TrainConfig(**doc["train_config"])
-        shapes = param_shapes(arch)
-        _check_keys(doc["params"], shapes, "params")
-        values = {key: _param_arrays(doc["params"][key], key, shape)
-                  for key, shape in shapes.items()}
+        _check_keys(doc["params"], param_shapes(arch), "params")
     except (TypeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint field: {exc}") from exc
-    _check_params(arch, values)
-    return Checkpoint(_packed(arch, values), tc, doc["loss_trace"], version)
+    return Checkpoint(_checkpoint_params(arch, doc["params"]), tc, doc["loss_trace"], version)

@@ -718,7 +718,26 @@ class TestScore:
         ("params", lambda d: d.__setitem__("w_mid", d["w_pos"]),
          "malformed params: unknown key(s) w_mid"),
         ("params", lambda d: d.pop("b_neg"), "malformed params: missing key(s) b_neg"),
-    ], ids=["train_config_missing", "arch_missing", "params_unknown", "params_missing"])
+        ("params", lambda d: d["hidden_weights"].append(d["hidden_weights"][0]),
+         "arch has 1 hidden layers, but params hold 2 hidden_weights arrays"),
+        ("params", lambda d: d["hidden_weights"].clear(),
+         "arch has 1 hidden layers, but params hold 0 hidden_weights arrays"),
+        ("params", lambda d: d["hidden_biases"].append(d["hidden_biases"][0]),
+         "arch has 1 hidden layers, but params hold 2 hidden_biases arrays"),
+        ("params", lambda d: d["hidden_biases"].clear(),
+         "arch has 1 hidden layers, but params hold 0 hidden_biases arrays"),
+        ("params", lambda d: d.update(w_pos=np.transpose(d["w_pos"]).tolist()),
+         "parameter 'w_pos' has shape (8, 3), expected (3, 8)"),
+        # several faults: the first in param_shapes order is named
+        ("params", lambda d: d.update(hidden_biases=[], w_pos="x"),
+         "arch has 1 hidden layers, but params hold 0 hidden_biases arrays"),
+        ("params", lambda d: d.update(
+            hidden_weights=[np.transpose(d["hidden_weights"][0]).tolist()],
+            b_neg=_filled(d["b_neg"], math.nan)),
+         "parameter 'hidden_weights[0]' has shape (4, 8), expected (8, 4)"),
+    ], ids=["train_config_missing", "arch_missing", "params_unknown", "params_missing",
+            "weights_extra_layer", "weights_no_layer", "biases_extra_layer", "biases_no_layer",
+            "head_transposed", "layer_count_before_conversion", "shape_before_finiteness"])
     def test_checkpoint_section_keys_are_exact(
         self, pipeline, tmp_path, capsys, section, edit, message
     ):
@@ -1370,7 +1389,21 @@ class TestSweepLambda:
         )
         assert main([
             "sweep-lambda", "--scores-csv", str(src), "--out", str(tmp_path / "o"),
-        ]) == 1
+        ]) == 2
+
+    @pytest.mark.parametrize("missing", ["u_s_p", "u_s_n"])
+    def test_missing_component_column_is_data_error_naming_file_and_column(
+        self, tmp_path, capsys, missing
+    ):
+        # the file lacks a column that sweep-lambda always reads: no flag chose it
+        src = tmp_path / "scores.csv"
+        header = ["sample_id", "is_ood", "u_m_p", *({"u_s_p", "u_s_n"} - {missing})]
+        _write_scores_csv(src, header, [[0, 0, 0.1, 0.2], [1, 1, 0.9, 0.8]])
+        out = tmp_path / "o"
+        assert main(["sweep-lambda", "--scores-csv", str(src), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: scores CSV {src} has no column {missing!r} for sweep-lambda\n")
+        assert not out.exists()
 
     def test_nonfinite_component_names_file_column_and_line(self, tmp_path, capsys):
         src = tmp_path / "scores.csv"
