@@ -236,7 +236,7 @@ def cmd_gen_data(config_path, out, seed, name):
         with _array_sizes("feature_dim, ood_samples", source):
             ood = generate_ood(spec, ood_spec)
     base = cfg["name"]
-    unlabeled = Dataset(X=ood, Y=np.zeros((len(ood), 0), dtype=int), split="ood")
+    unlabeled = Dataset(X=ood, Y=np.zeros((len(ood), 0), dtype=int))
     splits = [*ind.items(), ("ood", unlabeled)]
     if bad := [split for split, ds in splits if not np.isfinite(ds.X).all()]:
         keys = "cluster_spread, mean_scale" + ", ood_shift" * (bad[0] == "ood")
@@ -262,8 +262,6 @@ def cmd_train(config_path, data, out, seed, epochs, batch_size):
     cfg = _load_config(config_path, _TRAIN_DEFAULTS, overrides)
     _check_out(out)
     train_path = Path(f"{data}.train.jsonl")
-    if not train_path.is_file():
-        raise DataError(f"training file not found: {train_path}")
     ds = read_jsonl(train_path)
     if not len(ds):
         raise DataError(f"training file {train_path} is empty")
@@ -319,9 +317,6 @@ def cmd_score(config_path, checkpoint, data, out, scores_arg, lambda1, lambda2):
     ckpt = _load_checkpoint(checkpoint)
     test_path = Path(f"{data}.test.jsonl")
     ood_path = Path(f"{data}.ood.jsonl")
-    for p in (test_path, ood_path):
-        if not p.is_file():
-            raise DataError(f"dataset file not found: {p}")
     test = read_jsonl(test_path)
     ood = read_jsonl(ood_path)
     input_dim = ckpt.params.arch.input_dim

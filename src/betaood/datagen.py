@@ -5,7 +5,8 @@ means, and add isotropic Gaussian noise.  OOD samples either translate the
 IND cluster structure along a seeded random direction ("shifted") or sample
 around fresh cluster means that carry none of the known class signatures
 ("novel_cluster").  All generation is a pure function of (spec, seed);
-files are JSONL with a leading comment header.
+files are JSONL with a leading comment header, each row its features and
+labels; the file's name, not its rows, says which split it holds.
 
 ``write_jsonl`` also saves the parsed arrays to ``<file>.npy`` (``tables.save_cache``);
 ``read_jsonl`` returns them while the file's bytes match and they pass _table_rule.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -105,15 +107,13 @@ class OodSpec:
 
 @dataclass(frozen=True)
 class Dataset:
-    """One dataset file: (N, D) features, (N, L) 0/1 labels and the rows' split.
+    """One dataset file: (N, D) features and (N, L) 0/1 labels.
 
-    Unlabeled (OOD) rows have L = 0 and are stored with labels null; split
-    is None for a file with no rows.
+    Unlabeled (OOD) rows have L = 0 and are stored with labels null.
     """
 
     X: np.ndarray
     Y: np.ndarray
-    split: str | None
 
     def __len__(self) -> int:
         return len(self.X)
@@ -190,7 +190,7 @@ def _generate_split(spec: SyntheticSpec, split: str, tag: int) -> Dataset:
         # each attempt has its own generator, so a rejected one need not draw noise
         if np.all(y.sum(axis=0) > 0):
             means = mean_sums.take(choices, axis=0)
-            return Dataset(X=_noisy(rng, means, spec.cluster_spread), Y=y, split=split)
+            return Dataset(X=_noisy(rng, means, spec.cluster_spread), Y=y)
     raise ConfigError(
         f"'{split}_samples' {n} is too small for 'label_count' {spec.label_count}: none of "
         f"{_PRESENCE_RETRIES} draws of the split held every label as a positive"
@@ -271,36 +271,34 @@ def write_jsonl(data: Dataset, path) -> None:
     after a comment header; rows without labels carry labels: null.  Before it
     opens the file it rejects what read_jsonl would not give back (_table_rule)."""
     X, Y = np.asarray(data.X), np.asarray(data.Y)
-    if problem := _table_rule(X, Y, data.split):
+    if problem := _table_rule(X, Y):
         raise DataError(f"cannot write {path}: {problem}")
     X, Y = X.astype(float, copy=False), Y.astype(float if Y.dtype.kind == "f" else np.int64)
-    tail = ',"split":' + json.dumps(data.split) + "}\n"
-    labels = ["[", Y, "]" + tail] if Y.shape[1] else ["null" + tail]
-    with open(path, "wb") as fh:  # ASCII: json.dumps escapes every other character
+    labels = ["[", Y, "]}\n"] if Y.shape[1] else ["null}\n"]
+    with open(path, "wb") as fh:
         fh.write(block := (_HEADER + "\n").encode())
         key = tables.digest([block])
         for block in tables.number_rows(['{"features":[', X, '],"labels":', *labels], len(X)):
             fh.write(block)
             key = tables.digest([block], key)
-    # cached if the parse gives the arrays back: rows, int labels, and a split
-    # numpy keeps (not one ending in NUL)
-    fit = len(X) and Y.dtype == np.int64 and np.array(data.split).item() == data.split
-    tables.save_cache(path, key, [X, Y, np.array(data.split)] if fit else None)
+    # cached if the parse gives the arrays back: rows and int labels
+    tables.save_cache(path, key, [X, Y] if len(X) and Y.dtype == np.int64 else None)
 
 
 def read_jsonl(path) -> Dataset:
     """Parse a dataset file; malformed lines are reported with their number.
 
     Every row must hold as many features and labels as the first row, every
-    feature must be finite and every label 0 or 1; the split is the first row's.
-    A matching cache, if its arrays pass _table_rule, stands in for the parse.
+    feature must be finite and every label 0 or 1; other keys are ignored.
+    A matching cache of X and Y, if they pass _table_rule, stands in for the parse.
     """
+    if not Path(path).exists():  # a directory fails the read, which says why
+        raise DataError(f"dataset file not found: {Path(path)}")
     cached = tables.load_cache(path)
-    if cached and len(cached) == 3:
-        X, Y, split = cached
-        if (X.dtype == np.float64 and Y.dtype == np.int64 and split.dtype.kind == "U"
-                and split.ndim == 0 and len(X) and _table_rule(X, Y, split.item()) is None):
-            return Dataset(X=X, Y=Y, split=split.item())
+    if cached and len(cached) == 2:
+        X, Y = cached
+        if X.dtype == np.float64 and Y.dtype == np.int64 and len(X) and not _table_rule(X, Y):
+            return Dataset(X=X, Y=Y)
     return _parse_jsonl(path)
 
 
@@ -308,7 +306,7 @@ def _parse_jsonl(path) -> Dataset:
     """The rows in file order; raises for the first bad line.  Each line is an
     object whose features and labels are lists of numbers, as many as the first
     row's, and each row, as a one-row table, meets _table_rule."""
-    rows, problem = [], None  # rows: each row's (features, labels, split, line)
+    rows, problem = [], None  # rows: each row's (features, labels, line)
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -317,7 +315,7 @@ def _parse_jsonl(path) -> Dataset:
                     continue
                 try:
                     doc = json.loads(line)
-                    x, y, split = doc["features"], doc["labels"], doc["split"]
+                    x, y = doc["features"], doc["labels"]
                     y = [] if y is None else y
                     # json.loads gives int or float for a number, bool for true and false
                     if not (type(x) is type(y) is list
@@ -325,9 +323,9 @@ def _parse_jsonl(path) -> Dataset:
                         problem = "features and labels must be lists of numbers, not true or false"
                     elif rows and (len(x), len(y)) != (rows[0][0].size, rows[0][1].size):
                         problem = (f"{len(x)} features and {len(y)} labels, but line "
-                                   f"{rows[0][3]} has {rows[0][0].size} and {rows[0][1].size}")
+                                   f"{rows[0][2]} has {rows[0][0].size} and {rows[0][1].size}")
                     else:
-                        rows.append((np.array(x, dtype=float), np.array(y), split, lineno))
+                        rows.append((np.array(x, dtype=float), np.array(y), lineno))
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     problem = f"malformed dataset line: {exc}"
                 if problem:
@@ -337,26 +335,25 @@ def _parse_jsonl(path) -> Dataset:
     except OSError as exc:
         raise DataError(f"{path}: cannot read: {exc}") from exc
     if rows:
-        features, labels, splits, _ = zip(*rows)
+        features, labels, _ = zip(*rows)
         X, Y = np.array(features), np.array(labels)
-        # every row meets the rule if the stacked table does and every row has the
-        # first row's split; only otherwise is each row checked, in file order
-        if _table_rule(X, Y, splits[0]) or splits.count(splits[0]) < len(splits):
-            for x, y, split, row_line in rows:
-                if rule := _table_rule(x[None], y[None], split):
+        # every row meets the rule if the stacked table does; only otherwise is
+        # each row checked, in file order
+        if _table_rule(X, Y):
+            for x, y, row_line in rows:
+                if rule := _table_rule(x[None], y[None]):
                     raise DataError(f"{path}:{row_line}: {rule}")
     if problem:
         raise DataError(f"{path}:{lineno}: {problem}")
     if not rows:
-        return Dataset(X=np.empty((0, 0)), Y=np.empty((0, 0), dtype=int), split=None)
-    return Dataset(X=X, Y=Y.astype(int, copy=False), split=splits[0])
+        return Dataset(X=np.empty((0, 0)), Y=np.empty((0, 0), dtype=int))
+    return Dataset(X=X, Y=Y.astype(int, copy=False))
 
 
-def _table_rule(X: np.ndarray, Y: np.ndarray, split) -> str | None:
-    """The first rule that a table of features X, labels Y and its rows' split
-    breaks, or None: X and Y are 2-D with one row per sample; X holds finite
-    numbers, not numeric strings; Y the numbers 0 or 1, not bools (written
-    True/False, which is not JSON); and a table with rows has a string split."""
+def _table_rule(X: np.ndarray, Y: np.ndarray) -> str | None:
+    """The first rule that a table of features X and labels Y breaks, or None:
+    X and Y are 2-D with one row per sample; X holds finite numbers, not numeric
+    strings; Y the numbers 0 or 1, not bools (written True/False, which is not JSON)."""
     if not (X.ndim == Y.ndim == 2 and len(X) == len(Y)):
         return (f"features and labels must be 2-D with one row per sample, "
                 f"got shapes {X.shape} and {Y.shape}")
@@ -368,6 +365,4 @@ def _table_rule(X: np.ndarray, Y: np.ndarray, split) -> str | None:
         return f"labels must be the numbers 0 or 1, got dtype {Y.dtype}"
     if (bad := Y[(Y != 0) & (Y != 1)]).size:
         return f"labels must be the numbers 0 or 1, got {bad[0].item()!r}"
-    if len(X) and not isinstance(split, str):
-        return f"split must be a string, got {split!r}"
     return None

@@ -83,6 +83,12 @@ class TestGenData:
         for split in ("train", "val", "test", "ood"):
             assert (out / f"synth.{split}.jsonl").exists()
 
+    def test_rows_hold_features_and_labels_only(self, pipeline):
+        for split in ("train", "val", "test", "ood"):
+            lines = (pipeline / f"synth.{split}.jsonl").read_text().splitlines()[1:]
+            assert lines and all(list(json.loads(line)) == ["features", "labels"]
+                                 for line in lines), split
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg = _write_config(tmp_path, "gen.json", SMALL_GEN)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -357,6 +363,14 @@ class TestTrain:
         ])
         assert code == 2
 
+    def test_missing_training_file_is_named(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["train", "--data", str(tmp_path / "synth"), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: dataset file not found: {tmp_path / 'synth.train.jsonl'}\n")
+        assert not out.exists()
+
     def test_directory_at_training_path_is_data_error(self, tmp_path, capsys):
         (tmp_path / "synth.train.jsonl").mkdir()
         code = main([
@@ -375,9 +389,8 @@ class TestTrain:
         lambda doc: doc["labels"].__setitem__(0, 0.7),
         lambda doc: doc["features"].__setitem__(0, "2"),
         lambda doc: doc["labels"].__setitem__(0, "1"),
-        lambda doc: doc.__setitem__("split", 3),
     ], ids=["nan_feature", "extra_feature", "short_labels", "label_2", "label_0_7",
-            "feature_numeric_string", "label_numeric_string", "split_not_a_string"])
+            "feature_numeric_string", "label_numeric_string"])
     def test_bad_training_row_names_file_and_line(self, pipeline, tmp_path, capsys, edit):
         bad = tmp_path / "synth.train.jsonl"
         _copy_rows(pipeline / "synth.train.jsonl", bad, edit, [3])
@@ -424,7 +437,7 @@ class TestTrain:
         self, pipeline, tmp_path, capsys, rate, rows, scale, where
     ):
         ds = read_jsonl(pipeline / "synth.train.jsonl")
-        write_jsonl(Dataset(X=ds.X[:rows] * scale, Y=ds.Y[:rows], split="train"),
+        write_jsonl(Dataset(X=ds.X[:rows] * scale, Y=ds.Y[:rows]),
                     tmp_path / "synth.train.jsonl")
         cfg = _write_config(tmp_path, "train.json", {
             "learning_rate_backbone": rate, "learning_rate_head": rate,
@@ -756,6 +769,21 @@ class TestScore:
         assert not out.exists()
 
     @pytest.mark.parametrize("split", ["test", "ood"])
+    def test_missing_dataset_file_is_named(self, pipeline, tmp_path, capsys, split):
+        other = {"test": "ood", "ood": "test"}[split]
+        (tmp_path / f"synth.{other}.jsonl").write_bytes(
+            (pipeline / f"synth.{other}.jsonl").read_bytes())
+        out = tmp_path / "o"
+        code = main([
+            "score", "--checkpoint", str(pipeline / "checkpoint.json"),
+            "--data", str(tmp_path / "synth"), "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: dataset file not found: {tmp_path / f'synth.{split}.jsonl'}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("split", ["test", "ood"])
     def test_dataset_file_without_rows_is_data_error(self, pipeline, tmp_path, capsys, split):
         for name in ("test", "ood"):
             text = (pipeline / f"synth.{name}.jsonl").read_text()
@@ -862,7 +890,7 @@ def _key_of_other_bytes(sidecar: Path, path: Path) -> None:
     other = sidecar.with_name(f"other{path.suffix}")
     if path.suffix == ".jsonl":
         ds = read_jsonl(path)
-        write_jsonl(Dataset(X=ds.X * 2.0, Y=ds.Y, split=ds.split), other)
+        write_jsonl(Dataset(X=ds.X * 2.0, Y=ds.Y), other)
     else:
         _, header, *blocks = _load_sidecar(sidecar)
         columns = [c * 2.0 if c.dtype == np.float64 else c for block in blocks for c in block]

@@ -155,13 +155,11 @@ def _mutate_row(line: str, mutation: str, data) -> str:
         doc[key][data.draw(st.integers(0, len(doc[key]) - 1), label="index")] = (
             data.draw(st.booleans(), label="bool"))
         return json.dumps(doc)
-    key = data.draw(st.sampled_from(["features", "labels", "split"]), label="field")
+    key = data.draw(st.sampled_from(["features", "labels"]), label="field")
     if mutation == "drop":
         doc[f"{key}_x"] = doc.pop(key)
     elif mutation == "duplicate":  # json keeps the last of two values
-        return line[:-1] + f',"{key}":{3 if key == "split" else json.dumps("x")}}}'
-    elif key == "split":
-        doc[key] = data.draw(st.sampled_from(BAD_JSON[str]), label="bad")
+        return line[:-1] + f',"{key}":"x"}}'
     elif data.draw(st.booleans(), label="whole field"):
         doc[key] = "x"
     else:

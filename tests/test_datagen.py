@@ -125,7 +125,6 @@ class TestGenerateInd:
         for split in s1:
             np.testing.assert_array_equal(s1[split].X, s2[split].X)
             np.testing.assert_array_equal(s1[split].Y, s2[split].Y)
-            assert s1[split].split == s2[split].split == split
 
     def test_at_least_one_positive_label(self):
         for ds in generate_ind(small_spec(seed=3)).values():
@@ -291,9 +290,9 @@ class TestArrayGeneratorMatchesPerSampleLoop:
         assert np.array_equal(generate_ood(spec, ood_spec), _reference_ood(spec, ood_spec))
 
 
-def _labeled(n, d=4, l=3, seed=31, split="train"):
+def _labeled(n, d=4, l=3, seed=31):
     rng = np.random.default_rng(seed)
-    return Dataset(X=rng.normal(size=(n, d)), Y=rng.integers(0, 2, (n, l)), split=split)
+    return Dataset(X=rng.normal(size=(n, d)), Y=rng.integers(0, 2, (n, l)))
 
 
 def _sidecar(path):
@@ -313,7 +312,7 @@ LIST_RULE = "features and labels must be lists of numbers, not true or false"
 def _parse_error(data, path) -> str:
     """read_jsonl's error for data's rows, each written as a line by json.dumps."""
     path.write_text("".join(
-        json.dumps({"features": x, "labels": y, "split": data.split}) + "\n"
+        json.dumps({"features": x, "labels": y}) + "\n"
         for x, y in zip(data.X.tolist(), data.Y.tolist())
     ))
     with pytest.raises(DataError) as info:
@@ -338,11 +337,10 @@ class TestJsonlRoundTrip:
         assert len(restored) == 1000
         np.testing.assert_array_equal(data.X, restored.X)
         np.testing.assert_array_equal(data.Y, restored.Y)
-        assert restored.split == data.split
 
     def test_concatenated_files_read_as_one(self, tmp_path):
-        # e.g. `cat synth.train.jsonl synth.val.jsonl`: a header mid-file, rows of two splits
-        train, val = _labeled(300), _labeled(5, split="val")
+        # e.g. `cat synth.train.jsonl synth.val.jsonl`: a header mid-file
+        train, val = _labeled(300), _labeled(5)
         write_jsonl(train, tmp_path / "a.jsonl")
         write_jsonl(val, tmp_path / "b.jsonl")
         path = tmp_path / "both.jsonl"
@@ -350,15 +348,40 @@ class TestJsonlRoundTrip:
         restored = read_jsonl(path)
         np.testing.assert_array_equal(restored.X, np.vstack([train.X, val.X]))
         np.testing.assert_array_equal(restored.Y, np.vstack([train.Y, val.Y]))
-        assert restored.split == "train"
 
     def test_ood_entries_have_null_labels(self, tmp_path):
         path = tmp_path / "ood.jsonl"
-        _write_parsed(Dataset(X=np.array([[1.0, 2.0]]), Y=np.zeros((1, 0), int), split="ood"), path)
+        _write_parsed(Dataset(X=np.array([[1.0, 2.0]]), Y=np.zeros((1, 0), int)), path)
         assert '"labels":null' in path.read_text()
         restored = read_jsonl(path)
         assert restored.Y.shape == (1, 0)
-        assert restored.split == "ood"
+
+    @pytest.mark.parametrize("labels", [3, 0], ids=["labeled", "ood"])
+    @pytest.mark.parametrize("split", ['"train"', "3", "null"])
+    def test_rows_with_a_split_key_read_to_the_same_arrays(self, tmp_path, labels, split):
+        # rows as written before the format dropped their "split" key
+        data, path, old = _labeled(20, l=labels), tmp_path / "ds.jsonl", tmp_path / "old.jsonl"
+        _write_parsed(data, path)
+        old.write_text(path.read_text().replace("}\n", f',"split":{split}}}\n'))
+        assert old.read_text().count('"split"') == 20
+        got, want = read_jsonl(old), read_jsonl(path)
+        assert got.X.tobytes() == want.X.tobytes() == data.X.tobytes()
+        assert got.Y.shape == want.Y.shape and got.Y.dtype == want.Y.dtype
+        assert np.array_equal(got.Y, want.Y) and np.array_equal(got.Y, data.Y)
+
+    def test_cache_of_three_arrays_is_parsed_instead(self, tmp_path):
+        # the cache layout of X, Y and the split, with the key of the unchanged file
+        data, path = _labeled(20), tmp_path / "ds.jsonl"
+        write_jsonl(data, path)
+        key = tables.digest([path.read_bytes()])
+        tables.save_cache(path, key, [data.X, data.Y, np.array("train")])
+        assert len(tables.load_cache(path)) == 3
+        with mock.patch.object(datagen, "_parse_jsonl", wraps=datagen._parse_jsonl) as parse:
+            got = read_jsonl(path)
+        assert parse.call_count == 1
+        want = datagen._parse_jsonl(path)
+        assert got.X.tobytes() == want.X.tobytes() and got.Y.tobytes() == want.Y.tobytes()
+        assert got.Y.dtype == want.Y.dtype and np.array_equal(got.Y, data.Y)
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -401,7 +424,6 @@ class TestJsonlRoundTrip:
         '{"features": [1e999999], "labels": [1], "split": "train"}',
         '{"features": [1.0], "labels": [100000000000000000000000], "split": "train"}',
         '{"features": [1' + "0" * 400 + '], "labels": [1], "split": "train"}',
-        '{"features": [1.0], "labels": [1], "split": null}',
         # a value fault names its line before a later line's fault of either kind
         '{"features": [NaN], "labels": [1], "split": "train"}\n'
         '{"features": [1.0], "labels": [2], "split": "train"}',
@@ -428,8 +450,7 @@ def datasets(draw):
     l = draw(st.integers(0, 3))
     X = np.array(draw(st.lists(finite_floats, min_size=n * d, max_size=n * d)), dtype=float)
     Y = np.array(draw(st.lists(st.integers(0, 1), min_size=n * l, max_size=n * l)), dtype=int)
-    split = draw(st.sampled_from(["train", "val", "test", "ood", "é\"x"]))
-    return Dataset(X=X.reshape(n, d), Y=Y.reshape(n, l), split=split)
+    return Dataset(X=X.reshape(n, d), Y=Y.reshape(n, l))
 
 
 def _reference_jsonl(data) -> str:
@@ -439,7 +460,6 @@ def _reference_jsonl(data) -> str:
         doc = {
             "features": list(x),
             "labels": [int(v) for v in y] if data.Y.shape[1] else None,
-            "split": data.split,
         }
         lines.append(json.dumps(doc, separators=(",", ":")) + "\n")
     return "".join(lines)
@@ -458,7 +478,6 @@ class TestJsonlCodecMatchesReference:
                 restored = read_jsonl(path)
                 assert restored.X.tobytes() == data.X.tobytes()
                 np.testing.assert_array_equal(restored.Y, data.Y)
-                assert restored.split == data.split
 
     @pytest.mark.parametrize("chunk", [tables.CHUNK_CELLS, 4096])
     @pytest.mark.parametrize("features, labels", [(7, 3), (64, 32)], ids=["narrow", "wide"])
@@ -471,7 +490,7 @@ class TestJsonlCodecMatchesReference:
         X[::97, 0], X[::89, 1], X[::83, 2] = -0.0, 1e16 - 2, 5e-324
         X[::79, 3] = np.round(X[::79, 3])
         Y = rng.integers(0, 2, size=(n, labels))
-        data = Dataset(X=X, Y=Y, split="train")
+        data = Dataset(X=X, Y=Y)
         path = tmp_path / "ds.jsonl"
         with mock.patch.object(tables, "CHUNK_CELLS", chunk):
             write_jsonl(data, path)
@@ -489,7 +508,7 @@ class TestJsonlCodecMatchesReference:
     def test_writer_rejects_nonfinite_features(self, tmp_path, features, text_fault):
         # the reader rejects numeric strings too; "a" made np.asarray raise
         path = tmp_path / "ds.jsonl"
-        data = Dataset(X=features, Y=np.ones((1, 1), int), split="train")
+        data = Dataset(X=features, Y=np.ones((1, 1), int))
         with pytest.raises(DataError, match="finite") as info:
             write_jsonl(data, path)
         rule = "features must be finite numbers"
@@ -508,7 +527,7 @@ class TestJsonlCodecMatchesReference:
     ], ids=["bool", "float_0_7", "int_2", "int_minus_1", "nan", "float_1e23", "str"])
     def test_writer_rejects_labels_its_reader_rejects(self, tmp_path, labels, rule):
         path = tmp_path / "ds.jsonl"
-        data = Dataset(X=np.ones((1, 3)), Y=labels, split="train")
+        data = Dataset(X=np.ones((1, 3)), Y=labels)
         with pytest.raises(DataError, match="labels must be the numbers 0 or 1") as info:
             write_jsonl(data, path)
         rule = f"labels must be the numbers 0 or 1, {rule}"
@@ -526,29 +545,11 @@ class TestJsonlCodecMatchesReference:
     def test_writer_rejects_tables_of_other_shapes_before_writing(self, tmp_path, X, Y):
         path = tmp_path / "ds.jsonl"
         with pytest.raises(DataError) as info:
-            write_jsonl(Dataset(X=X, Y=Y, split="train"), path)
+            write_jsonl(Dataset(X=X, Y=Y), path)
         assert str(info.value) == (
             f"cannot write {path}: features and labels must be 2-D with one row per "
             f"sample, got shapes {X.shape} and {Y.shape}")
         assert not path.exists() and not _sidecar(path).exists()
-
-    @pytest.mark.parametrize("split", [None, 3, True, ["x"]],
-                             ids=["none", "int", "bool", "list"])
-    def test_writer_rejects_split_its_reader_rejects(self, tmp_path, split):
-        path = tmp_path / "ds.jsonl"
-        data = Dataset(X=np.ones((2, 3)), Y=np.ones((2, 1), int), split=split)
-        with pytest.raises(DataError) as info:
-            write_jsonl(data, path)
-        rule = f"split must be a string, got {split!r}"
-        assert str(info.value) == f"cannot write {path}: {rule}"
-        assert not path.exists() and not _sidecar(path).exists()
-        assert _parse_error(data, path) == f"{path}:1: {rule}"
-
-    def test_writer_keeps_empty_dataset_without_split(self, tmp_path):
-        # no row carries the split, and the reader gives split None for no rows
-        path = tmp_path / "ds.jsonl"
-        write_jsonl(Dataset(X=np.empty((0, 3)), Y=np.empty((0, 1), int), split=None), path)
-        assert read_jsonl(path).split is None
 
     @settings(max_examples=300, deadline=None)
     @given(rows=st.lists(
@@ -561,8 +562,10 @@ class TestJsonlCodecMatchesReference:
                 st.sampled_from([0, 1, 2, 0.7, 1.0, "1", "1.0", True, [0], None, math.nan,
                                  10**23]), max_size=2
             ),
-            "split": st.sampled_from(["train", "test", 3]),
-        }, optional={"extra": st.just([{"a": 1}])}) | st.sampled_from(["[]", "{", "x"]),
+        }, optional={"extra": st.just([{"a": 1}]),
+                     # the key of each row before the format dropped it, now ignored
+                     "split": st.sampled_from(["train", "test", 3, None])},
+        ) | st.sampled_from(["[]", "{", "x"]),
         min_size=1, max_size=5,
     ), breaks=st.lists(st.booleans(), min_size=5, max_size=5))
     def test_reader_matches_line_by_line_reference(self, tmp_path_factory, rows, breaks):
@@ -586,13 +589,11 @@ class TestJsonlCodecMatchesReference:
             got = read_jsonl(path)
             assert got.X.tobytes() == want.X.tobytes() and got.X.shape == want.X.shape
             assert np.array_equal(got.Y, want.Y) and got.Y.dtype == want.Y.dtype
-            assert got.split == want.split
 
 
 @st.composite
 def writer_inputs(draw):
-    """datasets() with labels as int, bool or float (0.7 and 1.0) and a split
-    that may be None or end in a NUL; some have 257 rows."""
+    """datasets() with labels as int, bool or float (0.7 and 1.0); some have 257 rows."""
     data = draw(datasets())
     X, Y = data.X, data.Y
     if len(data) and draw(st.booleans()):
@@ -605,26 +606,25 @@ def writer_inputs(draw):
         Y = Y.astype(float)
     elif kind == "float_0_7":
         Y = np.where(Y == 1, 1.0, 0.7)
-    split = draw(st.sampled_from([data.split, data.split, None, "x\x00"]))
-    return Dataset(X=X, Y=Y, split=split)
+    return Dataset(X=X, Y=Y)
 
 
 def _read_outcome(path):
-    """What read_jsonl gives: the arrays' bytes, shapes, dtypes and split, or its error."""
+    """What read_jsonl gives: the arrays' bytes, shapes and dtypes, or its error."""
     try:
         got = read_jsonl(path)
     except DataError as exc:
         return str(exc)
     return (got.X.tobytes(), got.X.shape, got.X.dtype, got.Y.tolist(), got.Y.shape,
-            got.Y.dtype, got.split)
+            got.Y.dtype)
 
 
 class TestSidecarMatchesParse:
     @settings(max_examples=300, deadline=None)
     @given(data=writer_inputs())
     @example(data=Dataset(X=np.array([[-0.0, 5e-324, 1.7976931348623157e308]]),
-                          Y=np.array([[1, 0]]), split="train"))
-    @example(data=Dataset(X=np.zeros((2, 0)), Y=np.zeros((2, 0), int), split="ood"))
+                          Y=np.array([[1, 0]])))
+    @example(data=Dataset(X=np.zeros((2, 0)), Y=np.zeros((2, 0), int)))
     @example(data=_labeled(257))
     def test_cached_read_equals_parse(self, tmp_path_factory, data):
         with example_dir(tmp_path_factory, "s") as d:
@@ -635,22 +635,14 @@ class TestSidecarMatchesParse:
                     write_jsonl(data, path)
                 assert not path.exists() and not _sidecar(path).exists()
                 return
-            if len(data) and data.split is None:
-                # rows with "split": null, which the reader rejects
-                with pytest.raises(DataError, match=f"cannot write {path}: split must be a "
-                                                    f"string, got None$"):
-                    write_jsonl(data, path)
-                assert not path.exists() and not _sidecar(path).exists()
-                return
             write_jsonl(data, path)
             cached = _sidecar(path).exists()
             # a sidecar is written exactly for data that the parse returns unchanged
-            assert cached == bool(len(data) and data.Y.dtype.kind == "i"
-                                  and data.split in ("train", "val", "test", "ood", 'é"x'))
+            assert cached == bool(len(data) and data.Y.dtype.kind == "i")
             if cached:  # and it stands in for the parse
                 with mock.patch.object(datagen, "_parse_jsonl", side_effect=AssertionError):
                     got = _read_outcome(path)
-                assert got[0] == data.X.tobytes() and got[6] == data.split
+                assert got[0] == data.X.tobytes()
             else:
                 got = _read_outcome(path)
             _sidecar(path).unlink(missing_ok=True)
@@ -660,7 +652,7 @@ class TestSidecarMatchesParse:
         path = tmp_path / "ds.jsonl"
         write_jsonl(_labeled(3), path)
         assert _sidecar(path).exists()
-        write_jsonl(Dataset(X=np.ones((3, 4)), Y=np.ones((3, 3)), split="train"), path)
+        write_jsonl(Dataset(X=np.ones((3, 4)), Y=np.ones((3, 3))), path)
         assert not _sidecar(path).exists()
 
     def test_writer_ignores_directory_at_sidecar_path(self, tmp_path):
@@ -700,7 +692,7 @@ def _reference_read_jsonl(path) -> Dataset:
                 continue
             try:
                 doc = json.loads(line)
-                features, labels, split = doc["features"], doc["labels"], doc["split"]
+                features, labels = doc["features"], doc["labels"]
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed dataset line: {exc}") from exc
             labels = [] if labels is None else labels
@@ -721,14 +713,11 @@ def _reference_read_jsonl(path) -> Dataset:
             except OverflowError as exc:
                 raise DataError(f"{path}:{lineno}: malformed dataset line: {exc}") from exc
             y = np.array([labels])
-            if problem := datagen._table_rule(x, y, split):
+            if problem := datagen._table_rule(x, y):
                 raise DataError(f"{path}:{lineno}: {problem}")
-            if not linenos:
-                first_split = split
             features_rows.append(x[0])
             label_rows.append(y[0])
             linenos.append(lineno)
     if not linenos:
-        return Dataset(X=np.empty((0, 0)), Y=np.empty((0, 0), dtype=int), split=None)
-    return Dataset(X=np.array(features_rows), Y=np.array(label_rows).astype(int),
-                   split=first_split)
+        return Dataset(X=np.empty((0, 0)), Y=np.empty((0, 0), dtype=int))
+    return Dataset(X=np.array(features_rows), Y=np.array(label_rows).astype(int))
