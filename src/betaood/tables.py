@@ -5,7 +5,9 @@ Tables are parsed by ``csv.reader``, so that a message names the file, the line 
 the row starts and the cause.  Number rows are written by an array kernel with the bytes
 of repr and str (``number_rows``), which also gathers cells rendered once, as uint32
 words, by row number (the ROC export's rates); other rows by one ``csv.writer`` call
-per chunk.
+per chunk.  The kernel renders each value as uint32 words and lays a chunk out as a
+uint8 matrix in which each word position of a cell keeps only the bytes that some cell
+of that chunk uses (``_slot``), so the one pass that drops NUL bytes scans few of them.
 
 A cache, ``<file>.npy``, holds what parsing the file gives under a key of its bytes
 (zlib: hashlib loads OpenSSL); it is never required and safe to delete.
@@ -28,7 +30,7 @@ from .errors import DataError
 
 _DTYPES = {int: np.int64, float: np.float64, str: object}
 # cells turned into text at a time by write_table and by datagen's JSONL writer: bounds
-# the arrays (170-200 bytes a cell) and the str cells of other tables held in memory.
+# the arrays (170-225 bytes a cell) and the str cells of other tables held in memory.
 # At 2**14 each uint64 temporary of a chunk takes at most 128 KiB, glibc's default mmap
 # threshold; the JSONL write of wide's train split took 10 % more CPU at 2**13, and no
 # less at 2**15, which holds twice the arrays
@@ -161,31 +163,45 @@ def number_rows(parts, n: int):
     - a pair (cells, index), one pre-rendered cell a row: ``cells`` is an (m, w) uint32
       array whose rows hold ASCII texts with no byte that needs quoting, NUL-padded to
       w words (NUL only as padding), and row r gets cells[index[r]], gathered by take.
-    A chunk is a uint32 matrix of words of 1-4 bytes padded by NUL, written without the
-    NULs; an array's cell is its words and ",".
+    A chunk is a uint8 matrix with a row per text row, written without its NUL bytes:
+    a str's bytes, a pair's gathered words, and for each cell of an array the byte slot
+    of each of its word positions, then ",".  A slot holds the bytes of its word that
+    some cell of the chunk uses (``_slot``), so "-", "." and a short whole part take a
+    byte or two, not 4.
     """
     width = sum(1 if isinstance(p, tuple) else p.shape[1] for p in parts if not isinstance(p, str))
     step = max(1, CHUNK_CELLS // max(width, 1))
     for start in range(0, n, step):
-        block = slice(start, start + step)
-        chunk = [p[block] if isinstance(p, np.ndarray) else p for p in parts]
-        # a str's words, a pair's gathered rows of words, an array's word rows per position
-        pieces = [text_words([p]) if isinstance(p, str) else p[0].take(p[1][block], axis=0)
-                  if isinstance(p, tuple) else _cell_words(p.ravel()) if p.size else []
-                  for p in chunk]
-        slots = [p.shape[1] * (len(w) + 1) if isinstance(p, np.ndarray) else w.shape[-1]
-                 for p, w in zip(chunk, pieces)]
-        out, at = np.zeros((min(step, n - start), sum(slots)), np.uint32), 0
-        for p, words, slot in zip(chunk, pieces, slots):
-            if not isinstance(p, np.ndarray):
-                out[:, at : at + slot] = words
-            elif slot:
-                cells = out[:, at : at + slot].reshape(len(out), p.shape[1], -1)
-                for j, word in enumerate(words):
-                    cells[:, :, j] = word.reshape(len(out), -1)
-                cells[:, :-1, -1] = _COMMA
-            at += slot
+        block, rows = slice(start, start + step), min(step, n - start)
+        # a str's bytes, a pair's gathered rows of bytes, or an array's k and word slots
+        pieces = [np.frombuffer(p.encode(), np.uint8) if isinstance(p, str)
+                  else p[0].take(p[1][block], axis=0).view(np.uint8) if isinstance(p, tuple)
+                  else (p.shape[1], [s for w in _cell_words(p[block].ravel()) if (s := _slot(w))
+                                     is not None] if p.size else [])
+                  for p in parts]
+        sizes = [p.shape[-1] if isinstance(p, np.ndarray) else p[0] * (1 + sum(
+            s.itemsize for s in p[1])) for p in pieces]
+        out, at = np.zeros((rows, sum(sizes)), np.uint8), 0
+        for piece, size in zip(pieces, sizes):
+            if isinstance(piece, np.ndarray):
+                out[:, at : at + size] = piece
+            elif size:
+                cells, offset = out[:, at : at + size].reshape(rows, piece[0], -1), 0
+                for slot in piece[1]:
+                    end = offset + slot.itemsize
+                    cells[:, :, offset:end].view(slot.dtype)[..., 0] = slot.reshape(rows, -1)
+                    offset = end
+                cells[:, :-1, -1] = ord(",")
+            at += size
         yield out.tobytes().translate(None, b"\0")
+
+
+def _slot(word: np.ndarray):
+    """A strided view of the bytes of a uint32 word row that some word uses: the one
+    aligned 1, 2 or 4-byte unit of each word that holds them all; None if none does."""
+    used = [i for i, byte in enumerate(np.bitwise_or.reduce(word).tobytes()) if byte]
+    size = used and 1 << (used[0] ^ used[-1]).bit_length()  # a byte, a half or the word
+    return word.view(f"u{size}")[used[0] // size :: 4 // size] if used else None
 
 
 def text_words(texts) -> np.ndarray:
@@ -197,21 +213,21 @@ def text_words(texts) -> np.ndarray:
 
 @functools.cache  # built at the first call, not at import: about 1 ms
 def _tables() -> tuple:
-    """The 4-digit groups as words: with leading zeros, without them, without trailing
-    zeros (0 as no digit in these two), then "0"; and Schubfach's g = floor(10**-k 2**s) + 1
+    """The 4-digit groups as words: with leading zeros, without them (0 as a last "0"),
+    without trailing zeros (0 as no digit), then "0"; and Schubfach's g = floor(10**-k 2**s) + 1
     in [2**125, 2**126) for k in [-324, 292], as 32-bit limbs of g >> 63 and g mod 2**63,
     held in uint64 so that their products with uint64 run on numpy's same-dtype loops."""
     v, scale = np.arange(10**4, dtype=np.int16)[:, None], np.array([1000, 100, 10, 1], np.int16)
     digits = (v // scale % 10 + 48).astype(np.uint8)
-    forms = np.stack([digits, digits * (v >= scale), digits * (v % (scale * 10) != 0)])
+    forms = np.stack([digits, digits * ((v >= scale) | (scale == 1)),
+                      digits * (v % (scale * 10) != 0)])
     g = np.array([(10 ** max(-k, 0) << max(s, 0)) // (10 ** max(k, 0) << max(-s, 0)) + 1
                   for k in range(-324, 293) for s in [125 - (-k * 913124641741 >> 38)]])
     limbs = [g >> 63 & 0xFFFFFFFF, g >> 95, g & 0xFFFFFFFF, g >> 32 & 0x7FFFFFFF]
     return np.append(forms.view(np.uint32).ravel(), text_words(["0"])), np.array(limbs, np.uint64)
 
 
-_LEAD, _ZERO = (np.uint64(i * 10**4) for i in (1, 3))  # offsets into the groups
-_TRAIL32 = np.uint32(2 * 10**4)  # for the uint32 digits of the fraction
+_LEAD, _TRAIL = np.uint64(10**4), 2 * 10**4  # offsets into the groups, then "0" at 3 10**4
 # "0" * z + str(d) at 10 z + d for z < 4, then no text: what a value below 1 shows after "0."
 _FRONT = text_words(["0" * (i // 10) + str(i % 10) for i in range(40)] + [""]).ravel()
 _EXP = text_words([f"e{e:+03d}" for e in range(-330, 331)])
@@ -221,44 +237,51 @@ _P10 = np.array([10**i for i in range(20)], dtype=np.uint64)
 
 def _shortest(bits):
     """(f, k): the positive normal float64s of ``bits`` are f 10**k rounded, f the
-    fewest digits that round back, the closest on a tie.  Schubfach (R. Giulietti,
-    "The Schubfach way to render doubles", 2020) as in OpenJDK's DoubleToDecimal."""
-    q, c = (bits >> 52).astype(np.int64) - 1075, bits & (2**52 - 1) | 2**52
-    regular = (c != 2**52) | (q == -1074)  # else 2**q sits closer to its lower neighbour
-    k = q * 661971961083 - ~regular * 274743187321 >> 41  # floor(log10(2**q or 3/4 2**q))
-    h = (q + (-k * 913124641741 >> 38) + 2).astype(np.uint64)
-    g = _tables()[1].take(k + 324, axis=1)
-    g1, cb = g[1] << 32 | g[0], c << 2
+    fewest digits that round back, the closest on a tie, scaled by trailing zeros to
+    16 or 17 digits.  Schubfach (R. Giulietti, "The Schubfach way to render doubles",
+    2020) as in OpenJDK's DoubleToDecimal; it picks between candidates by arithmetic
+    on masks, as np.where and masked ufuncs branch on each element."""
+    q, c = (bits >> 52).view(np.int64) - 1075, bits & 2**52 - 1 | 2**52
+    irregular = (c == 2**52) & (q != -1074)  # 2**q sits closer to its lower neighbour
+    k = q * 661971961083 - irregular * 274743187321 >> 41  # floor(log10(2**q or 3/4 2**q))
+    h = (q + (k * -913124641741 >> 38) + 2).view(np.uint64)
+    index = k + 324
+    g = [limb.take(index) for limb in _tables()[1]]
+    g1, odd, scratch = g[1] << 32 | g[0], c & 1, np.empty_like(c)
+    c <<= 2
     def round_odd(cp):  # OpenJDK's rop, g cp 2**-127 rounded to odd, from 32-bit limbs
-        b0, b1 = cp & 0xFFFFFFFF, cp >> 32
-        y1, x1 = _high(*g[:2], b0, b1), _high(*g[2:], b0, b1)
-        z = g1 * cp
+        cp <<= h
+        z, b0 = g1 * cp, cp & 0xFFFFFFFF
+        cp >>= 32
+        y1, x1 = _high(*g[:2], b0, cp, scratch), _high(*g[2:], b0, cp, scratch)
         z >>= 1
         z += x1
-        y1 += z >> 63
+        y1 += np.right_shift(z, 63, out=x1)
         z <<= 1  # the low 63 bits of z, nonzero or not
-        y1 |= z != 0
+        y1 |= np.minimum(z, 1, out=z)
         return y1
-    vb = round_odd(cb << h)
-    vbl = round_odd(cb - 1 - regular << h) + (c & 1)
-    vbr = round_odd(cb + 2 << h) - (c & 1)
-    s = vb >> 2
+    vbl, vbr = round_odd(c - 2 + irregular) + odd, round_odd(c + 2) - odd
+    vb = round_odd(c)
+    up = (vb & 7 == 3) | (vb & 7 >= 6)  # vb above 4 s + 2, or at it with s odd
+    s = np.right_shift(vb, 2, out=vb)
     s10 = s // 10 * 10  # one digit fewer: s10 or s10 + 10, if exactly one is in the interval
     lo10, hi10 = vbl <= s10 << 2, s10 + 10 << 2 <= vbr
     lo, hi = vbl <= s << 2, s + 1 << 2 <= vbr
-    f = s + np.where(lo != hi, hi, (vb > 4 * s + 2) | (vb == 4 * s + 2) & (s & 1 == 1))
-    return np.where(lo10 != hi10, np.where(hi10, s10 + 10, s10), f), k  # s > 10**15 on normals
+    s += hi & ~lo | up & (lo == hi)  # s + 1 alone in the interval, or both or neither and up
+    s += (s10 - s + hi10 * np.uint64(10)) * (lo10 != hi10)
+    return s, k
 
 
-def _high(a0, a1, b0, b1):
-    """(a1 2**32 + a0)(b1 2**32 + b0) >> 64, summed in place.  In Schubfach the a's are
-    below 2**32 (a1 below 2**31) and b1 2**32 + b0 below 2**60: no sum passes 2**64."""
+def _high(a0, a1, b0, b1, scratch):
+    """(a1 2**32 + a0)(b1 2**32 + b0) >> 64, summed in place, each product in ``scratch``.
+    In Schubfach the a's are below 2**32 (a1 below 2**31) and b1 2**32 + b0 below 2**60:
+    no sum passes 2**64."""
     t = a0 * b0
     t >>= 32
-    t += a0 * b1
-    t += a1 * b0
+    t += np.multiply(a0, b1, out=scratch)
+    t += np.multiply(a1, b0, out=scratch)
     t >>= 32
-    t += a1 * b1
+    t += np.multiply(a1, b1, out=scratch)
     return t
 
 
@@ -269,28 +292,34 @@ def _cell_words(a: np.ndarray) -> list:
     if a.dtype.kind == "i":
         return _integer_words(np.where(a < 0, 0 - bits, bits), a < 0, group)
     zero, normal = bits << 1 == 0, np.isfinite(a) & (np.abs(a) >= np.finfo(float).tiny)
-    f, k = _shortest(np.where(normal, bits & 2**63 - 1, 1 << 62))
-    n = _P10.searchsorted(f, side="right")  # digits in f: the powers of ten up to f
-    f17, point = f * _P10.take(17 - n) * ~zero, (k + n) * ~zero  # point: digits before the "."
+    f, k = _shortest(np.where(normal, bits & 2**63 - 1, 1 << 62))  # 2.0 where repr writes
+    np.copyto(f, 0, where=zero)  # then "0.0", as 2.0's point is 1
+    n = 17 - (f < 10**16)  # digits in f: 16 or 17
+    point = k + n  # digits before the "."
     exponent = (point > 16) | (point < -3)
-    point[exponent] = 1
-    below1 = point < 1  # "0." then _FRONT, then the 16 digits after the first
-    unit = _P10.take(17 - np.clip(point, 1, 16))
-    whole = f17 // unit
-    fraction = (f17 - whole * unit) * (10**16 // unit)  # 16 digits, left-aligned
-    words = _integer_words(whole * ~below1, bits >> 63 == 1, group)
-    words.append(_DOT * ~(exponent & (fraction == 0)))
-    if below1.any():
-        words.append(_FRONT.take(np.where(below1, -10 * point + whole.astype(np.int64), 40)))
+    np.copyto(point, 1, where=exponent)
+    below1 = point < 1  # "0.", then _FRONT's zeros and first digit, then the other digits
+    unit = _P10.take(after := n - np.maximum(point, 1))  # f's digits after the "."
+    whole = f // unit
+    f -= np.multiply(whole, unit, out=unit)
+    fraction = (f * _P10.take(16 - after)).view(np.int64)  # 16 digits, left-aligned
+    blank = fraction == 0
+    front = [_FRONT.take(np.maximum(np.minimum(whole, 9).view(np.int64) - 10 * point, -1))
+             ] if below1.any() else []  # at 10 z + d, the first digit d after z zeros; else ""
+    whole *= ~below1
+    words = _integer_words(whole, bits >> 63 == 1, group) + [_DOT * ~(exponent & blank), *front]
     high, low, tail = fraction // 10**8, np.ones(a.shape, bool), []
-    for half in ((fraction - high * 10**8).astype(np.uint32), high.astype(np.uint32)):
-        for digits in (half - half // 10**4 * 10**4, half // 10**4):
-            tail.append(group.take(digits + _TRAIL32 * low))
-            low &= digits == 0
-    tail[-1][(fraction == 0) & ~exponent & ~below1] = group[_ZERO]  # the "0" of "1.0"
-    words += tail[::-1]
-    if exponent.any():
-        words += list(_EXP[(k + n - 1) * exponent + 330].T * exponent)
+    for half in (fraction - high * 10**8, high):
+        top = half // 10**4
+        for digits in (half - top * 10**4, top):
+            digits += low * _TRAIL  # no trailing zeros while each lower digit is 0
+            low &= digits == _TRAIL
+            tail.append(digits)
+    tail[-1] += (blank & ~exponent & ~below1) * 10**4  # the "0" of "1.0"
+    words += [group.take(t) for t in tail[::-1]]
+    if (scientific := np.flatnonzero(exponent)).size:
+        words += list(np.zeros((2, a.size), np.uint32))
+        words[-2][scientific], words[-1][scientific] = _EXP[k[scientific] + n[scientific] + 329].T
     if (fallback := np.flatnonzero(~normal & ~zero)).size:  # subnormal, inf and nan: repr
         texts = [repr(v).ljust(4 * len(words), "\0") for v in a[fallback].tolist()]
         for word, column in zip(words, text_words(texts).T):
@@ -299,15 +328,17 @@ def _cell_words(a: np.ndarray) -> list:
 
 
 def _integer_words(u, negative, group) -> list:
-    """Rows of 4-digit words of each uint64 u ("0" for 0), after "-" where ``negative``."""
+    """Rows of 4-digit words of each uint64 u, after "-" where ``negative``: whole words
+    below u's top digit, its word right-aligned ("0" for 0), none above."""
     words, rest = [], u
     for j in range(4, len(str(int(u.max()))), 4):  # each word below the top one
-        quotient = rest // 10**4
-        words.append(group.take(rest - quotient * 10**4 + _LEAD * (u < 10**j)))
-        rest = quotient
-    words.append(group.take(rest + _LEAD))  # no value has a leading zero in the top word
-    words[0][u == 0] = group[_ZERO]
-    return [negative * _MINUS] * bool(negative.any()) + words[::-1]
+        words.append(rest % 10**4 + _LEAD * (u < 10**j))  # the top digit's word: no leading 0
+        rest = rest // 10**4
+    words.append(rest + _LEAD)
+    for j, index in enumerate(words[1:], 1):
+        index += _LEAD * (u < 10 ** (4 * j))  # above the top digit: the trailing form of 0
+    return [negative * _MINUS] * bool(negative.any()) + [
+        group.take(index.view(np.intp)) for index in words[::-1]]
 
 
 def digest(blocks, key: tuple = (0, 0, 1)) -> tuple:

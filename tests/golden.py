@@ -13,7 +13,8 @@ of every file each command writes, ``.npy`` caches included.
     PYTHONPATH=src python tests/golden.py --update   # rewrite golden.json
 
 The check prints every entry that differs, as '<run>: <key>', and exits 1 if
-there is one; --update prints the entries it changes before it writes them.  A
+there is one; --update prints the entries it changes before it writes them, and
+leaves the file byte for byte as it was, environment included, if none differs.  A
 change that alters an artifact on purpose rewrites the record with --update
 and lists each changed entry.  The record names the numpy version, the BLAS and
 the CPU targets numpy dispatched to when it was made: the wide workload's
@@ -159,8 +160,10 @@ def main(argv=None) -> int:
     changed = differences(golden, fresh)
     print("\n".join(changed) or "every artifact matches golden.json")
     if args.update:
-        GOLDEN.write_text(json.dumps(fresh, indent=1) + "\n")
-        print(f"wrote {GOLDEN} ({len(changed)} entries changed)")
+        if changed:  # else the record, and the machine it names, stays as it was
+            GOLDEN.write_text(json.dumps(fresh, indent=1) + "\n")
+        print(f"wrote {GOLDEN} ({len(changed)} entries changed)" if changed
+              else f"left {GOLDEN} as it was")
         return 0
     if changed:
         print(f"recorded with {golden.get('environment')}, run with {fresh['environment']}")

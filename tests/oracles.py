@@ -1,8 +1,9 @@
 """The quadrature oracle of the closed-form loss: the Beta density and an
 adaptive Gauss-Kronrod integrator of the expected BCE; the recurrence shift
 of the digamma/trigamma kernels, rung by rung and with int64 rung offsets;
-the ELU pair with the scalar 0.0 as the zero of min(x, 0); and the sum
-scores' row sum as a Python loop.
+the ELU pair with the scalar 0.0 as the zero of min(x, 0); the sum
+scores' row sum as a Python loop; and ``assert_same_bytes``, a byte-for-byte
+check of whole files whose failure names the first differing offset.
 
 The Beta density is evaluated in log space.  The integrator shares no code
 with the loss path, so the tests cross-check ``betaood.loss`` against it.
@@ -239,3 +240,20 @@ def quadrature_expected_bce(
         return bce * math.exp(log_density)
 
     return adaptive_quadrature(integrand, 0.0, 1.0, tol=tol)
+
+
+def assert_same_bytes(got, want) -> None:
+    """Fail unless ``got`` equals ``want`` (two bytes or two str) byte for byte.
+
+    The message gives both lengths and the first differing offset, with 40 bytes
+    of each side from there, so a fault in a multi-megabyte file fails at once:
+    ``assert got == want`` would have pytest diff the whole texts.
+    """
+    if got == want:
+        return
+    got, want = (t.encode() if isinstance(t, str) else bytes(t) for t in (got, want))
+    n = min(len(got), len(want))
+    differ = np.flatnonzero(np.frombuffer(got, np.uint8, n) != np.frombuffer(want, np.uint8, n))
+    at = int(differ[0]) if differ.size else n
+    raise AssertionError(f"{len(got)} bytes, want {len(want)}; first difference at byte {at}: "
+                         f"got {got[at:at + 40]!r}, want {want[at:at + 40]!r}")

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from example_files import example_dir
+from oracles import assert_same_bytes
 
 from betaood.datagen import (
     Dataset,
@@ -473,7 +474,7 @@ class TestJsonlCodecMatchesReference:
             path = d / "ds.jsonl"
             with mock.patch.object(tables, "CHUNK_CELLS", chunk):
                 _write_parsed(data, path)
-            assert path.read_text() == _reference_jsonl(data)
+            assert_same_bytes(path.read_text(), _reference_jsonl(data))
             if len(data):
                 restored = read_jsonl(path)
                 assert restored.X.tobytes() == data.X.tobytes()
@@ -496,7 +497,7 @@ class TestJsonlCodecMatchesReference:
             write_jsonl(data, path)
         text = path.read_text()
         assert "e+" in text and "e-" in text and "-0.0," in text and "9999999999999998.0" in text
-        assert text == _reference_jsonl(data)
+        assert_same_bytes(text, _reference_jsonl(data))
 
     # Each case is also written as JSON lines, which the parse rejects at the line
     # of the bad row, by the writer's rule; or, for a JSON string or true or false,

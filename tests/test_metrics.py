@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from example_files import example_dir
+from oracles import assert_same_bytes
 
 from betaood import metrics, tables
 from betaood.errors import ConfigError, DataError
@@ -332,7 +333,7 @@ class TestOneSweepMatchesThreeSweeps:
             csv.writer(buf).writerows(
                 [["fpr", "tpr"], *([repr(f), repr(t)] for f, t in _reference_points(ds, positive_is_ood))]
             )
-            assert path.read_bytes() == buf.getvalue().encode()
+            assert_same_bytes(path.read_bytes(), buf.getvalue().encode())
 
     def test_rates_and_points_derive_from_counts(self):
         ds = ScoredDataset(scores=[0.9, 0.4, 0.4, 0.1, 0.1], is_ood=[1, 1, 0, 0, 1])
@@ -379,8 +380,8 @@ class TestRocExport:
         for n_neg, n_pos in ((n, 3), (7, n)):
             curve = _every_count_curve(n_neg, n_pos)
             write_roc_csv(curve, tmp_path / f"roc_{n_neg}_{n_pos}.csv")
-            assert (tmp_path / f"roc_{n_neg}_{n_pos}.csv").read_bytes() == _roc_reference_bytes(
-                curve)
+            assert_same_bytes((tmp_path / f"roc_{n_neg}_{n_pos}.csv").read_bytes(),
+                              _roc_reference_bytes(curve))
 
     def test_cells_are_the_repr_of_each_rate(self):
         cells = metrics._rate_cells(9999)
@@ -391,7 +392,7 @@ class TestRocExport:
     def test_single_threshold(self, tmp_path):
         curve = roc_curve(ScoredDataset(scores=[0.5] * 5, is_ood=[0, 1, 1, 0, 0]))
         write_roc_csv(curve, tmp_path / "roc.csv")
-        assert (tmp_path / "roc.csv").read_bytes() == b"fpr,tpr\r\n0.0,0.0\r\n1.0,1.0\r\n"
+        assert_same_bytes((tmp_path / "roc.csv").read_bytes(), b"fpr,tpr\r\n0.0,0.0\r\n1.0,1.0\r\n")
 
     def test_one_row_past_the_block(self, tmp_path):
         block = tables.CHUNK_CELLS // 2  # two cells a row
@@ -399,7 +400,7 @@ class TestRocExport:
         write_roc_csv(curve, tmp_path / "roc.csv")
         text = (tmp_path / "roc.csv").read_bytes()
         assert text.count(b"\r\n") == 1 + block + 1  # the header, (0, 0), the thresholds
-        assert text == _roc_reference_bytes(curve)
+        assert_same_bytes(text, _roc_reference_bytes(curve))
 
 
 @st.composite

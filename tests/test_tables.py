@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from example_files import example_dir
+from oracles import assert_same_bytes
 
 from betaood.cli import _read_preds_csv, _read_scores_csv
 from betaood import tables
@@ -264,7 +265,8 @@ class TestWriteTableMatchesCsvWriter:
             with mock.patch.object(tables, "CHUNK_CELLS", chunk):
                 write_table(d / "got.csv", header, columns)
             rows = [[column[i] for column in columns] for i in range(len(columns[0]))]
-            assert (d / "got.csv").read_bytes() == _csv_writer_bytes(d / "want.csv", header, rows)
+            assert_same_bytes((d / "got.csv").read_bytes(),
+                              _csv_writer_bytes(d / "want.csv", header, rows))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -281,7 +283,7 @@ class TestWriteTableMatchesCsvWriter:
                             [np.array(floats, dtype=float), np.array(ints, dtype=np.int64), names])
             want = _csv_writer_bytes(d / "want.csv", ["f", "i", "s"],
                                      [[repr(f), str(i), nm] for f, i, nm in values])
-            assert (d / "got.csv").read_bytes() == want
+            assert_same_bytes((d / "got.csv").read_bytes(), want)
 
     # tables with a str column go to csv.writer, which quotes a cell that holds ",", '"',
     # "\r" or "\n": one such cell among plain ones is quoted alone, and a
@@ -297,14 +299,14 @@ class TestWriteTableMatchesCsvWriter:
         columns[column][21] = cell
         write_table(tmp_path / "got.csv", ["a", "b", "c"], columns)
         want = _csv_writer_bytes(tmp_path / "want.csv", ["a", "b", "c"], list(zip(*columns)))
-        assert (tmp_path / "got.csv").read_bytes() == want
+        assert_same_bytes((tmp_path / "got.csv").read_bytes(), want)
 
     @pytest.mark.parametrize("cells", [["a", "", "b"], [""], ["é", ""]])
     def test_empty_cell_of_one_column_table_is_quoted(self, tmp_path, cells):
         write_table(tmp_path / "got.csv", ["a"], [cells])
         want = _csv_writer_bytes(tmp_path / "want.csv", ["a"], [[c] for c in cells])
         assert b'""\r\n' in want
-        assert (tmp_path / "got.csv").read_bytes() == want
+        assert_same_bytes((tmp_path / "got.csv").read_bytes(), want)
 
     @pytest.mark.parametrize("kind", ["float", "int"])
     @pytest.mark.parametrize("cells", [tables.KERNEL_MIN_CELLS - 1, tables.KERNEL_MIN_CELLS])
@@ -318,7 +320,7 @@ class TestWriteTableMatchesCsvWriter:
         assert kernel.call_count == (cells == tables.KERNEL_MIN_CELLS)
         cell = repr if kind == "float" else str
         want = _csv_writer_bytes(tmp_path / "want.csv", ["v"], [[cell(v)] for v in column.tolist()])
-        assert (tmp_path / "got.csv").read_bytes() == want
+        assert_same_bytes((tmp_path / "got.csv").read_bytes(), want)
 
 
 @st.composite
@@ -352,7 +354,7 @@ class TestNumberTablesMatchCsvWriter:
                 write_table(d / "got.csv", header, columns)
             rows = [[repr(v) if c.dtype.kind == "f" else str(v) for v in c.tolist()] for c in columns]
             want = _csv_writer_bytes(d / "want.csv", header, list(zip(*rows)))
-            assert (d / "got.csv").read_bytes() == want
+            assert_same_bytes((d / "got.csv").read_bytes(), want)
 
 
 def _read_outcome(path, asked):
@@ -425,28 +427,28 @@ class TestNumberKernel:
     @given(values=st.lists(st.floats(), max_size=30))
     def test_floats_are_repr(self, values):
         a = np.array(values, dtype=np.float64)
-        assert _kernel_text(a) == _python_text(a)
+        assert_same_bytes(_kernel_text(a), _python_text(a))
 
     @settings(max_examples=100, deadline=None)
     @given(values=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=30))
     def test_ints_are_str(self, values):
         a = np.array(values, dtype=np.int64)
-        assert _kernel_text(a) == _python_text(a)
+        assert_same_bytes(_kernel_text(a), _python_text(a))
 
     def test_random_bit_patterns(self):
         rng = np.random.default_rng(22)
         for _ in range(8):  # 2**21 patterns: every sign, exponent field and fraction
             a = rng.integers(0, 2**64, size=2**18, dtype=np.uint64).view(np.float64)
-            assert _kernel_text(a) == _python_text(a)
+            assert_same_bytes(_kernel_text(a), _python_text(a))
 
     def test_edge_values(self):
         a = _edge_floats()
-        assert _kernel_text(a) == _python_text(a)
+        assert_same_bytes(_kernel_text(a), _python_text(a))
 
     def test_int64_edges(self):
         edges = [0, 1, 9, 10, 9999, 10**4, 10**8, 10**12, 10**16 - 1, 10**16, 10**18, 2**63 - 1]
         a = np.array(edges + [-v for v in edges] + [-(2**63)], dtype=np.int64)
-        assert _kernel_text(a) == _python_text(a)
+        assert_same_bytes(_kernel_text(a), _python_text(a))
 
     def test_kernel_and_fallback_lanes_both_run(self):
         # normal floats and zeros take the kernel; subnormals, inf and nan take repr
@@ -464,7 +466,7 @@ class TestNumberKernel:
 
         with mock.patch.object(tables, "_shortest", count_lanes), \
                 mock.patch.object(tables, "repr", count_repr, create=True):
-            assert _kernel_text(a) == _python_text(a)
+            assert_same_bytes(_kernel_text(a), _python_text(a))
         special = ~np.isfinite(a) | (np.abs(a) < 2.2250738585072014e-308) & (a != 0)
         assert sum(lanes) == a.size and sorted(map(repr, fallback)) == sorted(
             map(repr, a[special].tolist()))
@@ -496,8 +498,69 @@ class TestNumberTableAtSize:
         rows = zip(*([repr(v) if c.dtype.kind == "f" else str(v) for v in c.tolist()]
                      for c in columns))
         want = _csv_writer_bytes(tmp_path / "want.csv", header, list(rows))
-        assert (tmp_path / "got.csv").read_bytes() == want
+        assert_same_bytes((tmp_path / "got.csv").read_bytes(), want)
 
+
+
+def _chunk_blocks(kind: str, rows: int, rng) -> list:
+    """Four blocks of ``rows`` rows of 4 columns, one block a chunk of number_rows: each
+    block's values need other byte slots than its neighbours' (see TestChunkLocalSlots)."""
+    def normal(scale=1.0):
+        return rng.normal(size=(rows, 4)) * scale * 10.0 ** rng.integers(-3, 3, (rows, 4))
+    if kind == "sign":  # a "-" in the first and third chunks only
+        return [normal(), np.abs(normal()), -np.abs(normal()), np.abs(normal())]
+    if kind == "integral":  # "x.0" only: no digit after the "." but one "0"
+        return [np.round(normal(100.0)) for _ in range(4)]
+    if kind == "below_1_then_tens":  # "0." and _FRONT's zeros, then two or more digits
+        small = [rng.random((rows, 4)) * 10.0 ** -rng.integers(0, 4, (rows, 4)) for _ in "ab"]
+        tens = [10 + rng.random((rows, 4)) * 10.0 ** rng.integers(0, 12, (rows, 4)) for _ in "ab"]
+        return [small[0], tens[0], small[1], tens[1]]
+    if kind == "lone_exponent":  # one scientific cell in an otherwise positional chunk
+        blocks = [rng.random((rows, 4)) + 1 for _ in range(4)]
+        blocks[1][rows // 2, 2], blocks[2][-1, -1] = 1e-05, 1e16
+        return blocks
+    if kind == "fallback_only":  # every cell of the second chunk takes repr
+        special = np.array([-2.225073858507201e-308, -5e-324, np.inf, -np.inf, np.nan])
+        return [normal(), special[rng.integers(0, 5, (rows, 4))], normal(), normal()]
+    # int64 columns whose widest value changes from chunk to chunk
+    return [rng.integers(0, 10, (rows, 4)), rng.integers(-(10**12), 10**12, (rows, 4)),
+            rng.integers(-(2**63), 2**63 - 1, (rows, 4), dtype=np.int64),
+            rng.integers(0, 2, (rows, 4)) * 10**4]
+
+
+class TestChunkLocalSlots:
+    """number_rows sizes each word's byte slot by the chunk's own cells: tables whose
+    chunks need different slots give the bytes of csv.writer of repr and str."""
+
+    @pytest.mark.parametrize("chunk", [tables.CHUNK_CELLS, 4096])
+    @pytest.mark.parametrize("kind", ["sign", "integral", "below_1_then_tens", "lone_exponent",
+                                      "fallback_only", "int64_widths"])
+    def test_bytes_equal_csv_writer(self, tmp_path, chunk, kind):
+        rows = chunk // 4  # a block of 4 columns a chunk
+        table = np.concatenate(_chunk_blocks(kind, rows, np.random.default_rng(11)))
+        assert table.shape == (4 * rows, 4)
+        with mock.patch.object(tables, "CHUNK_CELLS", chunk):
+            write_table(tmp_path / "got.csv", list("abcd"), list(table.T))
+        cell = repr if table.dtype.kind == "f" else str
+        want = _csv_writer_bytes(tmp_path / "want.csv", list("abcd"),
+                                 [[cell(v) for v in row] for row in table.tolist()])
+        assert_same_bytes((tmp_path / "got.csv").read_bytes(), want)
+
+    @pytest.mark.parametrize("chunk", [tables.CHUNK_CELLS, 4096])
+    def test_roc_pairs_span_chunks(self, tmp_path, chunk):
+        # a pair's gathered words keep their 4 bytes: k / 3 and k / 20011 take 5 and 6 words
+        from betaood.metrics import ScoredDataset, roc_curve, write_roc_csv
+        rng = np.random.default_rng(4)
+        is_ood = np.zeros(20011 + 3, dtype=int)
+        is_ood[rng.permutation(is_ood.size)[:3]] = 1
+        curve = roc_curve(ScoredDataset(scores=np.arange(is_ood.size, dtype=float), is_ood=is_ood))
+        assert len(curve.fp) + 1 > chunk  # rows of two cells: more than two chunks
+        with mock.patch.object(tables, "CHUNK_CELLS", chunk):
+            write_roc_csv(curve, tmp_path / "roc.csv")
+        points = zip([0, *curve.fp.tolist()], [0, *curve.tp.tolist()])
+        rates = [[repr(f / curve.n_neg), repr(t / curve.n_pos)] for f, t in points]
+        want = _csv_writer_bytes(tmp_path / "want.csv", ["fpr", "tpr"], rates)
+        assert_same_bytes((tmp_path / "roc.csv").read_bytes(), want)
 
 def _reference_words(texts) -> np.ndarray:
     """Each text's ASCII bytes, NUL-padded to the whole words of the longest, one at least."""
@@ -555,7 +618,7 @@ class TestPreRenderedCells:
             got = b"".join(tables.number_rows(parts, index.size))
         want = "".join(f"a:{self.TEXTS[i]},{f!r},{k}\n"
                        for i, f, k in zip(index.tolist(), floats.tolist(), ints.tolist()))
-        assert got == want.encode()
+        assert_same_bytes(got, want.encode())
 
     def test_table_of_pairs_at_any_size(self, tmp_path):
         # below KERNEL_MIN_CELLS too, and never cached: no number columns
@@ -565,9 +628,9 @@ class TestPreRenderedCells:
             write_table(tmp_path / "t.csv", ["a", "b"], [(cells, index), (cells, index[::-1])],
                         cache=True)
         assert kernel.call_count == 1
-        assert (tmp_path / "t.csv").read_bytes() == _csv_writer_bytes(
+        assert_same_bytes((tmp_path / "t.csv").read_bytes(), _csv_writer_bytes(
             tmp_path / "want.csv", ["a", "b"], [["1", "x_y-z+"], ["0.123456", "0.123456"],
-                                                ["x_y-z+", "1"]])
+                                                ["x_y-z+", "1"]]))
         assert not Path(f"{tmp_path / 't.csv'}.npy").exists()
 
 
