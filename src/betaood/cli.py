@@ -25,8 +25,8 @@ from .datagen import (
     Dataset,
     OodSpec,
     default_spec,
-    generate_ind,
     generate_ood,
+    generate_split,
     read_jsonl,
     write_jsonl,
 )
@@ -201,7 +201,10 @@ def cli():
 @click.option("--seed", type=int, default=None)
 @click.option("--name", type=str, default=None)
 def cmd_gen_data(config_path, out, seed, name):
-    """Generate the four JSONL dataset files (train/val/test/ood)."""
+    """Generate the four JSONL dataset files (train/val/test/ood).
+
+    The splits are drawn, checked and written one at a time in that order, so no
+    two splits' arrays are held together."""
     cfg = _load_config(config_path, _GEN_DEFAULTS, {"seed": seed, "name": name})
     where = "command line" if name is not None else f"config {config_path}"
     _check_name(cfg["name"], ".train.jsonl.npy", f"malformed {where}: 'name'", ConfigError)
@@ -226,23 +229,38 @@ def cmd_gen_data(config_path, out, seed, name):
                      "clusters only the directions -1 and +1")
             raise ConfigError(f"malformed {source}: {blame} ({exc})") from None
     ood_spec = OodSpec(cfg["ood_mode"], cfg["ood_shift"], cfg["ood_samples"], cfg["seed"])
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
-        with _array_sizes("feature_dim, label_count, train_samples, val_samples, "
-                          "test_samples", source):
-            try:
-                ind = generate_ind(spec)
-            except ConfigError as exc:  # a split too small to hold every label
-                raise ConfigError(f"malformed {source}: {exc}") from None
-        with _array_sizes("feature_dim, ood_samples", source):
-            ood = generate_ood(spec, ood_spec)
+    overflow = []  # the first split whose features overflow
+
+    def draw(split: str) -> Dataset:
+        """One split as generate_ind or generate_ood draws it; an error names its keys."""
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught by write
+            if split == "ood":
+                with _array_sizes("feature_dim, ood_samples", source):
+                    X = generate_ood(spec, ood_spec)
+                return Dataset(X=X, Y=np.zeros((len(X), 0), dtype=int))
+            with _array_sizes("feature_dim, label_count, train_samples, val_samples, "
+                              "test_samples", source):
+                try:
+                    return generate_split(spec, split)
+                except ConfigError as exc:  # a split too small to hold every label
+                    raise ConfigError(f"malformed {source}: {exc}") from None
+
+    def write(split: str, path: str) -> None:
+        """Draw a split, then write it.  After an overflow the later splits are only
+        drawn, as a generation error of any split wins; the last one, ood, reports it."""
+        ds = draw(split)
+        if not overflow and not np.isfinite(ds.X).all():
+            overflow.append(split)
+        if not overflow:
+            write_jsonl(ds, path)
+        elif split == "ood":
+            keys = "cluster_spread, mean_scale" + ", ood_shift" * (overflow[0] == "ood")
+            raise NumericError(f"{overflow[0]} features overflow: lower {keys} in {source}")
+
     base = cfg["name"]
-    unlabeled = Dataset(X=ood, Y=np.zeros((len(ood), 0), dtype=int))
-    splits = [*ind.items(), ("ood", unlabeled)]
-    if bad := [split for split, ds in splits if not np.isfinite(ds.X).all()]:
-        keys = "cluster_spread, mean_scale" + ", ood_shift" * (bad[0] == "ood")
-        raise NumericError(f"{bad[0]} features overflow: lower {keys} in {source}")
     out_dir = _write_out(out, {
-        **{f"{base}.{split}.jsonl": functools.partial(write_jsonl, ds) for split, ds in splits},
+        **{f"{base}.{split}.jsonl": functools.partial(write, split)
+           for split in ("train", "val", "test", "ood")},
         "gen_data_config.json": _config_json(cfg),
     })
     click.echo(f"wrote {base}.{{train,val,test,ood}}.jsonl to {out_dir}")
@@ -302,7 +320,10 @@ def _load_checkpoint(path):
 @click.option("--lambda1", type=float, default=None)
 @click.option("--lambda2", type=float, default=None)
 def cmd_score(config_path, checkpoint, data, out, scores_arg, lambda1, lambda2):
-    """Score test (IND) and OOD samples; writes scores.csv and preds.csv."""
+    """Score test (IND) and OOD samples; writes scores.csv and preds.csv.
+
+    Each group's scores fill its rows of one (test + OOD, scores) matrix, whose
+    columns scores.csv writes; only the test group's probabilities are kept."""
     overrides = {"scores": _split_flag(scores_arg, "--scores"), "lambda1": lambda1,
                  "lambda2": lambda2}
     cfg = _load_config(config_path, _SCORE_DEFAULTS, overrides)
@@ -332,24 +353,27 @@ def cmd_score(config_path, checkpoint, data, out, scores_arg, lambda1, lambda2):
         raise DataError(f"{test_path} has {test.Y.shape[1]} labels per row, but checkpoint "
                         f"{checkpoint} expects {ckpt.params.arch.label_count}")
 
-    groups = []  # per group its (N, k) score matrix and (N, L) probabilities
-    for path, group in ((test_path, test), (ood_path, ood)):
-        values = np.empty((len(group), len(requested)))
+    # one row per sample, test then OOD; each group's logits and evidence go before the next
+    values = np.empty((len(test) + len(ood), len(requested)))
+    for rows, path, group in ((slice(0, len(test)), test_path, test),
+                              (slice(len(test), None), ood_path, ood)):
         # finite logits near the float maximum can still overflow evidence or scores
         try:
             with np.errstate(over="raise", invalid="raise"):
                 logits, ev, pred = predict_batch(ckpt.params, group.X)
                 for j, nm in enumerate(requested):
-                    values[:, j] = score_by_name(
+                    values[rows, j] = score_by_name(
                         nm, ev, logits, cfg["lambda1"], cfg["lambda2"]
                     )
         except (NumericError, FloatingPointError) as exc:
             raise NumericError(f"checkpoint {checkpoint} on {path}: {exc}") from None
-        groups.append((values, pred.p))
+        if group is test:  # preds.csv holds the test rows only
+            probs = pred.p
+        del logits, ev, pred
 
     is_ood = np.repeat([0, 1], [len(test), len(ood)])
-    score_columns = [np.arange(is_ood.size), is_ood, *np.concatenate([v for v, _ in groups]).T]
-    pred_columns = [np.arange(len(test)), *groups[0][1].T, *test.Y.T]
+    score_columns = [np.arange(is_ood.size), is_ood, *values.T]
+    pred_columns = [np.arange(len(test)), *probs.T, *test.Y.T]
     _write_out(out, {
         "scores.csv": _table(["sample_id", "is_ood", *requested], score_columns, True),
         "preds.csv": _table(_preds_header(ckpt.params.arch.label_count), pred_columns, True),

@@ -4,9 +4,11 @@ IND samples draw a label subset by weight, sum the corresponding cluster
 means, and add isotropic Gaussian noise.  OOD samples either translate the
 IND cluster structure along a seeded random direction ("shifted") or sample
 around fresh cluster means that carry none of the known class signatures
-("novel_cluster").  All generation is a pure function of (spec, seed);
-files are JSONL with a leading comment header, each row its features and
-labels; the file's name, not its rows, says which split it holds.
+("novel_cluster").  All generation is a pure function of (spec, seed), and
+no split's draw depends on another's: ``generate_split`` draws one IND split,
+so gen-data draws, checks and writes one split at a time and never holds
+two.  Files are JSONL with a leading comment header, each row its features
+and labels; the file's name, not its rows, says which split it holds.
 
 ``write_jsonl`` also saves the parsed arrays to ``<file>.npy`` (``tables.save_cache``);
 ``read_jsonl`` returns them while the file's bytes match and they pass _table_rule.
@@ -180,8 +182,10 @@ def _noisy(rng: np.random.Generator, means: np.ndarray, sigma: float) -> np.ndar
     return x
 
 
-def _generate_split(spec: SyntheticSpec, split: str, tag: int) -> Dataset:
-    n = spec.samples_per_split[split]
+def generate_split(spec: SyntheticSpec, split: str) -> Dataset:
+    """One IND split ("train", "val" or "test"), deterministically, with every label
+    present; it does not depend on the other splits, so each can be drawn alone."""
+    n, tag = spec.samples_per_split[split], _SPLITS.index(split)
     weights, indicators, mean_sums = _subset_table(spec)
     for attempt in range(_PRESENCE_RETRIES):
         rng = _split_rng(spec.seed, tag, attempt)
@@ -199,7 +203,7 @@ def _generate_split(spec: SyntheticSpec, split: str, tag: int) -> Dataset:
 
 def generate_ind(spec: SyntheticSpec) -> dict[str, Dataset]:
     """The three IND splits by name, deterministically, with every label present in each."""
-    return {split: _generate_split(spec, split, tag) for tag, split in enumerate(_SPLITS)}
+    return {split: generate_split(spec, split) for split in _SPLITS}
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -273,7 +277,8 @@ def write_jsonl(data: Dataset, path) -> None:
     X, Y = np.asarray(data.X), np.asarray(data.Y)
     if problem := _table_rule(X, Y):
         raise DataError(f"cannot write {path}: {problem}")
-    X, Y = X.astype(float, copy=False), Y.astype(float if Y.dtype.kind == "f" else np.int64)
+    X, Y = X.astype(float, copy=False), Y.astype(float if Y.dtype.kind == "f" else np.int64,
+                                                 copy=False)
     labels = ["[", Y, "]}\n"] if Y.shape[1] else ["null}\n"]
     with open(path, "wb") as fh:
         fh.write(block := (_HEADER + "\n").encode())

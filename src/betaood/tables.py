@@ -231,7 +231,7 @@ _LEAD, _TRAIL = np.uint64(10**4), 2 * 10**4  # offsets into the groups, then "0"
 # "0" * z + str(d) at 10 z + d for z < 4, then no text: what a value below 1 shows after "0."
 _FRONT = text_words(["0" * (i // 10) + str(i % 10) for i in range(40)] + [""]).ravel()
 _EXP = text_words([f"e{e:+03d}" for e in range(-330, 331)])
-_COMMA, _DOT, _MINUS = text_words([",", ".", "-"]).ravel()
+_DOT, _MINUS = text_words([".", "-"]).ravel()
 _P10 = np.array([10**i for i in range(20)], dtype=np.uint64)
 
 

@@ -5,10 +5,12 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import assert_same_bytes
 
 import betaood.cli as cli_mod
 import betaood.datagen as datagen_mod
@@ -125,6 +127,61 @@ class TestGenData:
         assert capsys.readouterr().err == (
             f"numeric error: {split} features overflow: lower {keys} in config {cfg}\n")
         assert not out.exists()
+
+    def test_each_split_is_written_before_the_next_is_drawn(self, tmp_path, monkeypatch):
+        # no two splits' arrays are alive together: each draw finds the features of
+        # every split written before it freed
+        calls, written = [], []
+
+        def drawn(split, draw):
+            assert all(features() is None for features in written), calls
+            calls.append(("draw", split))
+            return draw()
+
+        def write(data, path, original=cli_mod.write_jsonl):
+            calls.append(("write", Path(path).name.split(".")[1]))
+            written.append(weakref.ref(data.X))
+            original(data, path)
+
+        monkeypatch.setattr(cli_mod, "generate_split", lambda spec, split, original=(
+            cli_mod.generate_split): drawn(split, lambda: original(spec, split)))
+        monkeypatch.setattr(cli_mod, "generate_ood", lambda spec, ood_spec, original=(
+            cli_mod.generate_ood): drawn("ood", lambda: original(spec, ood_spec)))
+        monkeypatch.setattr(cli_mod, "write_jsonl", write)
+        cfg = _write_config(tmp_path, "gen.json", SMALL_GEN)
+        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+        splits = ("train", "val", "test", "ood")
+        assert calls == [(kind, split) for split in splits for kind in ("draw", "write")]
+        assert all(features() is None for features in written)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"test_samples": 2}, "malformed config {cfg}: 'test_samples' 2 is too small for "
+                              "'label_count' 5: none of 20 draws of the split held every "
+                              "label as a positive"),
+        ({"ood_samples": 10**20}, "arrays too large to build: lower feature_dim, ood_samples "
+                                  "in config {cfg}"),
+    ], ids=["test_samples", "ood_samples"])
+    def test_generation_error_of_a_later_split_wins_over_an_overflow(
+        self, tmp_path, capsys, doc, message
+    ):
+        # train's features overflow, but a later split cannot be drawn at all
+        cfg = _write_config(tmp_path, "gen.json",
+                            {"cluster_spread": 1e308, "mean_scale": 1e308, **doc})
+        out = tmp_path / "d"
+        assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message.format(cfg=cfg)}\n"
+        assert not out.exists()
+
+    def test_generation_error_after_a_written_split_keeps_out_as_it_was(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "d"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept")
+        cfg = _write_config(tmp_path, "gen.json", {**SMALL_GEN, "ood_samples": 10**20})
+        assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 1
+        assert "lower feature_dim, ood_samples" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
 
     @pytest.mark.parametrize("doc", [
         {"mean_scale": 1e-200},
@@ -848,6 +905,34 @@ class TestScore:
             "overflow encountered in add\n"
         )
         assert not (out / "scores.csv").exists() and not (out / "preds.csv").exists()
+
+    @pytest.mark.parametrize("test_samples, ood_samples", [(37, 90), (90, 37), (60, 1)])
+    def test_unequal_groups_equal_a_concatenate_of_each_group(
+        self, pipeline, tmp_path, test_samples, ood_samples
+    ):
+        # score fills one matrix, test rows then OOD rows; the reference scores each
+        # group on its own and joins them, so a swapped or shifted slice shows
+        gen = {**SMALL_GEN, "test_samples": test_samples, "ood_samples": ood_samples}
+        data = tmp_path / "data"
+        assert main(["gen-data", "--config", _write_config(tmp_path, "gen.json", gen),
+                     "--seed", "5", "--out", str(data)]) == 0
+        out = tmp_path / "o"
+        assert main(["score", "--checkpoint", str(pipeline / "checkpoint.json"),
+                     "--data", str(data / "synth"), "--out", str(out)]) == 0
+        ckpt = checkpoint_from_json((pipeline / "checkpoint.json").read_text())
+        test, ood = (read_jsonl(data / f"synth.{split}.jsonl") for split in ("test", "ood"))
+        groups = []
+        for group in (test, ood):
+            logits, ev, pred = predict_batch(ckpt.params, group.X)
+            groups.append((np.column_stack([score_by_name(nm, ev, logits)
+                                            for nm in cli_mod.SCORE_NAMES]), pred.p))
+        is_ood = np.repeat([0, 1], [test_samples, ood_samples])
+        write_table(tmp_path / "scores.csv", ["sample_id", "is_ood", *cli_mod.SCORE_NAMES],
+                    [np.arange(is_ood.size), is_ood, *np.concatenate([v for v, _ in groups]).T])
+        write_table(tmp_path / "preds.csv", cli_mod._preds_header(test.Y.shape[1]),
+                    [np.arange(test_samples), *groups[0][1].T, *test.Y.T])
+        for name in ("scores.csv", "preds.csv"):
+            assert_same_bytes((out / name).read_bytes(), (tmp_path / name).read_bytes())
 
     def test_rerun_byte_identical(self, pipeline, tmp_path):
         blobs = []

@@ -22,6 +22,7 @@ from betaood.datagen import (
     default_spec,
     generate_ind,
     generate_ood,
+    generate_split,
     read_jsonl,
     write_jsonl,
 )
@@ -138,6 +139,16 @@ class TestGenerateInd:
     def test_split_sizes(self):
         counts = {split: len(ds) for split, ds in generate_ind(small_spec()).items()}
         assert counts == {"train": 120, "val": 60, "test": 60}
+
+    def test_each_split_drawn_alone_equals_generate_ind(self):
+        # gen-data draws one split at a time; in reverse order too, no split's draw
+        # depends on another's
+        spec = small_spec(seed=4)
+        together = generate_ind(spec)
+        for split in ("test", "val", "train"):
+            alone = generate_split(spec, split)
+            assert alone.X.tobytes() == together[split].X.tobytes()
+            np.testing.assert_array_equal(alone.Y, together[split].Y)
 
     def test_noise_free_limit_hits_subset_means(self):
         spec = small_spec(sigma=1e-9)
@@ -349,6 +360,33 @@ class TestJsonlRoundTrip:
         restored = read_jsonl(path)
         np.testing.assert_array_equal(restored.X, np.vstack([train.X, val.X]))
         np.testing.assert_array_equal(restored.Y, np.vstack([train.Y, val.Y]))
+
+    def test_int64_labels_reach_the_writer_uncopied(self, tmp_path, monkeypatch):
+        arrays, number_rows = [], tables.number_rows
+
+        def spy(parts, n):
+            arrays.extend(p for p in parts if isinstance(p, np.ndarray))
+            return number_rows(parts, n)
+
+        monkeypatch.setattr(tables, "number_rows", spy)
+        data = _labeled(50)
+        assert (data.X.dtype, data.Y.dtype) == (np.float64, np.int64)
+        write_jsonl(data, tmp_path / "ds.jsonl")
+        assert len(arrays) == 2
+        assert np.shares_memory(arrays[0], data.X) and np.shares_memory(arrays[1], data.Y)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int32, np.uint8])
+    def test_labels_of_other_dtypes_are_written_as_before(self, tmp_path, dtype):
+        # float labels as floats ("1.0"), other ints as int64, as json.dumps writes them
+        data = _labeled(7)
+        data = Dataset(X=data.X, Y=data.Y.astype(dtype))
+        path = tmp_path / "ds.jsonl"
+        write_jsonl(data, path)
+        kind = float if np.dtype(dtype).kind == "f" else int
+        want = "# betaood dataset v1\n" + "".join(
+            json.dumps({"features": x.tolist(), "labels": [kind(v) for v in y]},
+                       separators=(",", ":")) + "\n" for x, y in zip(data.X, data.Y))
+        assert_same_bytes(path.read_text(), want)
 
     def test_ood_entries_have_null_labels(self, tmp_path):
         path = tmp_path / "ood.jsonl"

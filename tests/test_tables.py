@@ -595,8 +595,11 @@ class TestTextWords:
         exp = _per_text_words([f"e{e:+03d}".ljust(8, "\0") for e in range(-330, 331)])
         assert _same_arrays(tables._FRONT, front)
         assert _same_arrays(tables._EXP, exp.reshape(-1, 2))
-        marks = (tables._COMMA, tables._DOT, tables._MINUS)
-        assert [(type(m), m) for m in marks] == [(type(m), m) for m in _per_text_words(",.-")]
+        marks = (tables._DOT, tables._MINUS)
+        assert [(type(m), m) for m in marks] == [(type(m), m) for m in _per_text_words(".-")]
+        # the comma between an array's cells is the one byte ord(",")
+        parts = [np.array([[-1.5, 2.0]]), ";", np.array([[3, -4]])]
+        assert b"".join(tables.number_rows(parts, 1)) == b"-1.5,2.0;3,-4"
         assert tables._tables()[0][-1] == _per_text_words(["0"])[0]
 
 
