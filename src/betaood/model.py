@@ -29,6 +29,11 @@ from .evidence import (
 from .loss import evidence_stack, loss_and_grad
 
 CHECKPOINT_FORMAT_VERSION = 1
+# predict_batch's rows per forward pass of a large batch.  On OpenBLAS, blocks of
+# 1000 rows or more gave the bits of the whole batch's products in every shape
+# tried; blocks of 7-256 rows sometimes did not (a 16-row block of a
+# (10000, 32) @ (32, 10) product)
+BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -164,14 +169,19 @@ def init_params(arch: ArchConfig, seed: int) -> ModelParams:
     return ModelParams(arch, np.concatenate([draw(s) for s in _arrays(shapes, shapes)], axis=None))
 
 
-def _forward_batch(params: ModelParams, x: np.ndarray):
-    """Forward an (N, D) batch: hidden pre-activations, each layer's input, and
-    both heads' logits as one (N, 2L) block, the positive head's first."""
+def _check_batch(params: ModelParams, x: np.ndarray) -> None:
+    """An (N, D) feature batch, D the arch's input width."""
     if x.ndim != 2 or x.shape[1] != params.arch.input_dim:
         raise ConfigError(
             f"feature batch must have shape (N, {params.arch.input_dim}), "
             f"got {x.shape}"
         )
+
+
+def _forward_batch(params: ModelParams, x: np.ndarray):
+    """Forward an (N, D) batch: hidden pre-activations, each layer's input, and
+    both heads' logits as one (N, 2L) block, the positive head's first."""
+    _check_batch(params, x)
     pre_acts = []
     acts = [x]
     for w, b in zip(params.hidden_weights, params.hidden_biases):
@@ -296,13 +306,26 @@ def predict_batch(params: ModelParams, features) -> tuple[
 ]:
     """Forward an (N, D) batch and map it through evidence; each result is (N, L).
 
-    A (0, D) batch gives zero-row objects; a row with non-finite logits
-    raises NumericError.
+    Below 2 BLOCK_ROWS rows the batch is one forward pass.  From there on it
+    goes in blocks of BLOCK_ROWS rows, the last taking the BLOCK_ROWS to
+    2 BLOCK_ROWS - 1 rows left, and each block's logits are copied into one
+    (N, 2L) array: the hidden layers are held for a block, not for the batch.
+    Either way there is one Logits, EvidencePair and Prediction, with the bits
+    of one pass.  A (0, D) batch gives zero-row objects; a row with non-finite
+    logits raises NumericError that names it.
     """
     x = np.asarray(features, dtype=float)
+    _check_batch(params, x)
+    n = x.shape[0]
     # huge but finite weights overflow here; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        f = _forward_batch(params, x)[2]
+        if n < 2 * BLOCK_ROWS:
+            f = _forward_batch(params, x)[2]
+        else:
+            f = np.empty((n, 2 * params.arch.label_count))
+            for start in range(0, n - BLOCK_ROWS + 1, BLOCK_ROWS):
+                stop = n if start + 2 * BLOCK_ROWS > n else start + BLOCK_ROWS
+                f[start:stop] = _forward_batch(params, x[start:stop])[2]
     finite = np.isfinite(f).all(axis=1)
     if not finite.all():
         raise NumericError(f"the logits of row {int(np.argmin(finite))} are not finite")

@@ -22,20 +22,31 @@ def _label_sums(x: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """Each (N, L) row's maximum, one column at a time into a copy of the first:
+    np.max(x, axis=1)'s bits, without its per-row reduction over a short axis.
+    Of a tie of -0.0 and 0.0 either may come out, as of np.max, whose pick
+    varies with the row's width and layout."""
+    top = x[:, 0].copy()
+    for column in x.T[1:]:
+        np.maximum(top, column, out=top)
+    return top
+
+
 # The score family.  Each kernel maps (N, L) rows to (N,) scores.
 # Per aggregation (m: max, s: sum): the positive part on alpha and the negative
 # part on beta; the combined mode mixes the two.
 _EVIDENCE = {
-    "m": (lambda a: 1.0 / np.max(a, axis=1),
-          lambda b: 1.0 - np.max(1.0 / b, axis=1)),
+    "m": (lambda a: 1.0 / _row_max(a),
+          lambda b: 1.0 - _row_max(1.0 / b)),
     "s": (lambda a: a.shape[1] / _label_sums(a),
           lambda b: 1.0 - _label_sums(1.0 / b) / b.shape[1]),
 }
 # Per baseline: its score on the positive logits f, negated into larger-is-OOD.
 _BASELINES = {
-    "maxlogit": lambda f: -np.max(f, axis=1),
+    "maxlogit": lambda f: -_row_max(f),
     # stable sigmoid via softplus: sigma(f) = exp(f - softplus(f))
-    "msp": lambda f: -np.max(np.exp(f - np.logaddexp(0.0, f)), axis=1),
+    "msp": lambda f: -_row_max(np.exp(f - np.logaddexp(0.0, f))),
     # softplus(f) = log(1 + exp(f)), overflow-safe
     "jointenergy": lambda f: -_label_sums(np.logaddexp(0.0, f)),
 }

@@ -121,11 +121,14 @@ def write_table(path, header: list[str], columns, cache: bool = False) -> None:
     With ``cache``, also save ``<path>.npy``, the header and a 2-D block per run of
     columns of one dtype, if the parse gives them back: int64 or float64 arrays of
     a row or more without NaN, an ASCII header that numpy keeps (no trailing NUL).
+    A run of number columns that is exactly the columns of one C-contiguous 2-D
+    array, in order (the rows of ``matrix.T``), is written from that array without
+    a copy (``_run_block``); any other run is stacked into a new block.
     """
     rendered = all(isinstance(c, tuple) for c in columns)
     n, step = len(columns[0][1] if rendered else columns[0]), max(1, CHUNK_CELLS // len(columns))
     numbers = all(isinstance(c, np.ndarray) and c.dtype in (np.int64, np.float64) for c in columns)
-    runs = numbers and [np.array(list(run)) for _, run in groupby(columns, lambda c: c.dtype)]
+    runs = numbers and [_run_block(list(run), n) for _, run in groupby(columns, lambda c: c.dtype)]
     blocks = cache and n and runs
     if blocks and (not all(map(str.isascii, header)) or np.array(header).tolist() != header
                    or any(np.isnan(b).any() for b in blocks)):
@@ -145,6 +148,19 @@ def write_table(path, header: list[str], columns, cache: bool = False) -> None:
                 key = digest([block], key)
     if cache:
         save_cache(path, key, [np.array(header), *blocks] if blocks else None)
+
+
+def _run_block(run: list, n: int) -> np.ndarray:
+    """The (k, n) block of a run of k 1-D columns of n values and one dtype: the
+    transposed view of the C-contiguous (n, k) array whose columns they are, in
+    order, or else a new stacked copy.  save_cache writes either in C order."""
+    matrix = run[0].base
+    if (isinstance(matrix, np.ndarray) and matrix.ndim == 2 and matrix.flags.c_contiguous
+            and matrix.shape == (n, len(run)) and matrix.dtype == run[0].dtype):
+        view = matrix.T
+        if all(c.__array_interface__ == v.__array_interface__ for c, v in zip(run, view)):
+            return view
+    return np.array(run)
 
 
 def _csv_text(rows) -> bytes:

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import betaood.loss as loss_mod
 import betaood.model as model_mod
 import betaood.special as special_mod
 from betaood.datagen import default_spec, generate_ind
-from betaood.errors import ConfigError, DataError
+from betaood.errors import ConfigError, DataError, NumericError
 from betaood.model import (
     ArchConfig,
     Checkpoint,
@@ -531,6 +533,65 @@ class TestPredictBatch:
             assert array.shape == (5, ARCH.label_count)
         np.testing.assert_allclose(ev.alpha / (ev.alpha + ev.beta), pred.p)
         assert np.all(ev.alpha > 1.0) and np.all(ev.beta > 1.0)
+
+
+def _bits(*arrays):
+    return [a.tobytes() for a in arrays]
+
+
+class TestBlockedPredict:
+    """From 2 BLOCK_ROWS rows on, predict_batch forwards blocks of rows with the
+    bits of one pass over the whole batch."""
+
+    @pytest.mark.parametrize("rows", [2047, 2048, 3071, 3072, 4500, 10000])
+    @pytest.mark.parametrize("shape", [(8, (32,), 5), (64, (128,), 32), (8, (32,), 1),
+                                       (8, (16, 8), 5)])
+    def test_equals_one_forward_pass(self, rows, shape, monkeypatch):
+        features, hidden, labels = shape
+        params = init_params(ArchConfig(features, hidden, labels), 11)
+        x = np.random.default_rng(rows).normal(size=(rows, features))
+        f = model_mod._forward_batch(params, x)[2]
+        blocks, forward = [], model_mod._forward_batch
+        monkeypatch.setattr(model_mod, "_forward_batch",
+                            lambda p, xb: blocks.append(len(xb)) or forward(p, xb))
+        logits, ev, pred = predict_batch(params, x)
+        block = model_mod.BLOCK_ROWS
+        assert blocks == ([rows] if rows < 2 * block else
+                          [block] * (rows // block - 1) + [rows - block * (rows // block - 1)])
+        want = evidence_mod.logits_to_evidence(evidence_mod.Logits(f[:, :labels], f[:, labels:]))
+        assert _bits(logits.f_pos, logits.f_neg) == _bits(f[:, :labels], f[:, labels:])
+        assert _bits(ev.alpha, ev.beta, pred.p) == _bits(
+            want.alpha, want.beta, evidence_mod.evidence_to_prediction(want).p)
+
+    @pytest.mark.parametrize("bad", [1024, 2500, 4499])
+    def test_non_finite_logits_name_their_row(self, bad):
+        params = init_params(ArchConfig(8, (32,), 5), 2)
+        x = np.random.default_rng(3).normal(size=(4500, 8))
+        x[bad, 0], x[-1, 0] = np.nan, np.inf  # the first bad row is named
+        with pytest.raises(NumericError, match=f"the logits of row {bad} are not finite"):
+            predict_batch(params, x)
+
+    def test_zero_rows_and_wrong_width_as_one_pass(self):
+        params = init_params(ArchConfig(8, (32,), 5), 2)
+        logits, ev, pred = predict_batch(params, np.empty((0, 8)))
+        assert {a.shape for a in (logits.f_pos, logits.f_neg, ev.alpha, ev.beta, pred.p)} == {
+            (0, 5)}
+        for shape in [(3000, 7), (10, 9), (3000,)]:
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"feature batch must have shape (N, 8), got {shape}")):
+                predict_batch(params, np.zeros(shape))
+
+    def test_peak_memory_bounded_by_a_block(self):
+        # one pass held the (N, 32) hidden pre-activations and activations: 5.7 MiB here
+        params = init_params(ArchConfig(8, (32,), 5), 0)
+        x = np.random.default_rng(0).normal(size=(10000, 8))
+        tracemalloc.start()
+        try:
+            predict_batch(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 class TestCheckpointSerialization:

@@ -323,3 +323,53 @@ class TestLabelSums:
         with np.errstate(over="raise"), pytest.raises(FloatingPointError,
                                                       match="overflow encountered in add"):
             scores._label_sums(x)
+
+
+# ties and negative values among any finite or infinite float; zero only as +0.0, see
+# test_signed_zero_tie_gives_a_zero
+_MAX_CELLS = (st.sampled_from([-2.0, -1.0, 0.0, 1.0])
+              | st.floats(allow_nan=False).map(lambda v: v + 0.0))
+
+
+class TestRowMax:
+    """_row_max takes each row's maximum one column at a time: np.max(x, axis=1)'s bits."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(x=st.tuples(st.integers(1, 6), st.integers(1, 81)).flatmap(
+        lambda shape: hnp.arrays(np.float64, shape, elements=_MAX_CELLS)))
+    def test_equals_np_max_in_every_layout(self, x):
+        want = np.max(x, axis=1).view(np.int64)
+        for layout, rows in _layouts(x).items():
+            np.testing.assert_array_equal(scores._row_max(rows).view(np.int64), want,
+                                          err_msg=layout)
+
+    @pytest.mark.parametrize("labels", [2, 5, 9, 32])
+    def test_signed_zero_tie_gives_a_zero(self, labels):
+        # np.max's pick between -0.0 and 0.0 varies with the row's width and layout
+        # (numpy 2.4: 0.0 for rows of 2-8 labels, -0.0 from 9 on), so the bits are
+        # not pinned; no score sees such a tie: trained logits hold no -0.0, and
+        # alpha, 1 / beta and the sigmoid are positive or +0.0
+        x = np.full((2, labels), -2.0)
+        x[0, :2], x[1, :2] = (-0.0, 0.0), (0.0, -0.0)
+        assert scores._row_max(x).tolist() == [0.0, 0.0]
+
+    def test_keeps_no_view_of_its_input(self):
+        x = np.array([[3.0, 1.0], [-1.0, -0.5]])
+        top = scores._row_max(x)
+        assert top.flags.owndata and not np.shares_memory(top, x)
+        assert top.tolist() == [3.0, -0.5] and x.tolist() == [[3.0, 1.0], [-1.0, -0.5]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(f=st.integers(1, 81).flatmap(lambda labels: hnp.arrays(
+        np.float64, (2, labels), elements=st.floats(-30.0, 30.0))))
+    def test_one_sample_scores_as_np_max(self, f):
+        # the max-based scores of one (L,) sample, as np.max over its labels wrote them
+        logits = Logits(f[0], f[1])
+        ev = logits_to_evidence(logits)
+        pos, neg = 1.0 / np.max(ev.alpha), 1.0 - np.max(1.0 / ev.beta)
+        want = {"positive": pos, "negative": neg, "combined": mix_scores(0.3, pos, neg)}
+        for mode, value in want.items():
+            assert ood_score_max(ev, mode, 0.3) == float(value)
+        assert baseline_score(logits, "maxlogit") == float(-np.max(f[0]))
+        msp = -np.max(np.exp(f[0] - np.logaddexp(0.0, f[0])))
+        assert baseline_score(logits, "msp") == float(msp)

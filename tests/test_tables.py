@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -396,6 +397,72 @@ class TestTableCacheMatchesParse:
         assert Path(f"{path}.npy").exists()
         write_table(path, ["a", "b"], [np.arange(3), np.full(3, np.nan)], cache=True)
         assert not Path(f"{path}.npy").exists()  # a stale cache is removed
+
+
+def _written(path, header, columns) -> tuple[bytes, bytes]:
+    """The bytes of a table that write_table writes with its cache, and of the cache."""
+    write_table(path, header, columns, cache=True)
+    return path.read_bytes(), Path(f"{path}.npy").read_bytes()
+
+
+class TestRunBlock:
+    """write_table takes a run of columns that is exactly a C-contiguous matrix's columns
+    as a view of that matrix; it stacks any other run.  Either way the table and its
+    cache are the bytes of the stacked path, which copies of the columns take."""
+
+    @staticmethod
+    def _matrix(rng, rows, width, dtype):
+        if dtype == "int64":
+            return rng.integers(-(10**12), 10**12, (rows, width))
+        return rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-8, 8, (rows, width))
+
+    @pytest.mark.parametrize("dtype", ["int64", "float64"])
+    @pytest.mark.parametrize("rows, width", [(1, 1), (7, 3), (3000, 9), (20000, 9)])
+    def test_matrix_columns_written_from_the_matrix(self, tmp_path, rows, width, dtype):
+        matrix = self._matrix(np.random.default_rng(rows + width), rows, width, dtype)
+        block = tables._run_block(list(matrix.T), rows)
+        assert np.shares_memory(block, matrix) and block.shape == (width, rows)
+        ids = np.arange(rows)  # a run of its own, stacked, before the matrix's run
+        header = ["id", *(f"s{j}" for j in range(width))]
+        got = _written(tmp_path / "got.csv", header, [ids, *matrix.T])
+        want = _written(tmp_path / "want.csv", header, [ids, *(c.copy() for c in matrix.T)])
+        for g, w in zip(got, want):
+            assert_same_bytes(g, w)
+
+    @pytest.mark.parametrize("case", ["f_order", "reversed", "every_other", "two_matrices",
+                                      "part_of_wider", "rows_of_matrix"])
+    def test_other_runs_stacked(self, tmp_path, case):
+        rng, rows = np.random.default_rng(5), 3000
+        wide = self._matrix(rng, rows, 8, "float64")
+        columns = {
+            "f_order": list(np.asfortranarray(wide[:, :4]).T),
+            "reversed": list(wide.T[::-1]),
+            "every_other": list(wide.T[::2]),
+            "two_matrices": [*wide.T[:2], *self._matrix(rng, rows, 2, "float64").T],
+            "part_of_wider": list(wide.T[2:6]),
+            "rows_of_matrix": list(np.ascontiguousarray(wide.T[:4])),
+        }[case]
+        block = tables._run_block(columns, rows)
+        assert block.flags.owndata and block.flags.c_contiguous
+        np.testing.assert_array_equal(block, np.array([c.copy() for c in columns]))
+        header = list("abcdefgh"[: len(columns)])
+        got = _written(tmp_path / "got.csv", header, columns)
+        want = _written(tmp_path / "want.csv", header, [c.copy() for c in columns])
+        for g, w in zip(got, want):
+            assert_same_bytes(g, w)
+
+    def test_peak_memory_of_a_score_table(self, tmp_path):
+        # scores.csv's shape at 20000 rows: stacking the 9 score columns took 5.2 MiB
+        rows = 20000
+        values = np.random.default_rng(3).random((rows, 9))
+        columns = [np.arange(rows), np.repeat([0, 1], rows // 2), *values.T]
+        tracemalloc.start()
+        try:
+            write_table(tmp_path / "s.csv", ["id", "is_ood", *"abcdefghi"], columns, cache=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 2**20
 
 
 def _kernel_text(values: np.ndarray) -> bytes:
