@@ -76,7 +76,7 @@ def _load_config(path, defaults: dict, overrides: dict) -> dict:
     merged = dict(defaults)
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
@@ -140,14 +140,15 @@ def _write_out(out: str, files: dict) -> Path:
     return out_dir
 
 
-def _table(header: list[str], columns, cache: bool = False):
+def _table(header: list[str], parts, cache: bool = False):
     """A _write_out writer of a CSV table (tables.write_table)."""
-    return lambda path: write_table(path, header, columns, cache)
+    return lambda path: write_table(path, header, parts, cache)
 
 
 def _config_json(cfg: dict):
     """A _write_out writer of the effective config, echoed into each command's --out."""
-    return lambda path: Path(path).write_text(json.dumps(cfg, sort_keys=True, indent=2) + "\n")
+    return lambda path: Path(path).write_text(json.dumps(cfg, sort_keys=True, indent=2) + "\n",
+                                              encoding="utf-8")
 
 
 def _check_name(value: str, affix: str, what: str, error) -> None:
@@ -292,7 +293,8 @@ def cmd_train(config_path, data, out, seed, epochs, batch_size):
     with _array_sizes("hidden", f"config {config_path}"):
         ckpt = train(ds.X, ds.Y, arch, tc)
     _write_out(out, {
-        "checkpoint.json": lambda path: Path(path).write_text(checkpoint_to_json(ckpt) + "\n"),
+        "checkpoint.json": lambda path: Path(path).write_text(checkpoint_to_json(ckpt) + "\n",
+                                                              encoding="utf-8"),
         "train_config.json": _config_json(cfg),
     })
     click.echo("epoch,mean_loss")
@@ -305,7 +307,7 @@ def _load_checkpoint(path):
     if not ckpt_path.is_file():
         raise DataError(f"checkpoint not found: {ckpt_path}")
     try:
-        return checkpoint_from_json(ckpt_path.read_text())
+        return checkpoint_from_json(ckpt_path.read_text(encoding="utf-8"))
     except (OSError, ValueError, ConfigError, DataError) as exc:
         raise DataError(f"checkpoint {ckpt_path}: {exc}") from exc
 
@@ -330,8 +332,7 @@ def cmd_score(config_path, checkpoint, data, out, scores_arg, lambda1, lambda2):
     source = {key: f"command line: --{key}" if flag is not None else
               f"config {config_path}: {key!r}" for key, flag in overrides.items()}
     for key in ("lambda1", "lambda2"):
-        if not 0.0 <= cfg[key] <= 1.0:
-            raise ConfigError(f"malformed {source[key]} must be in [0, 1], got {cfg[key]!r}")
+        _lambda_value(cfg[key], source[key])
     requested = cfg["scores"]
     _check_score_names(requested, SCORE_NAMES, "valid", source["scores"])
     _check_out(out)
@@ -372,11 +373,11 @@ def cmd_score(config_path, checkpoint, data, out, scores_arg, lambda1, lambda2):
         del logits, ev, pred
 
     is_ood = np.repeat([0, 1], [len(test), len(ood)])
-    score_columns = [np.arange(is_ood.size), is_ood, *values.T]
-    pred_columns = [np.arange(len(test)), *probs.T, *test.Y.T]
     _write_out(out, {
-        "scores.csv": _table(["sample_id", "is_ood", *requested], score_columns, True),
-        "preds.csv": _table(_preds_header(ckpt.params.arch.label_count), pred_columns, True),
+        "scores.csv": _table(["sample_id", "is_ood", *requested],
+                             [np.arange(is_ood.size), is_ood, values], True),
+        "preds.csv": _table(_preds_header(ckpt.params.arch.label_count),
+                            [np.arange(len(test)), probs, test.Y], True),
         "score_config.json": _config_json(cfg),
     })
     click.echo(f"scored {len(test) + len(ood)} samples ({len(test)} IND, {len(ood)} OOD)")
@@ -512,7 +513,7 @@ def cmd_eval(scores_csv, scores_arg, preds_csv, aggregate, out):
             files[f"roc_{nm}.csv"] = functools.partial(write_roc_csv, curve)
     except DataError as exc:
         raise DataError(f"{scores_csv}: {exc}") from exc
-    files["metrics.csv"] = _table(_METRICS_HEADER, [requested, *np.array(rows).T])
+    files["metrics.csv"] = _table(_METRICS_HEADER, [requested, np.array(rows)])
     if preds_csv is not None:
         probs, labels = _read_preds_csv(preds_csv)
         rules = [_UNIT] * probs.shape[1] + [_BINARY] * labels.shape[1]
@@ -556,13 +557,14 @@ def _aggregate_metrics(paths, out: str) -> None:
     click.echo(f"aggregated {len(paths)} run(s) into {out_dir / 'aggregate.csv'}")
 
 
-def _lambda2_value(text: str) -> float:
-    """One value of the --lambda2 grid: a number in [0, 1]."""
+def _lambda_value(value, source: str):
+    """A lambda: a number in [0, 1], or a str that float reads as one (a --lambda2 grid
+    value); ``source`` names the flag, or the config file and key, that gave it."""
     with contextlib.suppress(ValueError):
-        text = float(text)
-    if not (isinstance(text, float) and 0.0 <= text <= 1.0):
-        raise ConfigError(f"malformed command line: --lambda2 must be in [0, 1], got {text!r}")
-    return text
+        value = float(value) if isinstance(value, str) else value
+    if isinstance(value, str) or not 0.0 <= value <= 1.0:
+        raise ConfigError(f"malformed {source} must be in [0, 1], got {value!r}")
+    return value
 
 
 @cli.command("sweep-lambda")
@@ -574,7 +576,8 @@ def cmd_sweep_lambda(scores_csv, lambda2_arg, out):
     """Metrics of the combined sum score over a lambda2 grid; writes sweep.csv."""
     _check_out(out)
     grid = _split_flag(lambda2_arg, "--lambda2")
-    grid = [k / 10.0 for k in range(11)] if grid is None else [_lambda2_value(v) for v in grid]
+    grid = ([k / 10.0 for k in range(11)] if grid is None
+            else [_lambda_value(v, "command line: --lambda2") for v in grid])
     if twice := [lam for i, lam in enumerate(grid) if lam in grid[:i]]:
         raise ConfigError(f"malformed command line: --lambda2 lists {twice[0]!r} twice")
     is_ood, columns = _read_scores_csv(scores_csv)
@@ -591,7 +594,7 @@ def cmd_sweep_lambda(scores_csv, lambda2_arg, out):
     except DataError as exc:
         raise DataError(f"{scores_csv}: {exc}") from exc
     out_dir = _write_out(out, {
-        "sweep.csv": _table(["lambda2", "fpr95", "auroc", "aupr"], np.array(rows).T),
+        "sweep.csv": _table(["lambda2", "fpr95", "auroc", "aupr"], [np.array(rows)]),
     })
     click.echo(f"swept {len(grid)} lambda2 values into {out_dir / 'sweep.csv'}")
 

@@ -10,7 +10,7 @@ so gen-data draws, checks and writes one split at a time and never holds
 two.  Files are JSONL with a leading comment header, each row its features
 and labels; the file's name, not its rows, says which split it holds.
 
-``write_jsonl`` also saves the parsed arrays to ``<file>.npy`` (``tables.save_cache``);
+``write_jsonl`` also saves the parsed arrays to ``<file>.npy`` (``tables.write_text``);
 ``read_jsonl`` returns them while the file's bytes match and they pass _table_rule.
 """
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -280,14 +281,10 @@ def write_jsonl(data: Dataset, path) -> None:
     X, Y = X.astype(float, copy=False), Y.astype(float if Y.dtype.kind == "f" else np.int64,
                                                  copy=False)
     labels = ["[", Y, "]}\n"] if Y.shape[1] else ["null}\n"]
-    with open(path, "wb") as fh:
-        fh.write(block := (_HEADER + "\n").encode())
-        key = tables.digest([block])
-        for block in tables.number_rows(['{"features":[', X, '],"labels":', *labels], len(X)):
-            fh.write(block)
-            key = tables.digest([block], key)
+    rows = tables.number_rows(['{"features":[', X, '],"labels":', *labels], len(X))
     # cached if the parse gives the arrays back: rows and int labels
-    tables.save_cache(path, key, [X, Y] if len(X) and Y.dtype == np.int64 else None)
+    tables.write_text(path, chain([(_HEADER + "\n").encode()], rows),
+                      [X, Y] if len(X) and Y.dtype == np.int64 else None)
 
 
 def read_jsonl(path) -> Dataset:
@@ -313,7 +310,7 @@ def _parse_jsonl(path) -> Dataset:
     row's, and each row, as a one-row table, meets _table_rule."""
     rows, problem = [], None  # rows: each row's (features, labels, line)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):

@@ -10,7 +10,8 @@ uint8 matrix in which each word position of a cell keeps only the bytes that som
 of that chunk uses (``_slot``), so the one pass that drops NUL bytes scans few of them.
 
 A cache, ``<file>.npy``, holds what parsing the file gives under a key of its bytes
-(zlib: hashlib loads OpenSSL); it is never required and safe to delete.
+(zlib: hashlib loads OpenSSL), taken by ``write_text`` as they are written; it is never
+required and safe to delete.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import functools
 import io
 import os
 import zlib
-from itertools import chain, groupby, islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -110,57 +111,52 @@ def row_line(path, i: int) -> int:
         return reader.line_num + 1
 
 
-def write_table(path, header: list[str], columns, cache: bool = False) -> None:
-    """Write a header and equal-length columns with the bytes of csv.writer.
+def write_table(path, header: list[str], parts, cache: bool = False) -> None:
+    """Write a header and parts of equal length with the bytes of csv.writer.
 
-    A float array's cells are the repr of each Python float, another number array's
-    the str of each value, a list or object array's its str cells; the file is UTF-8.
-    A pair (cells, index) of pre-rendered cells gives row r the text of cells[index[r]]
-    (``number_rows``).  Tables of such pairs, and of KERNEL_MIN_CELLS int64 and float64
-    cells or more, take ``number_rows``; others and the header csv.writer, once a chunk.
-    With ``cache``, also save ``<path>.npy``, the header and a 2-D block per run of
-    columns of one dtype, if the parse gives them back: int64 or float64 arrays of
-    a row or more without NaN, an ASCII header that numpy keeps (no trailing NUL).
-    A run of number columns that is exactly the columns of one C-contiguous 2-D
-    array, in order (the rows of ``matrix.T``), is written from that array without
-    a copy (``_run_block``); any other run is stacked into a new block.
+    A part is a column, a list of str cells or a 1-D array; an (n, k) int64 or float64
+    matrix, which stands for its k columns in order; or a pair (cells, index) of
+    pre-rendered cells, which gives row r the text of cells[index[r]] (``number_rows``).
+    A float's cell is the repr of its Python float, another number's its str, a list's
+    or object array's its str cells; the file is UTF-8.  Tables of pairs, and of
+    KERNEL_MIN_CELLS int64 and float64 cells or more, take ``number_rows``; others and
+    the header csv.writer, once a chunk.  With ``cache``, also save ``<path>.npy``, the
+    header and a (k, n) block per part, a matrix's transposed view or a column's one-row
+    view, if the parse gives them back: int64 or float64 parts of a row or more without
+    NaN, an ASCII header that numpy keeps (no trailing NUL).
     """
-    rendered = all(isinstance(c, tuple) for c in columns)
-    n, step = len(columns[0][1] if rendered else columns[0]), max(1, CHUNK_CELLS // len(columns))
-    numbers = all(isinstance(c, np.ndarray) and c.dtype in (np.int64, np.float64) for c in columns)
-    runs = numbers and [_run_block(list(run), n) for _, run in groupby(columns, lambda c: c.dtype)]
-    blocks = cache and n and runs
+    rendered = all(isinstance(p, tuple) for p in parts)
+    n = len(parts[0][1] if rendered else parts[0])
+    columns = [c for p in parts
+               for c in (p.T if isinstance(p, np.ndarray) and p.ndim == 2 else [p])]
+    numbers = all(isinstance(p, np.ndarray) and p.dtype in (np.int64, np.float64) for p in parts)
+    matrices = numbers and n and [p.reshape(n, -1) for p in parts]  # a column as (n, 1)
+    blocks = cache and matrices and [m.T for m in matrices]
     if blocks and (not all(map(str.isascii, header)) or np.array(header).tolist() != header
                    or any(np.isnan(b).any() for b in blocks)):
         blocks = None
-    if rendered or numbers and n * len(columns) >= KERNEL_MIN_CELLS:  # never quoted
-        parts = columns if rendered else [run.T for run in runs]
-        rows = number_rows([p for part in parts for p in (part, ",")][:-1] + ["\r\n"], n)
+    if rendered or matrices and n * len(columns) >= KERNEL_MIN_CELLS:  # never quoted
+        kernel = parts if rendered else matrices
+        rows = number_rows([p for part in kernel for p in (part, ",")][:-1] + ["\r\n"], n)
     else:  # cells as Python objects, not numpy scalars: csv.writer writes a float's repr
+        step = max(1, CHUNK_CELLS // len(columns))
         rows = (_csv_text(zip(*(c[i : i + step] if isinstance(c, list)
                                 else c[i : i + step].tolist() for c in columns)))
                 for i in range(0, n, step))
+    write_text(path, chain([_csv_text([header])], rows),
+               [np.array(header), *blocks] if blocks else None)
+
+
+def write_text(path, blocks, arrays) -> None:
+    """Write byte blocks to path.  Save ``arrays`` as ``<path>.npy`` under the key of
+    the bytes, taken as they are written; with arrays None, remove any stale cache."""
     key = digest([])
     with open(path, "wb") as fh:
-        for block in chain([_csv_text([header])], rows):
+        for block in blocks:
             fh.write(block)
-            if blocks:
+            if arrays is not None:
                 key = digest([block], key)
-    if cache:
-        save_cache(path, key, [np.array(header), *blocks] if blocks else None)
-
-
-def _run_block(run: list, n: int) -> np.ndarray:
-    """The (k, n) block of a run of k 1-D columns of n values and one dtype: the
-    transposed view of the C-contiguous (n, k) array whose columns they are, in
-    order, or else a new stacked copy.  save_cache writes either in C order."""
-    matrix = run[0].base
-    if (isinstance(matrix, np.ndarray) and matrix.ndim == 2 and matrix.flags.c_contiguous
-            and matrix.shape == (n, len(run)) and matrix.dtype == run[0].dtype):
-        view = matrix.T
-        if all(c.__array_interface__ == v.__array_interface__ for c, v in zip(run, view)):
-            return view
-    return np.array(run)
+    save_cache(path, key, arrays)
 
 
 def _csv_text(rows) -> bytes:

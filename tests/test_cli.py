@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 import weakref
 from pathlib import Path
@@ -43,14 +44,20 @@ def _write_config(tmp_dir: Path, name: str, doc: dict) -> str:
     return str(path)
 
 
-def _run_betaood(args, cwd) -> subprocess.CompletedProcess:
-    """``python -W error -m betaood *args`` in a new process, stopped after 60 s."""
+def _python(args, cwd, **env) -> subprocess.CompletedProcess:
+    """``python *args`` in a new process with src on PYTHONPATH and ``env`` set,
+    stopped after 60 s."""
     src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p
     )}
-    return subprocess.run([sys.executable, "-W", "error", "-m", "betaood", *args],
-                          cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def _run_betaood(args, cwd) -> subprocess.CompletedProcess:
+    """``python -W error -m betaood *args`` in a new process, stopped after 60 s."""
+    return _python(["-W", "error", "-m", "betaood", *args], cwd)
 
 
 def _read_csv(path) -> list[list[str]]:
@@ -399,6 +406,47 @@ def _copy_rows(src: Path, dst: Path, edit, linenos) -> None:
         edit(doc)
         lines[lineno - 1] = json.dumps(doc)
     dst.write_text("\n".join(lines) + "\n")
+
+
+class TestUtf8Files:
+    """Config, checkpoint and dataset files are UTF-8 whatever the locale."""
+
+    def test_dataset_read_under_the_c_locale(self, pipeline, tmp_path):
+        path = tmp_path / "synth.test.jsonl"  # no cache beside it: parsed
+        text = (pipeline / "synth.test.jsonl").read_text(encoding="utf-8")
+        path.write_text(text.replace("\n", "\n# café\n", 1), encoding="utf-8")
+        code = ("import sys; from betaood.datagen import read_jsonl; "
+                "d = read_jsonl(sys.argv[1]); print(d.X.tobytes().hex(), d.Y.tobytes().hex())")
+        done = _python(["-W", "error", "-c", code, str(path)], tmp_path, LC_ALL="C",
+                       PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        want = read_jsonl(pipeline / "synth.test.jsonl")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == f"{want.X.tobytes().hex()} {want.Y.tobytes().hex()}\n"
+
+    def test_every_text_file_opened_with_its_encoding(self, tmp_path):
+        # each command reads or writes a config, a checkpoint or a dataset (one parsed,
+        # its cache removed); an open without an encoding raises EncodingWarning
+        _write_config(tmp_path, "gen.json", {**SMALL_GEN, "train_samples": 60})
+        _write_config(tmp_path, "train.json", {"hidden": [4], "epochs": 1})
+        _write_config(tmp_path, "score.json", {"lambda1": 0.3})
+        code = textwrap.dedent("""
+            import os
+            from betaood.cli import main
+            for args in (["gen-data", "--config", "gen.json", "--out", "run"],
+                         ["train", "--config", "train.json", "--data", "run/synth", "--out", "run"],
+                         ["score", "--config", "score.json", "--checkpoint", "run/checkpoint.json",
+                          "--data", "run/synth", "--out", "run"],
+                         ["eval", "--scores-csv", "run/scores.csv", "--preds", "run/preds.csv",
+                          "--out", "run/eval"],
+                         ["sweep-lambda", "--scores-csv", "run/scores.csv", "--out", "run/sweep"]):
+                if args[0] == "train":
+                    os.remove("run/synth.train.jsonl.npy")
+                assert main(args) == 0, args
+            """)
+        done = _python(["-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c", code],
+                       tmp_path)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert (tmp_path / "run" / "sweep" / "sweep.csv").is_file()
 
 
 class TestTrain:

@@ -405,10 +405,10 @@ def _written(path, header, columns) -> tuple[bytes, bytes]:
     return path.read_bytes(), Path(f"{path}.npy").read_bytes()
 
 
-class TestRunBlock:
-    """write_table takes a run of columns that is exactly a C-contiguous matrix's columns
-    as a view of that matrix; it stacks any other run.  Either way the table and its
-    cache are the bytes of the stacked path, which copies of the columns take."""
+class TestMatrixParts:
+    """An (n, k) matrix part stands for its k columns: the table and what read_table gives
+    back, from the cache or the parse, are those of copies of its columns.  A column of
+    any 1-D layout gives the bytes of its copy, cache included."""
 
     @staticmethod
     def _matrix(rng, rows, width, dtype):
@@ -418,20 +418,26 @@ class TestRunBlock:
 
     @pytest.mark.parametrize("dtype", ["int64", "float64"])
     @pytest.mark.parametrize("rows, width", [(1, 1), (7, 3), (3000, 9), (20000, 9)])
-    def test_matrix_columns_written_from_the_matrix(self, tmp_path, rows, width, dtype):
+    def test_matrix_part_equals_its_columns(self, tmp_path, rows, width, dtype):
         matrix = self._matrix(np.random.default_rng(rows + width), rows, width, dtype)
-        block = tables._run_block(list(matrix.T), rows)
-        assert np.shares_memory(block, matrix) and block.shape == (width, rows)
-        ids = np.arange(rows)  # a run of its own, stacked, before the matrix's run
         header = ["id", *(f"s{j}" for j in range(width))]
-        got = _written(tmp_path / "got.csv", header, [ids, *matrix.T])
-        want = _written(tmp_path / "want.csv", header, [ids, *(c.copy() for c in matrix.T)])
-        for g, w in zip(got, want):
-            assert_same_bytes(g, w)
+        types = [int] + [int if dtype == "int64" else float] * width
+        reads = []
+        for name, parts in (("got", [np.arange(rows), matrix]),
+                            ("want", [np.arange(rows), *(c.copy() for c in matrix.T)])):
+            path = tmp_path / f"{name}.csv"
+            write_table(path, header, parts, cache=True)
+            with mock.patch.object(tables, "_read_rows", side_effect=AssertionError):
+                cached = _read_outcome(path, types)
+            Path(f"{path}.npy").unlink()
+            assert cached == _read_outcome(path, types)
+            reads.append((path.read_bytes(), cached))
+        assert_same_bytes(reads[0][0], reads[1][0])
+        assert reads[0][1] == reads[1][1]
 
     @pytest.mark.parametrize("case", ["f_order", "reversed", "every_other", "two_matrices",
                                       "part_of_wider", "rows_of_matrix"])
-    def test_other_runs_stacked(self, tmp_path, case):
+    def test_column_layouts_written_as_copies(self, tmp_path, case):
         rng, rows = np.random.default_rng(5), 3000
         wide = self._matrix(rng, rows, 8, "float64")
         columns = {
@@ -442,9 +448,6 @@ class TestRunBlock:
             "part_of_wider": list(wide.T[2:6]),
             "rows_of_matrix": list(np.ascontiguousarray(wide.T[:4])),
         }[case]
-        block = tables._run_block(columns, rows)
-        assert block.flags.owndata and block.flags.c_contiguous
-        np.testing.assert_array_equal(block, np.array([c.copy() for c in columns]))
         header = list("abcdefgh"[: len(columns)])
         got = _written(tmp_path / "got.csv", header, columns)
         want = _written(tmp_path / "want.csv", header, [c.copy() for c in columns])
@@ -455,14 +458,48 @@ class TestRunBlock:
         # scores.csv's shape at 20000 rows: stacking the 9 score columns took 5.2 MiB
         rows = 20000
         values = np.random.default_rng(3).random((rows, 9))
-        columns = [np.arange(rows), np.repeat([0, 1], rows // 2), *values.T]
+        parts = [np.arange(rows), np.repeat([0, 1], rows // 2), values]
         tracemalloc.start()
         try:
-            write_table(tmp_path / "s.csv", ["id", "is_ood", *"abcdefghi"], columns, cache=True)
+            write_table(tmp_path / "s.csv", ["id", "is_ood", *"abcdefghi"], parts, cache=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4.5 * 2**20
+
+    def test_cache_of_one_int_block_read_without_a_parse(self, tmp_path):
+        # the layout written while one block held each run of same-dtype columns:
+        # sample_id and is_ood as one (2, N) int64 block, then the (k, N) scores
+        path, rows = tmp_path / "scores.csv", 500
+        header = ["sample_id", "is_ood", "u_s_p", "u_s_n"]
+        ids, is_ood = np.arange(rows), np.repeat([0, 1], rows // 2)
+        values = np.random.default_rng(8).random((rows, 2))
+        write_table(path, header, [ids, is_ood, values])
+        tables.save_cache(path, tables.digest([path.read_bytes()]),
+                          [np.array(header), np.array([ids, is_ood]), values.T])
+        with mock.patch.object(tables, "_read_rows", side_effect=AssertionError):
+            got = _read_scores_csv(path)
+        Path(f"{path}.npy").unlink()
+        want = _read_scores_csv(path)
+        assert got[0].tolist() == want[0].tolist() == is_ood.tolist()
+        assert {k: v.tobytes() for k, v in got[1].items()} == \
+            {k: v.tobytes() for k, v in want[1].items()}
+
+
+class TestWriteText:
+    def test_writes_blocks_and_caches_under_their_key(self, tmp_path):
+        path = tmp_path / "t.txt"
+        tables.write_text(path, iter([b"a,b\r\n", b"1,2\r\n"]), [np.arange(3)])
+        assert path.read_bytes() == b"a,b\r\n1,2\r\n"
+        assert [a.tolist() for a in tables.load_cache(path)] == [[0, 1, 2]]
+
+    def test_without_arrays_removes_a_stale_cache(self, tmp_path):
+        path = tmp_path / "t.txt"
+        tables.write_text(path, [b"old\n"], [np.arange(3)])
+        assert Path(f"{path}.npy").exists()
+        tables.write_text(path, [b"new\n"], None)
+        assert path.read_bytes() == b"new\n"
+        assert not Path(f"{path}.npy").exists()
 
 
 def _kernel_text(values: np.ndarray) -> bytes:
