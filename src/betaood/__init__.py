@@ -15,7 +15,6 @@ from .metrics import (
     DetectionMetrics,
     RocCurve,
     ScoredDataset,
-    auroc,
     aupr,
     detection_metrics,
     fpr_at_tpr,
@@ -50,7 +49,6 @@ __all__ = [
     "DetectionMetrics",
     "RocCurve",
     "ScoredDataset",
-    "auroc",
     "aupr",
     "detection_metrics",
     "fpr_at_tpr",

@@ -3,8 +3,9 @@
 For a multi-hot label vector y the loss averages, over labels,
 y*(psi(a+b) - psi(a)) + (1-y)*(psi(a+b) - psi(b)), which is the exact
 expectation of binary cross-entropy under Beta(a, b).  Each label reads
-only a+b and its labelled evidence (a where y = 1, else b), so the kernels
-take those two stacked and nothing else, shifted once for both.
+only a+b and its labelled evidence (a where y = 1, else b), so
+``loss_and_grad`` stacks those two from the evidence block [a | b] and
+shifts the stack once for both kernels.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .evidence import EvidencePair, Logits, elu_grad_array, logits_to_evidence
 from .special import digamma_array as _digamma_vec
 from .special import recurrence_shift
@@ -42,32 +43,31 @@ def _check_labels(ev: EvidencePair, y: np.ndarray) -> np.ndarray:
     return y.astype(float)
 
 
-def evidence_stack(alpha: np.ndarray, beta: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """alpha + beta and the labelled evidence stacked on a new leading axis of size 2.
-
-    The labels y must be exactly 0 or 1.
-    """
-    return np.array([alpha + beta, np.where(y == 1.0, alpha, beta)])
-
-
-def loss_and_grad(stack: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-label loss and the derivatives of the label-mean loss as one block:
+def loss_and_grad(evidence: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-label loss and the derivatives of the label-mean loss as one block,
+    from the (..., 2L) evidence block [alpha | beta] and labels y exactly 0 or 1:
     d/d(alpha) in the first L entries of the last axis, d/d(beta) in the last L.
 
-    The stack is shifted once, every entry by the steps its smallest needs;
-    digamma and trigamma evaluate their series on the shifted stack, and each
-    gets its sum of the shift added in place.  The labelled evidence's own
-    term goes to d/d(alpha) where y = 1 and to d/d(beta) elsewhere; the other
-    derivative is psi'(alpha + beta) alone.
+    alpha + beta and the labelled evidence are stacked and shifted once, every
+    entry by the steps its smallest needs; digamma and trigamma evaluate their
+    series on the shifted stack, and each gets its sum of the shift added in
+    place.  The one mask y = 1 picks the labelled evidence and sends its own
+    term to d/d(alpha) there and to d/d(beta) elsewhere; the other derivative
+    is psi'(alpha + beta) alone.  Raises NumericError if alpha + beta is not
+    finite.
     """
+    n = y.shape[-1]
+    alpha, beta = evidence[..., :n], evidence[..., n:]
+    labelled = y == 1.0
+    stack = np.array([alpha + beta, np.where(labelled, alpha, beta)])
+    if not np.isfinite(stack[0]).all():
+        raise NumericError("non-finite evidence: alpha + beta overflows")
     shifted, sums = recurrence_shift(stack)
     psi, psi1 = _digamma_vec(shifted), _trigamma_vec(shifted)
     if sums is not None:
         psi += sums[0]
         psi1 += sums[1]
-    n = y.shape[-1]
     own = psi1[0] - psi1[1]
-    labelled = y == 1.0
     d = np.concatenate((np.where(labelled, own, psi1[0]), np.where(labelled, psi1[0], own)),
                        axis=-1)
     d /= n
@@ -77,7 +77,7 @@ def loss_and_grad(stack: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndar
 def beta_loss(ev: EvidencePair, y: np.ndarray) -> float:
     """Mean over labels of the expected BCE under the predicted Beta."""
     yf = _check_labels(ev, y)
-    terms, _ = loss_and_grad(evidence_stack(ev.alpha, ev.beta, yf), yf)
+    terms, _ = loss_and_grad(np.concatenate((ev.alpha, ev.beta), axis=-1), yf)
     return float(np.mean(terms))
 
 
@@ -105,6 +105,6 @@ def beta_loss_grad(ev: EvidencePair, y: np.ndarray, logits: Logits) -> LossGradi
 def evidence_grad(ev: EvidencePair, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """d(beta_loss)/d(alpha) and d(beta_loss)/d(beta), with the 1/L factor."""
     yf = _check_labels(ev, y)
-    _, d = loss_and_grad(evidence_stack(ev.alpha, ev.beta, yf), yf)
+    _, d = loss_and_grad(np.concatenate((ev.alpha, ev.beta), axis=-1), yf)
     d_alpha, d_beta = np.split(d, 2, axis=-1)
     return d_alpha, d_beta

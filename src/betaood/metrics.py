@@ -118,12 +118,8 @@ def detection_metrics(curve: RocCurve, target_tpr: float = 0.95) -> DetectionMet
     )
 
 
-# One-metric views, one sweep each; the oracle tests and the benchmark's
-# tracer (perfbench/tracer.py) call them by name.
-def auroc(ds: ScoredDataset) -> float:
-    return detection_metrics(roc_curve(ds)).auroc
-
-
+# Two one-metric views, one sweep each, kept because the benchmark's tracer
+# (perfbench/tracer.py) wraps them by name; AUROC is read from detection_metrics.
 def aupr(ds: ScoredDataset) -> float:
     return detection_metrics(roc_curve(ds)).aupr
 

@@ -26,7 +26,7 @@ from .evidence import (
     logits_to_evidence,
     min_zero,
 )
-from .loss import evidence_stack, loss_and_grad
+from .loss import loss_and_grad
 
 CHECKPOINT_FORMAT_VERSION = 1
 # predict_batch's rows per forward pass of a large batch.  On OpenBLAS, blocks of
@@ -214,15 +214,14 @@ def _batch_gradients(params: ModelParams, x: np.ndarray, y: np.ndarray, out=None
         out = ModelParams(params.arch, np.empty_like(params.flat))
     n, labels = x.shape[0], params.arch.label_count
     pre_acts, acts, f = _forward_batch(params, x)
+    if not np.isfinite(f).all():
+        raise NumericError("non-finite logits")
     # ELU as elu_array computes it, and its slope, from one min(f, 0)
     low = min_zero(f)
     slope = np.exp(low)
     evidence = np.maximum(f, np.expm1(low, out=low), out=low)
     evidence += 2.0
-    stack = evidence_stack(evidence[:, :labels], evidence[:, labels:], y)
-    if not (np.isfinite(f).all() and np.isfinite(stack[0]).all()):
-        raise NumericError("non-finite logits or evidence")
-    terms, d_f = loss_and_grad(stack, y)
+    terms, d_f = loss_and_grad(evidence, y)
     losses = per_sample_losses(terms)
     d_f *= slope
     d_f /= n
@@ -243,7 +242,6 @@ class Checkpoint:
     params: ModelParams
     train_config: TrainConfig
     loss_trace: list[float] = field(default_factory=list)
-    format_version: int = CHECKPOINT_FORMAT_VERSION
 
 
 # a diverging run overflows without warnings; train's own checks stop it
@@ -338,7 +336,7 @@ def predict_batch(params: ModelParams, features) -> tuple[
 def checkpoint_to_json(ckpt: Checkpoint) -> str:
     """Canonical JSON serialization; floats use shortest round-trip repr."""
     doc = {
-        "format_version": ckpt.format_version,
+        "format_version": CHECKPOINT_FORMAT_VERSION,
         "arch": asdict(ckpt.params.arch),
         "train_config": asdict(ckpt.train_config),
         "params": {key: getattr(ckpt.params, key) for key in param_shapes(ckpt.params.arch)},
@@ -405,4 +403,4 @@ def checkpoint_from_json(text: str) -> Checkpoint:
         _check_keys(doc["params"], param_shapes(arch), "params")
     except (TypeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint field: {exc}") from exc
-    return Checkpoint(_checkpoint_params(arch, doc["params"]), tc, doc["loss_trace"], version)
+    return Checkpoint(_checkpoint_params(arch, doc["params"]), tc, doc["loss_trace"])

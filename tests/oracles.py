@@ -1,5 +1,6 @@
 """The quadrature oracle of the closed-form loss: the Beta density and an
-adaptive Gauss-Kronrod integrator of the expected BCE; the recurrence shift
+adaptive Gauss-Kronrod integrator of the expected BCE; the loss kernel in its
+earlier form, called on a stack its caller built; the recurrence shift
 of the digamma/trigamma kernels, rung by rung and with int64 rung offsets;
 the ELU pair with the scalar 0.0 as the zero of min(x, 0); the sum
 scores' row sum as a Python loop; and ``assert_same_bytes``, a byte-for-byte
@@ -16,6 +17,31 @@ import math
 import numpy as np
 
 from betaood.errors import ConfigError, NumericError
+from betaood.special import digamma_array, recurrence_shift, trigamma_array
+
+
+def evidence_stack_reference(alpha, beta, y):
+    """alpha + beta and the labelled evidence (alpha where y = 1, else beta)
+    stacked on a new leading axis of size 2, as loss.evidence_stack built it."""
+    return np.array([alpha + beta, np.where(y == 1.0, alpha, beta)])
+
+
+def stacked_loss_and_grad_reference(alpha, beta, y):
+    """loss.loss_and_grad as it was when its callers built the stack: per-label
+    terms and the (..., 2L) block of d/d(alpha) then d/d(beta), from
+    evidence_stack_reference and a second y == 1 mask for the gradient's sides."""
+    shifted, sums = recurrence_shift(evidence_stack_reference(alpha, beta, y))
+    psi, psi1 = digamma_array(shifted), trigamma_array(shifted)
+    if sums is not None:
+        psi += sums[0]
+        psi1 += sums[1]
+    n = y.shape[-1]
+    own = psi1[0] - psi1[1]
+    labelled = y == 1.0
+    d = np.concatenate((np.where(labelled, own, psi1[0]), np.where(labelled, psi1[0], own)),
+                       axis=-1)
+    d /= n
+    return psi[0] - psi[1], d
 
 
 def uniform_shift_reference(x):

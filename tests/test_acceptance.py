@@ -29,7 +29,7 @@ from betaood.evidence import (
     logits_to_evidence,
 )
 from betaood.loss import beta_loss
-from betaood.metrics import ScoredDataset, aupr, auroc, fpr_at_tpr
+from betaood.metrics import ScoredDataset, aupr, detection_metrics, fpr_at_tpr, roc_curve
 from betaood.model import ArchConfig, _arrays, _batch_gradients, init_params, param_shapes
 from betaood.scores import ood_score_max, ood_score_sum
 from betaood.special import digamma_array, trigamma_array
@@ -128,7 +128,8 @@ def test_detection_metrics_match_oracles():
     rng = np.random.default_rng(8086)
     for k in range(200):
         scores, is_ood = random_dataset(rng, n_max=200, tie_prone=(k % 2 == 0))
-        value = auroc(ScoredDataset(scores=scores, is_ood=is_ood))
+        ds = ScoredDataset(scores=scores, is_ood=is_ood)
+        value = detection_metrics(roc_curve(ds)).auroc
         oracle = pairwise_auroc_oracle(scores.tolist(), is_ood.tolist())
         assert value == pytest.approx(float(oracle), abs=1e-12)
     for k in range(100):

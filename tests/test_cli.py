@@ -533,7 +533,7 @@ class TestTrain:
         assert code == 1
 
     @pytest.mark.parametrize("rate, rows, scale, where", [
-        (1e300, 300, 1.0, "at epoch 1, batch 2: non-finite logits or evidence"),
+        (1e300, 300, 1.0, "at epoch 1, batch 2: non-finite logits\n"),
         # one update from 16 large rows overflows a weight; no batch follows
         (1e308, 16, 300.0,
          "at epoch 1, batch 1: a parameter is non-finite after the last update"),
@@ -1693,6 +1693,35 @@ class TestOneSweepPerScore:
 class TestTracedPipeline:
     """The benchmark's traced run, at these sizes: a wrapped name that is gone
     or a layer metric that reads 0 fails here rather than in the benchmark."""
+
+    def test_tracer_installs_over_the_package(self, monkeypatch):
+        """Every name the tracer wraps exists and is wrapped, and uninstalling
+        puts back every name of every betaood module; no pipeline runs."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from tracer import WRAPS, Tracer
+
+        def owner_and_name(w):
+            owner = sys.modules[f"betaood.{w.module}"]
+            *path, last = w.attr.split(".")
+            for part in path:
+                owner = getattr(owner, part)
+            return owner, last
+
+        modules = [m for name, m in sys.modules.items()
+                   if name == "betaood" or name.startswith("betaood.")]
+        before = [dict(vars(m)) for m in modules]
+        originals = [getattr(*owner_and_name(w)) for w in WRAPS]
+        tracer = Tracer("install")
+        tracer.install()
+        try:
+            wrapped = [getattr(*owner_and_name(w)) for w in WRAPS]
+        finally:
+            tracer.uninstall()
+        assert all(new.__wrapped__ is old for new, old in zip(wrapped, originals))
+        assert all(getattr(*owner_and_name(w)) is old for w, old in zip(WRAPS, originals))
+        for module, names in zip(modules, before):
+            assert vars(module).keys() == names.keys()
+            assert all(vars(module)[key] is value for key, value in names.items())
 
     def test_layer_metrics_cover_every_layer(self, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from betaood.errors import ConfigError
+import betaood.model as model_mod
+from betaood.errors import ConfigError, NumericError
 from betaood.evidence import (
     EvidencePair,
     Logits,
@@ -12,15 +13,23 @@ from betaood.evidence import (
     elu_grad_array,
     logits_to_evidence,
 )
-from betaood.loss import (
-    beta_loss,
-    beta_loss_grad,
-    evidence_stack,
-    loss_and_grad,
+from betaood.loss import beta_loss, beta_loss_grad, loss_and_grad
+from betaood.model import (
+    ArchConfig,
+    TrainConfig,
+    _arrays,
+    _batch_gradients,
+    _forward_batch,
+    init_params,
+    param_shapes,
+    train,
 )
-from betaood.model import ArchConfig, _arrays, _batch_gradients, init_params, param_shapes
 from betaood.special import digamma_array, trigamma_array
-from oracles import quadrature_expected_bce
+from oracles import (
+    evidence_stack_reference,
+    quadrature_expected_bce,
+    stacked_loss_and_grad_reference,
+)
 
 
 def ev1(alpha, beta):
@@ -147,7 +156,7 @@ def _three_rows(kernel, alpha, beta, y):
     two-row stack, which sets their shift.  That stack holds alpha only where
     y = 1 and beta only where y = 0; elsewhere the rows repeat the labelled
     value, which the three-row formulas weight by 0."""
-    two = kernel(evidence_stack(alpha, beta, y))
+    two = kernel(evidence_stack_reference(alpha, beta, y))
     return np.stack([two[1], two[1], two[0]])
 
 
@@ -243,9 +252,7 @@ class TestTwoRowStackMatchesThreeRow:
     @settings(max_examples=300, deadline=None)
     def test_loss_and_gradient_bit_equal(self, case):
         alpha, beta, y = case
-        stack = evidence_stack(alpha, beta, y)
-        assert stack.shape == (2, *alpha.shape)
-        terms, d = loss_and_grad(stack, y)
+        terms, d = loss_and_grad(np.concatenate((alpha, beta), axis=1), y)
         assert d.shape == (alpha.shape[0], 2 * alpha.shape[1])
         d_alpha, d_beta = np.split(d, 2, axis=1)
         assert np.array_equal(terms, _three_row_loss_terms(alpha, beta, y))
@@ -270,6 +277,49 @@ class TestTwoRowStackMatchesThreeRow:
         y[0] = 1.0
         y[-1] = 0.0
         _assert_matches_reference(params, x, y)
+
+
+class TestEvidenceBlock:
+    """loss_and_grad builds its own stack from the evidence block [alpha | beta]."""
+
+    @given(case=_labelled_evidence())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_equal_to_stacked_call(self, case):
+        alpha, beta, y = case
+        terms, d = loss_and_grad(np.concatenate((alpha, beta), axis=1), y)
+        want_terms, want_d = stacked_loss_and_grad_reference(alpha, beta, y)
+        assert np.array_equal(terms, want_terms)
+        assert np.array_equal(d, want_d)
+
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_overflowing_evidence_sum_is_numeric_error(self, label):
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match=r"alpha \+ beta"):
+            loss_and_grad(np.full((1, 2), 1e308), np.full((1, 1), label))
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match=r"alpha \+ beta"):
+            beta_loss(EvidencePair(alpha=[1e308], beta=[1e308]), [label])
+
+    @staticmethod
+    def _huge_head_biases(arch, seed):
+        params = init_params(arch, seed)
+        params.heads[1][:] = 1e308
+        return params
+
+    def test_batch_gradients_with_finite_logits_is_numeric_error(self):
+        params = self._huge_head_biases(ArchConfig(input_dim=3, hidden=(4,), label_count=2), 0)
+        x = np.random.default_rng(5).normal(size=(6, 3))
+        y = np.tile([1.0, 0.0], (6, 1))
+        assert np.isfinite(_forward_batch(params, x)[2]).all()
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match=r"alpha \+ beta"):
+            _batch_gradients(params, x, y)
+
+    def test_train_diverges_at_the_first_batch(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "init_params", self._huge_head_biases)
+        rng = np.random.default_rng(9)
+        x, y = rng.normal(size=(20, 3)), np.tile([1.0, 0.0], (20, 1))
+        with pytest.raises(NumericError,
+                           match=r"^training diverged at epoch 1, batch 1: .*alpha \+ beta"):
+            train(x, y, ArchConfig(input_dim=3, hidden=(4,), label_count=2),
+                  TrainConfig(epochs=1, batch_size=8))
 
 
 def _assert_matches_reference(params, x, y):

@@ -16,7 +16,6 @@ from betaood.metrics import (
     DetectionMetrics,
     RocCurve,
     ScoredDataset,
-    auroc,
     aupr,
     average_precision,
     detection_metrics,
@@ -85,21 +84,22 @@ def random_dataset(rng, n_max=200, tie_prone=False):
 class TestAuroc:
     def test_perfect_separation(self):
         ds = ScoredDataset(scores=[0.1, 0.2, 0.8, 0.9], is_ood=[0, 0, 1, 1])
-        assert auroc(ds) == 1.0
+        assert detection_metrics(roc_curve(ds)).auroc == 1.0
 
     def test_all_ties_is_half(self):
         ds = ScoredDataset(scores=[0.5] * 6, is_ood=[0, 1, 0, 1, 0, 1])
-        assert auroc(ds) == 0.5
+        assert detection_metrics(roc_curve(ds)).auroc == 0.5
 
     def test_worked_example(self):
         ds = ScoredDataset(scores=[0.9, 0.4, 0.5, 0.1], is_ood=[1, 1, 0, 0])
-        assert auroc(ds) == 0.75
+        assert detection_metrics(roc_curve(ds)).auroc == 0.75
 
     def test_pairwise_oracle_200_random_datasets(self):
         rng = np.random.default_rng(61)
         for k in range(200):
             scores, is_ood = random_dataset(rng, tie_prone=(k % 2 == 0))
-            value = auroc(ScoredDataset(scores=scores, is_ood=is_ood))
+            ds = ScoredDataset(scores=scores, is_ood=is_ood)
+            value = detection_metrics(roc_curve(ds)).auroc
             oracle = pairwise_auroc_oracle(scores.tolist(), is_ood.tolist())
             assert value == pytest.approx(float(oracle), abs=1e-12)
 
@@ -111,8 +111,8 @@ class TestAuroc:
         rng = np.random.default_rng(67)
         for _ in range(50):
             scores, is_ood = random_dataset(rng)  # tie-free
-            a = auroc(ScoredDataset(scores=scores, is_ood=is_ood))
-            b = auroc(ScoredDataset(scores=-scores, is_ood=is_ood))
+            a = detection_metrics(roc_curve(ScoredDataset(scores=scores, is_ood=is_ood))).auroc
+            b = detection_metrics(roc_curve(ScoredDataset(scores=-scores, is_ood=is_ood))).auroc
             assert a + b == pytest.approx(1.0, abs=1e-12)
 
 
@@ -210,7 +210,7 @@ class TestRocCurve:
             (pts[i + 1][0] - pts[i][0]) * (pts[i + 1][1] + pts[i][1]) / 2.0
             for i in range(len(pts) - 1)
         )
-        assert auroc(ds) == pytest.approx(area, abs=1e-12)
+        assert detection_metrics(roc_curve(ds)).auroc == pytest.approx(area, abs=1e-12)
 
 
 class TestMonotoneTransformInvariance:
@@ -219,7 +219,8 @@ class TestMonotoneTransformInvariance:
         scores, is_ood = random_dataset(rng, n_max=80)
         ds = ScoredDataset(scores=scores, is_ood=is_ood)
         transformed = ScoredDataset(scores=np.exp(scores) + scores**3, is_ood=is_ood)
-        assert auroc(ds) == auroc(transformed)
+        assert (detection_metrics(roc_curve(ds)).auroc
+                == detection_metrics(roc_curve(transformed)).auroc)
         assert aupr(ds) == aupr(transformed)
         assert fpr_at_tpr(ds) == fpr_at_tpr(transformed)
         assert [p for p in roc_curve(ds).points] == [
@@ -403,16 +404,43 @@ class TestRocExport:
         assert_same_bytes(text, _roc_reference_bytes(curve))
 
 
+def _words(n, dtype=np.uint8):
+    """An array of n unsigned words drawn as one block of bytes: a list or
+    hypothesis.extra.numpy.arrays draws each entry alone, and at 300 entries
+    that draw took most of a test's time."""
+    width = np.dtype(dtype).itemsize
+    return st.binary(min_size=n * width, max_size=n * width).map(
+        lambda b: np.frombuffer(b, dtype))
+
+
+def _picks(n, values):
+    """An array of n entries of ``values``, each picked by one drawn byte."""
+    table = np.array(values)
+    return _words(n).map(lambda w: table[w % table.size])
+
+
+_FLOAT_MAGNITUDE = np.uint64(0x7FFF_FFFF_FFFF_FFFF)
+_MILLION_BITS = np.float64(1e6).view(np.uint64)
+
+
+def _distinct_floats(n):
+    """n pairwise-unequal floats in [-1e6, 1e6]: a drawn sign bit and a drawn
+    magnitude bit pattern at most 1e6's, so any float of the range, both zeros
+    and subnormals included, can be drawn; 0.0 == -0.0 counts as a repeat."""
+    def floats(w):
+        magnitude = (w & _FLOAT_MAGNITUDE) % (_MILLION_BITS + np.uint64(1))
+        return (magnitude | (w & ~_FLOAT_MAGNITUDE)).view(np.float64)
+    return _words(n, np.uint64).map(floats).filter(lambda x: np.unique(x).size == n)
+
+
 @st.composite
 def tied_datasets(draw):
     """Scores from a few small integers and both zeros, so that nearly every
     score is tied; up to 300 rows, where an unstable sort reorders ties."""
     n = draw(st.integers(2, 300))
-    is_ood = draw(st.lists(st.booleans(), min_size=n, max_size=n)
-                  .filter(lambda v: 0 < sum(v) < len(v)))
-    value = st.integers(-3, 3).map(float) | st.sampled_from([0.0, -0.0])
-    scores = draw(st.lists(value, min_size=n, max_size=n))
-    return ScoredDataset(scores=scores, is_ood=np.array(is_ood, dtype=int))
+    is_ood = draw(_words(n).map(lambda w: w & 1).filter(lambda v: 0 < v.sum() < n))
+    scores = draw(_picks(n, [-3.0, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0]))
+    return ScoredDataset(scores=scores, is_ood=is_ood)
 
 
 class TestTieOrder:
@@ -444,11 +472,10 @@ class TestTieOrder:
     @given(column=st.integers(1, 300).flatmap(lambda n: st.tuples(
         st.one_of(
             # tie-free: 0.0 and -0.0 count as one value, so at most one of them
-            st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n, unique=True),
-            st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, float("nan")]),
-                     min_size=n, max_size=n),
+            _distinct_floats(n),
+            _picks(n, [-1.0, -0.0, 0.0, 0.5, 1.0, float("nan")]),
         ),
-        st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        _words(n).map(lambda w: w & 1),
         st.integers(0, n - 1),
     )))
     @settings(max_examples=300, deadline=None)
