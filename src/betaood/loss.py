@@ -74,6 +74,8 @@ def loss_and_grad(evidence: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.n
     return psi[0] - psi[1], d
 
 
+# an overflowing alpha + beta raises NumericError in loss_and_grad, not a warning
+@np.errstate(over="ignore")
 def beta_loss(ev: EvidencePair, y: np.ndarray) -> float:
     """Mean over labels of the expected BCE under the predicted Beta."""
     yf = _check_labels(ev, y)
@@ -102,6 +104,7 @@ def beta_loss_grad(ev: EvidencePair, y: np.ndarray, logits: Logits) -> LossGradi
     )
 
 
+@np.errstate(over="ignore")  # as beta_loss
 def evidence_grad(ev: EvidencePair, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """d(beta_loss)/d(alpha) and d(beta_loss)/d(beta), with the 1/L factor."""
     yf = _check_labels(ev, y)

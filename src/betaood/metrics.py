@@ -1,10 +1,10 @@
-"""Binary OOD-detection evaluation: AUROC, AUPR, FPR@TPR, ROC export, mAP.
+"""Binary OOD-detection evaluation: AUROC, AUPR, FPR95, ROC export, mAP.
 
 The positive class is OOD.  Thresholds sweep the distinct
 score values in descending order, grouping ties into a single step, so
 AUROC is exactly the pairwise estimator with ties counted 0.5 and every
 metric is deterministic and oracle-checkable.  ``roc_curve`` sorts a score
-once; AUROC, AUPR, FPR@TPR and the ROC export all read that one sweep.
+once; AUROC, AUPR, FPR95 and the ROC export all read that one sweep.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .tables import text_words, write_table
 
 
@@ -75,11 +75,6 @@ class RocCurve:
         """True-positive rates from 0 to 1, with the leading 0."""
         return np.concatenate([[0.0], self.tp / self.n_pos])
 
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        """Ordered (fpr, tpr) points, Python floats, from (0, 0) to (1, 1)."""
-        return list(zip(self.fpr.tolist(), self.tpr.tolist()))
-
 
 def roc_curve(ds: ScoredDataset) -> RocCurve:
     """Sort the scores once and count TP/FP after each run of equal scores."""
@@ -98,23 +93,21 @@ def roc_curve(ds: ScoredDataset) -> RocCurve:
     return RocCurve(tp=tp, fp=fp, n_pos=int(positive.sum()), n_neg=int((~positive).sum()))
 
 
-def detection_metrics(curve: RocCurve, target_tpr: float = 0.95) -> DetectionMetrics:
-    """AUROC, AUPR and the FPR at ``target_tpr`` of one sweep.
+def detection_metrics(curve: RocCurve) -> DetectionMetrics:
+    """AUROC, AUPR and FPR95 of one sweep.
 
     AUROC is the trapezoidal area under the ROC; AUPR the step sum
-    sum((R_k - R_{k-1}) * P_k); the FPR is read at the first (largest)
-    threshold whose TPR reaches the target, classifying positive when
+    sum((R_k - R_{k-1}) * P_k); FPR95 is the FPR at the first (largest)
+    threshold whose TPR reaches 0.95, classifying positive when
     score >= threshold.
     """
-    if not (0.0 < target_tpr <= 1.0):
-        raise ConfigError(f"target_tpr must be in (0, 1], got {target_tpr!r}")
     fpr, tpr = curve.fpr, curve.tpr
     recall = tpr[1:]
     precision = curve.tp / (curve.tp + curve.fp)
     return DetectionMetrics(
         auroc=float(np.sum(np.diff(fpr) * (recall + tpr[:-1]) * 0.5)),
         aupr=float(np.sum((recall - tpr[:-1]) * precision)),
-        fpr95=float(fpr[1 + int(np.argmax(recall >= target_tpr))]),
+        fpr95=float(fpr[1 + int(np.argmax(recall >= 0.95))]),
     )
 
 
@@ -124,8 +117,8 @@ def aupr(ds: ScoredDataset) -> float:
     return detection_metrics(roc_curve(ds)).aupr
 
 
-def fpr_at_tpr(ds: ScoredDataset, target_tpr: float = 0.95) -> float:
-    return detection_metrics(roc_curve(ds), target_tpr).fpr95
+def fpr_at_tpr(ds: ScoredDataset) -> float:
+    return detection_metrics(roc_curve(ds)).fpr95
 
 
 def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -150,13 +143,16 @@ def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
 def mean_average_precision(prob_matrix: np.ndarray, label_matrix: np.ndarray) -> float:
     """Mean over label columns of average precision.
 
-    Every column must contain at least one positive; an all-negative column
-    is reported with its index.
+    Every label is 0 or 1 and every column contains at least one positive;
+    the first column that breaks either rule is reported with its index.
     """
     probs = np.asarray(prob_matrix, dtype=float)
     labels = np.asarray(label_matrix)
     if probs.ndim != 2 or probs.shape != labels.shape:
         raise DataError("probability and label matrices must be 2-d and equal shape")
+    bad = np.nonzero(((labels != 0) & (labels != 1)).any(axis=0))[0]
+    if bad.size:
+        raise DataError(f"label column {int(bad[0])} holds a value other than 0 or 1")
     empty = np.nonzero(labels.sum(axis=0) == 0)[0]
     if empty.size:
         raise DataError(f"label column {int(empty[0])} has no positive samples")

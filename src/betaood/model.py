@@ -265,6 +265,11 @@ def train(features: np.ndarray, labels: np.ndarray, arch: ArchConfig,
             f"labels must have shape ({features.shape[0]}, {arch.label_count}), "
             f"got {labels.shape}"
         )
+    bad = (labels != 0.0) & (labels != 1.0)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise DataError(f"labels must be 0 or 1, but row {row} holds "
+                        f"{float(labels[row, col])!r} for label {col}")
     params = init_params(arch, config.seed)
     grads = ModelParams(arch, np.empty_like(params.flat))
     theta, grad = params.flat, grads.flat
@@ -304,26 +309,23 @@ def predict_batch(params: ModelParams, features) -> tuple[
 ]:
     """Forward an (N, D) batch and map it through evidence; each result is (N, L).
 
-    Below 2 BLOCK_ROWS rows the batch is one forward pass.  From there on it
-    goes in blocks of BLOCK_ROWS rows, the last taking the BLOCK_ROWS to
-    2 BLOCK_ROWS - 1 rows left, and each block's logits are copied into one
-    (N, 2L) array: the hidden layers are held for a block, not for the batch.
-    Either way there is one Logits, EvidencePair and Prediction, with the bits
-    of one pass.  A (0, D) batch gives zero-row objects; a row with non-finite
-    logits raises NumericError that names it.
+    The batch goes in blocks of BLOCK_ROWS rows, the last taking the 1 to
+    2 BLOCK_ROWS - 1 rows left, so a batch below 2 BLOCK_ROWS rows is one
+    block.  Each block's logits are copied into one (N, 2L) array: the hidden
+    layers are held for a block, not for the batch.  There is one Logits,
+    EvidencePair and Prediction, with the bits of one pass.  A (0, D) batch
+    gives zero-row objects; a row with non-finite logits raises NumericError
+    that names it.
     """
     x = np.asarray(features, dtype=float)
     _check_batch(params, x)
     n = x.shape[0]
+    f = np.empty((n, 2 * params.arch.label_count))
     # huge but finite weights overflow here; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        if n < 2 * BLOCK_ROWS:
-            f = _forward_batch(params, x)[2]
-        else:
-            f = np.empty((n, 2 * params.arch.label_count))
-            for start in range(0, n - BLOCK_ROWS + 1, BLOCK_ROWS):
-                stop = n if start + 2 * BLOCK_ROWS > n else start + BLOCK_ROWS
-                f[start:stop] = _forward_batch(params, x[start:stop])[2]
+        for start in range(0, max(n - BLOCK_ROWS, 0) + 1, BLOCK_ROWS):
+            stop = n if start + 2 * BLOCK_ROWS > n else start + BLOCK_ROWS
+            f[start:stop] = _forward_batch(params, x[start:stop])[2]
     finite = np.isfinite(f).all(axis=1)
     if not finite.all():
         raise NumericError(f"the logits of row {int(np.argmin(finite))} are not finite")
@@ -394,13 +396,10 @@ def checkpoint_from_json(text: str) -> Checkpoint:
             f"unsupported checkpoint format version {version!r} "
             f"(expected {CHECKPOINT_FORMAT_VERSION})"
         )
-    try:
-        for where, fields_ in (("arch", _ARCH_FIELDS), ("train_config", _TRAIN_FIELDS)):
-            check_fields(doc[where], fields_, where)
-            _check_keys(doc[where], fields_, where)
-        arch = ArchConfig(**doc["arch"])
-        tc = TrainConfig(**doc["train_config"])
-        _check_keys(doc["params"], param_shapes(arch), "params")
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"malformed checkpoint field: {exc}") from exc
+    for where, fields_ in (("arch", _ARCH_FIELDS), ("train_config", _TRAIN_FIELDS)):
+        check_fields(doc[where], fields_, where)
+        _check_keys(doc[where], fields_, where)
+    arch = ArchConfig(**doc["arch"])
+    tc = TrainConfig(**doc["train_config"])
+    _check_keys(doc["params"], param_shapes(arch), "params")
     return Checkpoint(_checkpoint_params(arch, doc["params"]), tc, doc["loss_trace"])

@@ -3,7 +3,8 @@ adaptive Gauss-Kronrod integrator of the expected BCE; the loss kernel in its
 earlier form, called on a stack its caller built; the recurrence shift
 of the digamma/trigamma kernels, rung by rung and with int64 rung offsets;
 the ELU pair with the scalar 0.0 as the zero of min(x, 0); the sum
-scores' row sum as a Python loop; and ``assert_same_bytes``, a byte-for-byte
+scores' row sum as a Python loop; a ROC curve's (fpr, tpr) points as Python
+floats; and ``assert_same_bytes``, a byte-for-byte
 check of whole files whose failure names the first differing offset.
 
 The Beta density is evaluated in log space.  The integrator shares no code
@@ -109,6 +110,11 @@ def label_sums_reference(x):
             total += value
         sums.append(total)
     return np.array(sums, dtype=float)
+
+
+def roc_points(curve) -> list[tuple[float, float]]:
+    """Ordered (fpr, tpr) points of a metrics.RocCurve, Python floats, from (0, 0) to (1, 1)."""
+    return list(zip(curve.fpr.tolist(), curve.tpr.tolist()))
 
 
 def _check_positive(x: float, name: str) -> None:

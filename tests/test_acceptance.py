@@ -138,7 +138,7 @@ def test_detection_metrics_match_oracles():
         assert aupr(ds) == pytest.approx(
             float(brute_force_pr_oracle(scores.tolist(), is_ood.tolist())), abs=1e-12
         )
-        assert fpr_at_tpr(ds, 0.95) == pytest.approx(
+        assert fpr_at_tpr(ds) == pytest.approx(
             float(brute_force_fpr_oracle(
                 scores.tolist(), is_ood.tolist(), Fraction(95, 100))),
             abs=1e-12,

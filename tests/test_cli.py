@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import assert_same_bytes
+from oracles import assert_same_bytes, roc_points
 
 import betaood.cli as cli_mod
 import betaood.datagen as datagen_mod
@@ -1308,8 +1308,8 @@ class TestEval:
             assert rows[0] == ["fpr", "tpr"]
             cells = [(float(f), float(t)) for f, t in rows[1:]]
             curve = roc_curve(ScoredDataset(scores=columns[nm], is_ood=is_ood))
-            assert cells == curve.points
-            assert all(type(v) is float for point in curve.points for v in point)
+            assert cells == roc_points(curve)
+            assert all(type(v) is float for point in roc_points(curve) for v in point)
 
     def test_duplicate_score_column_is_data_error(self, tmp_path, capsys):
         src = tmp_path / "scores.csv"

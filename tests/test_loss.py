@@ -13,7 +13,7 @@ from betaood.evidence import (
     elu_grad_array,
     logits_to_evidence,
 )
-from betaood.loss import beta_loss, beta_loss_grad, loss_and_grad
+from betaood.loss import beta_loss, beta_loss_grad, evidence_grad, loss_and_grad
 from betaood.model import (
     ArchConfig,
     TrainConfig,
@@ -297,6 +297,17 @@ class TestEvidenceBlock:
             loss_and_grad(np.full((1, 2), 1e308), np.full((1, 1), label))
         with np.errstate(over="ignore"), pytest.raises(NumericError, match=r"alpha \+ beta"):
             beta_loss(EvidencePair(alpha=[1e308], beta=[1e308]), [label])
+
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_overflow_is_numeric_error_without_errstate(self, label):
+        # under the default errstate, which the suite turns into errors, the
+        # public calls raise NumericError, not numpy's overflow warning
+        ev = EvidencePair(alpha=[1e308], beta=[1e308])
+        logits = Logits(f_pos=[1e308], f_neg=[1e308])
+        for call in (lambda: beta_loss(ev, [label]), lambda: evidence_grad(ev, [label]),
+                     lambda: beta_loss_grad(ev, [label], logits)):
+            with pytest.raises(NumericError, match=r"alpha \+ beta"):
+                call()
 
     @staticmethod
     def _huge_head_biases(arch, seed):

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from example_files import example_dir
-from oracles import assert_same_bytes
+from oracles import assert_same_bytes, roc_points
 
 from betaood import metrics, tables
-from betaood.errors import ConfigError, DataError
+from betaood.errors import DataError
 from betaood.metrics import (
     DetectionMetrics,
     RocCurve,
@@ -148,7 +148,7 @@ class TestFprAtTpr:
 
     def test_worked_example(self):
         ds = ScoredDataset(scores=[0.9, 0.8, 0.85, 0.1], is_ood=[1, 1, 0, 0])
-        assert fpr_at_tpr(ds, 0.95) == 0.5
+        assert fpr_at_tpr(ds) == 0.5
 
     def test_all_ties_admits_everyone(self):
         ds = ScoredDataset(scores=[0.3] * 4, is_ood=[1, 1, 0, 0])
@@ -158,41 +158,24 @@ class TestFprAtTpr:
         rng = np.random.default_rng(73)
         for k in range(100):
             scores, is_ood = random_dataset(rng, n_max=50, tie_prone=(k % 2 == 0))
-            for target in (0.5, 0.8, 0.95):
-                value = fpr_at_tpr(ScoredDataset(scores=scores, is_ood=is_ood), target)
-                oracle = brute_force_fpr_oracle(
-                    scores.tolist(), is_ood.tolist(), Fraction(target).limit_denominator()
-                )
-                assert value == pytest.approx(float(oracle), abs=1e-12)
-
-    def test_nonincreasing_in_decreasing_target(self):
-        rng = np.random.default_rng(79)
-        scores, is_ood = random_dataset(rng, n_max=100)
-        ds = ScoredDataset(scores=scores, is_ood=is_ood)
-        values = [fpr_at_tpr(ds, t) for t in (0.95, 0.8, 0.6, 0.4, 0.2)]
-        assert all(a >= b for a, b in zip(values, values[1:]))
-
-    def test_rejects_bad_target(self):
-        ds = ScoredDataset(scores=[0.1, 0.9], is_ood=[0, 1])
-        with pytest.raises(ConfigError):
-            fpr_at_tpr(ds, 0.0)
-        with pytest.raises(ConfigError):
-            fpr_at_tpr(ds, 1.5)
+            value = fpr_at_tpr(ScoredDataset(scores=scores, is_ood=is_ood))
+            oracle = brute_force_fpr_oracle(scores.tolist(), is_ood.tolist(), Fraction(95, 100))
+            assert value == pytest.approx(float(oracle), abs=1e-12)
 
 
 class TestRocCurve:
     def test_perfect_separation_two_samples(self):
         ds = ScoredDataset(scores=[0.9, 0.1], is_ood=[1, 0])
-        assert roc_curve(ds).points == [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+        assert roc_points(roc_curve(ds)) == [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
 
     def test_all_equal_two_samples(self):
         ds = ScoredDataset(scores=[0.5, 0.5], is_ood=[1, 0])
-        assert roc_curve(ds).points == [(0.0, 0.0), (1.0, 1.0)]
+        assert roc_points(roc_curve(ds)) == [(0.0, 0.0), (1.0, 1.0)]
 
     def test_monotone_point_list(self):
         rng = np.random.default_rng(83)
         scores, is_ood = random_dataset(rng)
-        pts = roc_curve(ScoredDataset(scores=scores, is_ood=is_ood)).points
+        pts = roc_points(roc_curve(ScoredDataset(scores=scores, is_ood=is_ood)))
         fprs = [p[0] for p in pts]
         tprs = [p[1] for p in pts]
         assert fprs == sorted(fprs)
@@ -205,7 +188,7 @@ class TestRocCurve:
         scores = np.concatenate([rng.normal(1.0, 1.0, 50), rng.normal(0.0, 1.0, 50)])
         is_ood = np.concatenate([np.ones(50, dtype=int), np.zeros(50, dtype=int)])
         ds = ScoredDataset(scores=scores, is_ood=is_ood)
-        pts = roc_curve(ds).points
+        pts = roc_points(roc_curve(ds))
         area = sum(
             (pts[i + 1][0] - pts[i][0]) * (pts[i + 1][1] + pts[i][1]) / 2.0
             for i in range(len(pts) - 1)
@@ -223,9 +206,7 @@ class TestMonotoneTransformInvariance:
                 == detection_metrics(roc_curve(transformed)).auroc)
         assert aupr(ds) == aupr(transformed)
         assert fpr_at_tpr(ds) == fpr_at_tpr(transformed)
-        assert [p for p in roc_curve(ds).points] == [
-            p for p in roc_curve(transformed).points
-        ]
+        assert roc_points(roc_curve(ds)) == roc_points(roc_curve(transformed))
 
 
 class TestMeanAveragePrecision:
@@ -249,6 +230,13 @@ class TestMeanAveragePrecision:
         assert mean_average_precision(probs, labels) == mean_average_precision(
             probs[:, perm], labels[:, perm]
         )
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, float("nan")])
+    def test_non_binary_label_rejected(self, bad):
+        probs = np.array([[0.9, 0.9], [0.8, 0.8], [0.1, 0.1]])
+        labels = np.array([[1, bad], [0, 0], [1, 1]])
+        with pytest.raises(DataError, match="column 1 holds a value other than 0 or 1"):
+            mean_average_precision(probs, labels)
 
     def test_all_negative_column_rejected(self):
         probs = np.full((3, 2), 0.5)
@@ -312,16 +300,15 @@ def scored_datasets(draw):
 
 
 class TestOneSweepMatchesThreeSweeps:
-    @given(ds=scored_datasets(), positive_is_ood=st.booleans(),
-           target=st.sampled_from([0.2, 0.5, 0.95, 1.0]))
+    @given(ds=scored_datasets(), positive_is_ood=st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_metrics_bit_equal(self, ds, positive_is_ood, target):
-        got = detection_metrics(roc_curve(_positive(ds, positive_is_ood)), target)
-        want = _reference_metrics(ds, target, positive_is_ood)
+    def test_metrics_bit_equal(self, ds, positive_is_ood):
+        got = detection_metrics(roc_curve(_positive(ds, positive_is_ood)))
+        want = _reference_metrics(ds, 0.95, positive_is_ood)
         assert got == want
         assert repr(got) == repr(want)
         curve = roc_curve(_positive(ds, positive_is_ood))
-        assert curve.points == _reference_points(ds, positive_is_ood)
+        assert roc_points(curve) == _reference_points(ds, positive_is_ood)
 
     @given(ds=scored_datasets(), positive_is_ood=st.booleans())
     @settings(max_examples=200, deadline=None)
@@ -343,7 +330,7 @@ class TestOneSweepMatchesThreeSweeps:
         assert (curve.n_pos, curve.n_neg) == (3, 2)
         assert curve.fpr.tolist() == [0.0, 0.0, 0.5, 1.0]
         assert curve.tpr.tolist() == [0.0, 1 / 3, 2 / 3, 1.0]
-        assert curve.points == list(zip(curve.fpr.tolist(), curve.tpr.tolist()))
+        assert roc_points(curve) == list(zip(curve.fpr.tolist(), curve.tpr.tolist()))
         with pytest.raises(ValueError):
             curve.tp[0] = 0
 

@@ -353,6 +353,15 @@ class TestTrain:
         with pytest.raises(DataError):
             train(np.zeros((0, 2)), np.zeros((0, 2)), ARCH, TrainConfig())
 
+    @pytest.mark.parametrize("bad", [0.5, float("nan"), 2.0, -1.0])
+    def test_label_not_zero_or_one_rejected(self, bad):
+        rng = np.random.default_rng(29)
+        x, y = _tiny_dataset(rng)
+        y = y.astype(float)
+        y[[7, 40], 1] = bad
+        with pytest.raises(DataError, match=f"row 7 holds {re.escape(repr(bad))} for label 1$"):
+            train(x, y, ARCH, TrainConfig(epochs=1))
+
     def test_zero_epochs_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig(epochs=0)
