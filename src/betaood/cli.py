@@ -48,7 +48,7 @@ from .model import (
     train,
 )
 from .scores import SCORE_NAMES, mix_scores, score_by_name
-from .tables import read_table, row_line, write_table
+from .tables import equal_neighbours, read_table, row_line, write_table
 
 _GEN_DEFAULTS = {
     "name": "synth",
@@ -424,15 +424,12 @@ def _read_scores_csv(path):
 def _check_unique(values: np.ndarray, path, what: str) -> None:
     """Reject the first value that repeats an earlier row, naming the lines where both
     rows start (tables.row_line)."""
-    order = np.argsort(values, kind="stable")
-    ranked = values[order]
-    # a run of equal values keeps file order: each row after its first repeats it
-    repeats = np.nonzero(ranked[1:] == ranked[:-1])[0] + 1
-    if repeats.size:
-        k = repeats[np.argmin(order[repeats])]
-        i, first = order[k], order[np.searchsorted(ranked, ranked[k])]
+    first, second = equal_neighbours(values)
+    if second.size:  # the least second is its run's second row, paired with the first
+        k = np.argmin(second)
+        i, earlier = second[k], first[k]
         raise DataError(f"{path}:{row_line(path, i)}: {what} {values.tolist()[i]!r} repeats "
-                        f"line {row_line(path, first)}")
+                        f"line {row_line(path, earlier)}")
 
 
 # What a CSV cell may hold: (test over a column's values, what the cell must be).
@@ -601,18 +598,15 @@ def cmd_sweep_lambda(scores_csv, lambda2_arg, out):
 
 def main(argv=None) -> int:
     try:
-        cli.main(args=argv, standalone_mode=False)
-        return 0
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
+        return cli.main(args=argv, standalone_mode=False) or 0  # click returns an Exit's code
+    except click.Abort:  # Ctrl-C or end of input during a command, as click's standalone mode
+        click.echo("Aborted!", err=True)
+        return 1
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         return 1
     except click.UsageError as exc:
         click.echo(f"usage error: {exc.format_message()}", err=True)
-        return 1
-    except click.ClickException as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
         return 1
     except DataError as exc:
         click.echo(f"data error: {exc}", err=True)

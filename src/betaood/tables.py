@@ -1,5 +1,6 @@
 """The pipeline's one CSV reader and writer, with the csv module's excel-dialect behaviour,
-and the one cache codec of the files it and datagen write.
+the one cache codec of the files it and datagen write, and the one repeated-key kernel
+(``equal_neighbours``).
 
 Tables are parsed by ``csv.reader``, so that a message names the file, the line where
 the row starts and the cause.  Number rows are written by an array kernel with the bytes
@@ -50,7 +51,7 @@ def read_table(path, what: str, schema) -> tuple[list[str], list]:
     """
     if not Path(path).is_file():
         raise DataError(f"{what} not found: {Path(path)}")
-    cached = load_cache(path)  # [header, one 2-D block per run of int or float columns]
+    cached = load_cache(path)  # [header, one (k, n) block per part]
     if cached and cached[0].dtype.kind == "U" and cached[0].ndim == 1:
         header = cached[0].tolist()
         columns = [column for block in cached[1:] if block.ndim == 2 for column in block]
@@ -109,6 +110,23 @@ def row_line(path, i: int) -> int:
         for _ in islice(reader, i + 1):
             pass
         return reader.line_num + 1
+
+
+def equal_neighbours(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs (first, second), first < second, of equal keys that one stable
+    sort puts side by side.  A key is an entry of a 1-D array or a row of a 2-D one;
+    keys are equal as np.array_equal says (-0.0 equals +0.0; a key holding NaN equals
+    none).  The sort keeps each run of equal keys together in index order and pairs
+    each key of a run after its first with the key before it.  So the pair with the
+    least first is the first equal pair in row-major order, and the pair with the
+    least second holds the first key that repeats an earlier one and its run's first.
+    """
+    rows = keys[:, None] if keys.ndim == 1 else keys  # reshape(0, -1) raises on no keys
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    ranked = keys[order]
+    equal = ranked[1:] == ranked[:-1]
+    k = np.flatnonzero(equal if keys.ndim == 1 else equal.all(axis=1))
+    return order[k], order[k + 1]
 
 
 def write_table(path, header: list[str], parts, cache: bool = False) -> None:

@@ -2,7 +2,8 @@
 
 For each workload of the benchmark's smoke sizes (``perfbench/workloads.py``,
 ``SMOKE_WORKLOADS``), for a ``gemv`` workload whose products go through
-BLAS gemv and for a ``seams`` workload whose tables span several text chunks,
+BLAS gemv, for a ``seams`` workload whose tables span several text chunks and
+for a ``shifted`` workload whose OOD split is drawn in the "shifted" mode,
 at seeds 0 and 31 this runs gen-data -> train -> score ->
 eval -> sweep-lambda, a second score at lambda1 0.3 / lambda2 0.7 with its own
 eval, and an eval --aggregate over both metrics.csv.  It records each command's
@@ -69,6 +70,13 @@ WORKLOADS = {
     "seams": (
         {"train_samples": 200, "val_samples": 50, "test_samples": 4500, "ood_samples": 4500},
         {"epochs": 1},
+    ),
+    # default's sizes with the OOD split drawn as the IND clusters moved along a seeded
+    # direction, not around new cluster means
+    "shifted": (
+        {"train_samples": 200, "val_samples": 50, "test_samples": 60, "ood_samples": 60,
+         "ood_mode": "shifted"},
+        {"epochs": 2},
     ),
 }
 

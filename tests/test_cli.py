@@ -1815,6 +1815,43 @@ class TestExitCodes:
         assert err.startswith(f"usage error: Invalid value for '{flag}'") and "NUL" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("target", ["read_jsonl", "checkpoint_to_json"],
+                             ids=["reading", "writing"])
+    def test_interrupt_ends_as_standalone_click_does(
+        self, pipeline, tmp_path, capsys, monkeypatch, target
+    ):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_mod, target, interrupt)
+        out = tmp_path / "o"
+        code = main(["train", "--epochs", "1", "--data", str(pipeline / "synth"),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and err.endswith("Aborted!\n") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, text, argv, code, message", [
+        ("gen.json", "[1, 2]", ["gen-data", "--config", "{f}"], 1,
+         "config error: malformed config {f}: must be a JSON object"),
+        ("checkpoint.json", "[]", ["score", "--checkpoint", "{f}", "--data", "d"], 2,
+         "data error: checkpoint {f}: malformed checkpoint: must be a JSON object"),
+        ("scores.csv", "sample_id,is_ood,s\r\n0,0,0.1\r\n1,1," + "1" * (1 << 17) + "2\r\n",
+         ["eval", "--scores-csv", "{f}"], 2,
+         "data error: {f}:3: field larger than field limit (131072)"),
+        (None, None, ["gen-data", "--name", "\ud800"], 1,
+         "config error: malformed command line: 'name' '\\ud800' must be a file name part: "
+         "not empty, '.' or '..', no '/' or NUL, at most 239 bytes"),
+    ], ids=["config_list", "checkpoint_list", "csv_field_limit", "name_surrogate"])
+    def test_rejected_input_message(self, tmp_path, capsys, name, text, argv, code, message):
+        path = name and tmp_path / name
+        if path:
+            path.write_text(text)
+        out = tmp_path / "o"
+        got = main([a.format(f=path) for a in argv] + ["--out", str(out)])
+        assert (got, capsys.readouterr().err) == (code, message.format(f=path) + "\n")
+        assert not out.exists()
+
     def test_numeric_failure_maps_to_exit_3(self, pipeline, tmp_path, monkeypatch):
         def boom(ds):
             raise NumericError("synthetic numeric failure")
@@ -1879,6 +1916,19 @@ class TestOutputLayer:
         assert (out / f"{name}.train.jsonl.npy").is_file()
         code, err = self._run(["gen-data", "--name", name + "n"], tmp_path, capsys, out)
         assert code == 1 and "at most 239 bytes" in err
+
+    def test_longest_score_column_fits(self, tmp_path, capsys):
+        column = "s" * (255 - len("roc_.csv"))
+        src = tmp_path / "scores.csv"
+        _write_scores_csv(src, ["sample_id", "is_ood", column], [[0, 0, 0.1], [1, 1, 0.9]])
+        out = tmp_path / "o"
+        code, _ = self._run(["eval", "--scores-csv", str(src)], tmp_path, capsys, out)
+        assert code == 0 and len(f"roc_{column}.csv") == 255
+        assert _tree(out) == {f"roc_{column}.csv", "metrics.csv"}
+        _write_scores_csv(src, ["sample_id", "is_ood", column + "s"], [[0, 0, 0.1], [1, 1, 0.9]])
+        code, err = self._run(["eval", "--scores-csv", str(src)], tmp_path, capsys,
+                              tmp_path / "p")
+        assert code == 2 and "at most 247 bytes" in err
 
     @pytest.mark.parametrize("column", ["sub/evil", "../ok", "a\0b", "s" * 300, ".."])
     def test_eval_score_column_that_is_no_file_name_is_data_error(

@@ -89,6 +89,38 @@ class TestSpecValidation:
         else:
             assert want is None
 
+    @pytest.mark.parametrize("change, message", [
+        ({"label_cluster_means": np.eye(3)}, "cluster means must have shape (2, 3), got (3, 3)"),
+        ({"cluster_spread": 0.0}, "cluster_spread must be > 0"),
+        ({"samples_per_split": {"train": 10, "test": 10}},
+         "samples_per_split must cover ('train', 'val', 'test')"),
+        ({"samples_per_split": {"train": 10, "val": 0, "test": 10}},
+         "every split needs at least one sample"),
+        ({"co_occurrence": []}, "co_occurrence must list at least one label subset"),
+        ({"co_occurrence": [((0, 1), 1.0), ((), 1.0)]}, "empty label subset in co_occurrence"),
+        ({"co_occurrence": [((0,), 1.0), ((1,), 0.0)]}, "co_occurrence weights must be positive"),
+        ({"co_occurrence": [((0,), 1.0), ((1, 2), 1.0)]},
+         "label index out of range in subset (1, 2)"),
+    ], ids=["means_shape", "spread", "split_missing", "split_empty", "no_subsets",
+            "empty_subset", "zero_weight", "label_out_of_range"])
+    def test_bad_field_message(self, change, message):
+        fields = dict(feature_dim=3, label_count=2,
+                      samples_per_split={"train": 10, "val": 10, "test": 10},
+                      label_cluster_means=np.eye(2, 3), cluster_spread=1.0,
+                      co_occurrence=[((0,), 1.0), ((1,), 1.0)], seed=0)
+        with pytest.raises(ConfigError) as exc:
+            SyntheticSpec(**{**fields, **change})
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("shift, samples, message", [
+        (0.0, 10, "shift_distance must be > 0"),
+        (1.0, 0, "OOD sample count must be >= 1"),
+    ], ids=["shift", "samples"])
+    def test_bad_ood_field_message(self, shift, samples, message):
+        with pytest.raises(ConfigError) as exc:
+            OodSpec("shifted", shift, samples, 0)
+        assert str(exc.value) == message
+
     def test_many_labels_checked_without_a_pairwise_loop(self):
         # a loop over label pairs takes minutes at 20000 labels
         src = Path(__file__).resolve().parents[1] / "src"

@@ -109,6 +109,12 @@ class TestOpinion:
             assert np.all(op.uncertainty > 0.0)
 
 
+def test_zero_evidence_rejected():
+    with pytest.raises(ConfigError) as exc:
+        EvidencePair(alpha=np.array([1.0, 0.0]), beta=np.array([1.0, 1.0]))
+    assert str(exc.value) == "evidence must be strictly positive"
+
+
 class TestPrediction:
     def test_three_to_one(self):
         pred = evidence_to_prediction(EvidencePair(alpha=[3.0], beta=[1.0]))

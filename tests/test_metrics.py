@@ -209,7 +209,23 @@ class TestMonotoneTransformInvariance:
         assert roc_points(roc_curve(ds)) == roc_points(roc_curve(transformed))
 
 
+@pytest.mark.parametrize("scores, is_ood, message", [
+    ([[0.1, 0.2]], [[0, 1]], "scores and is_ood must be 1-d and equal length"),
+    ([np.nan, 0.2], [0, 1], "scores must be finite"),
+    ([0.1, 0.2], [0, 2], "is_ood entries must be 0 or 1"),
+], ids=["two_d", "nan", "is_ood_2"])
+def test_bad_scored_dataset_message(scores, is_ood, message):
+    with pytest.raises(DataError) as exc:
+        ScoredDataset(scores=np.array(scores), is_ood=np.array(is_ood))
+    assert str(exc.value) == message
+
+
 class TestMeanAveragePrecision:
+    def test_unequal_shapes_rejected(self):
+        with pytest.raises(DataError) as exc:
+            mean_average_precision(np.full((2, 2), 0.5), np.ones((2, 3), int))
+        assert str(exc.value) == "probability and label matrices must be 2-d and equal shape"
+
     def test_perfect_predictions(self):
         labels = np.array([[1, 0], [0, 1], [1, 1], [0, 0]])
         probs = np.where(labels == 1, 0.99, 0.01)

@@ -320,6 +320,12 @@ class TestBackward:
 
 
 class TestTrain:
+    def test_labels_of_the_wrong_shape_rejected(self):
+        x, y = _tiny_dataset(np.random.default_rng(0), n=4, labels=3)
+        with pytest.raises(DataError) as exc:
+            train(x, y, ARCH, TrainConfig(epochs=1))
+        assert str(exc.value) == "labels must have shape (4, 2), got (4, 3)"
+
     def test_same_seed_bit_identical_checkpoint(self):
         rng = np.random.default_rng(17)
         x, y = _tiny_dataset(rng)

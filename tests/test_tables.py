@@ -758,3 +758,29 @@ class TestRowLine:
         path.write_bytes(text.encode())
         with pytest.raises(DataError, match=f"{path}{message}"):
             read_table(path, "table", lambda header: [int, int])
+
+
+class TestEqualNeighbours:
+    """equal_neighbours pairs each key with the last earlier key equal to it under
+    np.array_equal, for entries of a 1-D array and rows of a 2-D one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_pairs_as_a_loop_over_earlier_keys(self, data):
+        n = data.draw(st.integers(0, 9), label="n")
+        width = data.draw(st.sampled_from([None, 0, 1, 3]), label="width")
+        if data.draw(st.booleans(), label="text") and width is None:
+            cells = st.sampled_from(["a", "b", "a\0", ""])
+            keys = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)), dtype=object)
+        else:
+            cells = st.sampled_from([0.0, -0.0, 1.0, np.inf, np.nan])
+            size = n * (1 if width is None else width)
+            keys = np.array(data.draw(st.lists(cells, min_size=size, max_size=size)),
+                            dtype=float).reshape((n,) if width is None else (n, width))
+        want = []
+        for j in range(n):
+            earlier = [i for i in range(j) if np.array_equal(keys[i : i + 1], keys[j : j + 1])]
+            if earlier:
+                want.append((earlier[-1], j))
+        first, second = tables.equal_neighbours(keys)
+        assert sorted(zip(first.tolist(), second.tolist())) == sorted(want)
